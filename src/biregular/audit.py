@@ -8,17 +8,16 @@ the per-trial reproduction seed: that situation is an implementation bug,
 never new mathematics. Record streams and their CSV/JSON renderings are
 byte-identical across runs and platforms for a fixed configuration.
 
-Oracle columns: edge connectivity, vertex connectivity, and tree packing
-are cheap enough to evaluate on every graph. The two rigidity oracles are
-only evaluated when their certificate fired (the packing oracle per k, the
-global-rigidity oracle once); otherwise the record carries an empty oracle
-value, which is still a sound row.
+Each property's certificate, oracle and oracle schedule are one row of
+``PROPERTIES``. An oracle skipped behind an unfired certificate leaves the
+record's oracle value empty, which is still a sound row.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
 from .certify import (
@@ -28,12 +27,15 @@ from .certify import (
     certify_rigid_packing,
     certify_tree_packing,
     certify_vertex_connectivity,
+    is_ramanujan,
 )
 from .errors import AuditUnsound, InvalidParam, MixingViolation, RetriesExhausted
 from .graphs import BipartiteGraph, random_biregular
 from .oracles import (
+    OracleResult,
     edge_connectivity,
     greedy_rigid_packing,
+    is_globally_rigid,
     tree_packing_number,
     vertex_connectivity,
 )
@@ -43,12 +45,65 @@ from .spectral import Spectrum, mixing_check, singular_values
 
 log = logging.getLogger(__name__)
 
-AUDITABLE = (
+
+@dataclass(frozen=True)
+class PropertySpec:
+    """How one property is certified and checked; one row of ``PROPERTIES``.
+
+    ``certify(g, k, spectrum=None)`` returns the Certificate and
+    ``oracle(g, k)`` the OracleResult, or ``oracle`` is None when no exact
+    oracle exists. Only tree packing (k caps tau) and rigid packing (k is
+    the target) read k in the oracle. A ``when_fired`` oracle is too
+    expensive for every graph: the audit runs it per k and only behind a
+    CERTIFIED verdict. Any other oracle runs once per graph at the largest
+    k of the grid. A ``single_k`` property is evaluated at k = 1 only.
+    """
+
+    certify: Callable[..., Certificate]
+    oracle: Callable[[BipartiteGraph, int | None], OracleResult] | None
+    when_fired: bool = False
+    single_k: bool = False
+
+
+# The rows call through module globals at call time, so monkeypatching a
+# name on this module (tests, the benchmark's tracer) reaches every dispatch.
+PROPERTIES: dict[GraphProperty, PropertySpec] = {
+    GraphProperty.EDGE_CONNECTIVITY: PropertySpec(
+        lambda g, k, spectrum=None: certify_edge_connectivity(g, k, spectrum),
+        lambda g, k: edge_connectivity(g),
+    ),
+    GraphProperty.VERTEX_CONNECTIVITY: PropertySpec(
+        lambda g, k, spectrum=None: certify_vertex_connectivity(g, k, spectrum),
+        lambda g, k: vertex_connectivity(g),
+    ),
+    GraphProperty.TREE_PACKING: PropertySpec(
+        lambda g, k, spectrum=None: certify_tree_packing(g, k, spectrum),
+        lambda g, k: tree_packing_number(g, k_max=k),
+    ),
+    GraphProperty.RIGID_PACKING: PropertySpec(
+        lambda g, k, spectrum=None: certify_rigid_packing(g, k, spectrum),
+        lambda g, k: greedy_rigid_packing(g, k or 1),
+        when_fired=True,
+    ),
+    GraphProperty.GLOBAL_RIGIDITY: PropertySpec(
+        lambda g, k, spectrum=None: certify_global_rigidity(g, spectrum),
+        lambda g, k: is_globally_rigid(g),
+        when_fired=True,
+        single_k=True,
+    ),
+    GraphProperty.RAMANUJAN: PropertySpec(
+        lambda g, k, spectrum=None: is_ramanujan(g, spectrum),
+        None,
+        single_k=True,
+    ),
+}
+
+DEFAULT_K_GRID = (2, 3, 4, 5, 6, 7, 8)
+# Sorted by value, the order AuditConfig carries after normalization.
+DEFAULT_PROPERTIES = (
     GraphProperty.EDGE_CONNECTIVITY,
-    GraphProperty.VERTEX_CONNECTIVITY,
     GraphProperty.TREE_PACKING,
-    GraphProperty.RIGID_PACKING,
-    GraphProperty.GLOBAL_RIGIDITY,
+    GraphProperty.VERTEX_CONNECTIVITY,
 )
 
 CSV_HEADER = "graph_id,a,b,x,y,lambda2,property,k,threshold,verdict,oracle,sound"
@@ -63,7 +118,6 @@ class AuditConfig:
     k_grid: tuple[int, ...]
     properties: tuple[GraphProperty, ...]
     seed: int
-    output_path: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -80,7 +134,7 @@ class AuditConfig:
         if not self.properties:
             raise InvalidParam("property set must be nonempty")
         for prop in self.properties:
-            if prop not in AUDITABLE:
+            if PROPERTIES[prop].oracle is None:
                 raise InvalidParam(f"no exact oracle to audit {prop.value!r}")
 
 
@@ -153,12 +207,8 @@ def default_size_grid() -> tuple[tuple[int, int, int, int], ...]:
 def default_config(
     trials: int = 10,
     seed: int = 0x5EED_B1A5,
-    properties: tuple[GraphProperty, ...] = (
-        GraphProperty.EDGE_CONNECTIVITY,
-        GraphProperty.VERTEX_CONNECTIVITY,
-        GraphProperty.TREE_PACKING,
-    ),
-    k_grid: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
+    properties: tuple[GraphProperty, ...] = DEFAULT_PROPERTIES,
+    k_grid: tuple[int, ...] = DEFAULT_K_GRID,
 ) -> AuditConfig:
     return AuditConfig(
         trials=trials,
@@ -191,30 +241,20 @@ def generate_corpus(cfg: AuditConfig):
             yield gid, trial_seed, g, singular_values(g)
 
 
-def _certify(g, prop, k, spectrum) -> Certificate:
-    if prop is GraphProperty.EDGE_CONNECTIVITY:
-        return certify_edge_connectivity(g, k, spectrum)
-    if prop is GraphProperty.VERTEX_CONNECTIVITY:
-        return certify_vertex_connectivity(g, k, spectrum)
-    if prop is GraphProperty.TREE_PACKING:
-        return certify_tree_packing(g, k, spectrum)
-    if prop is GraphProperty.RIGID_PACKING:
-        return certify_rigid_packing(g, k, spectrum)
-    if prop is GraphProperty.GLOBAL_RIGIDITY:
-        return certify_global_rigidity(g, spectrum)
-    raise InvalidParam(f"cannot audit {prop.value!r}")
-
-
 def audit_random(cfg: AuditConfig) -> list[AuditRecord]:
     """Run the audit; raises AuditUnsound with a reproduction seed on failure."""
+    k_max = max(cfg.k_grid)
     records = []
     for gid, trial_seed, g, spectrum in generate_corpus(cfg):
-        cache: dict = {}
         for prop in cfg.properties:
-            ks = (1,) if prop is GraphProperty.GLOBAL_RIGIDITY else cfg.k_grid
-            for k in ks:
-                cert = _certify(g, prop, k, spectrum)
-                oracle, exact = _oracle_value(g, prop, k, cert, cfg, cache)
+            spec = PROPERTIES[prop]
+            per_graph = None if spec.when_fired else spec.oracle(g, k_max).value
+            for k in (1,) if spec.single_k else cfg.k_grid:
+                cert = spec.certify(g, k, spectrum)
+                oracle, exact = per_graph, True
+                if spec.when_fired and cert.verdict is Verdict.CERTIFIED:
+                    res = spec.oracle(g, k)
+                    oracle, exact = res.value, res.exact
                 sound = not (
                     cert.verdict is Verdict.CERTIFIED
                     and exact
@@ -240,34 +280,6 @@ def audit_random(cfg: AuditConfig) -> list[AuditRecord]:
                 records.append(record)
     records.sort(key=lambda r: (r.graph_id, r.property, r.k))
     return records
-
-
-def _oracle_value(g, prop, k, cert, cfg, cache):
-    """(value, exact) for the property's oracle; value None when skipped."""
-    if prop is GraphProperty.EDGE_CONNECTIVITY:
-        if "kappa_e" not in cache:
-            cache["kappa_e"] = edge_connectivity(g).value
-        return cache["kappa_e"], True
-    if prop is GraphProperty.VERTEX_CONNECTIVITY:
-        if "kappa_v" not in cache:
-            cache["kappa_v"] = vertex_connectivity(g).value
-        return cache["kappa_v"], True
-    if prop is GraphProperty.TREE_PACKING:
-        if "tau" not in cache:
-            cache["tau"] = tree_packing_number(g, k_max=max(cfg.k_grid)).value
-        return cache["tau"], True
-    if prop is GraphProperty.RIGID_PACKING:
-        if cert.verdict is not Verdict.CERTIFIED:
-            return None, True
-        res = greedy_rigid_packing(g, k)
-        return res.value, res.exact
-    if prop is GraphProperty.GLOBAL_RIGIDITY:
-        if cert.verdict is not Verdict.CERTIFIED:
-            return None, True
-        from .oracles import is_globally_rigid
-
-        return is_globally_rigid(g).value, True
-    raise InvalidParam(f"cannot audit {prop.value!r}")
 
 
 @dataclass(frozen=True)

@@ -108,9 +108,9 @@ def _decide(lam2: float, threshold: float | None, tol: float) -> Verdict:
 
 
 def _certificate(
-    g, prop, k, lam2, thresholds, strict, hypothesis_ok, implied_when_fired=()
+    g, profile, prop, k, lam2, thresholds, strict, hypothesis_ok,
+    implied_when_fired=(),
 ):
-    profile = validate_biregular(g)
     if hypothesis_ok and thresholds:
         threshold = max(thresholds)
         verdict = _decide(lam2, threshold, EPSILON)
@@ -204,7 +204,7 @@ def certify_edge_connectivity(
         else ()
     )
     return _certificate(
-        g, GraphProperty.EDGE_CONNECTIVITY, k, lam2, thresholds, True, hyp
+        g, profile, GraphProperty.EDGE_CONNECTIVITY, k, lam2, thresholds, True, hyp
     )
 
 
@@ -220,7 +220,8 @@ def certify_vertex_connectivity(
         (vertex_connectivity_threshold(profile.a, profile.b, k),) if hyp else ()
     )
     return _certificate(
-        g, GraphProperty.VERTEX_CONNECTIVITY, k, lam2, thresholds, False, hyp
+        g, profile, GraphProperty.VERTEX_CONNECTIVITY, k, lam2, thresholds,
+        False, hyp,
     )
 
 
@@ -236,7 +237,7 @@ def certify_tree_packing(
         (tree_packing_threshold(profile.a, profile.b, k),) if hyp else ()
     )
     return _certificate(
-        g, GraphProperty.TREE_PACKING, k, lam2, thresholds, False, hyp
+        g, profile, GraphProperty.TREE_PACKING, k, lam2, thresholds, False, hyp
     )
 
 
@@ -260,7 +261,8 @@ def certify_rigid_packing(
     if k == 1:
         implied.append("rigid")
     return _certificate(
-        g, GraphProperty.RIGID_PACKING, k, lam2, thresholds, False, hyp, implied
+        g, profile, GraphProperty.RIGID_PACKING, k, lam2, thresholds, False,
+        hyp, implied,
     )
 
 
@@ -275,7 +277,7 @@ def certify_global_rigidity(
         (global_rigidity_threshold(profile.a, profile.b),) if hyp else ()
     )
     return _certificate(
-        g, GraphProperty.GLOBAL_RIGIDITY, 1, lam2, thresholds, False, hyp
+        g, profile, GraphProperty.GLOBAL_RIGIDITY, 1, lam2, thresholds, False, hyp
     )
 
 
@@ -291,5 +293,5 @@ def is_ramanujan(
     lam2 = _lambda2_of(g, spectrum)
     threshold = math.sqrt(profile.a - 1) + math.sqrt(profile.b - 1)
     return _certificate(
-        g, GraphProperty.RAMANUJAN, 1, lam2, (threshold,), False, True
+        g, profile, GraphProperty.RAMANUJAN, 1, lam2, (threshold,), False, True
     )

@@ -10,9 +10,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, is_dataclass
 
 from . import __version__
 from .audit import (
+    DEFAULT_K_GRID,
+    DEFAULT_PROPERTIES,
+    PROPERTIES,
     AuditConfig,
     audit_random,
     default_size_grid,
@@ -20,14 +24,6 @@ from .audit import (
     report_emit,
 )
 from .bbg import parse_bbg, write_bbg
-from .certify import (
-    certify_edge_connectivity,
-    certify_global_rigidity,
-    certify_rigid_packing,
-    certify_tree_packing,
-    certify_vertex_connectivity,
-    is_ramanujan,
-)
 from .errors import (
     AuditUnsound,
     ConvergenceFailure,
@@ -43,13 +39,6 @@ from .errors import (
     UsageError,
 )
 from .graphs import complete_bipartite, even_cycle, heawood, random_biregular
-from .oracles import (
-    edge_connectivity,
-    greedy_rigid_packing,
-    is_globally_rigid,
-    tree_packing_number,
-    vertex_connectivity,
-)
 from .properties import GraphProperty
 from .spectral import singular_values, validate_biregular
 
@@ -92,20 +81,9 @@ def _witness_json(witness):
     if witness is None:
         return None
     kind = type(witness).__name__
-    for attr in ("edges", "vertices", "forests", "subgraphs"):
-        if hasattr(witness, attr):
-            return {
-                "kind": kind,
-                attr: [list(map(list, item)) if attr in ("forests", "subgraphs")
-                       else list(item)
-                       for item in getattr(witness, attr)],
-            }
-    if hasattr(witness, "blocks"):
-        return {
-            "kind": kind,
-            "removed": [list(v) for v in witness.removed],
-            "blocks": [[list(v) for v in block] for block in witness.blocks],
-        }
+    if is_dataclass(witness):
+        return {"kind": kind, **asdict(witness)}
+    # is_redundantly_rigid's critical edge is a bare tuple
     return {"kind": kind, "value": repr(witness)}
 
 
@@ -145,20 +123,10 @@ def _cmd_spectrum(args):
     return 0
 
 
-_CERTIFIERS = {
-    GraphProperty.EDGE_CONNECTIVITY: lambda g, k: certify_edge_connectivity(g, k),
-    GraphProperty.VERTEX_CONNECTIVITY: lambda g, k: certify_vertex_connectivity(g, k),
-    GraphProperty.TREE_PACKING: lambda g, k: certify_tree_packing(g, k),
-    GraphProperty.RIGID_PACKING: lambda g, k: certify_rigid_packing(g, k),
-    GraphProperty.GLOBAL_RIGIDITY: lambda g, k: certify_global_rigidity(g),
-    GraphProperty.RAMANUJAN: lambda g, k: is_ramanujan(g),
-}
-
-
 def _cmd_certify(args):
     g = _load_graph(args.input)
     prop = GraphProperty(args.property)
-    cert = _CERTIFIERS[prop](g, args.k)
+    cert = PROPERTIES[prop].certify(g, args.k)
     if args.json:
         _emit(json.dumps(cert.to_dict()) + "\n", args.out)
     else:
@@ -174,18 +142,10 @@ def _cmd_certify(args):
 def _cmd_verify(args):
     g = _load_graph(args.input)
     prop = GraphProperty(args.property)
-    if prop is GraphProperty.EDGE_CONNECTIVITY:
-        res = edge_connectivity(g)
-    elif prop is GraphProperty.VERTEX_CONNECTIVITY:
-        res = vertex_connectivity(g)
-    elif prop is GraphProperty.TREE_PACKING:
-        res = tree_packing_number(g, k_max=args.k)
-    elif prop is GraphProperty.RIGID_PACKING:
-        res = greedy_rigid_packing(g, args.k or 1)
-    elif prop is GraphProperty.GLOBAL_RIGIDITY:
-        res = is_globally_rigid(g)
-    else:
+    oracle = PROPERTIES[prop].oracle
+    if oracle is None:
         raise UsageError(f"no exact oracle for {prop.value!r}")
+    res = oracle(g, args.k)
     if args.json:
         payload = {
             "property": res.property.value,
@@ -222,7 +182,7 @@ def _parse_grid(text):
 
 def _cmd_audit(args):
     grid = _parse_grid(args.grid) if args.grid else default_size_grid()
-    k_grid = tuple(sorted(set(args.k))) if args.k else (2, 3, 4, 5, 6, 7, 8)
+    k_grid = tuple(sorted(set(args.k))) if args.k else DEFAULT_K_GRID
     if args.properties:
         props = tuple(
             sorted(
@@ -231,18 +191,13 @@ def _cmd_audit(args):
             )
         )
     else:
-        props = (
-            GraphProperty.EDGE_CONNECTIVITY,
-            GraphProperty.TREE_PACKING,
-            GraphProperty.VERTEX_CONNECTIVITY,
-        )
+        props = DEFAULT_PROPERTIES
     cfg = AuditConfig(
         trials=args.trials,
         size_grid=grid,
         k_grid=k_grid,
         properties=props,
         seed=args.seed,
-        output_path=args.out,
     )
     records = audit_random(cfg)
     _emit(report_emit(records, args.format), args.out)

@@ -19,17 +19,9 @@ PARTITION_GUARD = 12
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint blocks covering a vertex set, with trivial-part counts."""
+    """Disjoint blocks covering a vertex set."""
 
     blocks: tuple[tuple[Vertex, ...], ...]
-
-    @property
-    def trivial_count(self) -> int:
-        return sum(1 for b in self.blocks if len(b) == 1)
-
-    @property
-    def nontrivial_count(self) -> int:
-        return sum(1 for b in self.blocks if len(b) > 1)
 
 
 def iter_partition_assignments(n: int) -> Iterator[list[int]]:

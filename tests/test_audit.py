@@ -12,7 +12,7 @@ from biregular import (
     parse_report_json,
     report_emit,
 )
-from biregular.audit import AuditRecord, CSV_HEADER
+from biregular.audit import PROPERTIES, AuditRecord, CSV_HEADER
 from biregular.errors import AuditUnsound, InvalidParam, MixingViolation
 
 SMALL_CFG = AuditConfig(
@@ -77,6 +77,34 @@ def test_unsound_oracle_aborts(monkeypatch):
         audit_random(cfg)
     assert err.value.seed is not None
     assert err.value.record.verdict == "certified"
+
+
+def test_property_table_covers_every_property():
+    assert set(PROPERTIES) == set(GraphProperty)
+
+
+def test_rigidity_oracles_run_only_behind_fired_certificates(monkeypatch):
+    import biregular.audit as audit_mod
+
+    monkeypatch.setattr(
+        audit_mod, "random_biregular", lambda *args: complete_bipartite(6, 6)
+    )
+    cfg = AuditConfig(
+        trials=1,
+        size_grid=((6, 6, 6, 6),),
+        k_grid=(1, 2),
+        properties=(GraphProperty.RIGID_PACKING, GraphProperty.GLOBAL_RIGIDITY),
+        seed=1,
+    )
+    got = {
+        (r.property, r.k): (r.verdict, r.oracle) for r in audit_random(cfg)
+    }
+    assert got == {
+        ("rigid-packing", 1): ("certified", 1),
+        # the k = 2 hypothesis needs a, b >= 12
+        ("rigid-packing", 2): ("not-fired", None),
+        ("global-rigidity", 1): ("certified", 1),
+    }
 
 
 def test_report_emit_empty_and_single():

@@ -102,6 +102,8 @@ def test_verify_json(c6_file):
 
 
 def test_verify_other_properties(tmp_path, c6_file):
+    k33 = tmp_path / "k33.bbg"
+    k33.write_text(write_bbg(complete_bipartite(3, 3)))
     k66 = tmp_path / "k66.bbg"
     k66.write_text(write_bbg(complete_bipartite(6, 6)))
     res = run_cli("verify", "--property", "vertex-conn", "--input", c6_file, "--json")
@@ -114,6 +116,11 @@ def test_verify_other_properties(tmp_path, c6_file):
     payload = json.loads(res.stdout)
     assert payload["value"] == 1
     assert len(payload["witness"]["subgraphs"][0]) == 21
+    # a critical edge is a bare tuple, not a witness dataclass
+    res = run_cli("verify", "--property", "global-rigidity", "--input", str(k33), "--json")
+    payload = json.loads(res.stdout)
+    assert payload["value"] == 0
+    assert payload["witness"] == {"kind": "tuple", "value": "(0, 0)"}
 
 
 def test_verify_ramanujan_has_no_oracle(c6_file):
