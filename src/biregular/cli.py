@@ -26,16 +26,11 @@ from .audit import (
 from .bbg import parse_bbg, write_bbg
 from .errors import (
     AuditUnsound,
-    ConvergenceFailure,
     DuplicateEdge,
     Error,
     IndexOutOfRange,
     InvalidParam,
-    MixingViolation,
     ParseError,
-    RetriesExhausted,
-    TooLarge,
-    TooSmall,
     UsageError,
 )
 from .graphs import complete_bipartite, even_cycle, heawood, random_biregular
@@ -49,13 +44,6 @@ _USAGE_ERRORS = (
     IndexOutOfRange,
     DuplicateEdge,
     FileNotFoundError,
-)
-_SOLVER_ERRORS = (
-    ConvergenceFailure,
-    RetriesExhausted,
-    TooLarge,
-    TooSmall,
-    MixingViolation,
 )
 
 
@@ -292,9 +280,6 @@ def main(argv=None) -> int:
     except AuditUnsound as exc:
         print(f"audit unsound: {exc}", file=sys.stderr)
         return 2
-    except _SOLVER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except _USAGE_ERRORS as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -3,11 +3,12 @@
 The adjacency spectrum of a bipartite graph is symmetric about zero: it is
 {+s, -s} over the singular values s of the 0/1 biadjacency matrix B, padded
 with |X| + |Y| - 2*min(|X|, |Y|) zeros. We therefore never eigensolve the
-full (|X|+|Y|)-dimensional adjacency matrix; instead we take the smaller of
-the two Gram matrices (B B^T or B^T B), diagonalize it with a cyclic Jacobi
-sweep, and report square roots. For a connected (a,b)-biregular graph the
-top singular value is sqrt(a*b) and the second one is the lambda_2 used by
-every certificate.
+full (|X|+|Y|)-dimensional adjacency matrix; one LAPACK SVD of B gives the
+min(|X|, |Y|) singular values directly. Working on B rather than on a Gram
+matrix B B^T keeps zero singular values at roundoff level instead of
+magnifying their error through a square root. For a connected
+(a,b)-biregular graph the top singular value is sqrt(a*b) and the second
+one is the lambda_2 used by every certificate.
 """
 
 from __future__ import annotations
@@ -21,8 +22,6 @@ import numpy as np
 from .errors import ConvergenceFailure, InvalidParam
 from .graphs import BipartiteGraph, Vertex, cross_edges, validate_biregular
 
-JACOBI_REL_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 50
 MIXING_TOL = 1e-9
 
 
@@ -34,14 +33,12 @@ class Spectrum:
     eigenvalues are exact zeros by the padding rule above. ``lambda2`` is
     sigma[1], or 0.0 when only one singular value exists. ``gap`` is
     sqrt(a*b) - lambda2 with the integer product kept exact under the root.
-    ``tol`` records the relative eigensolver tolerance that produced sigma.
     """
 
     sigma: tuple[float, ...]
     lambda1: float
     lambda2: float
     gap: float
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -68,115 +65,22 @@ def biadjacency(g: BipartiteGraph) -> np.ndarray:
     return mat
 
 
-def _rotate(a: np.ndarray, p: int, q: int) -> None:
-    """One Jacobi rotation zeroing a[p, q] (and a[q, p]) in place."""
-    apq = float(a[p, q])
-    tau = (float(a[q, q]) - float(a[p, p])) / (2.0 * apq)
-    if abs(tau) > 1e8:
-        # Beyond this the closed form is 1/(2 tau) to working precision
-        # and immune to overflow.
-        t = 1.0 / (2.0 * tau)
-    else:
-        t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-    c = 1.0 / math.sqrt(1.0 + t * t)
-    s = t * c
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-
-
-def _off_norm(a: np.ndarray) -> float:
-    # Summing squares of the off-diagonal entries directly; subtracting
-    # the diagonal from the total norm instead would cancel catastrophically
-    # and leave a phantom floor around sqrt(eps) * norm.
-    b = a.copy()
-    np.fill_diagonal(b, 0.0)
-    return float(np.linalg.norm(b))
-
-
-def _jacobi_eigenvalues(mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by Jacobi rotations.
-
-    Cyclic sweeps rotate away every off-diagonal pair per pass until the
-    off-diagonal Frobenius norm drops below JACOBI_REL_TOL times the matrix
-    norm. On matrices with exactly repeated eigenvalues a cyclic sweep can
-    stall: near-degenerate pi/4 rotations shuttle one residual entry around
-    a closed orbit without shrinking it. A sweep that fails to halve the
-    off-norm therefore falls back to classical Jacobi, rotating the largest
-    remaining pivot, which strictly decreases the off-norm by a factor of at
-    least (1 - 2/(n^2 - n)) per rotation and so always finishes. Exceeding
-    JACOBI_MAX_SWEEPS cyclic sweeps (or the equivalent classical rotation
-    budget) raises ConvergenceFailure.
-    """
-    a = np.array(mat, dtype=float)
-    n = a.shape[0]
-    if n == 1:
-        return a.diagonal().copy()
-    norm = float(np.linalg.norm(a))
-    if norm == 0.0:
-        return np.zeros(n)
-    threshold = JACOBI_REL_TOL * norm
-    skip_below = threshold / (2.0 * n)
-    for _ in range(JACOBI_MAX_SWEEPS):
-        off = _off_norm(a)
-        if off <= threshold:
-            return a.diagonal().copy()
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(float(a[p, q])) > skip_below:
-                    _rotate(a, p, q)
-        new_off = _off_norm(a)
-        if new_off > 0.5 * off and new_off > threshold:
-            break
-    off = _off_norm(a)
-    if off <= threshold:
-        return a.diagonal().copy()
-    # Classical mop-up: always rotate the currently largest pivot.
-    budget = JACOBI_MAX_SWEEPS * n * n
-    strict = np.abs(a).copy()
-    for _ in range(budget):
-        np.fill_diagonal(strict, 0.0)
-        p, q = divmod(int(np.argmax(strict)), n)
-        if p > q:
-            p, q = q, p
-        if p == q:
-            break
-        _rotate(a, p, q)
-        if _off_norm(a) <= threshold:
-            return a.diagonal().copy()
-        strict = np.abs(a)
-    off = _off_norm(a)
-    if off <= threshold:
-        return a.diagonal().copy()
-    raise ConvergenceFailure(
-        f"off-diagonal norm {off:.3e} above {threshold:.3e} after "
-        f"{JACOBI_MAX_SWEEPS} sweeps plus classical mop-up"
-    )
-
-
 def singular_values(g: BipartiteGraph) -> Spectrum:
     """Spectrum of a validated biregular graph.
 
-    Eigensolves the smaller Gram matrix, clamps roundoff negatives to zero,
-    and sorts descending.
+    LAPACK returns the singular values of B non-negative and sorted
+    descending; a failed SVD raises ConvergenceFailure.
     """
     profile = validate_biregular(g)
-    b = biadjacency(g)
-    gram = b @ b.T if g.x_count <= g.y_count else b.T @ b
-    eigs = _jacobi_eigenvalues(gram)
-    sigma = np.sqrt(np.clip(eigs, 0.0, None))
-    sigma = tuple(sorted((float(v) for v in sigma), reverse=True))
+    try:
+        sigma = np.linalg.svd(biadjacency(g), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(f"biadjacency SVD: {exc}") from exc
+    sigma = tuple(sigma.tolist())
     lam1 = sigma[0]
     lam2 = sigma[1] if len(sigma) > 1 else 0.0
     gap = math.sqrt(profile.a * profile.b) - lam2
-    return Spectrum(
-        sigma=sigma, lambda1=lam1, lambda2=lam2, gap=gap, tol=JACOBI_REL_TOL
-    )
+    return Spectrum(sigma=sigma, lambda1=lam1, lambda2=lam2, gap=gap)
 
 
 def lambda2(g: BipartiteGraph) -> float:

@@ -4,9 +4,11 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from biregular import complete_bipartite, even_cycle, parse_bbg, write_bbg
+from biregular.cli import main
 
 
 def run_cli(*args, **kwargs):
@@ -61,6 +63,18 @@ def test_gen_random_retries_exhausted_exit_3():
         "--seed", "0", "--max-retries", "1",
     )
     assert res.returncode == 3
+    assert res.stderr.startswith("error: no simple matching")
+
+
+def test_solver_failure_exit_3(monkeypatch, capsys, c6_file):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert main(["spectrum", "--input", c6_file]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_spectrum_json(c6_file):

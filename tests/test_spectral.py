@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from biregular import (
@@ -17,13 +18,12 @@ from biregular import (
     spectral_gap,
     validate_biregular,
 )
-from biregular.errors import InvalidParam, NotBiregular
+from biregular.errors import ConvergenceFailure, InvalidParam, NotBiregular
 from biregular.prng import derive_seed
 
 from testutil import dense_sigma, medium_corpus, small_corpus
 
-# sqrt amplifies the eigensolver tolerance near zero singular values
-DENSE_MATCH_TOL = 5e-8
+DENSE_MATCH_TOL = 1e-12
 
 
 def test_k33_spectrum():
@@ -51,10 +51,16 @@ def test_heawood_spectrum():
 
 
 def test_desk_spectra_match_dense_oracle():
-    for g in (complete_bipartite(3, 3), even_cycle(6), heawood()):
+    desk = (
+        complete_bipartite(3, 3),
+        complete_bipartite(12, 18),
+        even_cycle(6),
+        heawood(),
+    )
+    for g in desk:
         want = dense_sigma(g)
         got = singular_values(g).sigma
-        assert max(abs(w - v) for w, v in zip(want, got)) < 1e-9
+        assert max(abs(w - v) for w, v in zip(want, got)) < DENSE_MATCH_TOL
 
 
 def test_lambda2_and_gap_shortcuts():
@@ -98,6 +104,15 @@ def test_disconnected_multiplicity_counts_components():
     g2 = random_biregular(8, 8, 2, 2, seed=derive_seed(5, 0))
     mult2 = sum(1 for v in singular_values(g2).sigma if abs(v - 2.0) < 1e-6)
     assert mult2 == len(connected_components(g2))
+
+
+def test_svd_failure_raises_convergence_failure(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceFailure):
+        singular_values(heawood())
 
 
 def test_spectrum_requires_biregular():
