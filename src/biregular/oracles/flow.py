@@ -3,11 +3,14 @@
 Edge connectivity runs one Dinic computation from a fixed source to every
 other sink; the global minimum cut must separate the source from something.
 Vertex connectivity splits each vertex into an in/out pair joined by a
-unit arc and minimizes flow over all non-adjacent ordered-up pairs, the
-plain quadratic scheme (guarded at 512 vertices). Both oracles return a
-witness extracted from the final residual graph. Flows toward sinks that
-cannot improve the running minimum are cut off early; the witness flow is
-recomputed uncapped.
+unit arc and minimizes flow over non-adjacent ordered-up pairs whose lower
+vertex is one of v_0..v_kappa, Even's (1975) source bound: at most
+delta (n - 1) + 1 flows instead of about n^2 / 2 (guarded at 512
+vertices). The bound only cuts the pair order short after its first
+minimum pair, so the witness is the one the all-pairs scan finds. Both
+oracles return a witness extracted from the final residual graph. Flows
+toward sinks that cannot improve the running minimum are cut off early;
+the witness flow is recomputed uncapped.
 """
 
 from __future__ import annotations
@@ -167,13 +170,16 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     return OracleResult(GraphProperty.EDGE_CONNECTIVITY, best, EdgeCut(cut), True)
 
 
-def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
-    """Exact kappa with a minimum separator as witness.
+def _vertex_cut(g: BipartiteGraph, adj, bound: int):
+    """min(kappa, bound) and, when kappa < bound, a minimum separator.
 
-    Minimizes split-network flow over all non-adjacent pairs. Bipartite
-    graphs on 3+ vertices always have a non-adjacent same-part pair, so the
-    complete-bipartite convention kappa(K_{m,n}) = min(m, n) falls out of
-    the flow itself.
+    Returns ``(value, separator)`` with the separator as sorted flat ids, or
+    ``None`` when no non-adjacent pair has flow below ``bound``. Sources
+    stop at v_(best-1), after Even (1975): while kappa < best, a minimum
+    separator S misses some v_i with i <= |S| = kappa < best, and every
+    vertex across S from v_i has a higher id. The visited pairs are thus a
+    prefix of the full ordered-up scan that holds its first minimum pair,
+    so the witness is that scan's.
     """
     n = g.n
     if n < 3:
@@ -181,10 +187,7 @@ def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
     if n > VERTEX_CONN_GUARD:
         raise TooLarge(f"vertex connectivity guarded at {VERTEX_CONN_GUARD}")
     if len(connected_components(g)) > 1:
-        return OracleResult(
-            GraphProperty.VERTEX_CONNECTIVITY, 0, Separator(()), True
-        )
-    adj = flat_adjacency(g)
+        return 0, ()
     adj_sets = [set(lst) for lst in adj]
     inf = n + 1
     net = _Dinic(2 * n)
@@ -196,11 +199,11 @@ def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
         net.add_edge(2 * w + 1, 2 * u, inf)
     base = net.snapshot()
 
-    degs = [len(lst) for lst in adj]
-    low = degs.index(min(degs))
-    best = degs[low]
+    best = bound
     best_pair = None
     for u in range(n):
+        if u >= best:
+            break
         for w in range(u + 1, n):
             if w in adj_sets[u]:
                 continue
@@ -210,17 +213,33 @@ def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
                 best = f
                 best_pair = (u, w)
     if best_pair is None:
+        return best, None
+    u, w = best_pair
+    net.restore(base)
+    flow = net.max_flow(2 * u + 1, 2 * w)
+    reach = net.residual_reachable(2 * u + 1)
+    sep = tuple(v for v in range(n) if reach[2 * v] and not reach[2 * v + 1])
+    assert len(sep) == flow == best
+    return best, sep
+
+
+def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
+    """Exact kappa with a minimum separator as witness.
+
+    Minimizes split-network flow over non-adjacent pairs whose lower vertex
+    is among v_0..v_kappa (Even's bound). Bipartite graphs on 3+ vertices
+    always have a non-adjacent same-part pair, so the complete-bipartite
+    convention kappa(K_{m,n}) = min(m, n) falls out of the flow itself.
+    The bound only drops pairs after the first minimum one, so the
+    separator is the one the all-pairs scan returns.
+    """
+    adj = flat_adjacency(g)
+    degs = [len(lst) for lst in adj]
+    low = degs.index(min(degs))
+    kappa, sep = _vertex_cut(g, adj, degs[low])
+    if sep is None:
         # No pair beat the minimum degree: the neighborhood of a
         # minimum-degree vertex is an optimal separator.
         sep = tuple(sorted(adj[low]))
-    else:
-        u, w = best_pair
-        net.restore(base)
-        flow = net.max_flow(2 * u + 1, 2 * w)
-        reach = net.residual_reachable(2 * u + 1)
-        sep = tuple(
-            v for v in range(n) if reach[2 * v] and not reach[2 * v + 1]
-        )
-        assert len(sep) == flow == best
     witness = Separator(tuple(flat_vertex(g, v) for v in sep))
-    return OracleResult(GraphProperty.VERTEX_CONNECTIVITY, best, witness, True)
+    return OracleResult(GraphProperty.VERTEX_CONNECTIVITY, kappa, witness, True)

@@ -39,7 +39,7 @@ from ..graphs import (
 )
 from ..prng import SplitMix64
 from ..properties import GraphProperty
-from .flow import vertex_connectivity
+from .flow import _vertex_cut
 from .partitions import (
     Partition,
     blocks_from_assignment,
@@ -181,13 +181,17 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
 def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
     """1 iff g is rigid and stays rigid after deleting any single edge.
 
-    For a non-redundant rigid graph the witness is a critical edge whose
-    removal kills rigidity.
+    Only the 2n - 3 edges of the pebble game's basis are deleted and
+    re-tested: deleting any other edge leaves that basis whole, and a
+    critical edge lies in every basis. The basis is in sorted feed order,
+    so for a non-redundant rigid graph the witness is the first critical
+    edge of g.edges, whose removal kills rigidity.
     """
-    if not is_rigid(g):
-        return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
     target = 2 * g.n - 3
-    for edge in g.edges:
+    res = rigidity_rank(g)
+    if res.value != target:
+        return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
+    for edge in res.witness.edges:
         remaining = [e for e in g.edges if e != edge]
         rank, _ = pebble_rank_edges(g, remaining)
         if rank != target:
@@ -196,10 +200,16 @@ def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
 
 
 def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
-    """1 iff 3-connected and redundantly rigid (the planar characterization)."""
+    """1 iff 3-connected and redundantly rigid (the planar characterization).
+
+    The connectivity search starts at min(delta, 3) and so only settles
+    whether kappa >= 3, not kappa itself.
+    """
     if g.n < 4:
         raise TooSmall("global rigidity oracle needs at least 4 vertices")
-    kappa = vertex_connectivity(g).value
+    adj = flat_adjacency(g)
+    delta = min(len(lst) for lst in adj)
+    kappa, _ = _vertex_cut(g, adj, min(delta, 3))
     if kappa < 3:
         return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
     redundant = is_redundantly_rigid(g)

@@ -3,26 +3,26 @@
 import pytest
 
 from biregular import (
-    BipartiteGraph,
     complete_bipartite,
     even_cycle,
     heawood,
     validate_biregular,
 )
 from biregular.errors import TooSmall
-from biregular.oracles import edge_connectivity, vertex_connectivity
+from biregular.graphs import flat_vertex
+from biregular.oracles import edge_connectivity, flow, vertex_connectivity
 
 from testutil import (
+    DISCONNECTED,
+    TWO_K33_BLOCKS,
+    TWO_K44_BLOCKS,
     disconnects_by_edges,
     disconnects_by_vertices,
     edge_connectivity_bruteforce,
     medium_corpus,
     small_corpus,
+    vertex_connectivity_all_pairs,
     vertex_connectivity_bruteforce,
-)
-
-DISCONNECTED = BipartiteGraph(
-    4, 4, ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
 )
 
 
@@ -67,8 +67,6 @@ def test_vertex_connectivity_desk_values():
 def test_heawood_survives_all_2_subsets():
     from itertools import combinations
 
-    from biregular.graphs import flat_vertex
-
     g = heawood()
     for pair in combinations(range(g.n), 2):
         assert not disconnects_by_vertices(
@@ -104,3 +102,54 @@ def test_whitney_chain_on_corpus():
         kv = vertex_connectivity(g).value
         ke = edge_connectivity(g).value
         assert kv <= ke <= min(profile.a, profile.b)
+
+
+def test_source_bound_matches_all_pairs_scan():
+    graphs = [
+        *small_corpus(),
+        *medium_corpus(),
+        DISCONNECTED,
+        complete_bipartite(1, 4),
+        complete_bipartite(2, 5),
+        complete_bipartite(3, 3),
+        TWO_K33_BLOCKS,
+        TWO_K44_BLOCKS,
+    ]
+    for g in graphs:
+        kappa, sep = vertex_connectivity_all_pairs(g)
+        res = vertex_connectivity(g)
+        assert res.value == kappa
+        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+
+
+def test_kappa_below_min_degree():
+    g = TWO_K33_BLOCKS
+    assert min(len(a) for a in g.adj_x + g.adj_y) == 3
+    res = vertex_connectivity(g)
+    assert res.value == 2 == vertex_connectivity_bruteforce(g)
+    assert disconnects_by_vertices(g, res.witness.vertices)
+
+    # x0 and x1 lie in every minimum separator, so sources v_0 and v_1
+    # alone would report 3.
+    res = vertex_connectivity(TWO_K44_BLOCKS)
+    assert res.value == 2
+    assert res.witness.vertices == (("x", 0), ("x", 1))
+
+
+def test_source_bound_flow_count(monkeypatch):
+    # kappa = delta: at most delta sources with fewer than n sinks each.
+    # Without the source bound every non-adjacent pair runs a flow (70 on
+    # Heawood, 104 on C16), over delta (n - 1) + 1.
+    calls = 0
+    max_flow = flow._Dinic.max_flow
+
+    def counted(self, s, t, limit=None):
+        nonlocal calls
+        calls += 1
+        return max_flow(self, s, t, limit)
+
+    monkeypatch.setattr(flow._Dinic, "max_flow", counted)
+    for g, delta in ((heawood(), 3), (even_cycle(16), 2)):
+        calls = 0
+        assert vertex_connectivity(g).value == delta
+        assert calls <= delta * (g.n - 1) + 1

@@ -13,9 +13,16 @@ from biregular.oracles import (
     rigid_packing_partition_sufficient,
     rigidity_matrix_rank_modular,
     rigidity_rank,
+    vertex_connectivity,
 )
 
-from testutil import modular_rank_bruteforce, small_corpus
+from testutil import (
+    DISCONNECTED,
+    K44_PENDANT,
+    medium_corpus,
+    modular_rank_bruteforce,
+    small_corpus,
+)
 
 RANK_SEEDS = (101, 202, 303)
 
@@ -63,9 +70,60 @@ def test_redundant_rigidity():
     assert is_redundantly_rigid(complete_bipartite(3, 3)).value == 0
     assert is_redundantly_rigid(complete_bipartite(6, 6)).value == 1
     assert is_redundantly_rigid(even_cycle(6)).value == 0
-    # the witness of a minimally rigid graph is some critical edge
-    res = is_redundantly_rigid(complete_bipartite(3, 3))
-    assert res.witness in complete_bipartite(3, 3).edges
+
+
+def _first_critical_edge(g):
+    """Delete every edge in turn; GF(p) rank, no pebble game."""
+    target = 2 * g.n - 3
+    for edge in g.edges:
+        if modular_rank_bruteforce(g, g.without_edge(edge).edges) != target:
+            return edge
+    return None
+
+
+def test_critical_edge_witness():
+    k33 = complete_bipartite(3, 3)
+    assert _first_critical_edge(k33) == (0, 0)
+    assert is_redundantly_rigid(k33).witness == (0, 0)
+
+    # x4 hangs on y2 and y3, so (4, 2) is critical; no K4,4 edge is.
+    assert _first_critical_edge(K44_PENDANT) == (4, 2)
+    res = is_redundantly_rigid(K44_PENDANT)
+    assert (res.value, res.witness) == (0, (4, 2))
+    assert is_globally_rigid(K44_PENDANT).value == 0
+
+    for g in (*small_corpus(), *medium_corpus()):
+        if not is_rigid(g):
+            continue
+        critical = _first_critical_edge(g)
+        res = is_redundantly_rigid(g)
+        assert (res.value, res.witness) == (int(critical is None), critical)
+
+
+def test_global_rigidity_cutoff_matches_full_kappa():
+    graphs = [
+        DISCONNECTED,
+        complete_bipartite(1, 4),
+        complete_bipartite(2, 5),
+        even_cycle(6),
+        complete_bipartite(3, 3),
+        complete_bipartite(4, 5),
+        complete_bipartite(6, 6),
+        K44_PENDANT,
+        *small_corpus(),
+    ]
+    kappas = set()
+    for g in graphs:
+        kappa = vertex_connectivity(g).value
+        kappas.add(kappa)
+        redundant = is_redundantly_rigid(g)
+        res = is_globally_rigid(g)
+        if kappa >= 3:
+            assert res == redundant
+        else:
+            assert (res.value, res.witness) == (0, None)
+        assert res.value == (kappa >= 3 and redundant.value == 1)
+    assert {0, 1, 2, 3, 4, 6} <= kappas
 
 
 def test_global_rigidity():

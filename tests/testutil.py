@@ -118,6 +118,84 @@ def vertex_connectivity_bruteforce(g: BipartiteGraph) -> int:
     return g.n - 1
 
 
+def _split_flow_reach(adj, s, t):
+    """Max flow s_out -> t_in in the vertex-split network, by BFS paths.
+
+    Returns the flow and the residual-reachable split nodes (2v in, 2v + 1
+    out). Every maximum flow leaves the same reachable set, so the
+    separator read from it does not depend on the flow algorithm.
+    """
+    n = len(adj)
+    cap = {}
+
+    def arc(a, b, c):
+        cap[(a, b)] = c
+        cap.setdefault((b, a), 0)
+
+    for v in range(n):
+        arc(2 * v, 2 * v + 1, 1)
+        for w in adj[v]:
+            arc(2 * v + 1, 2 * w, n + 1)
+    out = {}
+    for a, b in cap:
+        out.setdefault(a, []).append(b)
+
+    def bfs():
+        parent = {2 * s + 1: None}
+        queue = deque([2 * s + 1])
+        while queue:
+            a = queue.popleft()
+            for b in out[a]:
+                if cap[(a, b)] > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        return parent
+
+    flow = 0
+    while True:
+        parent = bfs()
+        if 2 * t not in parent:
+            return flow, set(parent)
+        b = 2 * t
+        while parent[b] is not None:
+            a = parent[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+        flow += 1
+
+
+def vertex_connectivity_all_pairs(g: BipartiteGraph):
+    """kappa and flat-id separator from the all-pairs scan (no source bound).
+
+    Visits every non-adjacent pair (u, w), u < w, in order and keeps the
+    first pair whose flow is below the running minimum, which starts at the
+    minimum degree; with no such pair the separator is the neighborhood of
+    the lowest-numbered minimum-degree vertex.
+    """
+    adj = flat_adjacency(g)
+    if _components_after_vertex_removal(adj, set()) > 1:
+        return 0, ()
+    degs = [len(lst) for lst in adj]
+    low = degs.index(min(degs))
+    best, best_pair = degs[low], None
+    for u in range(g.n):
+        for w in range(u + 1, g.n):
+            if w in adj[u]:
+                continue
+            flow, _ = _split_flow_reach(adj, u, w)
+            if flow < best:
+                best, best_pair = flow, (u, w)
+    if best_pair is None:
+        return best, tuple(adj[low])
+    _, reach = _split_flow_reach(adj, *best_pair)
+    sep = tuple(
+        v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach
+    )
+    assert len(sep) == best
+    return best, sep
+
+
 def disconnects_by_edges(g: BipartiteGraph, edges) -> bool:
     return _components_after_edge_removal(g, edges) > 1
 
@@ -188,6 +266,40 @@ def modular_rank_bruteforce(g: BipartiteGraph, edges, seed=12345) -> int:
         if r == n_rows:
             break
     return r
+
+
+DISCONNECTED = BipartiteGraph(
+    4, 4, ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3))
+)
+
+# Two K3,3 blocks (x2..x4 x y0..y2 and x5..x7 x y3..y5) joined only through
+# x0 and x1, each adjacent to y0, y1, y3 and y4: kappa = 2 < delta = 3.
+TWO_K33_BLOCKS = BipartiteGraph(
+    8,
+    6,
+    tuple((i, j) for i in range(2, 5) for j in range(3))
+    + tuple((i, j) for i in range(5, 8) for j in range(3, 6))
+    + tuple((i, j) for i in (0, 1) for j in (0, 1, 3, 4)),
+)
+
+# Two K4,4 blocks (x2..x5 x y0..y3 and x6..x9 x y4..y7) joined through x0,
+# adjacent to y0, y1, y4, y5, and x1, adjacent to y2, y3, y6, y7: {x0, x1}
+# is the only 2-separator, so kappa = 2 < delta = 4 and no pair with v_0 or
+# v_1 as source reaches it; the first minimum pair has source v_2.
+TWO_K44_BLOCKS = BipartiteGraph(
+    10,
+    8,
+    tuple((i, j) for i in range(2, 6) for j in range(4))
+    + tuple((i, j) for i in range(6, 10) for j in range(4, 8))
+    + tuple((0, j) for j in (0, 1, 4, 5))
+    + tuple((1, j) for j in (2, 3, 6, 7)),
+)
+
+# K4,4 plus x4 joined to y2 and y3: rigid, kappa = 2, and (4, 2) is its
+# first critical edge.
+K44_PENDANT = BipartiteGraph(
+    5, 4, tuple((i, j) for i in range(4) for j in range(4)) + ((4, 2), (4, 3))
+)
 
 
 SMALL_COMBOS = (
