@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Every certificate has an exact combinatorial oracle behind it.
 
-Connectivity comes from unit-capacity blocking flows, tree packing from
+Connectivity comes from unit augmenting-path flows, tree packing from
 graphic matroid union, rigidity from the (2,3) pebble game, and all of
 them return witnesses you can re-check by hand.
 """

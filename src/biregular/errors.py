@@ -55,7 +55,7 @@ class PartMismatch(Error):
 
 
 class ConvergenceFailure(Error):
-    """The eigensolver did not reach its tolerance within the sweep cap."""
+    """The LAPACK singular value decomposition did not converge."""
 
 
 class InvalidPartition(Error):

@@ -205,6 +205,8 @@ def random_biregular(
     """
     if min(x, y, a, b) < 1:
         raise InvalidParam("sizes and degrees must be positive")
+    if max_retries < 1:
+        raise InvalidParam("max_retries must be positive")
     if a * x != b * y:
         raise DegreeEquationViolated(
             f"a*x = {a * x} != {b * y} = b*y: no such biregular graph"

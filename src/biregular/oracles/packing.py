@@ -32,38 +32,12 @@ class _ForestFamily:
     """k edge-disjoint forests over a fixed edge list, with augmentation."""
 
     def __init__(self, n, endpoints, k):
-        self.n = n
         self.endpoints = endpoints
         self.k = k
         self.assign = {}                       # edge id -> forest id
         self.adj = [
             [[] for _ in range(n)] for _ in range(k)
         ]                                      # forest id -> vertex -> [(nbr, eid)]
-        self.root = [list(range(n)) for _ in range(k)]   # DSU parent per forest
-
-    def _find(self, f, v):
-        root = self.root[f]
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
-    def _rebuild_dsu(self, f):
-        parent = list(range(self.n))
-        self.root[f] = parent
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for v in range(self.n):
-            for w, _ in self.adj[f][v]:
-                if v < w:
-                    ru, rw = find(v), find(w)
-                    if ru != rw:
-                        parent[ru] = rw
 
     def _forest_path(self, f, u, v):
         """Edge ids along the unique u-v path in forest f, or None."""
@@ -106,25 +80,20 @@ class _ForestFamily:
             for f in range(self.k):
                 if f == current:
                     continue
-                if self._find(f, u) != self._find(f, v):
+                path = self._forest_path(f, u, v)
+                if path is None:
                     # Relocation chain: each move frees the cycle that was
                     # blocking its predecessor.
                     target = f
                     moving = eid
-                    touched = set()
                     while True:
                         old = self._place(moving, target)
-                        touched.add(target)
-                        if old is not None:
-                            touched.add(old)
                         parent = pred[moving]
                         if parent is None:
                             break
                         moving, target = parent, old
-                    for tf in touched:
-                        self._rebuild_dsu(tf)
                     return True
-                for path_eid in self._forest_path(f, u, v):
+                for path_eid in path:
                     if path_eid not in pred:
                         pred[path_eid] = eid
                         queue.append(path_eid)

@@ -126,30 +126,32 @@ def is_rigid(g: BipartiteGraph) -> bool:
     return rigidity_rank(g).value == 2 * g.n - 3
 
 
-def rigidity_matrix_rank_modular(
-    g: BipartiteGraph, seed: int, prime: int = RANK_FIELD_PRIME
-) -> int:
-    """Rank of the rigidity matrix at seeded random positions over GF(prime).
+def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
+    """Rigidity-matrix rank at seeded random points mod RANK_FIELD_PRIME.
 
     Row for edge (u, v): (p_u - p_v) in u's coordinate pair and the negation
     in v's. Random points land outside the degeneracy variety except with
-    probability O(poly(n)/prime), so this equals the pebble-game rank for
-    all practical purposes and is re-run under several seeds by the tests.
+    probability O(poly(n) / RANK_FIELD_PRIME), so this equals the pebble-game
+    rank for all practical purposes and is re-run under several seeds by the
+    tests.
     """
     rng = SplitMix64(seed)
-    pos = [(rng.below(prime), rng.below(prime)) for _ in range(g.n)]
+    pos = [
+        (rng.below(RANK_FIELD_PRIME), rng.below(RANK_FIELD_PRIME))
+        for _ in range(g.n)
+    ]
     flat = _flat_edges(g)
     if not flat:
         return 0
     mat = np.zeros((len(flat), 2 * g.n), dtype=np.int64)
     for row, (u, v) in enumerate(flat):
-        dx = (pos[u][0] - pos[v][0]) % prime
-        dy = (pos[u][1] - pos[v][1]) % prime
+        dx = (pos[u][0] - pos[v][0]) % RANK_FIELD_PRIME
+        dy = (pos[u][1] - pos[v][1]) % RANK_FIELD_PRIME
         mat[row, 2 * u] = dx
         mat[row, 2 * u + 1] = dy
-        mat[row, 2 * v] = (-dx) % prime
-        mat[row, 2 * v + 1] = (-dy) % prime
-    return _rank_mod_p(mat, prime)
+        mat[row, 2 * v] = (-dx) % RANK_FIELD_PRIME
+        mat[row, 2 * v + 1] = (-dy) % RANK_FIELD_PRIME
+    return _rank_mod_p(mat, RANK_FIELD_PRIME)
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:

@@ -66,6 +66,12 @@ def test_gen_random_retries_exhausted_exit_3():
     assert res.stderr.startswith("error: no simple matching")
 
 
+def test_gen_random_zero_retries_exit_1(capsys):
+    args = ["gen", "random", "--x", "4", "--y", "4", "--a", "2", "--b", "2"]
+    assert main([*args, "--seed", "1", "--max-retries", "0"]) == 1
+    assert "max_retries" in capsys.readouterr().err
+
+
 def test_solver_failure_exit_3(monkeypatch, capsys, c6_file):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")

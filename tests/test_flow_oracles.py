@@ -14,11 +14,13 @@ from biregular.oracles import edge_connectivity, flow, vertex_connectivity
 
 from testutil import (
     DISCONNECTED,
+    THREE_K44_BLOCKS,
     TWO_K33_BLOCKS,
     TWO_K44_BLOCKS,
     disconnects_by_edges,
     disconnects_by_vertices,
     edge_connectivity_bruteforce,
+    edge_connectivity_reference,
     medium_corpus,
     small_corpus,
     vertex_connectivity_all_pairs,
@@ -47,6 +49,24 @@ def test_edge_cut_witness_disconnects():
             continue
         assert len(res.witness.edges) == res.value
         assert disconnects_by_edges(g, res.witness.edges)
+
+
+def test_edge_cut_witness_matches_reference():
+    graphs = [
+        *small_corpus(),
+        *medium_corpus(),
+        DISCONNECTED,
+        even_cycle(6),
+        complete_bipartite(3, 3),
+        heawood(),
+        TWO_K33_BLOCKS,
+        THREE_K44_BLOCKS,
+    ]
+    for g in graphs:
+        assert edge_connectivity(g).witness.edges == edge_connectivity_reference(g)
+    res = edge_connectivity(THREE_K44_BLOCKS)
+    assert res.value == 2
+    assert res.witness.edges == ((2, 8), (8, 1))
 
 
 def test_edge_connectivity_disconnected():
@@ -137,19 +157,26 @@ def test_kappa_below_min_degree():
 
 
 def test_source_bound_flow_count(monkeypatch):
-    # kappa = delta: at most delta sources with fewer than n sinks each.
-    # Without the source bound every non-adjacent pair runs a flow (70 on
-    # Heawood, 104 on C16), over delta (n - 1) + 1.
+    # kappa = delta: at most delta sources with fewer than n sinks each, and
+    # the witness is read from the scan, so no flow runs twice. Without the
+    # source bound every non-adjacent pair runs a flow (70 on Heawood, 104
+    # on C16), over delta (n - 1).
     calls = 0
-    max_flow = flow._Dinic.max_flow
+    run_flow = flow._Network.flow
 
-    def counted(self, s, t, limit=None):
+    def counted(self, s, t, limit):
         nonlocal calls
         calls += 1
-        return max_flow(self, s, t, limit)
+        f, reached = run_flow(self, s, t, limit)
+        assert f <= limit
+        return f, reached
 
-    monkeypatch.setattr(flow._Dinic, "max_flow", counted)
+    monkeypatch.setattr(flow._Network, "flow", counted)
     for g, delta in ((heawood(), 3), (even_cycle(16), 2)):
         calls = 0
         assert vertex_connectivity(g).value == delta
-        assert calls <= delta * (g.n - 1) + 1
+        assert calls <= delta * (g.n - 1)
+    # Both scans lower the cap below the flow of later pairs (3 inside a
+    # K3,3 or K4,4 block), which must still stop at the cap.
+    assert vertex_connectivity(TWO_K33_BLOCKS).value == 2
+    assert edge_connectivity(THREE_K44_BLOCKS).value == 2

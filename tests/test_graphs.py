@@ -134,6 +134,12 @@ def test_random_biregular_retries_exhausted():
         random_biregular(3, 3, 3, 3, seed=0, max_retries=1)
 
 
+def test_random_biregular_rejects_nonpositive_retries():
+    for retries in (0, -1):
+        with pytest.raises(InvalidParam):
+            random_biregular(4, 4, 2, 2, seed=1, max_retries=retries)
+
+
 def test_degree_sums_over_seeded_corpus():
     for ci, (x, y, a, b) in enumerate(
         [(4, 4, 2, 2), (6, 4, 2, 3), (8, 6, 3, 4), (10, 8, 4, 5)]

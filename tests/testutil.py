@@ -118,12 +118,75 @@ def vertex_connectivity_bruteforce(g: BipartiteGraph) -> int:
     return g.n - 1
 
 
-def _split_flow_reach(adj, s, t):
-    """Max flow s_out -> t_in in the vertex-split network, by BFS paths.
+def _max_flow_reach(cap, s, t):
+    """Max flow s -> t over a dict of arc capacities, one BFS path per unit.
 
-    Returns the flow and the residual-reachable split nodes (2v in, 2v + 1
-    out). Every maximum flow leaves the same reachable set, so the
-    separator read from it does not depend on the flow algorithm.
+    Every arc's reverse must be a key too. Returns the flow and the set of
+    nodes residual-reachable from s. Every maximum flow leaves the same
+    reachable set, so a cut read from it does not depend on the flow
+    algorithm.
+    """
+    cap = dict(cap)
+    out = {}
+    for a, b in cap:
+        out.setdefault(a, []).append(b)
+
+    def bfs():
+        parent = {s: None}
+        queue = deque([s])
+        while queue:
+            a = queue.popleft()
+            for b in out[a]:
+                if cap[(a, b)] > 0 and b not in parent:
+                    parent[b] = a
+                    queue.append(b)
+        return parent
+
+    flow = 0
+    while True:
+        parent = bfs()
+        if t not in parent:
+            return flow, set(parent)
+        b = t
+        while parent[b] is not None:
+            a = parent[b]
+            cap[(a, b)] -= 1
+            cap[(b, a)] += 1
+            b = a
+        flow += 1
+
+
+def edge_connectivity_reference(g: BipartiteGraph):
+    """Edge cut from scanning sinks 1..n-1 out of vertex 0 (no flow cap).
+
+    Keeps the first sink whose flow is below the running minimum, which
+    starts at the minimum degree, and reads the cut from its residual-
+    reachable set; with no such sink the cut is the edges at the lowest-
+    numbered minimum-degree vertex. Disconnected graphs give ().
+    """
+    adj = flat_adjacency(g)
+    if _components_after_vertex_removal(adj, set()) > 1:
+        return ()
+    cap = {(u, w): 1 for u in range(g.n) for w in adj[u]}
+    degs = [len(lst) for lst in adj]
+    low = degs.index(min(degs))
+    best, reach = degs[low], None
+    for t in range(1, g.n):
+        flow, reached = _max_flow_reach(cap, 0, t)
+        if flow < best:
+            best, reach = flow, reached
+    flat = [(xi, g.x_count + yj) for xi, yj in g.edges]
+    if reach is None:
+        return tuple(e for e, uv in zip(g.edges, flat) if low in uv)
+    return tuple(
+        e for e, (u, v) in zip(g.edges, flat) if (u in reach) != (v in reach)
+    )
+
+
+def _split_flow_reach(adj, s, t):
+    """Max flow s_out -> t_in in the vertex-split network (2v in, 2v + 1 out).
+
+    Returns the flow and the residual-reachable split nodes.
     """
     n = len(adj)
     cap = {}
@@ -136,33 +199,7 @@ def _split_flow_reach(adj, s, t):
         arc(2 * v, 2 * v + 1, 1)
         for w in adj[v]:
             arc(2 * v + 1, 2 * w, n + 1)
-    out = {}
-    for a, b in cap:
-        out.setdefault(a, []).append(b)
-
-    def bfs():
-        parent = {2 * s + 1: None}
-        queue = deque([2 * s + 1])
-        while queue:
-            a = queue.popleft()
-            for b in out[a]:
-                if cap[(a, b)] > 0 and b not in parent:
-                    parent[b] = a
-                    queue.append(b)
-        return parent
-
-    flow = 0
-    while True:
-        parent = bfs()
-        if 2 * t not in parent:
-            return flow, set(parent)
-        b = 2 * t
-        while parent[b] is not None:
-            a = parent[b]
-            cap[(a, b)] -= 1
-            cap[(b, a)] += 1
-            b = a
-        flow += 1
+    return _max_flow_reach(cap, 2 * s + 1, 2 * t)
 
 
 def vertex_connectivity_all_pairs(g: BipartiteGraph):
@@ -293,6 +330,23 @@ TWO_K44_BLOCKS = BipartiteGraph(
     + tuple((i, j) for i in range(6, 10) for j in range(4, 8))
     + tuple((0, j) for j in (0, 1, 4, 5))
     + tuple((1, j) for j in (2, 3, 6, 7)),
+)
+
+# Three K4,4 blocks, A = x0..x3 x y0..y3, B = x4..x7 x y4..y7 and
+# C = x8..x11 x y8..y11, with A joined to B by three edges and to C by two:
+# kappa' = 2 < delta = 4, and the sink scan from x0 improves twice, first
+# at x4 (3) and then at x8 (2).
+THREE_K44_BLOCKS = BipartiteGraph(
+    12,
+    12,
+    tuple(
+        (i, j)
+        for base in (0, 4, 8)
+        for i in range(base, base + 4)
+        for j in range(base, base + 4)
+    )
+    + ((0, 4), (1, 5), (4, 0))
+    + ((2, 8), (8, 1)),
 )
 
 # K4,4 plus x4 joined to y2 and y3: rigid, kappa = 2, and (4, 2) is its
