@@ -99,7 +99,7 @@ PROPERTIES: dict[GraphProperty, PropertySpec] = {
 }
 
 DEFAULT_K_GRID = (2, 3, 4, 5, 6, 7, 8)
-# Sorted by value, the order AuditConfig carries after normalization.
+# Sorted by value, as the CLI sorts a --properties list.
 DEFAULT_PROPERTIES = (
     GraphProperty.EDGE_CONNECTIVITY,
     GraphProperty.TREE_PACKING,
@@ -204,19 +204,12 @@ def default_size_grid() -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def default_config(
-    trials: int = 10,
-    seed: int = 0x5EED_B1A5,
-    properties: tuple[GraphProperty, ...] = DEFAULT_PROPERTIES,
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID,
-) -> AuditConfig:
+def default_config(trials: int = 10, seed: int = 0x5EED_B1A5) -> AuditConfig:
     return AuditConfig(
         trials=trials,
         size_grid=default_size_grid(),
-        k_grid=tuple(sorted(set(k_grid))),
-        properties=tuple(
-            sorted(set(properties), key=lambda p: p.value)
-        ),
+        k_grid=DEFAULT_K_GRID,
+        properties=DEFAULT_PROPERTIES,
         seed=seed,
     )
 

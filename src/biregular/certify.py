@@ -1,12 +1,13 @@
 """Spectral sufficient conditions and the certificates they produce.
 
-Each ``certify_*`` function compares lambda_2 of a validated biregular graph
-against a closed-form threshold in a, b, |X|, |Y|, k. All conditions are
-one-directional: a certificate that fires guarantees the property, one that
-does not fire says nothing. Because lambda_2 comes out of a floating-point
-eigensolver, certificates only fire with an epsilon margin of 1e-9 and
-report MARGINAL inside the band, so rounding can never turn a sufficient
-condition into an unsound claim.
+Each theorem is one degree hypothesis plus one threshold formula in a, b,
+|X|, |Y|, k, and each ``certify_*`` function hands its pair to ``_certify``,
+the one pipeline: validate, read lambda_2, gate on the hypothesis, decide
+against the largest threshold. All conditions are one-directional: a fired
+certificate guarantees the property, an unfired one says nothing. lambda_2
+comes out of a floating-point solver, so certificates fire only with an
+epsilon margin of 1e-9 and report MARGINAL inside the band; rounding can
+never turn a sufficient condition into an unsound claim.
 
 Threshold shapes (degree arguments stay exact integers until the final
 root or divide):
@@ -31,7 +32,7 @@ root or divide):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .errors import InvalidParam
 from .graphs import BipartiteGraph, validate_biregular
@@ -73,22 +74,14 @@ class Certificate:
         return self.verdict is Verdict.CERTIFIED
 
     def to_dict(self) -> dict:
-        return {
-            "property": self.property.value,
-            "k": self.k,
-            "a": self.a,
-            "b": self.b,
-            "x": self.x,
-            "y": self.y,
-            "lambda2": self.lambda2,
-            "threshold": self.threshold,
-            "thresholds": list(self.thresholds),
-            "strict": self.strict,
-            "hypothesis_ok": self.hypothesis_ok,
-            "verdict": self.verdict.value,
-            "implied": list(self.implied),
-            "tol": self.tol,
-        }
+        d = asdict(self)
+        d.update(
+            property=self.property.value,
+            thresholds=list(self.thresholds),
+            verdict=self.verdict.value,
+            implied=list(self.implied),
+        )
+        return d
 
 
 def _ceil_half(v: int) -> int:
@@ -107,37 +100,37 @@ def _decide(lam2: float, threshold: float | None, tol: float) -> Verdict:
     return Verdict.CERTIFIED if lam2 < threshold else Verdict.NOT_FIRED
 
 
-def _certificate(
-    g, profile, prop, k, lam2, thresholds, strict, hypothesis_ok,
-    implied_when_fired=(),
+def _certify(
+    g, spectrum, prop, k, hypothesis, thresholds, strict=False, implied=()
 ):
-    if hypothesis_ok and thresholds:
-        threshold = max(thresholds)
-        verdict = _decide(lam2, threshold, EPSILON)
-    else:
-        threshold = None
-        thresholds = ()
-        verdict = Verdict.NOT_FIRED
-    implied = tuple(implied_when_fired) if verdict is Verdict.CERTIFIED else ()
+    """The one evaluation path behind every certifier.
+
+    ``thresholds(a, b, x, y)`` runs only when ``hypothesis(a, b)`` holds,
+    since the formulas may be undefined outside it; the verdict is decided
+    against the largest threshold, and ``implied`` survives only a fired one.
+    """
+    profile = validate_biregular(g)
+    lam2 = (spectrum or singular_values(g)).lambda2
+    a, b, x, y = profile.a, profile.b, g.x_count, g.y_count
+    hypothesis_ok = hypothesis(a, b)
+    found = tuple(thresholds(a, b, x, y)) if hypothesis_ok else ()
+    threshold = max(found) if found else None
+    verdict = _decide(lam2, threshold, EPSILON)
     return Certificate(
         property=prop,
         k=k,
-        a=profile.a,
-        b=profile.b,
-        x=g.x_count,
-        y=g.y_count,
+        a=a,
+        b=b,
+        x=x,
+        y=y,
         lambda2=lam2,
         threshold=threshold,
-        thresholds=tuple(thresholds),
+        thresholds=found,
         strict=strict,
         hypothesis_ok=hypothesis_ok,
         verdict=verdict,
-        implied=implied,
+        implied=tuple(implied) if verdict is Verdict.CERTIFIED else (),
     )
-
-
-def _lambda2_of(g: BipartiteGraph, spectrum: Spectrum | None) -> float:
-    return (spectrum or singular_values(g)).lambda2
 
 
 def _check_k(k: int) -> int:
@@ -193,18 +186,11 @@ def certify_edge_connectivity(
 ) -> Certificate:
     """Certificate for k-edge-connectivity; k = 1 doubles as connectivity."""
     k = _check_k(k)
-    profile = validate_biregular(g)
-    lam2 = _lambda2_of(g, spectrum)
-    hyp = profile.a >= k and profile.b >= k
-    thresholds = (
-        edge_connectivity_thresholds(
-            profile.a, profile.b, g.x_count, g.y_count, k
-        )
-        if hyp
-        else ()
-    )
-    return _certificate(
-        g, profile, GraphProperty.EDGE_CONNECTIVITY, k, lam2, thresholds, True, hyp
+    return _certify(
+        g, spectrum, GraphProperty.EDGE_CONNECTIVITY, k,
+        lambda a, b: a >= k and b >= k,
+        lambda a, b, x, y: edge_connectivity_thresholds(a, b, x, y, k),
+        strict=True,
     )
 
 
@@ -213,15 +199,10 @@ def certify_vertex_connectivity(
 ) -> Certificate:
     """Certificate for k-connectivity; defined for k >= 2 only."""
     k = _check_k(k)
-    profile = validate_biregular(g)
-    lam2 = _lambda2_of(g, spectrum)
-    hyp = k >= 2 and min(profile.a, profile.b) >= k
-    thresholds = (
-        (vertex_connectivity_threshold(profile.a, profile.b, k),) if hyp else ()
-    )
-    return _certificate(
-        g, profile, GraphProperty.VERTEX_CONNECTIVITY, k, lam2, thresholds,
-        False, hyp,
+    return _certify(
+        g, spectrum, GraphProperty.VERTEX_CONNECTIVITY, k,
+        lambda a, b: k >= 2 and min(a, b) >= k,
+        lambda a, b, x, y: (vertex_connectivity_threshold(a, b, k),),
     )
 
 
@@ -230,14 +211,10 @@ def certify_tree_packing(
 ) -> Certificate:
     """Certificate for k edge-disjoint spanning trees."""
     k = _check_k(k)
-    profile = validate_biregular(g)
-    lam2 = _lambda2_of(g, spectrum)
-    hyp = min(profile.a, profile.b) >= 2 * k
-    thresholds = (
-        (tree_packing_threshold(profile.a, profile.b, k),) if hyp else ()
-    )
-    return _certificate(
-        g, profile, GraphProperty.TREE_PACKING, k, lam2, thresholds, False, hyp
+    return _certify(
+        g, spectrum, GraphProperty.TREE_PACKING, k,
+        lambda a, b: min(a, b) >= 2 * k,
+        lambda a, b, x, y: (tree_packing_threshold(a, b, k),),
     )
 
 
@@ -251,18 +228,14 @@ def certify_rigid_packing(
     rigidity when k = 1; both are recorded on ``implied``.
     """
     k = _check_k(k)
-    profile = validate_biregular(g)
-    lam2 = _lambda2_of(g, spectrum)
-    hyp = min(profile.a, profile.b) >= 6 * k
-    thresholds = (
-        (rigid_packing_threshold(profile.a, profile.b, k),) if hyp else ()
-    )
     implied = [f"{k}-edge-disjoint-spanning-2-connected-subgraphs"]
     if k == 1:
         implied.append("rigid")
-    return _certificate(
-        g, profile, GraphProperty.RIGID_PACKING, k, lam2, thresholds, False,
-        hyp, implied,
+    return _certify(
+        g, spectrum, GraphProperty.RIGID_PACKING, k,
+        lambda a, b: min(a, b) >= 6 * k,
+        lambda a, b, x, y: (rigid_packing_threshold(a, b, k),),
+        implied=implied,
     )
 
 
@@ -270,14 +243,10 @@ def certify_global_rigidity(
     g: BipartiteGraph, spectrum: Spectrum | None = None
 ) -> Certificate:
     """Certificate for global rigidity in the plane."""
-    profile = validate_biregular(g)
-    lam2 = _lambda2_of(g, spectrum)
-    hyp = min(profile.a, profile.b) >= 6
-    thresholds = (
-        (global_rigidity_threshold(profile.a, profile.b),) if hyp else ()
-    )
-    return _certificate(
-        g, profile, GraphProperty.GLOBAL_RIGIDITY, 1, lam2, thresholds, False, hyp
+    return _certify(
+        g, spectrum, GraphProperty.GLOBAL_RIGIDITY, 1,
+        lambda a, b: min(a, b) >= 6,
+        lambda a, b, x, y: (global_rigidity_threshold(a, b),),
     )
 
 
@@ -289,9 +258,8 @@ def is_ramanujan(
     This is a definition check, not a theorem threshold, but it goes through
     the same epsilon-band machinery so near-ties surface as MARGINAL.
     """
-    profile = validate_biregular(g)
-    lam2 = _lambda2_of(g, spectrum)
-    threshold = math.sqrt(profile.a - 1) + math.sqrt(profile.b - 1)
-    return _certificate(
-        g, profile, GraphProperty.RAMANUJAN, 1, lam2, (threshold,), False, True
+    return _certify(
+        g, spectrum, GraphProperty.RAMANUJAN, 1,
+        lambda a, b: True,
+        lambda a, b, x, y: (math.sqrt(a - 1) + math.sqrt(b - 1),),
     )

@@ -92,16 +92,6 @@ class BipartiteGraph:
     def has_edge(self, xi: int, yj: int) -> bool:
         return (xi, yj) in self._edge_set
 
-    def degree(self, v: Vertex) -> int:
-        part, idx = _check_vertex(self, v)
-        return len(self.adj_x[idx] if part == X_PART else self.adj_y[idx])
-
-    def neighbors(self, v: Vertex) -> tuple[Vertex, ...]:
-        part, idx = _check_vertex(self, v)
-        if part == X_PART:
-            return tuple((Y_PART, j) for j in self.adj_x[idx])
-        return tuple((X_PART, i) for i in self.adj_y[idx])
-
     def vertices(self) -> tuple[Vertex, ...]:
         return tuple((X_PART, i) for i in range(self.x_count)) + tuple(
             (Y_PART, j) for j in range(self.y_count)
@@ -250,13 +240,18 @@ def flat_vertex(g: BipartiteGraph, fid: int) -> Vertex:
     return (Y_PART, fid - g.x_count)
 
 
+def flat_edges(g: BipartiteGraph, edges=None) -> list[tuple[int, int]]:
+    """Edges of g, or the given edges of g in their order, as flat-id pairs."""
+    pool = g.edges if edges is None else edges
+    return [(xi, g.x_count + yj) for xi, yj in pool]
+
+
 def flat_adjacency(g: BipartiteGraph) -> list[list[int]]:
     """Adjacency lists over flat ids, neighbor lists sorted."""
-    off = g.x_count
     adj = [[] for _ in range(g.n)]
-    for xi, yj in g.edges:
-        adj[xi].append(off + yj)
-        adj[off + yj].append(xi)
+    for u, v in flat_edges(g):
+        adj[u].append(v)
+        adj[v].append(u)
     for lst in adj:
         lst.sort()
     return adj

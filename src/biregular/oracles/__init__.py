@@ -2,7 +2,7 @@
 
 from .flow import edge_connectivity, vertex_connectivity
 from .packing import tree_packing_number, tree_packing_partition_bruteforce
-from .partitions import Partition, iter_partition_assignments
+from .partitions import iter_partition_assignments
 from .result import (
     EdgeCut,
     ForestPacking,
@@ -30,7 +30,6 @@ __all__ = [
     "LamanPacking",
     "LamanSubgraph",
     "OracleResult",
-    "Partition",
     "PartitionBoundReport",
     "PartitionWitness",
     "Separator",

@@ -23,6 +23,7 @@ from ..graphs import (
     BipartiteGraph,
     connected_components,
     flat_adjacency,
+    flat_edges,
     flat_vertex,
 )
 from ..properties import GraphProperty
@@ -93,9 +94,10 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
         return OracleResult(
             GraphProperty.EDGE_CONNECTIVITY, 0, EdgeCut(()), True
         )
+    flat = flat_edges(g)
     net = _Network(n)
-    for xi, yj in g.edges:
-        net.add_edge(xi, g.x_count + yj, 1, 1)
+    for u, v in flat:
+        net.add_edge(u, v, 1, 1)
     degs = [len(lst) for lst in flat_adjacency(g)]
     best = min(degs)
     reach = None
@@ -107,18 +109,10 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     if reach is None:
         # Every sink saw at least min-degree flow, so the trivial cut
         # around a minimum-degree vertex is optimal.
-        v = degs.index(best)
-        if v < g.x_count:
-            cut = tuple(e for e in g.edges if e[0] == v)
-        else:
-            cut = tuple(e for e in g.edges if e[1] == v - g.x_count)
-    else:
-        cut = tuple(
-            (xi, yj)
-            for xi, yj in g.edges
-            if reach[xi] != reach[g.x_count + yj]
-        )
-        assert len(cut) == best
+        low = degs.index(best)
+        reach = [v == low for v in range(n)]
+    cut = tuple(e for e, (u, v) in zip(g.edges, flat) if reach[u] != reach[v])
+    assert len(cut) == best
     return OracleResult(GraphProperty.EDGE_CONNECTIVITY, best, EdgeCut(cut), True)
 
 
@@ -145,8 +139,7 @@ def _vertex_cut(g: BipartiteGraph, adj, bound: int):
     net = _Network(2 * n)
     for v in range(n):
         net.add_edge(2 * v, 2 * v + 1, 1)
-    for xi, yj in g.edges:
-        u, w = xi, g.x_count + yj
+    for u, w in flat_edges(g):
         net.add_edge(2 * u + 1, 2 * w, inf)
         net.add_edge(2 * w + 1, 2 * u, inf)
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import TooLarge
-from ..graphs import BipartiteGraph, flat_vertex, is_connected
+from ..graphs import BipartiteGraph, flat_edges, flat_vertex, is_connected
 from ..properties import GraphProperty
 from .partitions import (
     PARTITION_GUARD,
@@ -107,9 +107,8 @@ class _ForestFamily:
 
 
 def _pack_forests(g: BipartiteGraph, k: int):
-    endpoints = [(xi, g.x_count + yj) for xi, yj in g.edges]
-    family = _ForestFamily(g.n, endpoints, k)
-    for eid in range(len(endpoints)):
+    family = _ForestFamily(g.n, flat_edges(g), k)
+    for eid in range(g.m):
         family.try_add(eid)
     return family.forests()
 
@@ -154,14 +153,14 @@ def tree_packing_partition_bruteforce(g: BipartiteGraph, k: int) -> OracleResult
     n = g.n
     if n > PARTITION_GUARD:
         raise TooLarge(f"partition brute force guarded at {PARTITION_GUARD}")
-    flat_edges = [(xi, g.x_count + yj) for xi, yj in g.edges]
+    edges = flat_edges(g)
     best = None
     best_assignment = None
     for assignment in iter_partition_assignments(n):
         t = max(assignment) + 1
         if t < 2:
             continue
-        crossing = sum(1 for u, v in flat_edges if assignment[u] != assignment[v])
+        crossing = sum(1 for u, v in edges if assignment[u] != assignment[v])
         value = crossing // (t - 1)
         if best is None or value < best:
             best = value

@@ -8,20 +8,11 @@ enforces a hard ceiling of 12 items.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from ..errors import TooLarge
-from ..graphs import Vertex
 
 PARTITION_GUARD = 12
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Disjoint blocks covering a vertex set."""
-
-    blocks: tuple[tuple[Vertex, ...], ...]
 
 
 def iter_partition_assignments(n: int) -> Iterator[list[int]]:

@@ -18,7 +18,8 @@ its edges. Insertion order matters only for which basis the game picks, not
 for the rank, so extraction feeds edges in a deterministic "diagonal" order
 that spreads the basis across vertices; lexicographic order would hand the
 first basis every edge at the lowest-numbered vertices and strand them
-isolated for the next round. Greedy failure never refutes, except at n <= 8
+isolated for the next round. A failed first round means g is not rigid,
+which settles every k; a later failure never refutes, except at n <= 8
 where an exhaustive search decides the question outright.
 """
 
@@ -34,23 +35,19 @@ from ..graphs import (
     BipartiteGraph,
     EdgePair,
     flat_adjacency,
+    flat_edges,
     flat_index,
     flat_vertex,
 )
 from ..prng import SplitMix64
 from ..properties import GraphProperty
 from .flow import _vertex_cut
-from .partitions import (
-    Partition,
-    blocks_from_assignment,
-    iter_partition_assignments,
-)
+from .partitions import blocks_from_assignment, iter_partition_assignments
 from .result import LamanPacking, LamanSubgraph, OracleResult, PartitionWitness
 
 RANK_FIELD_PRIME = 2**31 - 1
 EXHAUSTIVE_PACKING_GUARD = 8
 PARTITION_SUFFICIENT_GUARD = 9
-Z_CAP_MAX = 3
 
 
 def _pull_pebble(root, banned, peb, succ):
@@ -76,12 +73,12 @@ def _pull_pebble(root, banned, peb, succ):
     return False
 
 
-def _pebble_accepted(n, flat_edges):
-    """Indices of edges accepted by the (2,3) pebble game, in feed order."""
+def _pebble_accepted(n, edges):
+    """Indices of flat-id edges accepted by the (2,3) pebble game, in feed order."""
     peb = [2] * n
     succ = [set() for _ in range(n)]
     accepted = []
-    for idx, (u, v) in enumerate(flat_edges):
+    for idx, (u, v) in enumerate(edges):
         while peb[u] + peb[v] < 4:
             if peb[u] < 2 and _pull_pebble(u, v, peb, succ):
                 continue
@@ -95,15 +92,10 @@ def _pebble_accepted(n, flat_edges):
     return accepted
 
 
-def _flat_edges(g: BipartiteGraph, edges=None):
-    pool = g.edges if edges is None else edges
-    return [(xi, g.x_count + yj) for xi, yj in pool]
-
-
 def pebble_rank_edges(g: BipartiteGraph, edges) -> tuple[int, tuple[EdgePair, ...]]:
     """Rank and accepted subset of an arbitrary edge list of g, in list order."""
     edges = list(edges)
-    accepted = _pebble_accepted(g.n, _flat_edges(g, edges))
+    accepted = _pebble_accepted(g.n, flat_edges(g, edges))
     return len(accepted), tuple(edges[i] for i in accepted)
 
 
@@ -140,7 +132,7 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
         (rng.below(RANK_FIELD_PRIME), rng.below(RANK_FIELD_PRIME))
         for _ in range(g.n)
     ]
-    flat = _flat_edges(g)
+    flat = flat_edges(g)
     if not flat:
         return 0
     mat = np.zeros((len(flat), 2 * g.n), dtype=np.int64)
@@ -229,10 +221,11 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     """Try to extract k edge-disjoint spanning Laman subgraphs.
 
     value counts the extractions that reached full rank. ``exact`` is True
-    when the answer is decisive: all k rounds succeeded, k = 1 (the rank
-    test alone decides rigidity), or n <= 8 where exhaustive search settles
-    it. Otherwise the result is inconclusive: greedy failure does not
-    refute the packing.
+    when the answer is decisive: all k rounds succeeded, the first round
+    failed (g itself is not rigid, so the value is 0 for every k), or
+    n <= 8 where exhaustive search settles it. Otherwise the result is
+    inconclusive: greedy failure after a successful round does not refute
+    the packing.
     """
     if int(k) != k or k < 1:
         raise InvalidParam(f"k must be a positive integer, got {k!r}")
@@ -257,23 +250,16 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
         extracted.append(tuple(sorted(independent)))
         used = set(independent)
         remaining = [e for e in remaining if e not in used]
-    if len(extracted) == k:
-        return OracleResult(
-            GraphProperty.RIGID_PACKING, k, LamanPacking(tuple(extracted)), True
-        )
-    if g.n <= EXHAUSTIVE_PACKING_GUARD:
-        best = _exhaustive_packing(g, k)
-        return OracleResult(
-            GraphProperty.RIGID_PACKING,
-            len(best),
-            LamanPacking(tuple(best)) if best else None,
-            True,
-        )
+    if not extracted:
+        return OracleResult(GraphProperty.RIGID_PACKING, 0, None, True)
+    exact = len(extracted) == k
+    if not exact and g.n <= EXHAUSTIVE_PACKING_GUARD:
+        extracted, exact = _exhaustive_packing(g, k), True
     return OracleResult(
         GraphProperty.RIGID_PACKING,
         len(extracted),
-        LamanPacking(tuple(extracted)) if extracted else None,
-        False,
+        LamanPacking(tuple(extracted)),
+        exact,
     )
 
 
@@ -281,34 +267,29 @@ def _exhaustive_packing(g: BipartiteGraph, k: int):
     """Largest packing of <= k spanning Laman subgraphs, by full search.
 
     Any packing of spanning rigid subgraphs can be thinned to spanning
-    Laman subgraphs, so searching (2n-3)-subsets loses nothing.
+    Laman subgraphs, so searching (2n-3)-subsets loses nothing. Each pool
+    is enumerated once: whether a subset is rigid does not depend on how
+    many more subgraphs are wanted after it.
     """
     target = 2 * g.n - 3
 
     def search(pool, depth):
+        depth = min(depth, len(pool) // target)
+        best = []
         if depth == 0:
-            return []
-        if len(pool) < target * depth:
-            best = []
-        else:
-            best = None
-            for subset in itertools.combinations(pool, target):
-                rank, _ = pebble_rank_edges(g, subset)
-                if rank != target:
-                    continue
-                chosen = set(subset)
-                rest = search([e for e in pool if e not in chosen], depth - 1)
-                cand = [tuple(sorted(subset))] + rest
-                if best is None or len(cand) > len(best):
-                    best = cand
-                if len(best) == depth:
-                    return best
-            if best is None:
-                best = []
-        if best:
             return best
-        # No full subgraph at this depth; try packing fewer.
-        return search(pool, depth - 1) if depth > 1 else []
+        for subset in itertools.combinations(pool, target):
+            rank, _ = pebble_rank_edges(g, subset)
+            if rank != target:
+                continue
+            chosen = set(subset)
+            rest = search([e for e in pool if e not in chosen], depth - 1)
+            cand = [tuple(sorted(subset))] + rest
+            if len(cand) > len(best):
+                best = cand
+                if len(best) == depth:
+                    break
+        return best
 
     return search(list(g.edges), k)
 
@@ -342,12 +323,9 @@ def rigid_packing_partition_bound(
     z_flat = {flat_index(g, v) for v in removed}
     if len(z_flat) >= g.n:
         raise InvalidPartition("removed set must be a proper subset")
-    blocks = (
-        partition.blocks if isinstance(partition, Partition) else tuple(partition)
-    )
     seen = set()
     flat_blocks = []
-    for block in blocks:
+    for block in partition:
         fb = [flat_index(g, v) for v in block]
         if not fb:
             raise InvalidPartition("empty block")
@@ -366,13 +344,11 @@ def rigid_packing_partition_bound(
         for fid in fb:
             label[fid] = li
     adj = flat_adjacency(g)
-    lhs = 0
-    for xi, yj in g.edges:
-        u, v = xi, g.x_count + yj
-        if u in z_flat or v in z_flat:
-            continue
-        if label[u] != label[v]:
-            lhs += 1
+    lhs = sum(
+        1
+        for u, v in flat_edges(g)
+        if u not in z_flat and v not in z_flat and label[u] != label[v]
+    )
     n0 = sum(1 for fb in flat_blocks if len(fb) == 1)
     n0p = len(flat_blocks) - n0
     nz = sum(
@@ -384,10 +360,8 @@ def rigid_packing_partition_bound(
     return PartitionBoundReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 
 
-def rigid_packing_partition_sufficient(
-    g: BipartiteGraph, k: int, z_cap: int = 2
-) -> OracleResult:
-    """Check the partition inequality over all |Z| <= z_cap and all partitions.
+def rigid_packing_partition_sufficient(g: BipartiteGraph, k: int) -> OracleResult:
+    """Check the partition inequality over all |Z| <= 2 and all partitions.
 
     value 1 (all hold): the bounded check found no violation; for graphs
     within the guard this implies k edge-disjoint spanning rigid subgraphs.
@@ -396,21 +370,19 @@ def rigid_packing_partition_sufficient(
     """
     if int(k) != k or k < 1:
         raise InvalidParam(f"k must be a positive integer, got {k!r}")
-    if not 0 <= z_cap <= Z_CAP_MAX:
-        raise InvalidParam(f"z_cap must be between 0 and {Z_CAP_MAX}")
     n = g.n
     if n > PARTITION_SUFFICIENT_GUARD:
         raise TooLarge(
             f"partition check guarded at {PARTITION_SUFFICIENT_GUARD} vertices"
         )
     adj = flat_adjacency(g)
-    flat_edges = _flat_edges(g)
-    for z_size in range(0, min(z_cap, n - 1) + 1):
+    edges = flat_edges(g)
+    for z_size in range(min(2, n - 1) + 1):
         for z_combo in itertools.combinations(range(n), z_size):
             z_set = set(z_combo)
             rest = [v for v in range(n) if v not in z_set]
             live = [
-                (u, v) for u, v in flat_edges if u not in z_set and v not in z_set
+                (u, v) for u, v in edges if u not in z_set and v not in z_set
             ]
             zdeg = [sum(1 for w in adj[v] if w in z_set) for v in rest]
             index_of = {v: i for i, v in enumerate(rest)}

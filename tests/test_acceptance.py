@@ -301,7 +301,7 @@ def test_criterion_8_partition_machinery():
     fired = 0
     for g in small:
         assert g.n <= 9
-        res = rigid_packing_partition_sufficient(g, 1, z_cap=2)
+        res = rigid_packing_partition_sufficient(g, 1)
         if res.value == 1:
             fired += 1
             assert rigidity_rank(g).value == 2 * g.n - 3, "claimed but not rigid"

@@ -1,5 +1,7 @@
 """Certificate thresholds: desk values, margins, hypotheses, monotonicity."""
 
+import inspect
+import json
 import math
 
 import pytest
@@ -16,7 +18,9 @@ from biregular import (
     heawood,
     is_ramanujan,
     singular_values,
+    Spectrum,
 )
+from biregular import certify
 from biregular.certify import (
     EPSILON,
     _decide,
@@ -169,6 +173,94 @@ def test_certificate_serialization():
     assert d["verdict"] == "certified"
     assert d["k"] == 2 and d["a"] == 2 and d["x"] == 3
     assert d["threshold"] == pytest.approx(1.5)
+
+
+def _pinned(lam2):
+    # Certificates read only lambda2; pinning it keeps these strings free of
+    # the solver's last-bit rounding.
+    return Spectrum(sigma=(), lambda1=0.0, lambda2=lam2, gap=0.0)
+
+
+GOLDEN_JSON = [
+    (
+        lambda: certify_edge_connectivity(even_cycle(6), 2, _pinned(1.0)),
+        '{"property": "edge-conn", "k": 2, "a": 2, "b": 2, "x": 3, "y": 3, '
+        '"lambda2": 1.0, "threshold": 1.5, "thresholds": [1.5, 1.25], '
+        '"strict": true, "hypothesis_ok": true, "verdict": "certified", '
+        '"implied": [], "tol": 1e-09}',
+    ),
+    (
+        lambda: certify_vertex_connectivity(
+            complete_bipartite(3, 3), 3, _pinned(0.0)
+        ),
+        '{"property": "vertex-conn", "k": 3, "a": 3, "b": 3, "x": 3, "y": 3, '
+        '"lambda2": 0.0, "threshold": 1.2679491924311226, '
+        '"thresholds": [1.2679491924311226], "strict": false, '
+        '"hypothesis_ok": true, "verdict": "certified", "implied": [], '
+        '"tol": 1e-09}',
+    ),
+    (
+        lambda: certify_tree_packing(even_cycle(6), 2, _pinned(1.0)),
+        '{"property": "stp", "k": 2, "a": 2, "b": 2, "x": 3, "y": 3, '
+        '"lambda2": 1.0, "threshold": null, "thresholds": [], '
+        '"strict": false, "hypothesis_ok": false, "verdict": "not-fired", '
+        '"implied": [], "tol": 1e-09}',
+    ),
+    (
+        lambda: certify_rigid_packing(complete_bipartite(6, 6), 1, _pinned(0.0)),
+        '{"property": "rigid-packing", "k": 1, "a": 6, "b": 6, "x": 6, '
+        '"y": 6, "lambda2": 0.0, "threshold": 3.0, "thresholds": [3.0], '
+        '"strict": false, "hypothesis_ok": true, "verdict": "certified", '
+        '"implied": ["1-edge-disjoint-spanning-2-connected-subgraphs", '
+        '"rigid"], "tol": 1e-09}',
+    ),
+    (
+        lambda: certify_rigid_packing(complete_bipartite(6, 6), 1, _pinned(5.0)),
+        '{"property": "rigid-packing", "k": 1, "a": 6, "b": 6, "x": 6, '
+        '"y": 6, "lambda2": 5.0, "threshold": 3.0, "thresholds": [3.0], '
+        '"strict": false, "hypothesis_ok": true, "verdict": "not-fired", '
+        '"implied": [], "tol": 1e-09}',
+    ),
+    (
+        lambda: certify_global_rigidity(complete_bipartite(7, 7), _pinned(0.0)),
+        '{"property": "global-rigidity", "k": 1, "a": 7, "b": 7, "x": 7, '
+        '"y": 7, "lambda2": 0.0, "threshold": 3.6666666666666665, '
+        '"thresholds": [3.6666666666666665], "strict": false, '
+        '"hypothesis_ok": true, "verdict": "certified", "implied": [], '
+        '"tol": 1e-09}',
+    ),
+    (
+        lambda: is_ramanujan(heawood(), _pinned(math.sqrt(2))),
+        '{"property": "ramanujan", "k": 1, "a": 3, "b": 3, "x": 7, "y": 7, '
+        '"lambda2": 1.4142135623730951, "threshold": 2.8284271247461903, '
+        '"thresholds": [2.8284271247461903], "strict": false, '
+        '"hypothesis_ok": true, "verdict": "certified", "implied": [], '
+        '"tol": 1e-09}',
+    ),
+]
+
+
+def test_certificate_json_golden():
+    # Key order and values of `certify --json`, one certificate per property
+    # (rigid packing twice: ``implied`` only survives a fired certificate).
+    for make, want in GOLDEN_JSON:
+        assert json.dumps(make().to_dict()) == want
+
+
+def test_certifiers_are_module_functions():
+    # The benchmark tracer patches the certifiers by name and names its
+    # spans from __module__ and __name__.
+    for name in (
+        "certify_edge_connectivity",
+        "certify_vertex_connectivity",
+        "certify_tree_packing",
+        "certify_rigid_packing",
+        "certify_global_rigidity",
+        "is_ramanujan",
+    ):
+        fn = getattr(certify, name)
+        assert inspect.isfunction(fn)
+        assert (fn.__module__, fn.__name__) == ("biregular.certify", name)
 
 
 def test_monotone_in_k_over_corpus():

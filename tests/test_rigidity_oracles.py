@@ -163,6 +163,15 @@ def test_greedy_packing_exhaustive_fallback():
     assert res.value == 1 and res.exact
 
 
+def test_greedy_packing_non_rigid_is_exact():
+    # A failed first extraction means g itself is not rigid, so no k packs:
+    # exact at every k, also beyond the n <= 8 exhaustive fallback.
+    for g in (heawood(), even_cycle(10), even_cycle(6)):
+        for k in (1, 2, 3):
+            res = greedy_rigid_packing(g, k)
+            assert (res.value, res.witness, res.exact) == (0, None, True)
+
+
 def test_greedy_packing_bad_k():
     with pytest.raises(InvalidParam):
         greedy_rigid_packing(complete_bipartite(3, 3), 0)
@@ -209,13 +218,13 @@ def test_partition_bound_validation():
 
 
 def test_partition_sufficient_fires_for_k33():
-    res = rigid_packing_partition_sufficient(complete_bipartite(3, 3), 1, z_cap=2)
+    res = rigid_packing_partition_sufficient(complete_bipartite(3, 3), 1)
     assert res.value == 1
     assert is_rigid(complete_bipartite(3, 3))
 
 
 def test_partition_sufficient_finds_violation_for_c6():
-    res = rigid_packing_partition_sufficient(even_cycle(6), 1, z_cap=2)
+    res = rigid_packing_partition_sufficient(even_cycle(6), 1)
     assert res.value == 0
     rep = rigid_packing_partition_bound(
         even_cycle(6), 1, res.witness.removed, res.witness.blocks
@@ -233,7 +242,7 @@ def test_partition_sufficient_consistent_with_pebble_game():
         even_cycle(8),
     ]
     for g in graphs:
-        res = rigid_packing_partition_sufficient(g, 1, z_cap=2)
+        res = rigid_packing_partition_sufficient(g, 1)
         if res.value == 1:
             assert is_rigid(g)
 
@@ -241,8 +250,6 @@ def test_partition_sufficient_consistent_with_pebble_game():
 def test_partition_sufficient_guards():
     with pytest.raises(TooLarge):
         rigid_packing_partition_sufficient(complete_bipartite(5, 5), 1)
-    with pytest.raises(InvalidParam):
-        rigid_packing_partition_sufficient(complete_bipartite(3, 3), 1, z_cap=9)
 
 
 def test_single_edge_is_rigid():
