@@ -20,6 +20,8 @@ import logging
 from collections.abc import Callable
 from dataclasses import asdict, dataclass
 
+import numpy as np
+
 from .certify import (
     Certificate,
     certify_edge_connectivity,
@@ -30,7 +32,7 @@ from .certify import (
     is_ramanujan,
 )
 from .errors import AuditUnsound, InvalidParam, MixingViolation, RetriesExhausted
-from .graphs import BipartiteGraph, random_biregular
+from .graphs import BipartiteGraph, random_biregular, validate_biregular
 from .oracles import (
     OracleResult,
     edge_connectivity,
@@ -39,9 +41,9 @@ from .oracles import (
     tree_packing_number,
     vertex_connectivity,
 )
-from .prng import SplitMix64, derive_seed
+from .prng import derive_seed, stream_u64
 from .properties import GraphProperty, Verdict
-from .spectral import Spectrum, mixing_check, singular_values
+from .spectral import Spectrum, biadjacency, mixing_sides, singular_values
 
 log = logging.getLogger(__name__)
 
@@ -170,8 +172,11 @@ def default_size_grid() -> tuple[tuple[int, int, int, int], ...]:
     """Desk-scale grid: degrees 2..8, n <= 60, densities samplable by rejection.
 
     Expected rejection count for the configuration model grows like
-    exp((a-1)(b-1)/2), so degree pairs are kept to (a-1)(b-1) <= 14; the
-    high degrees appear in asymmetric pairs.
+    exp((a-1)(b-1)/2), so most degree pairs keep (a-1)(b-1) <= 14 and the
+    high degrees appear in asymmetric pairs. Three profiles go past it:
+    (18, 12, 4, 6) and (12, 18, 6, 4) at 15, and (10, 10, 5, 5) at 16.
+    Those are the trials that use up the sampler's 10000 attempts and are
+    skipped: 7 of the 10 at (10, 10, 5, 5) under the default seed.
     """
     return (
         (4, 4, 2, 2), (12, 12, 2, 2), (30, 30, 2, 2),
@@ -285,6 +290,11 @@ class MixingAuditReport:
     max_slack: float
 
 
+# Pairs drawn and checked per chunk of mixing_audit: bounds its arrays
+# (and peak memory) however many pairs are asked for.
+_MIXING_CHUNK = 64
+
+
 def mixing_audit(
     g: BipartiteGraph,
     pairs: int,
@@ -295,32 +305,50 @@ def mixing_audit(
     """Check the mixing inequality on ``pairs`` uniform (A, B) subset pairs.
 
     Membership of each vertex is one low bit of the seeded stream, so the
-    sample includes empty and full sides. Any violation raises
-    MixingViolation carrying the offending pair: the inequality is a
-    theorem, so a violation means a bug.
+    sample includes empty and full sides: pair p reads words
+    p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
+    drawn and checked in chunks. e(A, B) comes from one product with the
+    biadjacency matrix, whose float sums of 0/1 terms are exact integers,
+    and ``mixing_sides`` evaluates lhs and rhs elementwise as it does for
+    ``mixing_check``, so each float is the one that returns. Any violation
+    raises MixingViolation carrying the first offending pair: the
+    inequality is a theorem, so a violation means a bug.
     """
     if pairs < 1:
         raise InvalidParam("pairs must be at least 1")
     if spectrum is None:
         spectrum = singular_values(g)
-    rng = SplitMix64(seed)
-    min_slack = None
-    max_slack = None
-    for _ in range(pairs):
-        a_side = frozenset(
-            ("x", i) for i in range(g.x_count) if rng.next_u64() & 1
+    if g.n < 3:
+        raise InvalidParam("mixing bound requires at least 3 vertices")
+    profile = validate_biregular(g)
+    x, y = g.x_count, g.y_count
+    adj = biadjacency(g)
+    min_slack = max_slack = None
+    for first in range(0, pairs, _MIXING_CHUNK):
+        count = min(_MIXING_CHUNK, pairs - first)
+        bits = stream_u64(seed, first * (x + y), count * (x + y))
+        bits &= 1
+        bits = bits.astype(np.float64).reshape(count, x + y)
+        a_in, b_in = bits[:, :x], bits[:, x:]
+        e_ab = np.einsum("pj,pj->p", a_in @ adj, b_in)
+        lhs, rhs = mixing_sides(
+            g, profile, spectrum, e_ab, a_in.sum(axis=1), b_in.sum(axis=1)
         )
-        b_side = frozenset(
-            ("y", j) for j in range(g.y_count) if rng.next_u64() & 1
-        )
-        report = mixing_check(g, a_side, b_side, spectrum, tol)
-        if not report.holds:
-            raise MixingViolation(a_side, b_side, report.lhs, report.rhs)
-        slack = report.rhs - report.lhs
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-        if max_slack is None or slack > max_slack:
-            max_slack = slack
+        bad = np.flatnonzero(~(lhs <= rhs + tol))
+        if bad.size:
+            p = bad[0]
+            raise MixingViolation(
+                frozenset(("x", int(i)) for i in np.flatnonzero(a_in[p])),
+                frozenset(("y", int(j)) for j in np.flatnonzero(b_in[p])),
+                float(lhs[p]),
+                float(rhs[p]),
+            )
+        slack = rhs - lhs
+        low, high = float(slack.min()), float(slack.max())
+        if min_slack is None or low < min_slack:
+            min_slack = low
+        if max_slack is None or high > max_slack:
+            max_slack = high
     return MixingAuditReport(
         pairs=pairs, violations=0, min_slack=min_slack, max_slack=max_slack
     )

@@ -13,6 +13,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable
 
+import numpy as np
+
+from . import prng
 from .errors import (
     DegreeEquationViolated,
     DuplicateEdge,
@@ -23,7 +26,7 @@ from .errors import (
     PartMismatch,
     RetriesExhausted,
 )
-from .prng import SplitMix64
+from .prng import GAMMA, SplitMix64, stream_u64
 
 X_PART = "x"
 Y_PART = "y"
@@ -180,6 +183,13 @@ def heawood() -> BipartiteGraph:
     return BipartiteGraph(7, 7, tuple(edges))
 
 
+# Attempts per block of the batched sampler: the first block is small
+# because most profiles succeed within a few attempts, later ones grow 4x
+# up to a cap that keeps the block's arrays (and peak memory) small.
+_FIRST_BLOCK = 16
+_MAX_BLOCK = 256
+
+
 def random_biregular(
     x: int, y: int, a: int, b: int, seed: int, max_retries: int = 10000
 ) -> BipartiteGraph:
@@ -192,6 +202,16 @@ def random_biregular(
     the result identical across platforms for fixed arguments. Dense
     profiles make rejection sampling hopeless: roughly exp((a-1)(b-1)/2)
     attempts are needed on average, and RetriesExhausted signals that.
+
+    Attempts run in blocks of 16, 64, then 256: a block of R attempts
+    reads R*(a*x - 1) words of the stream at once, attempt r taking words
+    r*(a*x - 1) + 1 onward, applies every attempt's shuffle column by
+    column, and returns the first attempt in which no X-vertex has two
+    stubs on one Y-vertex. That is the word-for-word stream the
+    one-attempt-at-a-time shuffle reads, as long as no bounded draw
+    rejects a word. From the first attempt whose draws reject one
+    (probability about 1e-17 per word), sampling continues one attempt at
+    a time at the same stream position.
     """
     if min(x, y, a, b) < 1:
         raise InvalidParam("sizes and degrees must be positive")
@@ -205,25 +225,67 @@ def random_biregular(
         raise InvalidParam(
             "degree exceeds opposite part size; simple graph impossible"
         )
-    rng = SplitMix64(seed)
+    stubs = a * x
+    width = stubs - 1
+    bounds = np.arange(stubs, 1, -1, dtype=np.uint64)
+    top = np.array([prng.accept_max(int(n)) for n in bounds], dtype=np.uint64)
     x_stubs = [i for i in range(x) for _ in range(a)]
-    y_base = [j for j in range(y) for _ in range(b)]
-    for _ in range(max_retries):
-        y_stubs = y_base.copy()
+    y_base = np.repeat(np.arange(y, dtype=np.min_scalar_type(y)), b)
+    attempt, block = 0, _FIRST_BLOCK
+    while attempt < max_retries:
+        rows = min(block, max_retries - attempt)
+        draws = stream_u64(seed, attempt * width, rows * width)
+        draws = draws.reshape(rows, width)
+        rejected = np.flatnonzero((draws > top).any(axis=1))
+        if rejected.size:
+            rows = int(rejected[0])
+            draws = draws[:rows]
+        # Row r, X-vertex i: the Y-ends of i's a stubs; a repeat is a clash.
+        groups = _shuffled_rows(y_base, draws % bounds).reshape(rows, x, a)
+        clash = np.zeros((rows, x), dtype=bool)
+        for d in range(1, a):
+            clash |= (groups[:, :, d:] == groups[:, :, :-d]).any(axis=2)
+        simple = np.flatnonzero(~clash.any(axis=1))
+        if simple.size:
+            return BipartiteGraph(
+                x, y, tuple(zip(x_stubs, groups[simple[0]].ravel().tolist()))
+            )
+        attempt += rows
+        if rejected.size:
+            break
+        block = min(4 * block, _MAX_BLOCK)
+    rng = SplitMix64(seed + attempt * width * GAMMA)
+    y_list = y_base.tolist()
+    for _ in range(max_retries - attempt):
+        y_stubs = y_list.copy()
         rng.shuffle(y_stubs)
-        pairs = set()
-        simple = True
-        for xi, yj in zip(x_stubs, y_stubs):
-            if (xi, yj) in pairs:
-                simple = False
-                break
-            pairs.add((xi, yj))
-        if simple:
+        pairs = set(zip(x_stubs, y_stubs))
+        if len(pairs) == stubs:
             return BipartiteGraph(x, y, tuple(pairs))
     raise RetriesExhausted(
         f"no simple matching in {max_retries} attempts for "
         f"(x={x}, y={y}, a={a}, b={b}, seed={seed})"
     )
+
+
+def _shuffled_rows(y_base: np.ndarray, swaps: np.ndarray) -> np.ndarray:
+    """Rows of y_base after top-down Fisher-Yates, one row per row of swaps.
+
+    Column c of ``swaps`` holds the partner j of position len(y_base)-1-c.
+    The work array is position-major, so each position's column of rows is
+    one contiguous slice, and the swaps of all rows at one position are
+    three vectorised steps.
+    """
+    rows, width = swaps.shape
+    perm = np.repeat(y_base, rows)
+    partner = swaps.T.astype(np.intp) * rows + np.arange(rows)
+    for c in range(width):
+        i = width - c
+        here = slice(i * rows, (i + 1) * rows)
+        held = perm[here].copy()
+        perm[here] = perm[partner[c]]
+        perm[partner[c]] = held
+    return perm.reshape(width + 1, rows).T
 
 
 def flat_index(g: BipartiteGraph, v: Vertex) -> int:

@@ -19,8 +19,10 @@ for the rank, so extraction feeds edges in a deterministic "diagonal" order
 that spreads the basis across vertices; lexicographic order would hand the
 first basis every edge at the lowest-numbered vertices and strand them
 isolated for the next round. A failed first round means g is not rigid,
-which settles every k; a later failure never refutes, except at n <= 8
-where an exhaustive search decides the question outright.
+which settles every k, and m // (2n-3) rounds use up all the room the edge
+count leaves; any other later failure never refutes. A bipartite graph on
+n <= 14 vertices has m <= n^2/4 < 2(2n-3) edges, so there greedy is always
+exact.
 """
 
 from __future__ import annotations
@@ -46,7 +48,6 @@ from .partitions import blocks_from_assignment, iter_partition_assignments
 from .result import LamanPacking, LamanSubgraph, OracleResult, PartitionWitness
 
 RANK_FIELD_PRIME = 2**31 - 1
-EXHAUSTIVE_PACKING_GUARD = 8
 PARTITION_SUFFICIENT_GUARD = 9
 
 
@@ -221,11 +222,12 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     """Try to extract k edge-disjoint spanning Laman subgraphs.
 
     value counts the extractions that reached full rank. ``exact`` is True
-    when the answer is decisive: all k rounds succeeded, the first round
-    failed (g itself is not rigid, so the value is 0 for every k), or
-    n <= 8 where exhaustive search settles it. Otherwise the result is
-    inconclusive: greedy failure after a successful round does not refute
-    the packing.
+    when the answer is decisive: all k rounds succeeded, the rounds reached
+    m // (2n-3) (no more edge-disjoint Laman subgraphs fit in m edges), the
+    first round failed (g itself is not rigid, so the value is 0 for every
+    k). Otherwise the result is inconclusive: greedy failure after a
+    successful round does not refute the packing. That takes
+    m >= 2(2n-3), so n >= 15.
     """
     if int(k) != k or k < 1:
         raise InvalidParam(f"k must be a positive integer, got {k!r}")
@@ -252,46 +254,12 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
         remaining = [e for e in remaining if e not in used]
     if not extracted:
         return OracleResult(GraphProperty.RIGID_PACKING, 0, None, True)
-    exact = len(extracted) == k
-    if not exact and g.n <= EXHAUSTIVE_PACKING_GUARD:
-        extracted, exact = _exhaustive_packing(g, k), True
     return OracleResult(
         GraphProperty.RIGID_PACKING,
         len(extracted),
         LamanPacking(tuple(extracted)),
-        exact,
+        len(extracted) == min(k, g.m // target),
     )
-
-
-def _exhaustive_packing(g: BipartiteGraph, k: int):
-    """Largest packing of <= k spanning Laman subgraphs, by full search.
-
-    Any packing of spanning rigid subgraphs can be thinned to spanning
-    Laman subgraphs, so searching (2n-3)-subsets loses nothing. Each pool
-    is enumerated once: whether a subset is rigid does not depend on how
-    many more subgraphs are wanted after it.
-    """
-    target = 2 * g.n - 3
-
-    def search(pool, depth):
-        depth = min(depth, len(pool) // target)
-        best = []
-        if depth == 0:
-            return best
-        for subset in itertools.combinations(pool, target):
-            rank, _ = pebble_rank_edges(g, subset)
-            if rank != target:
-                continue
-            chosen = set(subset)
-            rest = search([e for e in pool if e not in chosen], depth - 1)
-            cand = [tuple(sorted(subset))] + rest
-            if len(cand) > len(best):
-                best = cand
-                if len(best) == depth:
-                    break
-        return best
-
-    return search(list(g.edges), k)
 
 
 @dataclass(frozen=True)

@@ -110,11 +110,22 @@ def mixing_check(
     a_set = frozenset(a_side)
     b_set = frozenset(b_side)
     e_ab = cross_edges(g, a_set, b_set)
+    lhs, rhs = mixing_sides(g, profile, spectrum, e_ab, len(a_set), len(b_set))
+    lhs, rhs = float(lhs), float(rhs)
+    return MixingReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+
+
+def mixing_sides(g, profile, spectrum, e_ab, na, nb):
+    """lhs and rhs of the mixing inequality at e(A,B), |A|, |B| = e_ab, na, nb.
+
+    Works on numbers and, elementwise, on numpy arrays of them, with the
+    same float operations in the same order, so a batched check gives
+    every pair the floats ``mixing_check`` gives it.
+    """
     x, y = g.x_count, g.y_count
-    na, nb = len(a_set), len(b_set)
     main = math.sqrt(profile.a * profile.b) / math.sqrt(x * y) * na * nb
     lhs = abs(e_ab - main)
-    rhs = spectrum.lambda2 * math.sqrt(
+    rhs = spectrum.lambda2 * np.sqrt(
         na * nb * (1.0 - na / x) * (1.0 - nb / y)
     )
-    return MixingReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return lhs, rhs

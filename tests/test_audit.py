@@ -1,19 +1,33 @@
 """Audit harness: determinism, soundness wiring, report formats."""
 
+from dataclasses import replace
+
 import pytest
 
 from biregular import (
     AuditConfig,
+    BipartiteGraph,
     GraphProperty,
     audit_random,
     complete_bipartite,
     heawood,
     mixing_audit,
     parse_report_json,
+    random_biregular,
     report_emit,
+    singular_values,
 )
 from biregular.audit import PROPERTIES, AuditRecord, CSV_HEADER
-from biregular.errors import AuditUnsound, InvalidParam, MixingViolation
+from biregular.errors import (
+    AuditUnsound,
+    InvalidParam,
+    MixingViolation,
+    NotBiregular,
+)
+from biregular.prng import derive_seed
+from biregular.spectral import Spectrum
+
+from testutil import medium_corpus, mixing_audit_scalar, small_corpus
 
 SMALL_CFG = AuditConfig(
     trials=3,
@@ -194,3 +208,58 @@ def test_mixing_audit_flags_bad_lambda2(monkeypatch):
 def test_mixing_audit_validates_pairs():
     with pytest.raises(InvalidParam):
         mixing_audit(heawood(), 0, seed=1)
+    with pytest.raises(InvalidParam):
+        mixing_audit(complete_bipartite(1, 1), 10, seed=1)
+    lopsided = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0)))
+    with pytest.raises(NotBiregular):
+        mixing_audit(lopsided, 10, seed=1, spectrum=singular_values(heawood()))
+
+
+def _sparse_graphs():
+    # n = 100..240, as in the benchmark's sparse certification inputs.
+    profiles = (
+        (60, 40, 2, 3), (160, 80, 2, 4), (84, 84, 3, 3), (56, 42, 3, 4)
+    )
+    return [
+        random_biregular(*p, derive_seed(5, i)) for i, p in enumerate(profiles)
+    ]
+
+
+def _audit_outcome(g, pairs, seed, spectrum):
+    """mixing_audit in the shape mixing_audit_scalar reports."""
+    try:
+        rep = mixing_audit(g, pairs, seed, spectrum)
+    except MixingViolation as exc:
+        return ("violation", exc.a_side, exc.b_side, exc.lhs, exc.rhs)
+    assert rep.violations == 0
+    return (rep.pairs, rep.min_slack, rep.max_slack)
+
+
+def test_mixing_audit_matches_scalar_reference():
+    # Pair counts below, at and across the chunk size; every float equal.
+    graphs = small_corpus() + medium_corpus() + _sparse_graphs()
+    for i, g in enumerate(graphs):
+        spectrum = singular_values(g)
+        for pairs in (1, 64, 65, 150) if g.n < 100 else (300,):
+            seed = derive_seed(21, i, pairs)
+            got = _audit_outcome(g, pairs, seed, spectrum)
+            assert got == mixing_audit_scalar(g, pairs, seed, spectrum)
+            assert all(type(v) is float for v in got[1:])
+
+
+def test_mixing_audit_reports_first_violation():
+    # lambda2 = 0 breaks the bound on almost every pair; 0.7 * lambda2 on
+    # a few pairs deep into the sample, past the first chunk.
+    late = 0
+    for i, g in enumerate(medium_corpus() + _sparse_graphs()[:1]):
+        true = singular_values(g)
+        zero = Spectrum(true.sigma, true.lambda1, 0.0, gap=true.lambda1)
+        for spectrum in (zero, replace(true, lambda2=0.7 * true.lambda2)):
+            ref = mixing_audit_scalar(g, 400, 11, spectrum)
+            if ref[0] != "violation":
+                assert spectrum is not zero
+                continue
+            late += ref[1] >= 64
+            got = _audit_outcome(g, 400, 11, spectrum)
+            assert got == ref[:1] + ref[2:], i
+    assert late >= 5

@@ -24,10 +24,12 @@ from biregular.errors import (
     PartMismatch,
     RetriesExhausted,
 )
+from biregular import graphs, prng
+from biregular.audit import default_config
 from biregular.graphs import flat_adjacency, flat_index, flat_vertex
-from biregular.prng import derive_seed
+from biregular.prng import MASK64, SplitMix64, derive_seed
 
-from testutil import girth
+from testutil import girth, random_biregular_scalar
 
 
 def test_validate_complete_bipartite_2_3():
@@ -132,6 +134,74 @@ def test_random_biregular_deterministic():
 def test_random_biregular_retries_exhausted():
     with pytest.raises(RetriesExhausted):
         random_biregular(3, 3, 3, 3, seed=0, max_retries=1)
+
+
+def _sample(sampler, *args, **kwargs):
+    """The sampled graph, or the RetriesExhausted message."""
+    try:
+        return sampler(*args, **kwargs)
+    except RetriesExhausted as exc:
+        return str(exc)
+
+
+# The default audit's seed and the acceptance corpus seed.
+@pytest.mark.parametrize("seed", [0x5EED_B1A5, 20240808])
+def test_random_biregular_matches_scalar_reference(seed):
+    cfg = default_config(seed=seed)
+    exhausted = 0
+    for ci, (x, y, a, b) in enumerate(cfg.size_grid):
+        for t in range(cfg.trials):
+            args = (x, y, a, b, derive_seed(seed, ci, t))
+            got = _sample(random_biregular, *args)
+            assert got == _sample(random_biregular_scalar, *args), args
+            exhausted += isinstance(got, str)
+    # Trials that use up all 10000 attempts, all but one at (10, 10, 5, 5).
+    assert exhausted == {0x5EED_B1A5: 7, 20240808: 6}[seed]
+
+
+def test_random_biregular_block_boundaries():
+    # Attempt budgets that end inside, at and just past the 16-, 64- and
+    # 256-attempt blocks, on a profile that rarely samples a simple graph.
+    for t in range(3):
+        seed = derive_seed(8, t)
+        for retries in (1, 2, 15, 16, 17, 80, 81, 336, 337, 600):
+            args = (10, 10, 5, 5, seed)
+            got = _sample(random_biregular, *args, max_retries=retries)
+            ref = _sample(random_biregular_scalar, *args, max_retries=retries)
+            assert got == ref, (t, retries)
+
+
+def test_random_biregular_rejection_fallback(monkeypatch):
+    # Lower the acceptance limit of bounded draws, for the batched sampler
+    # and the scalar reference alike, so that one word in 2^s is rejected:
+    # the sampler must stop its block at the first attempt that rejects a
+    # word and go on one attempt at a time from the same stream position.
+    # Only that path builds a SplitMix64 in graphs, so count them: at one
+    # word in 256 some samples end inside a block and some fall back, at
+    # one in 2 every sample falls back from its first attempt.
+    fallbacks = []
+
+    class Counting(SplitMix64):
+        def __init__(self, seed):
+            fallbacks.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(graphs, "SplitMix64", Counting)
+    profiles = ((4, 4, 2, 2), (6, 4, 2, 3), (8, 8, 4, 4), (10, 10, 5, 5))
+    counts = []
+    for s in (8, 1):
+        monkeypatch.setattr(
+            prng, "accept_max", lambda bound, s=s: MASK64 - (MASK64 >> s)
+        )
+        before = len(fallbacks)
+        for x, y, a, b in profiles:
+            for t in range(6):
+                args = (x, y, a, b, derive_seed(13, s, t))
+                got = _sample(random_biregular, *args, max_retries=200)
+                ref = _sample(random_biregular_scalar, *args, max_retries=200)
+                assert got == ref, (s, args)
+        counts.append(len(fallbacks) - before)
+    assert 0 < counts[0] < 24 and counts[1] == 24
 
 
 def test_random_biregular_rejects_nonpositive_retries():

@@ -1,8 +1,17 @@
 """The PRNG stream is pinned bit-exactly: these values must never change."""
 
+import warnings
+
+import numpy as np
 import pytest
 
-from biregular.prng import MASK64, SplitMix64, derive_seed
+from biregular.prng import (
+    MASK64,
+    SplitMix64,
+    accept_max,
+    derive_seed,
+    stream_u64,
+)
 
 
 def test_splitmix64_reference_vectors():
@@ -12,6 +21,31 @@ def test_splitmix64_reference_vectors():
     assert g.next_u64() == 0x6E789E6AA1B965F4
     assert g.next_u64() == 0x06C45D188009454F
     assert g.next_u64() == 0xF88BB8A8724C81EC
+
+
+def test_stream_u64_matches_scalar_stream():
+    # Seed 0 reference vectors, start offsets, a seed above 2^64 (masked)
+    # and seeds near 2^64 whose state wraps within the first words.
+    assert stream_u64(0, 0, 4).tolist() == [
+        0xE220A8397B1DCDAF,
+        0x6E789E6AA1B965F4,
+        0x06C45D188009454F,
+        0xF88BB8A8724C81EC,
+    ]
+    for seed in (0, 42, (1 << 64) + 5, MASK64, MASK64 - 0x9E3779B97F4A7C15):
+        g = SplitMix64(seed)
+        words = [g.next_u64() for _ in range(300)]
+        for start, count in ((0, 300), (1, 7), (37, 200), (299, 1), (5, 0)):
+            block = stream_u64(seed, start, count)
+            assert block.dtype == np.uint64 and block.shape == (count,)
+            assert block.tolist() == words[start : start + count]
+
+
+def test_stream_u64_raises_no_numpy_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stream_u64(MASK64, 10**6, 1000)
+        stream_u64((1 << 64) + 5, 0, 1000)
 
 
 def test_streams_are_deterministic():
@@ -32,6 +66,15 @@ def test_below_bounds_and_coverage():
     assert set(draws) == set(range(10))
     with pytest.raises(ValueError):
         g.below(0)
+
+
+def test_accept_max_rejects_only_the_biased_tail():
+    # 2^64 = 3 * 6148914691236517205 + 1: bound 3 rejects one word, and a
+    # power-of-two bound rejects none.
+    assert accept_max(3) == MASK64 - 1
+    assert accept_max(10) == MASK64 - 6
+    for bound in (1, 2, 1 << 20, 1 << 63):
+        assert accept_max(bound) == MASK64
 
 
 def test_shuffle_is_deterministic_permutation():

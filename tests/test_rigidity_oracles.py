@@ -2,7 +2,13 @@
 
 import pytest
 
-from biregular import BipartiteGraph, complete_bipartite, even_cycle, heawood
+from biregular import (
+    BipartiteGraph,
+    complete_bipartite,
+    even_cycle,
+    heawood,
+    random_biregular,
+)
 from biregular.errors import InvalidParam, InvalidPartition, TooLarge, TooSmall
 from biregular.oracles import (
     greedy_rigid_packing,
@@ -15,12 +21,14 @@ from biregular.oracles import (
     rigidity_rank,
     vertex_connectivity,
 )
+from biregular.prng import SplitMix64, derive_seed
 
 from testutil import (
     DISCONNECTED,
     K44_PENDANT,
     medium_corpus,
     modular_rank_bruteforce,
+    rigid_packing_exhaustive,
     small_corpus,
 )
 
@@ -156,11 +164,43 @@ def test_greedy_packing_k2_on_k1212():
         assert len(covered) == 24
 
 
-def test_greedy_packing_exhaustive_fallback():
-    # K_{4,4} has 16 edges but two spanning Laman subgraphs need 26: the
-    # n <= 8 exhaustive fallback must settle this exactly at one packing.
-    res = greedy_rigid_packing(complete_bipartite(4, 4), 2)
-    assert res.value == 1 and res.exact
+def test_greedy_packing_edge_count_cap_is_exact():
+    # K_{4,4} has 16 edges but two spanning Laman subgraphs need 26, and a
+    # random (4,4)-biregular graph on 16 vertices has 32 < 2*29: one
+    # packing reaches m // (2n-3), so edge counting settles every k >= 1.
+    g = random_biregular(8, 8, 4, 4, derive_seed(1, 2))
+    for graph in (complete_bipartite(4, 4), g):
+        assert graph.m // (2 * graph.n - 3) == 1
+        for k in (2, 3):
+            res = greedy_rigid_packing(graph, k)
+            assert res.value == 1 and res.exact
+
+
+def test_greedy_packing_matches_exhaustive_search():
+    # n <= 8: at most n^2/4 < 2(2n-3) edges, so edge counting caps every
+    # packing at one and the greedy answer must be exact and optimal.
+    graphs = [
+        complete_bipartite(m, n)
+        for m in range(1, 8)
+        for n in range(m, 9 - m)
+        if m + n >= 2
+    ]
+    graphs += [g for g in small_corpus() if g.n <= 8]
+    rng = SplitMix64(99)
+    for _ in range(60):
+        m, n = 3 + rng.below(2), 4
+        edges = list(complete_bipartite(m, n).edges)
+        rng.shuffle(edges)
+        kept = edges[rng.below(4):]
+        graphs.append(BipartiteGraph(m, n, tuple(kept)))
+    capped = 0
+    for g in graphs:
+        for k in (2, 3):
+            res = greedy_rigid_packing(g, k)
+            assert res.exact
+            assert res.value == rigid_packing_exhaustive(g, k)
+            capped += res.value == 1
+    assert capped >= 80
 
 
 def test_greedy_packing_non_rigid_is_exact():

@@ -12,8 +12,61 @@ from itertools import combinations
 import numpy as np
 
 from biregular import random_biregular
+from biregular.errors import RetriesExhausted
 from biregular.graphs import BipartiteGraph, flat_adjacency
-from biregular.prng import derive_seed
+from biregular.prng import SplitMix64, derive_seed
+from biregular.spectral import mixing_check
+
+
+def random_biregular_scalar(x, y, a, b, seed, max_retries=10000):
+    """The configuration-model sampler one shuffle at a time (the reference).
+
+    Reads the splitmix64 stream one word per ``below`` call;
+    ``random_biregular``, which reads it in blocks, must return the same
+    graph, or raise RetriesExhausted where this does. Argument guards are
+    left to the sampler.
+    """
+    rng = SplitMix64(seed)
+    x_stubs = [i for i in range(x) for _ in range(a)]
+    y_base = [j for j in range(y) for _ in range(b)]
+    for _ in range(max_retries):
+        y_stubs = y_base.copy()
+        rng.shuffle(y_stubs)
+        pairs = set()
+        simple = True
+        for xi, yj in zip(x_stubs, y_stubs):
+            if (xi, yj) in pairs:
+                simple = False
+                break
+            pairs.add((xi, yj))
+        if simple:
+            return BipartiteGraph(x, y, tuple(pairs))
+    raise RetriesExhausted(
+        f"no simple matching in {max_retries} attempts for "
+        f"(x={x}, y={y}, a={a}, b={b}, seed={seed})"
+    )
+
+
+def mixing_audit_scalar(g, pairs, seed, spectrum, tol=1e-9):
+    """``mixing_audit`` one ``mixing_check`` per pair (the reference).
+
+    Returns (pairs, min_slack, max_slack), or on the first violating pair
+    ("violation", index, A, B, lhs, rhs).
+    """
+    rng = SplitMix64(seed)
+    slacks = []
+    for index in range(pairs):
+        a_side = frozenset(
+            ("x", i) for i in range(g.x_count) if rng.next_u64() & 1
+        )
+        b_side = frozenset(
+            ("y", j) for j in range(g.y_count) if rng.next_u64() & 1
+        )
+        report = mixing_check(g, a_side, b_side, spectrum, tol)
+        if not report.holds:
+            return ("violation", index, a_side, b_side, report.lhs, report.rhs)
+        slacks.append(report.rhs - report.lhs)
+    return (pairs, min(slacks), max(slacks))
 
 
 def adjacency_matrix(g: BipartiteGraph) -> np.ndarray:
@@ -303,6 +356,32 @@ def modular_rank_bruteforce(g: BipartiteGraph, edges, seed=12345) -> int:
         if r == n_rows:
             break
     return r
+
+
+def rigid_packing_exhaustive(g: BipartiteGraph, k: int) -> int:
+    """Most edge-disjoint spanning Laman subgraphs of g, at most k, by search.
+
+    Any packing of spanning rigid subgraphs thins to spanning Laman
+    subgraphs, so trying every (2n-3)-subset of the unused edges loses
+    nothing. Rigidity of a subset is its GF(p) rigidity-matrix rank, not
+    the pebble game. Exponential: for n <= 8.
+    """
+    assert g.n <= 8
+    target = 2 * g.n - 3
+
+    def search(pool, depth):
+        depth = min(depth, len(pool) // target)
+        best = 0
+        for subset in combinations(pool, target) if depth else ():
+            if modular_rank_bruteforce(g, subset) != target:
+                continue
+            rest = [e for e in pool if e not in subset]
+            best = max(best, 1 + search(rest, depth - 1))
+            if best == depth:
+                break
+        return best
+
+    return search(list(g.edges), k)
 
 
 DISCONNECTED = BipartiteGraph(
