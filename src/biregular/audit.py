@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 import logging
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -43,7 +43,13 @@ from .oracles import (
 )
 from .prng import derive_seed, stream_u64
 from .properties import GraphProperty, Verdict
-from .spectral import Spectrum, biadjacency, mixing_sides, singular_values
+from .spectral import (
+    MIXING_TOL,
+    Spectrum,
+    biadjacency,
+    mixing_sides,
+    singular_values,
+)
 
 log = logging.getLogger(__name__)
 
@@ -108,8 +114,6 @@ DEFAULT_PROPERTIES = (
     GraphProperty.VERTEX_CONNECTIVITY,
 )
 
-CSV_HEADER = "graph_id,a,b,x,y,lambda2,property,k,threshold,verdict,oracle,sound"
-
 
 @dataclass(frozen=True)
 class AuditConfig:
@@ -162,6 +166,9 @@ class AuditRecord:
     verdict: str
     oracle: int | None
     sound: bool
+
+
+CSV_HEADER = ",".join(f.name for f in fields(AuditRecord))
 
 
 def _round12(value):
@@ -300,7 +307,7 @@ def mixing_audit(
     pairs: int,
     seed: int,
     spectrum: Spectrum | None = None,
-    tol: float = 1e-9,
+    tol: float = MIXING_TOL,
 ) -> MixingAuditReport:
     """Check the mixing inequality on ``pairs`` uniform (A, B) subset pairs.
 
@@ -323,7 +330,7 @@ def mixing_audit(
     profile = validate_biregular(g)
     x, y = g.x_count, g.y_count
     adj = biadjacency(g)
-    min_slack = max_slack = None
+    lows, highs = [], []
     for first in range(0, pairs, _MIXING_CHUNK):
         count = min(_MIXING_CHUNK, pairs - first)
         bits = stream_u64(seed, first * (x + y), count * (x + y))
@@ -344,13 +351,10 @@ def mixing_audit(
                 float(rhs[p]),
             )
         slack = rhs - lhs
-        low, high = float(slack.min()), float(slack.max())
-        if min_slack is None or low < min_slack:
-            min_slack = low
-        if max_slack is None or high > max_slack:
-            max_slack = high
+        lows.append(float(slack.min()))
+        highs.append(float(slack.max()))
     return MixingAuditReport(
-        pairs=pairs, violations=0, min_slack=min_slack, max_slack=max_slack
+        pairs=pairs, violations=0, min_slack=min(lows), max_slack=max(highs)
     )
 
 
@@ -371,18 +375,10 @@ def report_emit(records, fmt: str = "csv") -> str:
     significant digits and repeated runs emit identical bytes.
     """
     if fmt == "csv":
+        names = CSV_HEADER.split(",")
         lines = [CSV_HEADER]
         for r in records:
-            lines.append(
-                ",".join(
-                    _csv_value(v)
-                    for v in (
-                        r.graph_id, r.a, r.b, r.x, r.y, r.lambda2,
-                        r.property, r.k, r.threshold, r.verdict,
-                        r.oracle, r.sound,
-                    )
-                )
-            )
+            lines.append(",".join(_csv_value(getattr(r, f)) for f in names))
         return "\n".join(lines) + "\n"
     if fmt == "json":
         return json.dumps([asdict(r) for r in records], indent=1) + "\n"

@@ -195,13 +195,7 @@ def _cmd_audit(args):
 def _cmd_mixing_audit(args):
     g = _load_graph(args.input)
     report = mixing_audit(g, args.pairs, args.seed)
-    payload = {
-        "pairs": report.pairs,
-        "violations": report.violations,
-        "min_slack": report.min_slack,
-        "max_slack": report.max_slack,
-    }
-    _emit(json.dumps(payload) + "\n", args.out)
+    _emit(json.dumps(asdict(report)) + "\n", args.out)
     return 0
 
 

@@ -80,9 +80,10 @@ class BipartiteGraph:
         for xi, yj in normalized:
             ax[xi].append(yj)
             ay[yj].append(xi)
+        # Edges are sorted by x first, so every list is already in order.
         object.__setattr__(self, "adj_x", tuple(tuple(v) for v in ax))
-        object.__setattr__(self, "adj_y", tuple(tuple(sorted(v)) for v in ay))
-        object.__setattr__(self, "_edge_set", frozenset(normalized))
+        object.__setattr__(self, "adj_y", tuple(tuple(v) for v in ay))
+        object.__setattr__(self, "_edge_set", frozenset(seen))
 
     @property
     def n(self) -> int:
@@ -310,13 +311,8 @@ def flat_edges(g: BipartiteGraph, edges=None) -> list[tuple[int, int]]:
 
 def flat_adjacency(g: BipartiteGraph) -> list[list[int]]:
     """Adjacency lists over flat ids, neighbor lists sorted."""
-    adj = [[] for _ in range(g.n)]
-    for u, v in flat_edges(g):
-        adj[u].append(v)
-        adj[v].append(u)
-    for lst in adj:
-        lst.sort()
-    return adj
+    x = g.x_count
+    return [[x + yj for yj in ys] for ys in g.adj_x] + [list(xs) for xs in g.adj_y]
 
 
 def connected_components(g: BipartiteGraph) -> tuple[tuple[Vertex, ...], ...]:

@@ -12,6 +12,12 @@ short after its first minimum pair, so the witness is the one the
 all-pairs scan finds. Each witness is read from the residual-reachable set
 left by the last, failed search of the flow that set the minimum; every
 maximum flow leaves the same set.
+
+A disconnected graph needs no separate check: the flow from v_0 to a vertex
+outside its component is 0, and what v_0 reaches is its whole component
+(both halves of each vertex in the split network), so the cut or separator
+read from it is empty. With an isolated vertex the min-degree fallbacks
+give the same empty witness.
 """
 
 from __future__ import annotations
@@ -19,13 +25,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import TooLarge, TooSmall
-from ..graphs import (
-    BipartiteGraph,
-    connected_components,
-    flat_adjacency,
-    flat_edges,
-    flat_vertex,
-)
+from ..graphs import BipartiteGraph, flat_adjacency, flat_edges, flat_vertex
 from ..properties import GraphProperty
 from .result import EdgeCut, OracleResult, Separator
 
@@ -86,19 +86,14 @@ class _Network:
 def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa' with a minimum edge cut as witness.
 
-    Disconnected graphs (and the degenerate single vertex) report 0 with an
-    empty cut.
+    Disconnected graphs report 0 with an empty cut.
     """
     n = g.n
-    if n < 2 or len(connected_components(g)) > 1:
-        return OracleResult(
-            GraphProperty.EDGE_CONNECTIVITY, 0, EdgeCut(()), True
-        )
     flat = flat_edges(g)
     net = _Network(n)
     for u, v in flat:
         net.add_edge(u, v, 1, 1)
-    degs = [len(lst) for lst in flat_adjacency(g)]
+    degs = [len(lst) for lst in g.adj_x + g.adj_y]
     best = min(degs)
     reach = None
     for t in range(1, n):
@@ -132,8 +127,6 @@ def _vertex_cut(g: BipartiteGraph, adj, bound: int):
         raise TooSmall("vertex connectivity needs at least 3 vertices")
     if n > VERTEX_CONN_GUARD:
         raise TooLarge(f"vertex connectivity guarded at {VERTEX_CONN_GUARD}")
-    if len(connected_components(g)) > 1:
-        return 0, ()
     adj_sets = [set(lst) for lst in adj]
     inf = n + 1
     net = _Network(2 * n)

@@ -5,6 +5,8 @@ augmenting-exchange algorithm for graphic matroid union: a rejected edge
 triggers a breadth-first search over "evict and relocate" moves, and a
 shortest augmenting chain of moves frees a slot whenever one exists. The
 graph packs k spanning trees exactly when all k forests fill to n-1 edges.
+A disconnected graph needs no separate check: none of its forests spans,
+so the search stops by k = 1 with tau = 0.
 
 ``tree_packing_partition_bruteforce`` evaluates the partition
 characterization directly: the packing number of a connected graph equals
@@ -18,7 +20,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..errors import TooLarge
-from ..graphs import BipartiteGraph, flat_edges, flat_vertex, is_connected
+from ..graphs import BipartiteGraph, flat_edges, flat_vertex
 from ..properties import GraphProperty
 from .partitions import (
     PARTITION_GUARD,
@@ -122,13 +124,9 @@ def tree_packing_number(
     graphs report 0.
     """
     n = g.n
-    if n < 2 or not is_connected(g):
-        return OracleResult(GraphProperty.TREE_PACKING, 0, ForestPacking(()), True)
     cap = g.m // (n - 1)
     if k_max is not None:
-        if k_max < 1:
-            cap = 0
-        cap = min(cap, k_max)
+        cap = min(cap, k_max)  # below 1, no round runs
     best = 0
     best_forests = ()
     for k in range(1, cap + 1):

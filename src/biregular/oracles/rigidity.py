@@ -23,6 +23,11 @@ which settles every k, and m // (2n-3) rounds use up all the room the edge
 count leaves; any other later failure never refutes. A bipartite graph on
 n <= 14 vertices has m <= n^2/4 < 2(2n-3) edges, so there greedy is always
 exact.
+
+Both partition oracles evaluate the packing partition inequality through
+one helper, ``_partition_sides``; ``_outside_z`` prepares its inputs that
+depend only on the removed set Z (the edges of g - Z and the Z-degrees),
+once per Z.
 """
 
 from __future__ import annotations
@@ -49,6 +54,11 @@ from .result import LamanPacking, LamanSubgraph, OracleResult, PartitionWitness
 
 RANK_FIELD_PRIME = 2**31 - 1
 PARTITION_SUFFICIENT_GUARD = 9
+
+
+def _check_k(k) -> None:
+    if int(k) != k or k < 1:
+        raise InvalidParam(f"k must be a positive integer, got {k!r}")
 
 
 def _pull_pebble(root, banned, peb, succ):
@@ -107,8 +117,6 @@ def rigidity_rank(g: BipartiteGraph) -> OracleResult:
     independent edge set, a spanning Laman subgraph when rigid) is
     deterministic.
     """
-    if g.n < 2:
-        raise TooSmall("rigidity rank needs at least 2 vertices")
     rank, independent = pebble_rank_edges(g, g.edges)
     return OracleResult(
         GraphProperty.RIGID_PACKING, rank, LamanSubgraph(independent), True
@@ -129,22 +137,16 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
     tests.
     """
     rng = SplitMix64(seed)
-    pos = [
-        (rng.below(RANK_FIELD_PRIME), rng.below(RANK_FIELD_PRIME))
-        for _ in range(g.n)
-    ]
-    flat = flat_edges(g)
-    if not flat:
-        return 0
-    mat = np.zeros((len(flat), 2 * g.n), dtype=np.int64)
-    for row, (u, v) in enumerate(flat):
-        dx = (pos[u][0] - pos[v][0]) % RANK_FIELD_PRIME
-        dy = (pos[u][1] - pos[v][1]) % RANK_FIELD_PRIME
-        mat[row, 2 * u] = dx
-        mat[row, 2 * u + 1] = dy
-        mat[row, 2 * v] = (-dx) % RANK_FIELD_PRIME
-        mat[row, 2 * v + 1] = (-dy) % RANK_FIELD_PRIME
-    return _rank_mod_p(mat, RANK_FIELD_PRIME)
+    pos = np.array(
+        [rng.below(RANK_FIELD_PRIME) for _ in range(2 * g.n)], dtype=np.int64
+    ).reshape(g.n, 2)
+    u, v = np.array(flat_edges(g), dtype=np.intp).reshape(-1, 2).T
+    rows = np.arange(g.m)
+    diff = (pos[u] - pos[v]) % RANK_FIELD_PRIME
+    mat = np.zeros((g.m, g.n, 2), dtype=np.int64)  # [edge, vertex, coordinate]
+    mat[rows, u] = diff
+    mat[rows, v] = -diff % RANK_FIELD_PRIME
+    return _rank_mod_p(mat.reshape(g.m, 2 * g.n), RANK_FIELD_PRIME)
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
@@ -153,13 +155,10 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     rows, cols = a.shape
     r = 0
     for c in range(cols):
-        pivot = None
-        for i in range(r, rows):
-            if a[i, c]:
-                pivot = i
-                break
-        if pivot is None:
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
             continue
+        pivot = r + int(nonzero[0])
         if pivot != r:
             a[[r, pivot]] = a[[pivot, r]]
         inv = pow(int(a[r, c]), p - 2, p)
@@ -229,10 +228,7 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     successful round does not refute the packing. That takes
     m >= 2(2n-3), so n >= 15.
     """
-    if int(k) != k or k < 1:
-        raise InvalidParam(f"k must be a positive integer, got {k!r}")
-    if g.n < 2:
-        raise TooSmall("rigid packing needs at least 2 vertices")
+    _check_k(k)
     target = 2 * g.n - 3
     if k == 1:
         res = rigidity_rank(g)
@@ -262,6 +258,34 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     )
 
 
+def _outside_z(edges, adj, z_set, rest):
+    """Edges of g - Z as index pairs into ``rest``, and each rest vertex's
+    number of Z-neighbors: the inputs of the partition inequality that
+    depend only on Z."""
+    index_of = {v: i for i, v in enumerate(rest)}
+    live = [
+        (index_of[u], index_of[v])
+        for u, v in edges
+        if u not in z_set and v not in z_set
+    ]
+    zdeg = [sum(1 for w in adj[v] if w in z_set) for v in rest]
+    return live, zdeg
+
+
+def _partition_sides(k, z_size, live, zdeg, assignment):
+    """(lhs, rhs) of the partition inequality for one block labelling of
+    the rest, with ``live`` and ``zdeg`` from ``_outside_z``."""
+    t = max(assignment) + 1
+    sizes = [0] * t
+    for lab in assignment:
+        sizes[lab] += 1
+    n0 = sizes.count(1)
+    nz = sum(zdeg[i] for i, lab in enumerate(assignment) if sizes[lab] == 1)
+    rhs = k * (3 - z_size) * (t - n0) + 2 * k * n0 - 3 * k - nz
+    lhs = sum(1 for u, v in live if assignment[u] != assignment[v])
+    return lhs, rhs
+
+
 @dataclass(frozen=True)
 class PartitionBoundReport:
     """Both sides of the packing partition inequality for one (Z, pi)."""
@@ -286,8 +310,7 @@ def rigid_packing_partition_bound(
     adjacent to v. The inequality lhs >= rhs for every choice of (Z, pi) is
     sufficient for k edge-disjoint spanning rigid subgraphs.
     """
-    if int(k) != k or k < 1:
-        raise InvalidParam(f"k must be a positive integer, got {k!r}")
+    _check_k(k)
     z_flat = {flat_index(g, v) for v in removed}
     if len(z_flat) >= g.n:
         raise InvalidPartition("removed set must be a proper subset")
@@ -307,24 +330,10 @@ def rigid_packing_partition_bound(
     if len(seen) != g.n - len(z_flat):
         raise InvalidPartition("blocks do not cover all remaining vertices")
 
-    label = {}
-    for li, fb in enumerate(flat_blocks):
-        for fid in fb:
-            label[fid] = li
-    adj = flat_adjacency(g)
-    lhs = sum(
-        1
-        for u, v in flat_edges(g)
-        if u not in z_flat and v not in z_flat and label[u] != label[v]
-    )
-    n0 = sum(1 for fb in flat_blocks if len(fb) == 1)
-    n0p = len(flat_blocks) - n0
-    nz = sum(
-        sum(1 for w in adj[fb[0]] if w in z_flat)
-        for fb in flat_blocks
-        if len(fb) == 1
-    )
-    rhs = k * (3 - len(z_flat)) * n0p + 2 * k * n0 - 3 * k - nz
+    rest = [fid for fb in flat_blocks for fid in fb]
+    assignment = [li for li, fb in enumerate(flat_blocks) for _ in fb]
+    live, zdeg = _outside_z(flat_edges(g), flat_adjacency(g), z_flat, rest)
+    lhs, rhs = _partition_sides(k, len(z_flat), live, zdeg, assignment)
     return PartitionBoundReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
 
 
@@ -336,42 +345,20 @@ def rigid_packing_partition_sufficient(g: BipartiteGraph, k: int) -> OracleResul
     value 0: some (Z, pi) violates the inequality and is returned as the
     witness; the condition is only sufficient, so this refutes nothing.
     """
-    if int(k) != k or k < 1:
-        raise InvalidParam(f"k must be a positive integer, got {k!r}")
+    _check_k(k)
     n = g.n
     if n > PARTITION_SUFFICIENT_GUARD:
         raise TooLarge(
             f"partition check guarded at {PARTITION_SUFFICIENT_GUARD} vertices"
         )
-    adj = flat_adjacency(g)
-    edges = flat_edges(g)
+    edges, adj = flat_edges(g), flat_adjacency(g)
     for z_size in range(min(2, n - 1) + 1):
         for z_combo in itertools.combinations(range(n), z_size):
             z_set = set(z_combo)
             rest = [v for v in range(n) if v not in z_set]
-            live = [
-                (u, v) for u, v in edges if u not in z_set and v not in z_set
-            ]
-            zdeg = [sum(1 for w in adj[v] if w in z_set) for v in rest]
-            index_of = {v: i for i, v in enumerate(rest)}
+            live, zdeg = _outside_z(edges, adj, z_set, rest)
             for assignment in iter_partition_assignments(len(rest)):
-                t = max(assignment) + 1
-                sizes = [0] * t
-                for lab in assignment:
-                    sizes[lab] += 1
-                n0 = sum(1 for s in sizes if s == 1)
-                n0p = t - n0
-                nz = sum(
-                    zdeg[i]
-                    for i, lab in enumerate(assignment)
-                    if sizes[lab] == 1
-                )
-                rhs = k * (3 - z_size) * n0p + 2 * k * n0 - 3 * k - nz
-                lhs = sum(
-                    1
-                    for u, v in live
-                    if assignment[index_of[u]] != assignment[index_of[v]]
-                )
+                lhs, rhs = _partition_sides(k, z_size, live, zdeg, assignment)
                 if lhs < rhs:
                     verts = [flat_vertex(g, v) for v in rest]
                     witness = PartitionWitness(

@@ -3,6 +3,8 @@
 import pytest
 
 from biregular import (
+    BipartiteGraph,
+    GraphProperty,
     complete_bipartite,
     even_cycle,
     heawood,
@@ -10,7 +12,17 @@ from biregular import (
 )
 from biregular.errors import TooSmall
 from biregular.graphs import flat_vertex
-from biregular.oracles import edge_connectivity, flow, vertex_connectivity
+from biregular.oracles import (
+    EdgeCut,
+    ForestPacking,
+    OracleResult,
+    Separator,
+    edge_connectivity,
+    flow,
+    is_globally_rigid,
+    tree_packing_number,
+    vertex_connectivity,
+)
 
 from testutil import (
     DISCONNECTED,
@@ -111,9 +123,29 @@ def test_separator_witness_disconnects():
 
 
 def test_vertex_connectivity_disconnected_and_small():
-    assert vertex_connectivity(DISCONNECTED).value == 0
+    res = vertex_connectivity(DISCONNECTED)
+    assert res.value == 0
+    assert res.witness == Separator(())
     with pytest.raises(TooSmall):
         vertex_connectivity(complete_bipartite(1, 1))
+
+
+def test_isolated_vertex():
+    # x2 and y2 have no edges, so delta = 0: each search, not a separate
+    # connectivity check, must give 0 with an empty witness.
+    g = BipartiteGraph(3, 3, ((0, 0), (0, 1), (1, 0), (1, 1)))
+    assert edge_connectivity(g) == OracleResult(
+        GraphProperty.EDGE_CONNECTIVITY, 0, EdgeCut(()), True
+    )
+    assert vertex_connectivity(g) == OracleResult(
+        GraphProperty.VERTEX_CONNECTIVITY, 0, Separator(()), True
+    )
+    assert tree_packing_number(g) == OracleResult(
+        GraphProperty.TREE_PACKING, 0, ForestPacking(()), True
+    )
+    assert is_globally_rigid(g) == OracleResult(
+        GraphProperty.GLOBAL_RIGIDITY, 0, None, True
+    )
 
 
 def test_whitney_chain_on_corpus():

@@ -5,6 +5,7 @@ import pytest
 from biregular import complete_bipartite, even_cycle
 from biregular.errors import TooLarge
 from biregular.oracles import (
+    ForestPacking,
     tree_packing_number,
     tree_packing_partition_bruteforce,
 )
@@ -36,7 +37,9 @@ def test_k_max_caps_the_search():
 
 
 def test_disconnected_tau_zero():
-    assert tree_packing_number(DISCONNECTED).value == 0
+    res = tree_packing_number(DISCONNECTED)
+    assert res.value == 0
+    assert res.witness == ForestPacking(())
     assert tree_packing_partition_bruteforce(DISCONNECTED, 1).value == 0
 
 
