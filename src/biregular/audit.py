@@ -90,7 +90,7 @@ PROPERTIES: dict[GraphProperty, PropertySpec] = {
     ),
     GraphProperty.RIGID_PACKING: PropertySpec(
         lambda g, k, spectrum=None: certify_rigid_packing(g, k, spectrum),
-        lambda g, k: greedy_rigid_packing(g, k or 1),
+        lambda g, k: greedy_rigid_packing(g, 1 if k is None else k),
         when_fired=True,
     ),
     GraphProperty.GLOBAL_RIGIDITY: PropertySpec(

@@ -133,6 +133,8 @@ def _cmd_verify(args):
     oracle = PROPERTIES[prop].oracle
     if oracle is None:
         raise UsageError(f"no exact oracle for {prop.value!r}")
+    if args.k is not None and args.k < 1:
+        raise InvalidParam(f"k must be a positive integer, got {args.k!r}")
     res = oracle(g, args.k)
     if args.json:
         payload = {

@@ -1,9 +1,11 @@
 """Set-partition enumeration used by the brute-force partition oracles.
 
 Partitions are enumerated as restricted growth strings: assignment a with
-a[0] = 0 and a[i] <= 1 + max(a[:i]). Bell numbers explode (Bell(12) is
-already 4.2 million), so callers guard their input sizes; the helper here
-enforces a hard ceiling of 12 items.
+a[0] = 0 and a[i] <= 1 + max(a[:i]), in lexicographic order. A running
+prefix maximum finds the position to increment without rescanning a, and
+the last position runs through its range in one inner loop. Bell numbers
+explode (Bell(12) is already 4.2 million), so callers guard their input
+sizes; the helper here enforces a hard ceiling of 12 items.
 """
 
 from __future__ import annotations
@@ -22,22 +24,23 @@ def iter_partition_assignments(n: int) -> Iterator[list[int]]:
     """
     if n > PARTITION_GUARD:
         raise TooLarge(f"partition enumeration guarded at {PARTITION_GUARD}")
-    if n == 0:
-        yield []
+    if n <= 1:
+        yield [0] * n
         return
     a = [0] * n
+    top = [0] * (n - 1)  # top[i] = max(a[:i + 1])
     while True:
-        yield a
-        j = n - 1
-        while j > 0:
-            if a[j] < max(a[:j]) + 1:
-                break
+        for last in range(top[-1] + 2):
+            a[-1] = last
+            yield a
+        j = n - 2
+        while j > 0 and a[j] > top[j - 1]:
             j -= 1
         if j == 0:
             return
         a[j] += 1
-        for i in range(j + 1, n):
-            a[i] = 0
+        a[j + 1 :] = [0] * (n - 1 - j)
+        top[j:] = [max(top[j - 1], a[j])] * (n - 1 - j)
 
 
 def blocks_from_assignment(items, assignment) -> tuple[tuple, ...]:

@@ -8,6 +8,16 @@ pebble is consumed to orient the accepted edge. A graph on n vertices is
 rigid exactly when the rank reaches 2n - 3, and the accepted edges of a
 rigid graph form a spanning minimally rigid (Laman) subgraph.
 
+Redundant rigidity reads fundamental circuits off the same game. When an
+edge f = (u, v) is rejected, the failed searches left no pebble on the
+vertices T reachable from u and v along accepted-edge orientations, apart
+from the 3 on u and v. A vertex's 2 pebbles are free or spent on an
+out-edge, and no out-edge leaves T, so T spans 2|T| - 3 accepted edges: it
+is tight. A tight set holding u and v has at most 3 free pebbles, so
+exactly theirs, and no out-edge, so it contains T. Hence T is the smallest
+tight set holding u and v, and the circuit of f is f plus the accepted
+edges inside T. A basis edge is critical exactly when no circuit covers it.
+
 An independent randomized cross-check builds the rigidity matrix at random
 positions over a large prime field and row-reduces it; by Schwartz-Zippel
 its rank equals the generic rank except with vanishing probability, so any
@@ -84,8 +94,12 @@ def _pull_pebble(root, banned, peb, succ):
     return False
 
 
-def _pebble_accepted(n, edges):
-    """Indices of flat-id edges accepted by the (2,3) pebble game, in feed order."""
+def _pebble_accepted(n, edges, rejected=None):
+    """Indices of flat-id edges accepted by the (2,3) pebble game, in feed order.
+
+    ``rejected(u, v, succ)``, when given, is called at each rejected edge
+    with the orientation the failed search left; a true return ends the game.
+    """
     peb = [2] * n
     succ = [set() for _ in range(n)]
     accepted = []
@@ -100,6 +114,8 @@ def _pebble_accepted(n, edges):
             peb[u] -= 1
             succ[u].add(v)
             accepted.append(idx)
+        elif rejected is not None and rejected(u, v, succ):
+            break
     return accepted
 
 
@@ -175,22 +191,38 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
 def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
     """1 iff g is rigid and stays rigid after deleting any single edge.
 
-    Only the 2n - 3 edges of the pebble game's basis are deleted and
-    re-tested: deleting any other edge leaves that basis whole, and a
-    critical edge lies in every basis. The basis is in sorted feed order,
-    so for a non-redundant rigid graph the witness is the first critical
-    edge of g.edges, whose removal kills rigidity.
+    Deleting a basis edge e keeps g rigid exactly when some rejected edge f
+    can replace it, i.e. when e lies in the fundamental circuit of f;
+    deleting any other edge leaves the basis whole. One pebble game in
+    sorted feed order marks each circuit as its edge is rejected (see the
+    module docstring) and stops once all 2n - 3 basis edges are covered.
+    The witness of a rigid, non-redundant graph is the first uncovered
+    basis edge, which is the first critical edge of g.edges.
     """
     target = 2 * g.n - 3
-    res = rigidity_rank(g)
-    if res.value != target:
+    covered = set()
+
+    def cover_circuit(u, v, succ):
+        reach = {u, v}
+        stack = [u, v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in reach:
+                    reach.add(w)
+                    stack.append(w)
+        covered.update((min(w, x), max(w, x)) for w in reach for x in succ[w])
+        return len(covered) == target
+
+    edges = flat_edges(g)
+    accepted = _pebble_accepted(g.n, edges, cover_circuit)
+    if len(accepted) != target:
         return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
-    for edge in res.witness.edges:
-        remaining = [e for e in g.edges if e != edge]
-        rank, _ = pebble_rank_edges(g, remaining)
-        if rank != target:
-            return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, edge, True)
-    return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 1, None, True)
+    critical = next(
+        (g.edges[i] for i in accepted if edges[i] not in covered), None
+    )
+    return OracleResult(
+        GraphProperty.GLOBAL_RIGIDITY, int(critical is None), critical, True
+    )
 
 
 def is_globally_rigid(g: BipartiteGraph) -> OracleResult:

@@ -143,6 +143,21 @@ def test_verify_other_properties(tmp_path, c6_file):
     assert payload["witness"] == {"kind": "tuple", "value": "(0, 0)"}
 
 
+@pytest.mark.parametrize("prop", ["rigid-packing", "stp"])
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_verify_rejects_k_below_one(capsys, tmp_path, prop, k):
+    k66 = tmp_path / "k66.bbg"
+    k66.write_text(write_bbg(complete_bipartite(6, 6)))
+    for command in ("verify", "certify"):
+        args = [command, "--property", prop, "--k", k, "--input", str(k66)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"usage error: k must be a positive integer, got {int(k)}\n"
+        )
+
+
 def test_verify_ramanujan_has_no_oracle(c6_file):
     res = run_cli("verify", "--property", "ramanujan", "--input", c6_file)
     assert res.returncode == 1

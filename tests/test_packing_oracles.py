@@ -6,11 +6,16 @@ from biregular import complete_bipartite, even_cycle
 from biregular.errors import TooLarge
 from biregular.oracles import (
     ForestPacking,
+    iter_partition_assignments,
     tree_packing_number,
     tree_packing_partition_bruteforce,
 )
 
-from testutil import is_spanning_tree, small_corpus
+from testutil import (
+    is_spanning_tree,
+    iter_partition_assignments_reference,
+    small_corpus,
+)
 
 from test_flow_oracles import DISCONNECTED
 
@@ -78,6 +83,16 @@ def test_forest_witnesses_revalidate_on_corpus():
             assert is_spanning_tree(g, forest)
             assert not (seen & set(forest))
             seen.update(forest)
+
+
+def test_partition_enumeration_keeps_its_order():
+    # Brute-force values and witnesses are the first violating assignment,
+    # so the enumeration order is part of their output.
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
+    for n in range(10):
+        got = [list(a) for a in iter_partition_assignments(n)]
+        assert got == list(iter_partition_assignments_reference(n))
+        assert len(got) == bell[n]
 
 
 def test_partition_guard():

@@ -28,6 +28,7 @@ from testutil import (
     K44_PENDANT,
     medium_corpus,
     modular_rank_bruteforce,
+    redundantly_rigid_reference,
     rigid_packing_exhaustive,
     small_corpus,
 )
@@ -106,6 +107,51 @@ def test_critical_edge_witness():
         critical = _first_critical_edge(g)
         res = is_redundantly_rigid(g)
         assert (res.value, res.witness) == (int(critical is None), critical)
+
+
+def _near_laman_subgraphs(count, seed):
+    """Seeded subgraphs of K_{m,n}, m, n <= 7, keeping 2N-5 .. 2N of the
+    edges (all of them if fewer), N = m + n."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        m, n = 2 + rng.below(6), 2 + rng.below(6)
+        edges = list(complete_bipartite(m, n).edges)
+        rng.shuffle(edges)
+        keep = 2 * (m + n) - 5 + rng.below(6)
+        yield BipartiteGraph(m, n, tuple(edges[:keep]))
+
+
+def _seeded_circulants(seed):
+    """Bipartite circulants x_i ~ y_((i + s) mod n), s in a seeded S, for
+    (n, |S|) from (16, 12) to (26, 18)."""
+    for slot, (n, d) in enumerate(((16, 12), (20, 15), (23, 14), (26, 18))):
+        rng = SplitMix64(derive_seed(seed, slot))
+        pool = list(range(n))
+        rng.shuffle(pool)
+        edges = tuple((i, (i + s) % n) for i in range(n) for s in pool[:d])
+        yield BipartiteGraph(n, n, edges)
+
+
+def test_redundant_rigidity_matches_per_edge_reference():
+    graphs = [
+        *_seeded_circulants(31),
+        complete_bipartite(12, 12),
+        complete_bipartite(12, 18),
+        complete_bipartite(18, 18),
+        *small_corpus(),
+        *medium_corpus(),
+        K44_PENDANT,
+        *_near_laman_subgraphs(400, 2024),
+    ]
+    witnessed = redundant = 0
+    for g in graphs:
+        res = is_redundantly_rigid(g)
+        assert res == redundantly_rigid_reference(g)
+        witnessed += res.witness is not None
+        redundant += res.value
+    # The comparison must reach both answers of a rigid graph.
+    assert witnessed >= 80
+    assert redundant >= 40
 
 
 def test_global_rigidity_cutoff_matches_full_kappa():

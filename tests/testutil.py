@@ -14,7 +14,10 @@ import numpy as np
 from biregular import random_biregular
 from biregular.errors import RetriesExhausted
 from biregular.graphs import BipartiteGraph, flat_adjacency
+from biregular.oracles import OracleResult, rigidity_rank
+from biregular.oracles.rigidity import pebble_rank_edges
 from biregular.prng import SplitMix64, derive_seed
+from biregular.properties import GraphProperty
 from biregular.spectral import mixing_check
 
 
@@ -356,6 +359,48 @@ def modular_rank_bruteforce(g: BipartiteGraph, edges, seed=12345) -> int:
         if r == n_rows:
             break
     return r
+
+
+def redundantly_rigid_reference(g: BipartiteGraph):
+    """``is_redundantly_rigid`` by one pebble game per basis edge (slow).
+
+    Deletes each of the 2n - 3 edges of the sorted-order basis in turn and
+    re-runs the game on the rest; the first deletion that drops the rank is
+    the critical-edge witness.
+    """
+    target = 2 * g.n - 3
+    res = rigidity_rank(g)
+    if res.value != target:
+        return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
+    for edge in res.witness.edges:
+        rank, _ = pebble_rank_edges(g, [e for e in g.edges if e != edge])
+        if rank != target:
+            return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, edge, True)
+    return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 1, None, True)
+
+
+def iter_partition_assignments_reference(n: int):
+    """Restricted growth strings of length n, scanning max(a[:j]) each step.
+
+    The enumeration order ``iter_partition_assignments`` must keep. Yields
+    fresh lists.
+    """
+    if n == 0:
+        yield []
+        return
+    a = [0] * n
+    while True:
+        yield list(a)
+        j = n - 1
+        while j > 0:
+            if a[j] < max(a[:j]) + 1:
+                break
+            j -= 1
+        if j == 0:
+            return
+        a[j] += 1
+        for i in range(j + 1, n):
+            a[i] = 0
 
 
 def rigid_packing_exhaustive(g: BipartiteGraph, k: int) -> int:
