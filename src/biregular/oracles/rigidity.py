@@ -18,6 +18,28 @@ exactly theirs, and no out-edge, so it contains T. Hence T is the smallest
 tight set holding u and v, and the circuit of f is f plus the accepted
 edges inside T. A basis edge is critical exactly when no circuit covers it.
 
+The game keeps rigid components (Lee and Streinu 2008) so that most
+rejections need no search. Three facts make this safe:
+
+- The reach set T of a searched rejection is tight, as above.
+- Two tight sets A and B sharing at least two vertices have a tight union
+  with no accepted edge between A - B and B - A. Sparsity caps the edges
+  i(A & B) inside the intersection at 2|A & B| - 3, so the union spans
+  i(A) + i(B) - i(A & B) >= 2|A | B| - 3 edges plus the crossing ones,
+  and sparsity caps that total at 2|A | B| - 3 too. One shared vertex
+  spans no edge and the bound fails: two sets sharing one vertex can turn
+  about it (a hinge), so they are never merged.
+- A tight set stays tight, since accepted edges are never removed.
+
+So every component is tight, an edge with both ends in one is dependent,
+and skipping its search leaves the accepted indices as they were: the
+greedy basis of a matroid in a fixed feed order is unique. Nor does
+redundancy lose a circuit. Each accepted edge inside a component lies in
+one of the reach sets that formed it, no edge is accepted inside a tight
+set later, and the circuit of every reach set was covered when it was
+found; the circuit of a skipped edge lies inside its component and so
+covers nothing new.
+
 An independent randomized cross-check builds the rigidity matrix at random
 positions over a large prime field and row-reduces it; by Schwartz-Zippel
 its rank equals the generic rank except with vanishing probability, so any
@@ -97,13 +119,22 @@ def _pull_pebble(root, banned, peb, succ):
 def _pebble_accepted(n, edges, rejected=None):
     """Indices of flat-id edges accepted by the (2,3) pebble game, in feed order.
 
-    ``rejected(u, v, succ)``, when given, is called at each rejected edge
-    with the orientation the failed search left; a true return ends the game.
+    Known rigid components are kept as vertex bitmasks: an edge inside one
+    is rejected without a search. At a searched rejection the reach set
+    becomes a component, merged with every component it shares two or
+    more vertices with. ``rejected(reach, succ)``, when given, is called
+    there with the reach set and the orientation the failed search left; a
+    true return ends the game. Edges rejected inside a component are not
+    passed to it: their circuits were covered when the component formed.
     """
     peb = [2] * n
     succ = [set() for _ in range(n)]
+    components = []
     accepted = []
     for idx, (u, v) in enumerate(edges):
+        ends = (1 << u) | (1 << v)
+        if any(c & ends == ends for c in components):
+            continue
         while peb[u] + peb[v] < 4:
             if peb[u] < 2 and _pull_pebble(u, v, peb, succ):
                 continue
@@ -114,9 +145,37 @@ def _pebble_accepted(n, edges, rejected=None):
             peb[u] -= 1
             succ[u].add(v)
             accepted.append(idx)
-        elif rejected is not None and rejected(u, v, succ):
+            continue
+        reach = {u, v}
+        stack = [u, v]
+        while stack:
+            for w in succ[stack.pop()]:
+                if w not in reach:
+                    reach.add(w)
+                    stack.append(w)
+        components = _merge_component(components, sum(1 << w for w in reach))
+        if rejected is not None and rejected(reach, succ):
             break
     return accepted
+
+
+def _merge_component(components, mask):
+    # Tight sets sharing two or more vertices have a tight union; sharing
+    # one is not enough (a hinge), so those stay apart.
+    merged = True
+    while merged:
+        merged = False
+        rest = []
+        for c in components:
+            common = c & mask
+            if common & (common - 1):
+                mask |= c
+                merged = True
+            else:
+                rest.append(c)
+        components = rest
+    components.append(mask)
+    return components
 
 
 def pebble_rank_edges(g: BipartiteGraph, edges) -> tuple[int, tuple[EdgePair, ...]]:
@@ -167,21 +226,20 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
     # Entries stay below p and products below p**2 < 2**62, inside int64.
+    # Forward elimination only: the rank does not need the rows above a
+    # pivot cleared, and rows with a zero in the pivot column do not change.
     a = mat % p
     rows, cols = a.shape
     r = 0
     for c in range(cols):
-        nonzero = np.flatnonzero(a[r:, c])
+        nonzero = r + np.flatnonzero(a[r:, c])
         if not nonzero.size:
             continue
-        pivot = r + int(nonzero[0])
-        if pivot != r:
-            a[[r, pivot]] = a[[pivot, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
+        if nonzero[0] != r:
+            a[[r, nonzero[0]]] = a[[nonzero[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        below = nonzero[1:]
+        a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
         r += 1
         if r == rows:
             break
@@ -194,22 +252,17 @@ def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
     Deleting a basis edge e keeps g rigid exactly when some rejected edge f
     can replace it, i.e. when e lies in the fundamental circuit of f;
     deleting any other edge leaves the basis whole. One pebble game in
-    sorted feed order marks each circuit as its edge is rejected (see the
-    module docstring) and stops once all 2n - 3 basis edges are covered.
+    sorted feed order marks the accepted edges inside the reach set of each
+    searched rejection, that edge's circuit; an edge rejected inside a known
+    rigid component has no new circuit to mark (see the module docstring).
+    The game stops once all 2n - 3 basis edges are covered.
     The witness of a rigid, non-redundant graph is the first uncovered
     basis edge, which is the first critical edge of g.edges.
     """
     target = 2 * g.n - 3
     covered = set()
 
-    def cover_circuit(u, v, succ):
-        reach = {u, v}
-        stack = [u, v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
+    def cover_circuit(reach, succ):
         covered.update((min(w, x), max(w, x)) for w in reach for x in succ[w])
         return len(covered) == target
 

@@ -1,5 +1,6 @@
 """Pebble game, modular rank cross-check, packings, and partition bounds."""
 
+import numpy as np
 import pytest
 
 from biregular import (
@@ -10,6 +11,7 @@ from biregular import (
     random_biregular,
 )
 from biregular.errors import InvalidParam, InvalidPartition, TooLarge, TooSmall
+from biregular.graphs import flat_edges
 from biregular.oracles import (
     greedy_rigid_packing,
     is_globally_rigid,
@@ -21,6 +23,7 @@ from biregular.oracles import (
     rigidity_rank,
     vertex_connectivity,
 )
+from biregular.oracles import rigidity
 from biregular.prng import SplitMix64, derive_seed
 
 from testutil import (
@@ -28,6 +31,8 @@ from testutil import (
     K44_PENDANT,
     medium_corpus,
     modular_rank_bruteforce,
+    pebble_accepted_reference,
+    rank_mod_p_reference,
     redundantly_rigid_reference,
     rigid_packing_exhaustive,
     small_corpus,
@@ -152,6 +157,100 @@ def test_redundant_rigidity_matches_per_edge_reference():
     # The comparison must reach both answers of a rigid graph.
     assert witnessed >= 80
     assert redundant >= 40
+
+
+def test_component_shortcut_matches_full_search():
+    # Rejecting inside a known rigid component must accept exactly the
+    # edges the game with a search at every edge accepts, in either feed.
+    graphs = [
+        *_seeded_circulants(31),
+        *_seeded_circulants(57),
+        complete_bipartite(12, 12),
+        complete_bipartite(12, 18),
+        complete_bipartite(18, 18),
+        *small_corpus(),
+        *medium_corpus(),
+        K44_PENDANT,
+        *_near_laman_subgraphs(300, 4048),
+    ]
+    rejected = 0
+    for g in graphs:
+        for order in (g.edges, rigidity._spread_order(g, g.edges)):
+            edges = flat_edges(g, order)
+            accepted = rigidity._pebble_accepted(g.n, edges)
+            assert accepted == pebble_accepted_reference(g.n, edges)
+            rejected += g.m - len(accepted)
+    assert rejected >= 5000
+
+
+# Two K3,4 copies, x0..x2 x y0..y3 and x2..x4 x y4..y7, hinged at x2: each
+# is rigid with rank 11 but the two turn about x2, so the bridge (0, 4)
+# is independent and the rank is 23 = 2 * 13 - 3.
+HINGE_EDGES = (
+    tuple((i, j) for i in range(3) for j in range(4))
+    + tuple((i, j) for i in range(2, 5) for j in range(4, 8))
+    + ((0, 4),)
+)
+
+
+def test_components_sharing_one_vertex_stay_apart():
+    g = BipartiteGraph(5, 8, HINGE_EDGES)
+    rank, independent = rigidity.pebble_rank_edges(g, HINGE_EDGES)
+    assert rank == 23 == 2 * g.n - 3
+    assert independent[-1] == (0, 4)
+    assert rank == modular_rank_bruteforce(g, HINGE_EDGES)
+
+
+def test_component_shortcut_search_count(monkeypatch):
+    # K18,18 accepts 69 of 324 edges. With a search at every rejection the
+    # game pulls 661 times in sorted feed, 1169 in spread feed and 631 in
+    # is_redundantly_rigid; with components it pulls about 211, 167, 211.
+    calls = 0
+    pull = rigidity._pull_pebble
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return pull(*args)
+
+    monkeypatch.setattr(rigidity, "_pull_pebble", counted)
+    g = complete_bipartite(18, 18)
+    for order in (g.edges, rigidity._spread_order(g, g.edges)):
+        calls = 0
+        assert rigidity.pebble_rank_edges(g, order)[0] == 2 * g.n - 3
+        assert calls <= 220
+    calls = 0
+    assert is_redundantly_rigid(g).value == 1
+    assert calls <= 220
+
+
+def test_forward_elimination_matches_gauss_jordan(monkeypatch):
+    ranks = []
+    rank_mod_p = rigidity._rank_mod_p
+
+    def both(mat, p):
+        ranks.append((rank_mod_p(mat, p), rank_mod_p_reference(mat, p)))
+        return ranks[-1][0]
+
+    monkeypatch.setattr(rigidity, "_rank_mod_p", both)
+    graphs = [*_seeded_circulants(31), *_seeded_circulants(57)]
+    graphs += [complete_bipartite(m, n) for m, n in ((2, 5), (3, 3), (6, 6), (12, 18))]
+    for g in graphs:
+        for seed in RANK_SEEDS:
+            rigidity_matrix_rank_modular(g, seed)
+    monkeypatch.undo()
+
+    rng = np.random.default_rng(20240)
+    for p in (2, 3, 7):
+        for rows, cols in ((1, 1), (3, 9), (9, 3), (12, 12), (20, 7), (7, 20)):
+            for _ in range(8):
+                mat = rng.integers(-50, 50, size=(rows, cols))
+                mat[:, rng.integers(cols)] = 0
+                mat[rng.integers(rows)] = mat[rng.integers(rows)]
+                ranks.append((rank_mod_p(mat, p), rank_mod_p_reference(mat, p)))
+    assert all(new == old for new, old in ranks)
+    # Both full and deficient ranks occur.
+    assert len({new for new, _ in ranks}) >= 10
 
 
 def test_global_rigidity_cutoff_matches_full_kappa():

@@ -15,7 +15,7 @@ from biregular import random_biregular
 from biregular.errors import RetriesExhausted
 from biregular.graphs import BipartiteGraph, flat_adjacency
 from biregular.oracles import OracleResult, rigidity_rank
-from biregular.oracles.rigidity import pebble_rank_edges
+from biregular.oracles.rigidity import _pull_pebble, pebble_rank_edges
 from biregular.prng import SplitMix64, derive_seed
 from biregular.properties import GraphProperty
 from biregular.spectral import mixing_check
@@ -342,21 +342,50 @@ def modular_rank_bruteforce(g: BipartiteGraph, edges, seed=12345) -> int:
         rows.append(row)
     if not rows:
         return 0
-    mat = np.array(rows) % p
+    return rank_mod_p_reference(np.array(rows), p)
+
+
+def pebble_accepted_reference(n, edges):
+    """The (2,3) pebble game with a full search at every edge (the reference).
+
+    No rigid components: each rejection pays its failed pebble searches.
+    """
+    peb = [2] * n
+    succ = [set() for _ in range(n)]
+    accepted = []
+    for idx, (u, v) in enumerate(edges):
+        while peb[u] + peb[v] < 4:
+            if peb[u] < 2 and _pull_pebble(u, v, peb, succ):
+                continue
+            if peb[v] < 2 and _pull_pebble(v, u, peb, succ):
+                continue
+            break
+        if peb[u] + peb[v] >= 4:
+            peb[u] -= 1
+            succ[u].add(v)
+            accepted.append(idx)
+    return accepted
+
+
+def rank_mod_p_reference(mat, p: int) -> int:
+    """Rank over GF(p) by Gauss-Jordan elimination of the whole matrix."""
+    a = np.asarray(mat, dtype=np.int64) % p
+    rows, cols = a.shape
     r = 0
-    n_rows, n_cols = mat.shape
-    for c in range(n_cols):
-        piv = next((i for i in range(r, n_rows) if mat[i, c]), None)
-        if piv is None:
+    for c in range(cols):
+        nonzero = np.flatnonzero(a[r:, c])
+        if not nonzero.size:
             continue
-        mat[[r, piv]] = mat[[piv, r]]
-        inv = pow(int(mat[r, c]), p - 2, p)
-        mat[r] = (mat[r] * inv) % p
-        col = mat[:, c].copy()
+        pivot = r + int(nonzero[0])
+        if pivot != r:
+            a[[r, pivot]] = a[[pivot, r]]
+        inv = pow(int(a[r, c]), p - 2, p)
+        a[r] = (a[r] * inv) % p
+        col = a[:, c].copy()
         col[r] = 0
-        mat = (mat - np.outer(col, mat[r])) % p
+        a = (a - np.outer(col, a[r])) % p
         r += 1
-        if r == n_rows:
+        if r == rows:
             break
     return r
 
