@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 
-from .errors import InvalidParam
+from .errors import check_k
 from .graphs import BipartiteGraph, validate_biregular
 from .properties import GraphProperty, Verdict
 from .spectral import Spectrum, singular_values
@@ -133,12 +133,6 @@ def _certify(
     )
 
 
-def _check_k(k: int) -> int:
-    if int(k) != k or k < 1:
-        raise InvalidParam(f"k must be a positive integer, got {k!r}")
-    return int(k)
-
-
 def edge_connectivity_thresholds(
     a: int, b: int, x: int, y: int, k: int
 ) -> tuple[float, ...]:
@@ -185,7 +179,7 @@ def certify_edge_connectivity(
     g: BipartiteGraph, k: int, spectrum: Spectrum | None = None
 ) -> Certificate:
     """Certificate for k-edge-connectivity; k = 1 doubles as connectivity."""
-    k = _check_k(k)
+    k = check_k(k)
     return _certify(
         g, spectrum, GraphProperty.EDGE_CONNECTIVITY, k,
         lambda a, b: a >= k and b >= k,
@@ -198,7 +192,7 @@ def certify_vertex_connectivity(
     g: BipartiteGraph, k: int, spectrum: Spectrum | None = None
 ) -> Certificate:
     """Certificate for k-connectivity; defined for k >= 2 only."""
-    k = _check_k(k)
+    k = check_k(k)
     return _certify(
         g, spectrum, GraphProperty.VERTEX_CONNECTIVITY, k,
         lambda a, b: k >= 2 and min(a, b) >= k,
@@ -210,7 +204,7 @@ def certify_tree_packing(
     g: BipartiteGraph, k: int, spectrum: Spectrum | None = None
 ) -> Certificate:
     """Certificate for k edge-disjoint spanning trees."""
-    k = _check_k(k)
+    k = check_k(k)
     return _certify(
         g, spectrum, GraphProperty.TREE_PACKING, k,
         lambda a, b: min(a, b) >= 2 * k,
@@ -227,7 +221,7 @@ def certify_rigid_packing(
     subgraphs (any rigid graph on 3+ vertices is 2-connected), and plain
     rigidity when k = 1; both are recorded on ``implied``.
     """
-    k = _check_k(k)
+    k = check_k(k)
     implied = [f"{k}-edge-disjoint-spanning-2-connected-subgraphs"]
     if k == 1:
         implied.append("rigid")

@@ -32,6 +32,7 @@ from .errors import (
     InvalidParam,
     ParseError,
     UsageError,
+    check_k,
 )
 from .graphs import complete_bipartite, even_cycle, heawood, random_biregular
 from .properties import GraphProperty
@@ -114,7 +115,7 @@ def _cmd_spectrum(args):
 def _cmd_certify(args):
     g = _load_graph(args.input)
     prop = GraphProperty(args.property)
-    cert = PROPERTIES[prop].certify(g, args.k)
+    cert = PROPERTIES[prop].certify(g, check_k(args.k))
     if args.json:
         _emit(json.dumps(cert.to_dict()) + "\n", args.out)
     else:
@@ -133,9 +134,7 @@ def _cmd_verify(args):
     oracle = PROPERTIES[prop].oracle
     if oracle is None:
         raise UsageError(f"no exact oracle for {prop.value!r}")
-    if args.k is not None and args.k < 1:
-        raise InvalidParam(f"k must be a positive integer, got {args.k!r}")
-    res = oracle(g, args.k)
+    res = oracle(g, None if args.k is None else check_k(args.k))
     if args.json:
         payload = {
             "property": res.property.value,

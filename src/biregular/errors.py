@@ -9,6 +9,13 @@ class InvalidParam(Error):
     """A parameter is outside its documented domain."""
 
 
+def check_k(k) -> int:
+    """k as an int; InvalidParam unless it is a positive integer."""
+    if int(k) != k or k < 1:
+        raise InvalidParam(f"k must be a positive integer, got {k!r}")
+    return int(k)
+
+
 class EmptyGraph(Error):
     """The graph has no edges where at least one is required."""
 

@@ -1,8 +1,13 @@
 """Exact combinatorial oracles that ground-truth every certified property."""
 
 from .flow import edge_connectivity, vertex_connectivity
-from .packing import tree_packing_number, tree_packing_partition_bruteforce
-from .partitions import iter_partition_assignments
+from .packing import tree_packing_number
+from .partitions import (
+    PartitionBoundReport,
+    rigid_packing_partition_bound,
+    rigid_packing_partition_sufficient,
+    tree_packing_partition_bruteforce,
+)
 from .result import (
     EdgeCut,
     ForestPacking,
@@ -13,13 +18,10 @@ from .result import (
     Separator,
 )
 from .rigidity import (
-    PartitionBoundReport,
     greedy_rigid_packing,
     is_globally_rigid,
     is_redundantly_rigid,
     is_rigid,
-    rigid_packing_partition_bound,
-    rigid_packing_partition_sufficient,
     rigidity_matrix_rank_modular,
     rigidity_rank,
 )
@@ -38,7 +40,6 @@ __all__ = [
     "is_globally_rigid",
     "is_redundantly_rigid",
     "is_rigid",
-    "iter_partition_assignments",
     "rigid_packing_partition_bound",
     "rigid_packing_partition_sufficient",
     "rigidity_matrix_rank_modular",

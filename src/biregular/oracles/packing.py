@@ -1,4 +1,4 @@
-"""Spanning tree packing: exact matroid-union packing and a partition brute force.
+"""Spanning tree packing by exact graphic matroid union.
 
 ``tree_packing_number`` grows k edge-disjoint forests with the classic
 augmenting-exchange algorithm for graphic matroid union: a rejected edge
@@ -7,27 +7,15 @@ shortest augmenting chain of moves frees a slot whenever one exists. The
 graph packs k spanning trees exactly when all k forests fill to n-1 edges.
 A disconnected graph needs no separate check: none of its forests spans,
 so the search stops by k = 1 with tau = 0.
-
-``tree_packing_partition_bruteforce`` evaluates the partition
-characterization directly: the packing number of a connected graph equals
-the minimum over all vertex partitions with t >= 2 blocks of
-floor(cross_edges / (t - 1)). It enumerates every partition and is guarded
-at 12 vertices; the two oracles must agree wherever both run.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from ..errors import TooLarge
-from ..graphs import BipartiteGraph, flat_edges, flat_vertex
+from ..graphs import BipartiteGraph, flat_edges
 from ..properties import GraphProperty
-from .partitions import (
-    PARTITION_GUARD,
-    blocks_from_assignment,
-    iter_partition_assignments,
-)
-from .result import ForestPacking, OracleResult, PartitionWitness
+from .result import ForestPacking, OracleResult
 
 
 class _ForestFamily:
@@ -140,33 +128,3 @@ def tree_packing_number(
     return OracleResult(
         GraphProperty.TREE_PACKING, best, ForestPacking(best_forests), True
     )
-
-
-def tree_packing_partition_bruteforce(g: BipartiteGraph, k: int) -> OracleResult:
-    """Partition characterization of tau by full enumeration (n <= 12).
-
-    Returns min over partitions with t >= 2 of floor(e(pi) / (t - 1)); when
-    that value is below k the witness is a violating partition.
-    """
-    n = g.n
-    if n > PARTITION_GUARD:
-        raise TooLarge(f"partition brute force guarded at {PARTITION_GUARD}")
-    edges = flat_edges(g)
-    best = None
-    best_assignment = None
-    for assignment in iter_partition_assignments(n):
-        t = max(assignment) + 1
-        if t < 2:
-            continue
-        crossing = sum(1 for u, v in edges if assignment[u] != assignment[v])
-        value = crossing // (t - 1)
-        if best is None or value < best:
-            best = value
-            best_assignment = assignment.copy()
-    witness = None
-    if best is not None and best < k:
-        verts = [flat_vertex(g, fid) for fid in range(n)]
-        witness = PartitionWitness(
-            removed=(), blocks=blocks_from_assignment(verts, best_assignment)
-        )
-    return OracleResult(GraphProperty.TREE_PACKING, best or 0, witness, True)

@@ -55,42 +55,20 @@ which settles every k, and m // (2n-3) rounds use up all the room the edge
 count leaves; any other later failure never refutes. A bipartite graph on
 n <= 14 vertices has m <= n^2/4 < 2(2n-3) edges, so there greedy is always
 exact.
-
-Both partition oracles evaluate the packing partition inequality through
-one helper, ``_partition_sides``; ``_outside_z`` prepares its inputs that
-depend only on the removed set Z (the edges of g - Z and the Z-degrees),
-once per Z.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
-from ..errors import InvalidParam, InvalidPartition, TooLarge, TooSmall
-from ..graphs import (
-    BipartiteGraph,
-    EdgePair,
-    flat_adjacency,
-    flat_edges,
-    flat_index,
-    flat_vertex,
-)
+from ..errors import TooSmall, check_k
+from ..graphs import BipartiteGraph, EdgePair, flat_adjacency, flat_edges
 from ..prng import SplitMix64
 from ..properties import GraphProperty
 from .flow import _vertex_cut
-from .partitions import blocks_from_assignment, iter_partition_assignments
-from .result import LamanPacking, LamanSubgraph, OracleResult, PartitionWitness
+from .result import LamanPacking, LamanSubgraph, OracleResult
 
 RANK_FIELD_PRIME = 2**31 - 1
-PARTITION_SUFFICIENT_GUARD = 9
-
-
-def _check_k(k) -> None:
-    if int(k) != k or k < 1:
-        raise InvalidParam(f"k must be a positive integer, got {k!r}")
 
 
 def _pull_pebble(root, banned, peb, succ):
@@ -313,7 +291,7 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     successful round does not refute the packing. That takes
     m >= 2(2n-3), so n >= 15.
     """
-    _check_k(k)
+    check_k(k)
     target = 2 * g.n - 3
     if k == 1:
         res = rigidity_rank(g)
@@ -341,116 +319,3 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
         LamanPacking(tuple(extracted)),
         len(extracted) == min(k, g.m // target),
     )
-
-
-def _outside_z(edges, adj, z_set, rest):
-    """Edges of g - Z as index pairs into ``rest``, and each rest vertex's
-    number of Z-neighbors: the inputs of the partition inequality that
-    depend only on Z."""
-    index_of = {v: i for i, v in enumerate(rest)}
-    live = [
-        (index_of[u], index_of[v])
-        for u, v in edges
-        if u not in z_set and v not in z_set
-    ]
-    zdeg = [sum(1 for w in adj[v] if w in z_set) for v in rest]
-    return live, zdeg
-
-
-def _partition_sides(k, z_size, live, zdeg, assignment):
-    """(lhs, rhs) of the partition inequality for one block labelling of
-    the rest, with ``live`` and ``zdeg`` from ``_outside_z``."""
-    t = max(assignment) + 1
-    sizes = [0] * t
-    for lab in assignment:
-        sizes[lab] += 1
-    n0 = sizes.count(1)
-    nz = sum(zdeg[i] for i, lab in enumerate(assignment) if sizes[lab] == 1)
-    rhs = k * (3 - z_size) * (t - n0) + 2 * k * n0 - 3 * k - nz
-    lhs = sum(1 for u, v in live if assignment[u] != assignment[v])
-    return lhs, rhs
-
-
-@dataclass(frozen=True)
-class PartitionBoundReport:
-    """Both sides of the packing partition inequality for one (Z, pi)."""
-
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def rigid_packing_partition_bound(
-    g: BipartiteGraph, k: int, removed, partition
-) -> PartitionBoundReport:
-    """Evaluate the partition inequality for k rigid-subgraph packings.
-
-    With Z the removed set and pi a partition of the rest having n0 trivial
-    and n0' nontrivial blocks:
-
-        lhs = cross-block edges of pi in g - Z
-        rhs = k (3 - |Z|) n0' + 2 k n0 - 3 k - n_Z(pi)
-
-    where n_Z(pi) sums, over trivial blocks {v}, the number of Z-vertices
-    adjacent to v. The inequality lhs >= rhs for every choice of (Z, pi) is
-    sufficient for k edge-disjoint spanning rigid subgraphs.
-    """
-    _check_k(k)
-    z_flat = {flat_index(g, v) for v in removed}
-    if len(z_flat) >= g.n:
-        raise InvalidPartition("removed set must be a proper subset")
-    seen = set()
-    flat_blocks = []
-    for block in partition:
-        fb = [flat_index(g, v) for v in block]
-        if not fb:
-            raise InvalidPartition("empty block")
-        for fid in fb:
-            if fid in z_flat:
-                raise InvalidPartition("block overlaps the removed set")
-            if fid in seen:
-                raise InvalidPartition("blocks are not disjoint")
-            seen.add(fid)
-        flat_blocks.append(fb)
-    if len(seen) != g.n - len(z_flat):
-        raise InvalidPartition("blocks do not cover all remaining vertices")
-
-    rest = [fid for fb in flat_blocks for fid in fb]
-    assignment = [li for li, fb in enumerate(flat_blocks) for _ in fb]
-    live, zdeg = _outside_z(flat_edges(g), flat_adjacency(g), z_flat, rest)
-    lhs, rhs = _partition_sides(k, len(z_flat), live, zdeg, assignment)
-    return PartitionBoundReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
-
-
-def rigid_packing_partition_sufficient(g: BipartiteGraph, k: int) -> OracleResult:
-    """Check the partition inequality over all |Z| <= 2 and all partitions.
-
-    value 1 (all hold): the bounded check found no violation; for graphs
-    within the guard this implies k edge-disjoint spanning rigid subgraphs.
-    value 0: some (Z, pi) violates the inequality and is returned as the
-    witness; the condition is only sufficient, so this refutes nothing.
-    """
-    _check_k(k)
-    n = g.n
-    if n > PARTITION_SUFFICIENT_GUARD:
-        raise TooLarge(
-            f"partition check guarded at {PARTITION_SUFFICIENT_GUARD} vertices"
-        )
-    edges, adj = flat_edges(g), flat_adjacency(g)
-    for z_size in range(min(2, n - 1) + 1):
-        for z_combo in itertools.combinations(range(n), z_size):
-            z_set = set(z_combo)
-            rest = [v for v in range(n) if v not in z_set]
-            live, zdeg = _outside_z(edges, adj, z_set, rest)
-            for assignment in iter_partition_assignments(len(rest)):
-                lhs, rhs = _partition_sides(k, z_size, live, zdeg, assignment)
-                if lhs < rhs:
-                    verts = [flat_vertex(g, v) for v in rest]
-                    witness = PartitionWitness(
-                        removed=tuple(flat_vertex(g, v) for v in z_combo),
-                        blocks=blocks_from_assignment(verts, assignment),
-                    )
-                    return OracleResult(
-                        GraphProperty.RIGID_PACKING, 0, witness, True
-                    )
-    return OracleResult(GraphProperty.RIGID_PACKING, 1, None, True)

@@ -9,6 +9,7 @@ import pytest
 
 from biregular import complete_bipartite, even_cycle, parse_bbg, write_bbg
 from biregular.cli import main
+from biregular.properties import GraphProperty
 
 
 def run_cli(*args, **kwargs):
@@ -156,6 +157,15 @@ def test_verify_rejects_k_below_one(capsys, tmp_path, prop, k):
         assert captured.err == (
             f"usage error: k must be a positive integer, got {int(k)}\n"
         )
+
+
+@pytest.mark.parametrize("prop", [prop.value for prop in GraphProperty])
+def test_certify_rejects_k_below_one_for_every_property(capsys, c6_file, prop):
+    args = ["certify", "--property", prop, "--k", "0", "--input", c6_file]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "usage error: k must be a positive integer, got 0\n"
 
 
 def test_verify_ramanujan_has_no_oracle(c6_file):

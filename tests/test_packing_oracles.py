@@ -3,18 +3,24 @@
 import pytest
 
 from biregular import complete_bipartite, even_cycle
-from biregular.errors import TooLarge
+from biregular.errors import InvalidParam, TooLarge
 from biregular.oracles import (
     ForestPacking,
-    iter_partition_assignments,
     tree_packing_number,
     tree_packing_partition_bruteforce,
+)
+from biregular.oracles.partitions import (
+    _BLOCK_ROWS,
+    PARTITION_GUARD,
+    partition_blocks,
 )
 
 from testutil import (
     is_spanning_tree,
     iter_partition_assignments_reference,
+    partition_corpus,
     small_corpus,
+    tree_packing_partition_bruteforce_reference,
 )
 
 from test_flow_oracles import DISCONNECTED
@@ -87,12 +93,35 @@ def test_forest_witnesses_revalidate_on_corpus():
 
 def test_partition_enumeration_keeps_its_order():
     # Brute-force values and witnesses are the first violating assignment,
-    # so the enumeration order is part of their output.
-    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147)
-    for n in range(10):
-        got = [list(a) for a in iter_partition_assignments(n)]
+    # so the enumeration order is part of their output. From n = 9 on the
+    # tables grow past one block and are split.
+    bell = (1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570)
+    for n in range(12):
+        got = [row for t in partition_blocks(n) for row in t.tolist()]
         assert got == list(iter_partition_assignments_reference(n))
         assert len(got) == bell[n]
+
+
+def test_partition_blocks_stay_bounded_at_the_guard():
+    sizes = [len(t) for t in partition_blocks(PARTITION_GUARD)]
+    assert sum(sizes) == 4213597  # Bell(12)
+    assert max(sizes) <= (PARTITION_GUARD + 1) * _BLOCK_ROWS
+    with pytest.raises(TooLarge):
+        next(partition_blocks(PARTITION_GUARD + 1))
+
+
+def test_bruteforce_matches_scalar_reference():
+    for g in partition_corpus():
+        for k in (1, 2):
+            assert tree_packing_partition_bruteforce(
+                g, k
+            ) == tree_packing_partition_bruteforce_reference(g, k)
+
+
+@pytest.mark.parametrize("k", [0, 1.5])
+def test_bruteforce_rejects_bad_k(k):
+    with pytest.raises(InvalidParam):
+        tree_packing_partition_bruteforce(even_cycle(6), k)
 
 
 def test_partition_guard():

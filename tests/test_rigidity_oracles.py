@@ -1,5 +1,7 @@
 """Pebble game, modular rank cross-check, packings, and partition bounds."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -31,10 +33,13 @@ from testutil import (
     K44_PENDANT,
     medium_corpus,
     modular_rank_bruteforce,
+    partition_bound_reference,
+    partition_corpus,
     pebble_accepted_reference,
     rank_mod_p_reference,
     redundantly_rigid_reference,
     rigid_packing_exhaustive,
+    rigid_packing_partition_sufficient_reference,
     small_corpus,
 )
 
@@ -430,6 +435,43 @@ def test_partition_sufficient_consistent_with_pebble_game():
         res = rigid_packing_partition_sufficient(g, 1)
         if res.value == 1:
             assert is_rigid(g)
+
+
+def test_partition_sufficient_matches_scalar_reference():
+    for g in partition_corpus():
+        if g.n > 9:
+            continue
+        for k in (1, 2):
+            assert rigid_packing_partition_sufficient(
+                g, k
+            ) == rigid_packing_partition_sufficient_reference(g, k)
+
+
+def test_partition_bound_matches_scalar_reference():
+    # One block, singletons and two blocks, each also listed out of vertex
+    # order, for every Z of size 0..2.
+    for g in (complete_bipartite(3, 4), even_cycle(8), DISCONNECTED, K44_PENDANT):
+        verts = list(g.vertices())
+        for z_size in range(3):
+            for removed in combinations(verts, z_size):
+                rest = [v for v in verts if v not in removed]
+                half = len(rest) // 2
+                for partition in (
+                    [rest],
+                    [rest[::-1]],
+                    [[v] for v in rest],
+                    [[v] for v in reversed(rest)],
+                    [rest[1::2], rest[::2]],
+                    [rest[half:], rest[:half][::-1]],
+                ):
+                    for k in (1, 2):
+                        rep = rigid_packing_partition_bound(
+                            g, k, removed, partition
+                        )
+                        assert (rep.lhs, rep.rhs) == partition_bound_reference(
+                            g, k, removed, partition
+                        )
+                        assert rep.holds == (rep.lhs >= rep.rhs)
 
 
 def test_partition_sufficient_guards():

@@ -11,10 +11,17 @@ from itertools import combinations
 
 import numpy as np
 
-from biregular import random_biregular
+from biregular import complete_bipartite, even_cycle, random_biregular
 from biregular.errors import RetriesExhausted
-from biregular.graphs import BipartiteGraph, flat_adjacency
-from biregular.oracles import OracleResult, rigidity_rank
+from biregular.graphs import (
+    BipartiteGraph,
+    flat_adjacency,
+    flat_edges,
+    flat_index,
+    flat_vertex,
+)
+from biregular.oracles import OracleResult, PartitionWitness, rigidity_rank
+from biregular.oracles.partitions import _outside_z, blocks_from_assignment
 from biregular.oracles.rigidity import _pull_pebble, pebble_rank_edges
 from biregular.prng import SplitMix64, derive_seed
 from biregular.properties import GraphProperty
@@ -411,7 +418,7 @@ def redundantly_rigid_reference(g: BipartiteGraph):
 def iter_partition_assignments_reference(n: int):
     """Restricted growth strings of length n, scanning max(a[:j]) each step.
 
-    The enumeration order ``iter_partition_assignments`` must keep. Yields
+    The row order ``partition_blocks`` must keep, its tables joined. Yields
     fresh lists.
     """
     if n == 0:
@@ -431,6 +438,83 @@ def iter_partition_assignments_reference(n: int):
         for i in range(j + 1, n):
             a[i] = 0
 
+
+def tree_packing_partition_bruteforce_reference(g: BipartiteGraph, k: int):
+    """The partition brute force for tau, one Python list per partition.
+
+    Keeps the first strict minimum as the witness, the rule
+    ``tree_packing_partition_bruteforce`` must reproduce.
+    """
+    edges = flat_edges(g)
+    best = None
+    best_assignment = None
+    for assignment in iter_partition_assignments_reference(g.n):
+        t = max(assignment) + 1
+        if t < 2:
+            continue
+        crossing = sum(1 for u, v in edges if assignment[u] != assignment[v])
+        value = crossing // (t - 1)
+        if best is None or value < best:
+            best = value
+            best_assignment = assignment
+    witness = None
+    if best is not None and best < k:
+        verts = [flat_vertex(g, fid) for fid in range(g.n)]
+        witness = PartitionWitness(
+            removed=(), blocks=blocks_from_assignment(verts, best_assignment)
+        )
+    return OracleResult(GraphProperty.TREE_PACKING, best or 0, witness, True)
+
+
+def partition_sides_reference(k, z_size, live, zdeg, assignment):
+    """(lhs, rhs) of the rigid-packing partition inequality for one
+    labelling, counted in a scalar loop."""
+    t = max(assignment) + 1
+    sizes = [0] * t
+    for lab in assignment:
+        sizes[lab] += 1
+    n0 = sizes.count(1)
+    nz = sum(zdeg[i] for i, lab in enumerate(assignment) if sizes[lab] == 1)
+    rhs = k * (3 - z_size) * (t - n0) + 2 * k * n0 - 3 * k - nz
+    lhs = sum(1 for u, v in live if assignment[u] != assignment[v])
+    return lhs, rhs
+
+
+def partition_bound_reference(g: BipartiteGraph, k, removed, partition):
+    """(lhs, rhs) of ``rigid_packing_partition_bound`` for a valid (Z, pi)."""
+    z_set = {flat_index(g, v) for v in removed}
+    flat_blocks = [[flat_index(g, v) for v in block] for block in partition]
+    rest = [fid for fb in flat_blocks for fid in fb]
+    assignment = [li for li, fb in enumerate(flat_blocks) for _ in fb]
+    live, zdeg = _outside_z(flat_edges(g), flat_adjacency(g), z_set, rest)
+    return partition_sides_reference(k, len(z_set), live, zdeg, assignment)
+
+
+def rigid_packing_partition_sufficient_reference(g: BipartiteGraph, k: int):
+    """The first (Z, pi) violating the partition inequality, scanning Z by
+    size and then lexicographically, and pi in restricted-growth order."""
+    n = g.n
+    edges, adj = flat_edges(g), flat_adjacency(g)
+    for z_size in range(min(2, n - 1) + 1):
+        for z_combo in combinations(range(n), z_size):
+            z_set = set(z_combo)
+            rest = [v for v in range(n) if v not in z_set]
+            live, zdeg = _outside_z(edges, adj, z_set, rest)
+            for assignment in iter_partition_assignments_reference(len(rest)):
+                lhs, rhs = partition_sides_reference(
+                    k, z_size, live, zdeg, assignment
+                )
+                if lhs < rhs:
+                    witness = PartitionWitness(
+                        removed=tuple(flat_vertex(g, v) for v in z_combo),
+                        blocks=blocks_from_assignment(
+                            [flat_vertex(g, v) for v in rest], assignment
+                        ),
+                    )
+                    return OracleResult(
+                        GraphProperty.RIGID_PACKING, 0, witness, True
+                    )
+    return OracleResult(GraphProperty.RIGID_PACKING, 1, None, True)
 
 def rigid_packing_exhaustive(g: BipartiteGraph, k: int) -> int:
     """Most edge-disjoint spanning Laman subgraphs of g, at most k, by search.
@@ -527,6 +611,28 @@ def small_corpus(seed=4242, per_combo=3):
             out.append(random_biregular(x, y, a, b, derive_seed(seed, ci, t)))
     return out
 
+
+def partition_corpus(seed=1717):
+    """Graphs for comparing the partition oracles with their references:
+    ``small_corpus`` graphs with n <= 10, seeded arbitrary bipartite graphs
+    with n <= 9 (some with isolated vertices), K_{a,b}, even cycles and
+    ``DISCONNECTED``."""
+    out = [g for g in small_corpus() if g.n <= 10]
+    rng = SplitMix64(seed)
+    for x, y in ((2, 3), (3, 3), (3, 4), (4, 4), (4, 5), (2, 6), (5, 4)):
+        for density in (3, 5, 7):
+            edges = [
+                (i, j)
+                for i in range(x)
+                for j in range(y)
+                if rng.below(8) < density
+            ]
+            out.append(BipartiteGraph(x, y, tuple(edges)))
+    for a, b in ((1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (4, 4)):
+        out.append(complete_bipartite(a, b))
+    out += [even_cycle(length) for length in (4, 6, 8)]
+    out.append(DISCONNECTED)
+    return out
 
 MEDIUM_COMBOS = (
     (8, 8, 2, 2),
