@@ -31,7 +31,13 @@ from .certify import (
     certify_vertex_connectivity,
     is_ramanujan,
 )
-from .errors import AuditUnsound, InvalidParam, MixingViolation, RetriesExhausted
+from .errors import (
+    AuditUnsound,
+    InvalidParam,
+    MixingViolation,
+    RetriesExhausted,
+    check_k,
+)
 from .graphs import BipartiteGraph, random_biregular, validate_biregular
 from .oracles import (
     OracleResult,
@@ -135,8 +141,10 @@ class AuditConfig:
                 raise InvalidParam(
                     f"grid entry (x={x}, y={y}, a={a}, b={b}) violates a*x = b*y"
                 )
-        if not self.k_grid or any(k < 1 for k in self.k_grid):
-            raise InvalidParam("k grid must hold positive integers")
+        if not self.k_grid:
+            raise InvalidParam("k grid must be nonempty")
+        for k in self.k_grid:
+            check_k(k)
         if not self.properties:
             raise InvalidParam("property set must be nonempty")
         for prop in self.properties:

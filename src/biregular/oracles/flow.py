@@ -18,6 +18,17 @@ outside its component is 0, and what v_0 reaches is its whole component
 (both halves of each vertex in the split network), so the cut or separator
 read from it is empty. With an isolated vertex the min-degree fallbacks
 give the same empty witness.
+
+min(kappa, 3) needs no flow. One lowpoint depth-first search (Tarjan 1972)
+finds a cut vertex, so it tells kappa 0, 1 and at least 2 apart; for
+n >= 4, kappa >= 3 holds exactly when every G - v is connected with no cut
+vertex, one more search each. Graphs with more than 3(n - 1) edges are
+first thinned to the union of three scan-first (breadth-first) forests,
+each grown in the graph minus the earlier ones (Cheriyan, Kao and
+Thurimella 1993): that union has min(kappa, 3) equal to G's and at most
+3(n - 1) edges. ``vertex_connectivity`` uses this when delta <= 3 and runs
+flows only to find the separator when kappa < delta; ``is_globally_rigid``
+needs no witness and runs none.
 """
 
 from __future__ import annotations
@@ -111,6 +122,13 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     return OracleResult(GraphProperty.EDGE_CONNECTIVITY, best, EdgeCut(cut), True)
 
 
+def _check_size(n):
+    if n < 3:
+        raise TooSmall("vertex connectivity needs at least 3 vertices")
+    if n > VERTEX_CONN_GUARD:
+        raise TooLarge(f"vertex connectivity guarded at {VERTEX_CONN_GUARD}")
+
+
 def _vertex_cut(g: BipartiteGraph, adj, bound: int):
     """min(kappa, bound) and, when kappa < bound, a minimum separator.
 
@@ -123,10 +141,7 @@ def _vertex_cut(g: BipartiteGraph, adj, bound: int):
     so the witness is that scan's.
     """
     n = g.n
-    if n < 3:
-        raise TooSmall("vertex connectivity needs at least 3 vertices")
-    if n > VERTEX_CONN_GUARD:
-        raise TooLarge(f"vertex connectivity guarded at {VERTEX_CONN_GUARD}")
+    _check_size(n)
     adj_sets = [set(lst) for lst in adj]
     inf = n + 1
     net = _Network(2 * n)
@@ -155,6 +170,92 @@ def _vertex_cut(g: BipartiteGraph, adj, bound: int):
     return best, sep
 
 
+def _three_forests(adj):
+    """Union of three scan-first forests, each grown in the graph minus the
+    earlier ones, as sorted adjacency lists (Cheriyan, Kao and Thurimella
+    1993). Each forest is breadth-first from the lowest unreached vertex,
+    neighbors in list order."""
+    n = len(adj)
+    rest = adj
+    union = [[] for _ in range(n)]
+    for _ in range(3):
+        seen = [False] * n
+        tree = [set() for _ in range(n)]
+        for root in range(n):
+            if seen[root]:
+                continue
+            seen[root] = True
+            queue = [root]
+            for u in queue:
+                for w in rest[u]:
+                    if not seen[w]:
+                        seen[w] = True
+                        tree[u].add(w)
+                        tree[w].add(u)
+                        queue.append(w)
+        rest = [[w for w in rest[v] if w not in tree[v]] for v in range(n)]
+        for v in range(n):
+            union[v].extend(tree[v])
+    return [sorted(lst) for lst in union]
+
+
+def _blocks(adj, skip):
+    """0 if G - skip is disconnected, 1 if it has a cut vertex, else 2.
+
+    One iterative lowpoint search (Tarjan 1972); ``skip`` = -1 removes
+    nothing. The removed vertex counts as discovered last, so it never
+    lowers a lowpoint.
+    """
+    n = len(adj)
+    disc = [0] * n                      # discovery order from 1; 0 = unseen
+    if skip >= 0:
+        disc[skip] = n + 1
+    root = 1 if skip == 0 else 0
+    disc[root] = 1
+    low = disc.copy()
+    seen = 1
+    cut = False
+    root_children = 0
+    stack = [(root, iter(adj[root]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if not disc[w]:
+                seen += 1
+                disc[w] = low[w] = seen
+                stack.append((w, iter(adj[w])))
+                break
+            if disc[w] < low[v]:
+                low[v] = disc[w]
+        else:
+            stack.pop()
+            if not stack:
+                break
+            u = stack[-1][0]
+            if u == root:
+                root_children += 1
+            elif low[v] >= disc[u]:
+                cut = True
+            if low[v] < low[u]:
+                low[u] = low[v]
+    if seen < n - (skip >= 0):
+        return 0
+    return 1 if cut or root_children > 1 else 2
+
+
+def _connectivity_upto3(adj) -> int:
+    """min(kappa, 3) with no flow, for a bipartite graph on 3+ vertices."""
+    n = len(adj)
+    _check_size(n)
+    if sum(map(len, adj)) > 6 * (n - 1):
+        adj = _three_forests(adj)
+    kappa = _blocks(adj, -1)
+    if kappa < 2 or min(map(len, adj)) < 3:
+        # kappa <= delta, so delta <= 2 leaves "at least 2" at exactly 2.
+        return kappa
+    return 3 if all(_blocks(adj, v) == 2 for v in range(n)) else 2
+
+
 def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa with a minimum separator as witness.
 
@@ -163,12 +264,24 @@ def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
     always have a non-adjacent same-part pair, so the complete-bipartite
     convention kappa(K_{m,n}) = min(m, n) falls out of the flow itself.
     The bound only drops pairs after the first minimum one, so the
-    separator is the one the all-pairs scan returns.
+    separator is the one the all-pairs scan returns. With delta <= 3 the
+    value comes from ``_connectivity_upto3`` and flows run only when
+    kappa < delta, for the separator.
     """
     adj = flat_adjacency(g)
     degs = [len(lst) for lst in adj]
     low = degs.index(min(degs))
-    kappa, sep = _vertex_cut(g, adj, degs[low])
+    delta = degs[low]
+    if delta > 3:
+        kappa, sep = _vertex_cut(g, adj, delta)
+    else:
+        kappa = min(_connectivity_upto3(adj), delta)
+        sep = None
+        if kappa < delta:
+            # The bound kappa + 1 stops the scan at its first pair with
+            # flow kappa, the pair the delta-capped scan settles on.
+            cut, sep = _vertex_cut(g, adj, kappa + 1)
+            assert cut == kappa
     if sep is None:
         # No pair beat the minimum degree: the neighborhood of a
         # minimum-degree vertex is an optimal separator.

@@ -65,7 +65,7 @@ from ..errors import TooSmall, check_k
 from ..graphs import BipartiteGraph, EdgePair, flat_adjacency, flat_edges
 from ..prng import SplitMix64
 from ..properties import GraphProperty
-from .flow import _vertex_cut
+from .flow import _connectivity_upto3
 from .result import LamanPacking, LamanSubgraph, OracleResult
 
 RANK_FIELD_PRIME = 2**31 - 1
@@ -259,15 +259,11 @@ def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
 def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
     """1 iff 3-connected and redundantly rigid (the planar characterization).
 
-    The connectivity search starts at min(delta, 3) and so only settles
-    whether kappa >= 3, not kappa itself.
+    Whether kappa >= 3 is decided by depth-first search, with no flow.
     """
     if g.n < 4:
         raise TooSmall("global rigidity oracle needs at least 4 vertices")
-    adj = flat_adjacency(g)
-    delta = min(len(lst) for lst in adj)
-    kappa, _ = _vertex_cut(g, adj, min(delta, 3))
-    if kappa < 3:
+    if _connectivity_upto3(flat_adjacency(g)) < 3:
         return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
     redundant = is_redundantly_rigid(g)
     return OracleResult(

@@ -71,6 +71,17 @@ def test_config_validation():
         AuditConfig(1, ((4, 4, 2, 2),), (2,), (), 1)
 
 
+def test_config_rejects_k_grid_entries_up_front():
+    # Each entry goes through check_k at construction, so a fractional k
+    # cannot reach the certifiers mid-run.
+    props = (GraphProperty.EDGE_CONNECTIVITY,)
+    for grid in ((1.5,), (0,), (2, 1.5), (2, -1)):
+        with pytest.raises(InvalidParam, match="k must be a positive integer"):
+            AuditConfig(1, ((4, 4, 2, 2),), grid, props, 1)
+    with pytest.raises(InvalidParam, match="k grid must be nonempty"):
+        AuditConfig(1, ((4, 4, 2, 2),), (), props, 1)
+
+
 def test_unsound_oracle_aborts(monkeypatch):
     import biregular.audit as audit_mod
 

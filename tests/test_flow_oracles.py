@@ -10,8 +10,10 @@ from biregular import (
     heawood,
     validate_biregular,
 )
-from biregular.errors import TooSmall
-from biregular.graphs import flat_vertex
+from biregular.audit import default_config, generate_corpus
+from biregular.errors import TooLarge, TooSmall
+from biregular.graphs import flat_adjacency, flat_vertex
+from biregular.prng import SplitMix64, derive_seed
 from biregular.oracles import (
     EdgeCut,
     ForestPacking,
@@ -37,6 +39,7 @@ from testutil import (
     small_corpus,
     vertex_connectivity_all_pairs,
     vertex_connectivity_bruteforce,
+    vertex_connectivity_flow_path,
 )
 
 
@@ -212,3 +215,155 @@ def test_source_bound_flow_count(monkeypatch):
     # K3,3 or K4,4 block), which must still stop at the cap.
     assert vertex_connectivity(TWO_K33_BLOCKS).value == 2
     assert edge_connectivity(THREE_K44_BLOCKS).value == 2
+
+
+def _bipartite_circulants(seed):
+    """Bipartite circulants x_i ~ y_((i + s) mod n) of degree |S| = 12..18,
+    S seeded."""
+    slots = ((16, 12), (18, 13), (20, 14), (21, 15), (22, 16), (24, 17), (26, 18))
+    for slot, (n, d) in enumerate(slots):
+        rng = SplitMix64(derive_seed(seed, slot))
+        pool = list(range(n))
+        rng.shuffle(pool)
+        edges = tuple((i, (i + s) % n) for i in range(n) for s in pool[:d])
+        yield BipartiteGraph(n, n, edges)
+
+
+def _glued_blocks(m, shared):
+    """Two K_{m,m} blocks sharing x_0..x_(shared-1) and nothing else:
+    kappa = shared < delta = m."""
+    a = [(i, j) for i in range(m) for j in range(m)]
+    xs = [*range(shared), *range(m, 2 * m - shared)]
+    b = [(i, j) for i in xs for j in range(m, 2 * m)]
+    return BipartiteGraph(2 * m - shared, 2 * m, tuple(sorted(a + b)))
+
+
+def _seeded_bipartite(seed, count):
+    """Seeded bipartite graphs, 2..11 vertices a side, each edge kept with
+    probability d/8 for d = 1..8: many have isolated vertices, some more
+    than 3(n - 1) edges."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        x, y, d = 2 + rng.below(10), 2 + rng.below(10), 1 + rng.below(8)
+        edges = [(i, j) for i in range(x) for j in range(y) if rng.below(8) < d]
+        yield BipartiteGraph(x, y, tuple(edges))
+
+
+GLUED_BLOCKS = [_glued_blocks(m, t) for m in range(5, 9) for t in (1, 2, 3)]
+# K8,8 and an isolated y8: kappa 0 on the three-forest certificate path.
+K88_ISOLATED = BipartiteGraph(
+    8, 9, tuple((i, j) for i in range(8) for j in range(8))
+)
+
+
+@pytest.fixture(scope="module")
+def default_corpus():
+    return [g for _, _, g, _ in generate_corpus(default_config())]
+
+
+def test_connectivity_upto3_matches_flow_scan(default_corpus):
+    graphs = [
+        *default_corpus,
+        *small_corpus(),
+        *medium_corpus(),
+        *_bipartite_circulants(31),
+        *_bipartite_circulants(57),
+        *GLUED_BLOCKS,
+        *(g for g in _seeded_bipartite(2024, 300) if g.n >= 3),
+        K88_ISOLATED,
+        DISCONNECTED,
+        TWO_K33_BLOCKS,
+        TWO_K44_BLOCKS,
+        THREE_K44_BLOCKS,
+    ]
+    thinned = {}
+    for g in graphs:
+        adj = flat_adjacency(g)
+        value = flow._connectivity_upto3(adj)
+        assert value == flow._vertex_cut(g, adj, 3)[0]
+        if g.m > 3 * (g.n - 1):
+            thinned[value] = thinned.get(value, 0) + 1
+    # Every value is reached on the three-forest certificate path too.
+    assert set(thinned) == {0, 1, 2, 3}
+    assert thinned[1] >= 3 and thinned[2] >= 3 and thinned[3] >= 50
+
+
+def test_witness_matches_flow_path_on_default_corpus(default_corpus):
+    below_delta = 0
+    for g in default_corpus:
+        res = vertex_connectivity(g)
+        kappa, sep = vertex_connectivity_flow_path(g)
+        assert res.value == kappa
+        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+        if kappa < min(len(lst) for lst in g.adj_x + g.adj_y):
+            # The separator comes from a flow: check it with all pairs too.
+            below_delta += 1
+            assert (kappa, sep) == vertex_connectivity_all_pairs(g)
+    assert below_delta >= 10
+
+
+def test_witness_matches_all_pairs_on_dense_and_arbitrary_graphs():
+    graphs = [
+        *(g for g in _seeded_bipartite(4096, 120) if g.n >= 3),
+        *GLUED_BLOCKS,
+        next(_bipartite_circulants(31)),
+        K88_ISOLATED,
+        DISCONNECTED,
+    ]
+    for g in graphs:
+        kappa, sep = vertex_connectivity_all_pairs(g)
+        res = vertex_connectivity(g)
+        assert res.value == kappa
+        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+
+
+def test_flows_only_for_a_witness(monkeypatch):
+    # kappa = delta <= 3: the witness is the min-degree neighbourhood.
+    at_delta = [heawood(), even_cycle(16), complete_bipartite(1, 4)]
+    expected = [vertex_connectivity_flow_path(g) for g in at_delta]
+    calls = 0
+    run_flow = flow._Network.flow
+
+    def counted(self, s, t, limit):
+        nonlocal calls
+        calls += 1
+        return run_flow(self, s, t, limit)
+
+    monkeypatch.setattr(flow._Network, "flow", counted)
+    for g, (kappa, sep), delta in zip(at_delta, expected, (3, 2, 1)):
+        calls = 0
+        res = vertex_connectivity(g)
+        assert res.value == kappa == delta
+        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+        assert calls == 0
+    calls = 0
+    assert is_globally_rigid(complete_bipartite(6, 6)).value == 1
+    assert calls == 0
+    # kappa < delta <= 3: flows find the separator the flow scan found.
+    for g, sep in ((TWO_K33_BLOCKS, (("y", 0), ("y", 1))), (DISCONNECTED, ())):
+        calls = 0
+        res = vertex_connectivity(g)
+        assert res.witness.vertices == sep
+        assert calls > 0
+
+
+def test_size_guards():
+    # even_cycle(514) takes the depth-first path (delta = 2), the 4-regular
+    # circulant on 2 * 257 vertices the flow path.
+    circulant = tuple((i, (i + s) % 257) for i in range(257) for s in range(4))
+    big = (even_cycle(514), BipartiteGraph(257, 257, circulant))
+    for g in big:
+        with pytest.raises(TooLarge):
+            vertex_connectivity(g)
+        with pytest.raises(TooLarge):
+            is_globally_rigid(g)
+    for g in (complete_bipartite(1, 1), BipartiteGraph(1, 1, ())):
+        with pytest.raises(TooSmall):
+            vertex_connectivity(g)
+    for g in (complete_bipartite(1, 2), BipartiteGraph(1, 2, ())):
+        with pytest.raises(TooSmall):
+            is_globally_rigid(g)
+    assert vertex_connectivity(complete_bipartite(1, 2)) == OracleResult(
+        GraphProperty.VERTEX_CONNECTIVITY, 1, Separator((("x", 0),)), True
+    )
+    assert vertex_connectivity(BipartiteGraph(1, 2, ())).value == 0

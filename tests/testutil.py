@@ -20,7 +20,7 @@ from biregular.graphs import (
     flat_index,
     flat_vertex,
 )
-from biregular.oracles import OracleResult, PartitionWitness, rigidity_rank
+from biregular.oracles import OracleResult, PartitionWitness, flow, rigidity_rank
 from biregular.oracles.partitions import _outside_z, blocks_from_assignment
 from biregular.oracles.rigidity import _pull_pebble, pebble_rank_edges
 from biregular.prng import SplitMix64, derive_seed
@@ -294,6 +294,17 @@ def vertex_connectivity_all_pairs(g: BipartiteGraph):
     )
     assert len(sep) == best
     return best, sep
+
+
+def vertex_connectivity_flow_path(g: BipartiteGraph):
+    """kappa and flat-id separator from the delta-capped split-flow scan
+    alone, the path ``vertex_connectivity`` took for every delta before
+    min(kappa, 3) came from depth-first search."""
+    adj = flat_adjacency(g)
+    degs = [len(lst) for lst in adj]
+    low = degs.index(min(degs))
+    kappa, sep = flow._vertex_cut(g, adj, degs[low])
+    return kappa, tuple(adj[low]) if sep is None else sep
 
 
 def disconnects_by_edges(g: BipartiteGraph, edges) -> bool:
