@@ -1,10 +1,12 @@
 #!/usr/bin/env python3
 """Every certificate has an exact combinatorial oracle behind it.
 
-Connectivity comes from unit augmenting-path flows (vertex connectivity
-up to 3 from depth-first search, with flows only for a separator), tree
-packing from graphic matroid union, rigidity from the (2,3) pebble game,
-and all of them return witnesses you can re-check by hand.
+Connectivity comes from unit augmenting-path flows: a few flows inside
+one part settle "at least the minimum degree", and the full scans run
+only below it (vertex connectivity up to 3 comes from depth-first search,
+with flows only for a separator). Tree packing comes from graphic matroid
+union, rigidity from the (2,3) pebble game, and all of them return
+witnesses you can re-check by hand.
 """
 
 from biregular import complete_bipartite, even_cycle, heawood

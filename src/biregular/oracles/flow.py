@@ -1,17 +1,49 @@
 """Exact edge and vertex connectivity via unit augmenting paths.
 
 Each flow pushes one unit per breadth-first augmenting path (Edmonds &
-Karp 1972), capped at the running minimum. Edge connectivity runs one flow
-from a fixed source to every other sink; the global minimum cut must
-separate the source from something. Vertex connectivity splits each vertex
-into an in/out pair joined by a unit arc and minimizes flow over
-non-adjacent ordered-up pairs whose lower vertex is one of v_0..v_kappa,
-Even's (1975) source bound: at most delta (n - 1) flows instead of about
-n^2 / 2 (guarded at 512 vertices). The bound only cuts the pair order
-short after its first minimum pair, so the witness is the one the
-all-pairs scan finds. Each witness is read from the residual-reachable set
-left by the last, failed search of the flow that set the minimum; every
-maximum flow leaves the same set.
+Karp 1972), capped at the running minimum. Vertex flows run in a split
+network: each vertex becomes an in/out pair joined by a unit arc.
+
+Both oracles first test "connectivity >= delta" (kappa only when
+delta >= 4) with a few delta-capped flows from one vertex of a part,
+because bipartiteness pins where a cut below the minimum degree falls.
+Connectivity never exceeds delta, so a passed test means it equals delta.
+
+- kappa' (Matula 1987). If kappa' < delta, each side A of a minimum cut
+  holds a vertex with its whole neighborhood in A: otherwise the cut has
+  at least |A| edges, so |A| < delta, and then it has at least
+  |A| (delta - |A| + 1) >= delta edges. Such a vertex is in, or next to,
+  any dominating set D, so D meets both sides, and the flow from any
+  vertex of D to some other one is below delta. Without isolated
+  vertices each part dominates, so flows from the first vertex of the
+  smaller part to the rest of it decide kappa' >= delta; with delta = 0
+  it holds anyway.
+- kappa, delta >= 4 (after Esfahanian and Hakimi 1984). If kappa < delta,
+  no component of G - S for a minimum separator S is a lone vertex, whose
+  delta or more neighbors would all be in S; so every component holds an
+  edge and a vertex of each part. Take the lowest vertex v of a part P.
+  If v is outside S, some w in P lies across S from it. If v is in S, it
+  has neighbors in two components (else S - v still separates). So kappa
+  >= delta exactly when the flows from v to the rest of P and between
+  every pair of v's neighbors all reach delta: (|P| - 1) + C(deg v, 2)
+  flows, on the part where that count is smaller. Same-part pairs are
+  never adjacent.
+
+When the test holds, the witness is the trivial one at the first
+minimum-degree vertex: its edges, or its neighborhood. Otherwise the full
+scans below run, so every value and witness is the one they give:
+
+- kappa': one flow from vertex 0 to every other sink; the global minimum
+  cut must separate vertex 0 from something.
+- kappa: flows over non-adjacent ordered-up pairs whose lower vertex is
+  one of v_0..v_kappa, Even's (1975) source bound: at most delta (n - 1)
+  flows instead of about n^2 / 2 (guarded at 512 vertices). The bound
+  only cuts the pair order short after its first minimum pair, so the
+  witness is the one the all-pairs scan finds.
+
+Each witness is read from the residual-reachable set left by the last,
+failed search of the flow that set the minimum; every maximum flow leaves
+the same set.
 
 A disconnected graph needs no separate check: the flow from v_0 to a vertex
 outside its component is 0, and what v_0 reaches is its whole component
@@ -34,6 +66,8 @@ needs no witness and runs none.
 from __future__ import annotations
 
 from collections import deque
+from itertools import combinations
+from math import comb
 
 from ..errors import TooLarge, TooSmall
 from ..graphs import BipartiteGraph, flat_adjacency, flat_edges, flat_vertex
@@ -97,7 +131,11 @@ class _Network:
 def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa' with a minimum edge cut as witness.
 
-    Disconnected graphs report 0 with an empty cut.
+    Flows capped at delta from the first vertex of the smaller part to the
+    rest of it decide kappa' >= delta (Matula's dominating-set argument);
+    then the cut is the trivial one at the first minimum-degree vertex.
+    Otherwise one flow runs from vertex 0 to every other sink. Disconnected
+    graphs report 0 with an empty cut.
     """
     n = g.n
     flat = flat_edges(g)
@@ -107,11 +145,14 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     degs = [len(lst) for lst in g.adj_x + g.adj_y]
     best = min(degs)
     reach = None
-    for t in range(1, n):
-        f, reached = net.flow(0, t, best)
-        if f < best:
-            best = f
-            reach = reached
+    x = g.x_count
+    part = range(x) if x <= g.y_count else range(x, n)
+    if any(net.flow(part[0], t, best)[0] < best for t in part[1:]):
+        for t in range(1, n):
+            f, reached = net.flow(0, t, best)
+            if f < best:
+                best = f
+                reach = reached
     if reach is None:
         # Every sink saw at least min-degree flow, so the trivial cut
         # around a minimum-degree vertex is optimal.
@@ -129,6 +170,35 @@ def _check_size(n):
         raise TooLarge(f"vertex connectivity guarded at {VERTEX_CONN_GUARD}")
 
 
+def _split_network(g: BipartiteGraph):
+    """Split network: v_in = 2v and v_out = 2v + 1 joined by a unit arc,
+    each edge as uncapacitated arcs u_out -> w_in and w_out -> u_in. The
+    size guards run before anything is built."""
+    n = g.n
+    _check_size(n)
+    inf = n + 1
+    net = _Network(2 * n)
+    for v in range(n):
+        net.add_edge(2 * v, 2 * v + 1, 1)
+    for u, w in flat_edges(g):
+        net.add_edge(2 * u + 1, 2 * w, inf)
+        net.add_edge(2 * w + 1, 2 * u, inf)
+    return net
+
+
+def _kappa_at_least_delta(g: BipartiteGraph, adj, delta: int) -> bool:
+    """Whether kappa >= delta, for delta >= 4, from (|P| - 1) + C(deg v, 2)
+    flows: v the lowest vertex of the part P where that count is smaller
+    (see the module docstring)."""
+    x = g.x_count
+    parts = (range(x), range(x, g.n))
+    part = min(parts, key=lambda p: len(p) - 1 + comb(len(adj[p[0]]), 2))
+    v = part[0]
+    pairs = [*((v, w) for w in part[1:]), *combinations(adj[v], 2)]
+    net = _split_network(g)
+    return all(net.flow(2 * s + 1, 2 * t, delta)[0] == delta for s, t in pairs)
+
+
 def _vertex_cut(g: BipartiteGraph, adj, bound: int):
     """min(kappa, bound) and, when kappa < bound, a minimum separator.
 
@@ -141,16 +211,8 @@ def _vertex_cut(g: BipartiteGraph, adj, bound: int):
     so the witness is that scan's.
     """
     n = g.n
-    _check_size(n)
+    net = _split_network(g)
     adj_sets = [set(lst) for lst in adj]
-    inf = n + 1
-    net = _Network(2 * n)
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, 1)
-    for u, w in flat_edges(g):
-        net.add_edge(2 * u + 1, 2 * w, inf)
-        net.add_edge(2 * w + 1, 2 * u, inf)
-
     best = bound
     reach = None
     for u in range(n):
@@ -259,21 +321,28 @@ def _connectivity_upto3(adj) -> int:
 def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa with a minimum separator as witness.
 
-    Minimizes split-network flow over non-adjacent pairs whose lower vertex
-    is among v_0..v_kappa (Even's bound). Bipartite graphs on 3+ vertices
-    always have a non-adjacent same-part pair, so the complete-bipartite
-    convention kappa(K_{m,n}) = min(m, n) falls out of the flow itself.
-    The bound only drops pairs after the first minimum one, so the
-    separator is the one the all-pairs scan returns. With delta <= 3 the
-    value comes from ``_connectivity_upto3`` and flows run only when
-    kappa < delta, for the separator.
+    With delta <= 3 the value comes from ``_connectivity_upto3`` and flows
+    run only when kappa < delta, for the separator. With delta >= 4,
+    ``_kappa_at_least_delta`` first tests kappa >= delta with flows from
+    one part's lowest vertex to the rest of the part and between its
+    neighbors. When kappa = delta the separator is the neighborhood of the
+    first minimum-degree vertex. Otherwise the value and separator come
+    from split-network flows over non-adjacent pairs whose lower vertex is
+    among v_0..v_kappa (Even's bound); the bound only drops pairs after the
+    first minimum one, so the separator is the one the all-pairs scan
+    returns. Bipartite graphs on 3+ vertices always have a non-adjacent
+    same-part pair, so the complete-bipartite convention kappa(K_{m,n}) =
+    min(m, n) falls out of the flows themselves.
     """
     adj = flat_adjacency(g)
     degs = [len(lst) for lst in adj]
     low = degs.index(min(degs))
     delta = degs[low]
     if delta > 3:
-        kappa, sep = _vertex_cut(g, adj, delta)
+        if _kappa_at_least_delta(g, adj, delta):
+            kappa, sep = delta, None
+        else:
+            kappa, sep = _vertex_cut(g, adj, delta)
     else:
         kappa = min(_connectivity_upto3(adj), delta)
         sep = None

@@ -103,28 +103,40 @@ def _pack_forests(g: BipartiteGraph, k: int):
     return family.forests()
 
 
+def _spanning_trees(g: BipartiteGraph, k: int):
+    """k edge-disjoint spanning trees as sorted edge tuples, or None."""
+    forests = _pack_forests(g, k)
+    if any(len(f) != g.n - 1 for f in forests):
+        return None
+    return tuple(tuple(sorted(g.edges[eid] for eid in f)) for f in forests)
+
+
 def tree_packing_number(
     g: BipartiteGraph, k_max: int | None = None
 ) -> OracleResult:
     """Packing number tau, capped at k_max when given (value = min(tau, k_max)).
 
     The witness holds value-many edge-disjoint spanning trees. Disconnected
-    graphs report 0.
+    graphs report 0. Round k packs exactly when tau >= k, so the cap
+    min(m // (n - 1), k_max) is tried first: when it packs, it is the
+    answer. Otherwise rounds 1, 2, ... run below it until one fails.
     """
-    n = g.n
-    cap = g.m // (n - 1)
+    cap = g.m // (g.n - 1)
     if k_max is not None:
         cap = min(cap, k_max)  # below 1, no round runs
-    best = 0
-    best_forests = ()
+    if cap > 1:
+        trees = _spanning_trees(g, cap)
+        if trees is not None:
+            return OracleResult(
+                GraphProperty.TREE_PACKING, cap, ForestPacking(trees), True
+            )
+        cap -= 1
+    best, best_trees = 0, ()
     for k in range(1, cap + 1):
-        forests = _pack_forests(g, k)
-        if any(len(f) != n - 1 for f in forests):
+        trees = _spanning_trees(g, k)
+        if trees is None:
             break
-        best = k
-        best_forests = tuple(
-            tuple(sorted(g.edges[eid] for eid in f)) for f in forests
-        )
+        best, best_trees = k, trees
     return OracleResult(
-        GraphProperty.TREE_PACKING, best, ForestPacking(best_forests), True
+        GraphProperty.TREE_PACKING, best, ForestPacking(best_trees), True
     )

@@ -10,7 +10,6 @@ from biregular import (
     heawood,
     validate_biregular,
 )
-from biregular.audit import default_config, generate_corpus
 from biregular.errors import TooLarge, TooSmall
 from biregular.graphs import flat_adjacency, flat_vertex
 from biregular.prng import SplitMix64, derive_seed
@@ -250,15 +249,23 @@ def _seeded_bipartite(seed, count):
 
 
 GLUED_BLOCKS = [_glued_blocks(m, t) for m in range(5, 9) for t in (1, 2, 3)]
+# Two K5,5 blocks (x1..x5 x y1..y5 and x6..x10 x y6..y10) joined through x0,
+# adjacent to every y, and y0, adjacent to every x: kappa = 2 < delta = 6.
+# The separator {x0, y0} holds the lowest vertex of each part, and that
+# vertex reaches the rest of its part with 6 paths, so only the flows
+# between its neighbors find the cut.
+HUB_BLOCKS = BipartiteGraph(
+    11,
+    11,
+    tuple((0, j) for j in range(11))
+    + tuple((i, 0) for i in range(1, 11))
+    + tuple((i, j) for i in range(1, 6) for j in range(1, 6))
+    + tuple((i, j) for i in range(6, 11) for j in range(6, 11)),
+)
 # K8,8 and an isolated y8: kappa 0 on the three-forest certificate path.
 K88_ISOLATED = BipartiteGraph(
     8, 9, tuple((i, j) for i in range(8) for j in range(8))
 )
-
-
-@pytest.fixture(scope="module")
-def default_corpus():
-    return [g for _, _, g, _ in generate_corpus(default_config())]
 
 
 def test_connectivity_upto3_matches_flow_scan(default_corpus):
@@ -347,9 +354,14 @@ def test_flows_only_for_a_witness(monkeypatch):
         assert calls > 0
 
 
-def test_size_guards():
+def test_size_guards(monkeypatch):
     # even_cycle(514) takes the depth-first path (delta = 2), the 4-regular
-    # circulant on 2 * 257 vertices the flow path.
+    # circulant on 2 * 257 vertices the flow path, which must refuse it
+    # before it builds a network.
+    def unbuilt(self, n):
+        raise AssertionError("network built past the size guard")
+
+    monkeypatch.setattr(flow._Network, "__init__", unbuilt)
     circulant = tuple((i, (i + s) % 257) for i in range(257) for s in range(4))
     big = (even_cycle(514), BipartiteGraph(257, 257, circulant))
     for g in big:
@@ -367,3 +379,117 @@ def test_size_guards():
         GraphProperty.VERTEX_CONNECTIVITY, 1, Separator((("x", 0),)), True
     )
     assert vertex_connectivity(BipartiteGraph(1, 2, ())).value == 0
+
+
+def _min_degree(g):
+    return min(len(lst) for lst in g.adj_x + g.adj_y)
+
+
+def _delta_test_graphs(default_corpus):
+    """Default corpus, circulants, glued and hub blocks, K_{m,n} with
+    4 <= m <= n <= 8 and seeded bipartite graphs, for the connectivity >=
+    delta tests."""
+    return [
+        *default_corpus,
+        *_bipartite_circulants(31),
+        *_bipartite_circulants(57),
+        *GLUED_BLOCKS,
+        HUB_BLOCKS,
+        *(complete_bipartite(m, n) for m in range(4, 9) for n in range(m, 9)),
+        *(g for g in _seeded_bipartite(2024, 300) if g.n >= 3),
+        *(g for g in _seeded_bipartite(4096, 120) if g.n >= 3),
+    ]
+
+
+def _counting_flows(monkeypatch):
+    """Patch ``_Network.flow`` to count its calls; returns the counter."""
+    calls = [0]
+    run_flow = flow._Network.flow
+
+    def counted(self, s, t, limit):
+        calls[0] += 1
+        return run_flow(self, s, t, limit)
+
+    monkeypatch.setattr(flow._Network, "flow", counted)
+    return calls
+
+
+def test_kappa_delta_test_matches_flow_path(default_corpus):
+    at_delta = below_delta = 0
+    for g in _delta_test_graphs(default_corpus):
+        delta = _min_degree(g)
+        if delta < 4:
+            continue
+        kappa, sep = vertex_connectivity_flow_path(g)
+        res = vertex_connectivity(g)
+        assert res.value == kappa
+        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+        adj = flat_adjacency(g)
+        assert flow._kappa_at_least_delta(g, adj, delta) == (kappa == delta)
+        at_delta += kappa == delta
+        below_delta += kappa < delta
+    # The glued and hub blocks take the fallback scan.
+    assert at_delta >= 150 and below_delta == len(GLUED_BLOCKS) + 1
+    assert vertex_connectivity(HUB_BLOCKS).value == 2
+
+
+def test_kappa_at_delta_runs_few_flows(default_corpus, monkeypatch):
+    graphs = [
+        complete_bipartite(4, 6),
+        complete_bipartite(8, 8),
+        *_bipartite_circulants(31),
+        *(g for g in default_corpus if _min_degree(g) >= 4),
+    ]
+    calls = _counting_flows(monkeypatch)
+    for g in graphs:
+        adj = flat_adjacency(g)
+        delta = _min_degree(g)
+        x0, y0 = adj[0], adj[g.x_count]
+        bound = min(
+            g.x_count - 1 + len(x0) * (len(x0) - 1) // 2,
+            g.y_count - 1 + len(y0) * (len(y0) - 1) // 2,
+        )
+        calls[0] = 0
+        res = vertex_connectivity(g)
+        assert res.value == delta
+        assert res.witness.vertices == tuple(
+            flat_vertex(g, v) for v in adj[[len(a) for a in adj].index(delta)]
+        )
+        assert 0 < calls[0] <= bound < delta * (g.n - 1)
+
+
+def test_edge_delta_test_matches_reference(default_corpus):
+    graphs = [
+        *_delta_test_graphs(default_corpus),
+        THREE_K44_BLOCKS,
+        DISCONNECTED,
+        K88_ISOLATED,
+    ]
+    below_delta = 0
+    for g in graphs:
+        res = edge_connectivity(g)
+        cut = edge_connectivity_reference(g)
+        assert res.witness.edges == cut
+        assert res.value == len(cut) <= _min_degree(g)
+        below_delta += res.value < _min_degree(g)
+    assert below_delta >= 10
+
+
+def test_edge_connectivity_at_delta_runs_few_flows(default_corpus, monkeypatch):
+    graphs = [
+        heawood(),
+        complete_bipartite(1, 4),
+        complete_bipartite(4, 6),
+        complete_bipartite(7, 5),
+        *_bipartite_circulants(31),
+        *default_corpus,
+    ]
+    calls = _counting_flows(monkeypatch)
+    at_delta = 0
+    for g in graphs:
+        calls[0] = 0
+        if edge_connectivity(g).value != _min_degree(g):
+            continue
+        at_delta += 1
+        assert calls[0] <= min(g.x_count, g.y_count) - 1
+    assert at_delta >= 400

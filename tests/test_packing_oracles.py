@@ -2,10 +2,11 @@
 
 import pytest
 
-from biregular import complete_bipartite, even_cycle
+from biregular import BipartiteGraph, complete_bipartite, even_cycle
 from biregular.errors import InvalidParam, TooLarge
 from biregular.oracles import (
     ForestPacking,
+    packing,
     tree_packing_number,
     tree_packing_partition_bruteforce,
 )
@@ -18,12 +19,23 @@ from biregular.oracles.partitions import (
 from testutil import (
     is_spanning_tree,
     iter_partition_assignments_reference,
+    medium_corpus,
     partition_corpus,
     small_corpus,
+    tree_packing_number_reference,
     tree_packing_partition_bruteforce_reference,
 )
 
-from test_flow_oracles import DISCONNECTED
+from test_flow_oracles import DISCONNECTED, _seeded_bipartite
+
+
+def _joined_k66_blocks(links):
+    """Two K6,6 blocks joined by ``links`` edges x_i ~ y_(6+i): 74 edges or
+    fewer on 24 vertices, so the edge-count cap is 3 but tau = links."""
+    block = [(i, j) for i in range(6) for j in range(6)]
+    other = [(i + 6, j + 6) for i, j in block]
+    bridges = [(i, 6 + i) for i in range(links)]
+    return BipartiteGraph(12, 12, tuple(block + other + bridges))
 
 
 def test_k44_packs_two_trees():
@@ -79,6 +91,48 @@ def test_oracles_agree_on_small_corpus():
         exact = tree_packing_number(g).value
         brute = tree_packing_partition_bruteforce(g, 4).value
         assert exact == brute
+
+
+def test_cap_first_matches_bottom_up_rounds(default_corpus):
+    graphs = [
+        *default_corpus,
+        *small_corpus(),
+        *medium_corpus(),
+        *(complete_bipartite(a, b) for a in range(1, 9) for b in range(1, 9)),
+        *_seeded_bipartite(2024, 100),
+        _joined_k66_blocks(1),
+        _joined_k66_blocks(2),
+    ]
+    capped = 0
+    for g in graphs:
+        for k_max in (None, 1, 2, 3, 8):
+            res = tree_packing_number(g, k_max)
+            assert res == tree_packing_number_reference(g, k_max)
+        cap = g.m // (g.n - 1)
+        capped += 1 < cap and res.value < cap
+    # Some graphs miss their cap, so the rounds below it run too.
+    assert capped >= 8
+
+
+def test_cap_round_runs_first(monkeypatch):
+    rounds = []
+    run = packing._pack_forests
+
+    def counted(g, k):
+        rounds.append(k)
+        return run(g, k)
+
+    monkeypatch.setattr(packing, "_pack_forests", counted)
+    assert tree_packing_number(complete_bipartite(6, 6)).value == 3
+    assert rounds == [3]
+    rounds.clear()
+    # C6 has 6 edges on 6 vertices: cap 1 < 2 = k_max, one round.
+    assert tree_packing_number(even_cycle(6), k_max=2).value == 1
+    assert rounds == [1]
+    rounds.clear()
+    # The cap 3 fails to pack, then rounds 1 and 2 run from the bottom.
+    assert tree_packing_number(_joined_k66_blocks(2)).value == 2
+    assert rounds == [3, 1, 2]
 
 
 def test_forest_witnesses_revalidate_on_corpus():

@@ -20,7 +20,14 @@ from biregular.graphs import (
     flat_index,
     flat_vertex,
 )
-from biregular.oracles import OracleResult, PartitionWitness, flow, rigidity_rank
+from biregular.oracles import (
+    ForestPacking,
+    OracleResult,
+    PartitionWitness,
+    flow,
+    packing,
+    rigidity_rank,
+)
 from biregular.oracles.partitions import _outside_z, blocks_from_assignment
 from biregular.oracles.rigidity import _pull_pebble, pebble_rank_edges
 from biregular.prng import SplitMix64, derive_seed
@@ -305,6 +312,25 @@ def vertex_connectivity_flow_path(g: BipartiteGraph):
     low = degs.index(min(degs))
     kappa, sep = flow._vertex_cut(g, adj, degs[low])
     return kappa, tuple(adj[low]) if sep is None else sep
+
+
+def tree_packing_number_reference(g: BipartiteGraph, k_max=None) -> OracleResult:
+    """tau from matroid-union rounds k = 1, 2, ... up to
+    min(m // (n - 1), k_max), stopping at the first that fails to pack: the
+    loop ``tree_packing_number`` ran before it tried the cap first."""
+    cap = g.m // (g.n - 1)
+    if k_max is not None:
+        cap = min(cap, k_max)
+    best, trees = 0, ()
+    for k in range(1, cap + 1):
+        forests = packing._pack_forests(g, k)
+        if any(len(f) != g.n - 1 for f in forests):
+            break
+        best = k
+        trees = tuple(tuple(sorted(g.edges[eid] for eid in f)) for f in forests)
+    return OracleResult(
+        GraphProperty.TREE_PACKING, best, ForestPacking(trees), True
+    )
 
 
 def disconnects_by_edges(g: BipartiteGraph, edges) -> bool:
