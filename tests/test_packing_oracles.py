@@ -4,6 +4,7 @@ import pytest
 
 from biregular import BipartiteGraph, complete_bipartite, even_cycle
 from biregular.errors import InvalidParam, TooLarge
+from biregular.graphs import flat_edges
 from biregular.oracles import (
     ForestPacking,
     packing,
@@ -17,11 +18,13 @@ from biregular.oracles.partitions import (
 )
 
 from testutil import (
+    ForestFamilyReference,
     is_spanning_tree,
     iter_partition_assignments_reference,
     medium_corpus,
     partition_corpus,
     small_corpus,
+    spanning_trees_reference,
     tree_packing_number_reference,
     tree_packing_partition_bruteforce_reference,
 )
@@ -93,8 +96,10 @@ def test_oracles_agree_on_small_corpus():
         assert exact == brute
 
 
-def test_cap_first_matches_bottom_up_rounds(default_corpus):
-    graphs = [
+def _round_graphs(default_corpus):
+    """The default corpus, both test corpora, K_{a,b} for a, b <= 8, seeded
+    bipartite graphs and the joined K6,6 blocks, which miss their cap."""
+    return [
         *default_corpus,
         *small_corpus(),
         *medium_corpus(),
@@ -103,8 +108,11 @@ def test_cap_first_matches_bottom_up_rounds(default_corpus):
         _joined_k66_blocks(1),
         _joined_k66_blocks(2),
     ]
+
+
+def test_cap_first_matches_bottom_up_rounds(default_corpus):
     capped = 0
-    for g in graphs:
+    for g in _round_graphs(default_corpus):
         for k_max in (None, 1, 2, 3, 8):
             res = tree_packing_number(g, k_max)
             assert res == tree_packing_number_reference(g, k_max)
@@ -133,6 +141,177 @@ def test_cap_round_runs_first(monkeypatch):
     # The cap 3 fails to pack, then rounds 1 and 2 run from the bottom.
     assert tree_packing_number(_joined_k66_blocks(2)).value == 2
     assert rounds == [3, 1, 2]
+
+
+def test_rounds_match_frozen_reference(default_corpus):
+    for g in _round_graphs(default_corpus):
+        for k in range(1, 6):
+            assert packing._spanning_trees(g, k) == spanning_trees_reference(g, k)
+
+
+def _components(n, adj):
+    """Vertex -> smallest vertex of its component, by breadth-first search."""
+    label = [None] * n
+    for s in range(n):
+        if label[s] is None:
+            label[s] = s
+            queue = [s]
+            for w in queue:
+                for nbr, _ in adj[w]:
+                    if label[nbr] is None:
+                        label[nbr] = s
+                        queue.append(nbr)
+    return label
+
+
+def _partition(labels):
+    """Vertex -> smallest vertex sharing its label."""
+    first = {}
+    return [first.setdefault(c, v) for v, c in enumerate(labels)]
+
+
+def test_union_find_tracks_forest_components(default_corpus, monkeypatch):
+    exchanges = {"all": 0, "default cap": 0}
+    run = packing._ForestFamily.try_add
+
+    def checked(self, eid):
+        before = dict(self.assign)
+        added = run(self, eid)
+        moved = any(self.assign[e] != f for e, f in before.items())
+        exchanges["all"] += moved
+        exchanges["default cap"] += moved and in_default_cap
+        n = len(self.comp[0])
+        for f in range(self.k):
+            assert _partition(self.comp[f]) == _components(n, self.adj[f])
+        return added
+
+    monkeypatch.setattr(packing._ForestFamily, "try_add", checked)
+    default_ids = {id(g) for g in default_corpus}
+    for g in _round_graphs(default_corpus):
+        for k in range(1, 6):
+            in_default_cap = id(g) in default_ids and k == g.m // (g.n - 1)
+            packing._spanning_trees(g, k)
+    # Insertions that relocate placed edges run (714 in the default
+    # corpus's cap rounds), so more than direct placements is checked.
+    assert exchanges["default cap"] >= 500
+    assert exchanges["all"] > exchanges["default cap"]
+
+
+def test_common_component_rejections_need_no_search(default_corpus, monkeypatch):
+    settled = searched = 0
+    run = packing._ForestFamily.try_add
+
+    def checked(self, eid):
+        nonlocal settled, searched
+        if not self._common_component(*self.endpoints[eid]):
+            added = run(self, eid)
+            searched += not added
+            return added
+        # The frozen full search on a copy of the family rejects the edge too.
+        n = len(self.comp[0])
+        full = ForestFamilyReference(n, self.endpoints, self.k)
+        full.assign = dict(self.assign)
+        full.adj = [[list(nbrs) for nbrs in forest] for forest in self.adj]
+        assert not full.try_add(eid)
+        assert not run(self, eid)
+        settled += 1
+        return False
+
+    monkeypatch.setattr(packing._ForestFamily, "try_add", checked)
+    for g in _round_graphs(default_corpus):
+        for k in range(1, 6):
+            packing._spanning_trees(g, k)
+    assert settled > 10 * searched > 0
+
+
+def test_common_component_compares_vertex_sets():
+    # Forest 0 joins x0 and y0 through y1 and x1, forest 1 through y2 and
+    # x2: two components of four vertices, but not the same four. The new
+    # edge x0 y0 fits once x1 y0 moves to forest 1, where x1 is alone.
+    g = BipartiteGraph(
+        3, 3, ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0), (2, 2))
+    )
+    eid = {e: i for i, e in enumerate(g.edges)}
+    family = packing._ForestFamily(g.n, flat_edges(g), 2)
+    full = ForestFamilyReference(g.n, flat_edges(g), 2)
+    for f, edges in enumerate((((0, 1), (1, 1), (1, 0)), ((0, 2), (2, 2), (2, 0)))):
+        for e in edges:
+            family._place(eid[e], f)
+            family._union(f, *family.endpoints[eid[e]])
+            full._place(eid[e], f)
+    assert not family._common_component(*family.endpoints[eid[(0, 0)]])
+    assert family.try_add(eid[(0, 0)]) and full.try_add(eid[(0, 0)])
+    assert family.assign == full.assign
+    assert family.assign[eid[(1, 0)]] == 1
+
+
+def _count_insertions(monkeypatch):
+    counts = {"calls": 0, "rejected": 0}
+    run = packing._ForestFamily.try_add
+
+    def counted(self, eid):
+        added = run(self, eid)
+        counts["calls"] += 1
+        counts["rejected"] += not added
+        return added
+
+    monkeypatch.setattr(packing._ForestFamily, "try_add", counted)
+    return counts
+
+
+def _reference_placements(g, k):
+    """Whether the frozen full search accepts each edge of one round."""
+    full = ForestFamilyReference(g.n, flat_edges(g), k)
+    return [full.try_add(eid) for eid in range(g.m)]
+
+
+def test_round_stops_once_the_family_fills(monkeypatch):
+    g = complete_bipartite(6, 6)
+    placed = _reference_placements(g, 3)
+    filling = next(i for i in range(g.m) if sum(placed[: i + 1]) == 3 * (g.n - 1))
+    assert filling < g.m - 1
+    counts = _count_insertions(monkeypatch)
+    assert packing._spanning_trees(g, 3) == spanning_trees_reference(g, 3)
+    assert counts["calls"] == filling + 1
+
+
+@pytest.mark.parametrize("links", [1, 2])
+def test_round_stops_once_it_cannot_fill(monkeypatch, links):
+    g = _joined_k66_blocks(links)
+    spare = g.m - 3 * (g.n - 1)
+    placed = _reference_placements(g, 3)
+    failing = next(i for i in range(g.m) if placed[: i + 1].count(False) > spare)
+    counts = _count_insertions(monkeypatch)
+    assert packing._spanning_trees(g, 3) is None
+    assert counts["rejected"] == spare + 1
+    assert counts["calls"] == failing + 1
+
+
+def test_path_search_count_on_default_corpus(default_corpus, monkeypatch):
+    # The full search of every insertion made 69 500 path searches here.
+    calls = 0
+    run = packing._ForestFamily._forest_path
+
+    def counted(self, f, u, v):
+        nonlocal calls
+        calls += 1
+        return run(self, f, u, v)
+
+    monkeypatch.setattr(packing._ForestFamily, "_forest_path", counted)
+    for g in default_corpus:
+        tree_packing_number(g, k_max=8)
+    assert calls <= 8000
+    # A one-forest round is Kruskal's algorithm: no search at all.
+    calls = 0
+    for g in default_corpus:
+        packing._spanning_trees(g, 1)
+    assert calls == 0
+
+
+@pytest.mark.parametrize("k_max", [0, -3, 1.5])
+def test_k_max_rejects_bad_values(k_max):
+    with pytest.raises(InvalidParam):
+        tree_packing_number(complete_bipartite(4, 4), k_max=k_max)
 
 
 def test_forest_witnesses_revalidate_on_corpus():

@@ -25,7 +25,6 @@ from biregular.oracles import (
     OracleResult,
     PartitionWitness,
     flow,
-    packing,
     rigidity_rank,
 )
 from biregular.oracles.partitions import _outside_z, blocks_from_assignment
@@ -314,6 +313,102 @@ def vertex_connectivity_flow_path(g: BipartiteGraph):
     return kappa, tuple(adj[low]) if sep is None else sep
 
 
+class ForestFamilyReference:
+    """k edge-disjoint forests with the full augmenting search for every
+    edge: ``packing._ForestFamily`` before it kept components."""
+
+    def __init__(self, n, endpoints, k):
+        self.endpoints = endpoints
+        self.k = k
+        self.assign = {}                       # edge id -> forest id
+        self.adj = [
+            [[] for _ in range(n)] for _ in range(k)
+        ]                                      # forest id -> vertex -> [(nbr, eid)]
+
+    def _forest_path(self, f, u, v):
+        """Edge ids along the unique u-v path in forest f, or None."""
+        prev = {u: (None, None)}
+        queue = deque([u])
+        while queue:
+            w = queue.popleft()
+            if w == v:
+                path = []
+                while w != u:
+                    p, eid = prev[w]
+                    path.append(eid)
+                    w = p
+                return path
+            for nbr, eid in self.adj[f][w]:
+                if nbr not in prev:
+                    prev[nbr] = (w, eid)
+                    queue.append(nbr)
+        return None
+
+    def _place(self, eid, f):
+        u, v = self.endpoints[eid]
+        old = self.assign.get(eid)
+        if old is not None:
+            self.adj[old][u] = [(w, e) for w, e in self.adj[old][u] if e != eid]
+            self.adj[old][v] = [(w, e) for w, e in self.adj[old][v] if e != eid]
+        self.assign[eid] = f
+        self.adj[f][u].append((v, eid))
+        self.adj[f][v].append((u, eid))
+        return old
+
+    def try_add(self, new_eid):
+        """Augment the family with one edge; True iff it fits some forest."""
+        pred = {new_eid: None}
+        queue = deque([new_eid])
+        while queue:
+            eid = queue.popleft()
+            u, v = self.endpoints[eid]
+            current = self.assign.get(eid)
+            for f in range(self.k):
+                if f == current:
+                    continue
+                path = self._forest_path(f, u, v)
+                if path is None:
+                    # Relocation chain: each move frees the cycle that was
+                    # blocking its predecessor.
+                    target = f
+                    moving = eid
+                    while True:
+                        old = self._place(moving, target)
+                        parent = pred[moving]
+                        if parent is None:
+                            break
+                        moving, target = parent, old
+                    return True
+                for path_eid in path:
+                    if path_eid not in pred:
+                        pred[path_eid] = eid
+                        queue.append(path_eid)
+        return False
+
+    def forests(self):
+        out = [[] for _ in range(self.k)]
+        for eid, f in self.assign.items():
+            out[f].append(eid)
+        return out
+
+
+def pack_forests_reference(g: BipartiteGraph, k: int):
+    """One matroid-union round offering every edge to the full search."""
+    family = ForestFamilyReference(g.n, flat_edges(g), k)
+    for eid in range(g.m):
+        family.try_add(eid)
+    return family.forests()
+
+
+def spanning_trees_reference(g: BipartiteGraph, k: int):
+    """k spanning trees as sorted edge tuples from the reference round, or
+    None when it does not pack."""
+    forests = pack_forests_reference(g, k)
+    if any(len(f) != g.n - 1 for f in forests):
+        return None
+    return tuple(tuple(sorted(g.edges[eid] for eid in f)) for f in forests)
+
+
 def tree_packing_number_reference(g: BipartiteGraph, k_max=None) -> OracleResult:
     """tau from matroid-union rounds k = 1, 2, ... up to
     min(m // (n - 1), k_max), stopping at the first that fails to pack: the
@@ -323,11 +418,10 @@ def tree_packing_number_reference(g: BipartiteGraph, k_max=None) -> OracleResult
         cap = min(cap, k_max)
     best, trees = 0, ()
     for k in range(1, cap + 1):
-        forests = packing._pack_forests(g, k)
-        if any(len(f) != g.n - 1 for f in forests):
+        found = spanning_trees_reference(g, k)
+        if found is None:
             break
-        best = k
-        trees = tuple(tuple(sorted(g.edges[eid] for eid in f)) for f in forests)
+        best, trees = k, found
     return OracleResult(
         GraphProperty.TREE_PACKING, best, ForestPacking(trees), True
     )
