@@ -145,8 +145,12 @@ class AuditConfig:
             raise InvalidParam("k grid must be nonempty")
         for k in self.k_grid:
             check_k(k)
+        if len(set(self.k_grid)) != len(self.k_grid):
+            raise InvalidParam("k grid repeats a value")
         if not self.properties:
             raise InvalidParam("property set must be nonempty")
+        if len(set(self.properties)) != len(self.properties):
+            raise InvalidParam("property set repeats a property")
         for prop in self.properties:
             if PROPERTIES[prop].oracle is None:
                 raise InvalidParam(f"no exact oracle to audit {prop.value!r}")
@@ -315,7 +319,6 @@ def mixing_audit(
     pairs: int,
     seed: int,
     spectrum: Spectrum | None = None,
-    tol: float = MIXING_TOL,
 ) -> MixingAuditReport:
     """Check the mixing inequality on ``pairs`` uniform (A, B) subset pairs.
 
@@ -349,7 +352,7 @@ def mixing_audit(
         lhs, rhs = mixing_sides(
             g, profile, spectrum, e_ab, a_in.sum(axis=1), b_in.sum(axis=1)
         )
-        bad = np.flatnonzero(~(lhs <= rhs + tol))
+        bad = np.flatnonzero(~(lhs <= rhs + MIXING_TOL))
         if bad.size:
             p = bad[0]
             raise MixingViolation(

@@ -4,10 +4,13 @@ Each flow pushes one unit per breadth-first augmenting path (Edmonds &
 Karp 1972), capped at the running minimum. Vertex flows run in a split
 network: each vertex becomes an in/out pair joined by a unit arc.
 
-Both oracles first test "connectivity >= delta" (kappa only when
-delta >= 4) with a few delta-capped flows from one vertex of a part,
-because bipartiteness pins where a cut below the minimum degree falls.
-Connectivity never exceeds delta, so a passed test means it equals delta.
+Each oracle makes one decision, "connectivity >= delta", and runs at
+most one scan after it. Connectivity never exceeds delta, so a passed
+test settles the value at delta; otherwise one delta-capped scan finds
+the value and the witness. kappa' and, for delta >= 4, kappa are decided
+by a few delta-capped flows from one vertex of a part, because
+bipartiteness pins where a cut below the minimum degree falls; kappa with
+delta <= 3 by depth-first search (below).
 
 - kappa' (Matula 1987). If kappa' < delta, each side A of a minimum cut
   holds a vertex with its whole neighborhood in A: otherwise the cut has
@@ -30,16 +33,16 @@ Connectivity never exceeds delta, so a passed test means it equals delta.
   never adjacent.
 
 When the test holds, the witness is the trivial one at the first
-minimum-degree vertex: its edges, or its neighborhood. Otherwise the full
-scans below run, so every value and witness is the one they give:
+minimum-degree vertex: its edges, or its neighborhood. Otherwise the one
+scan below runs, so every value and witness is the one it gives:
 
 - kappa': one flow from vertex 0 to every other sink; the global minimum
   cut must separate vertex 0 from something.
-- kappa: flows over non-adjacent ordered-up pairs whose lower vertex is
-  one of v_0..v_kappa, Even's (1975) source bound: at most delta (n - 1)
-  flows instead of about n^2 / 2 (guarded at 512 vertices). The bound
-  only cuts the pair order short after its first minimum pair, so the
-  witness is the one the all-pairs scan finds.
+- kappa: delta-capped flows over non-adjacent ordered-up pairs whose
+  lower vertex is one of v_0..v_kappa, Even's (1975) source bound: at
+  most delta (n - 1) flows instead of about n^2 / 2 (guarded at 512
+  vertices). The bound only cuts the pair order short after its first
+  minimum pair, so the witness is the one the all-pairs scan finds.
 
 Each witness is read from the residual-reachable set left by the last,
 failed search of the flow that set the minimum; every maximum flow leaves
@@ -58,9 +61,8 @@ vertex, one more search each. Graphs with more than 3(n - 1) edges are
 first thinned to the union of three scan-first (breadth-first) forests,
 each grown in the graph minus the earlier ones (Cheriyan, Kao and
 Thurimella 1993): that union has min(kappa, 3) equal to G's and at most
-3(n - 1) edges. ``vertex_connectivity`` uses this when delta <= 3 and runs
-flows only to find the separator when kappa < delta; ``is_globally_rigid``
-needs no witness and runs none.
+3(n - 1) edges. ``vertex_connectivity`` decides kappa >= delta this way
+when delta <= 3; ``is_globally_rigid`` needs no witness and runs no flow.
 """
 
 from __future__ import annotations
@@ -321,39 +323,30 @@ def _connectivity_upto3(adj) -> int:
 def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa with a minimum separator as witness.
 
-    With delta <= 3 the value comes from ``_connectivity_upto3`` and flows
-    run only when kappa < delta, for the separator. With delta >= 4,
-    ``_kappa_at_least_delta`` first tests kappa >= delta with flows from
-    one part's lowest vertex to the rest of the part and between its
-    neighbors. When kappa = delta the separator is the neighborhood of the
-    first minimum-degree vertex. Otherwise the value and separator come
-    from split-network flows over non-adjacent pairs whose lower vertex is
-    among v_0..v_kappa (Even's bound); the bound only drops pairs after the
-    first minimum one, so the separator is the one the all-pairs scan
-    returns. Bipartite graphs on 3+ vertices always have a non-adjacent
-    same-part pair, so the complete-bipartite convention kappa(K_{m,n}) =
-    min(m, n) falls out of the flows themselves.
+    One decision settles kappa >= delta: ``_connectivity_upto3`` by
+    depth-first search when delta <= 3, ``_kappa_at_least_delta`` by flows
+    from one part's lowest vertex to the rest of the part and between its
+    neighbors otherwise. Then kappa = delta and the separator is the
+    neighborhood of the first minimum-degree vertex. Else one delta-capped
+    scan of split-network flows over non-adjacent pairs, whose lower vertex
+    is among v_0..v_kappa (Even's bound), gives the value and separator;
+    the bound only drops pairs after the first minimum one, so the
+    separator is the one the all-pairs scan returns. Bipartite graphs on 3+
+    vertices always have a non-adjacent same-part pair, so the
+    complete-bipartite convention kappa(K_{m,n}) = min(m, n) falls out of
+    the flows themselves.
     """
     adj = flat_adjacency(g)
     degs = [len(lst) for lst in adj]
     low = degs.index(min(degs))
     delta = degs[low]
-    if delta > 3:
-        if _kappa_at_least_delta(g, adj, delta):
-            kappa, sep = delta, None
-        else:
-            kappa, sep = _vertex_cut(g, adj, delta)
+    if delta <= 3:
+        settled = _connectivity_upto3(adj) >= delta
     else:
-        kappa = min(_connectivity_upto3(adj), delta)
-        sep = None
-        if kappa < delta:
-            # The bound kappa + 1 stops the scan at its first pair with
-            # flow kappa, the pair the delta-capped scan settles on.
-            cut, sep = _vertex_cut(g, adj, kappa + 1)
-            assert cut == kappa
-    if sep is None:
-        # No pair beat the minimum degree: the neighborhood of a
-        # minimum-degree vertex is an optimal separator.
-        sep = tuple(sorted(adj[low]))
+        settled = _kappa_at_least_delta(g, adj, delta)
+    if settled:
+        kappa, sep = delta, tuple(sorted(adj[low]))
+    else:
+        kappa, sep = _vertex_cut(g, adj, delta)
     witness = Separator(tuple(flat_vertex(g, v) for v in sep))
     return OracleResult(GraphProperty.VERTEX_CONNECTIVITY, kappa, witness, True)

@@ -5,8 +5,12 @@ augmenting-exchange algorithm for graphic matroid union: a rejected edge
 triggers a breadth-first search over "evict and relocate" moves, and a
 shortest augmenting chain of moves frees a slot whenever one exists. The
 graph packs k spanning trees exactly when all k forests fill to n-1 edges.
-A disconnected graph needs no separate check: none of its forests spans,
-so the search stops by k = 1 with tau = 0.
+
+Round k's forests depend only on g and k, and a graph that packs k trees
+packs fewer, so the rounds run down from the cap min(m // (n - 1), k_max)
+and the first that packs settles tau. A disconnected graph needs no
+separate check: none of its forests spans, so every round fails and
+tau = 0.
 
 Three facts skip searches whose answer is already known; the forests
 they build are the ones the full search builds.
@@ -33,9 +37,9 @@ they build are the ones the full search builds.
   Nash-Williams count), so the rejection is a proof. The test costs
   O(k |U|) against the O(k m n) of the search it replaces.
 - A round stops once settled: after k(n-1) accepted edges every forest
-  is a spanning tree and rejects every later edge unchanged, and after
-  more than m - k(n-1) rejections, each edge being offered once, the
-  family can no longer fill.
+  is a spanning tree and rejects every later edge unchanged, so the trees
+  are returned; after more than m - k(n-1) rejections, each edge being
+  offered once, the family can no longer fill, so the round fails.
 """
 
 from __future__ import annotations
@@ -155,8 +159,13 @@ class _ForestFamily:
         return out
 
 
-def _pack_forests(g: BipartiteGraph, k: int):
-    """The k forests of one round; all have n-1 edges iff the round packs."""
+def _spanning_trees(g: BipartiteGraph, k: int):
+    """k edge-disjoint spanning trees as sorted edge tuples, or None.
+
+    Returns the trees once the family holds k(n-1) edges, and None once it
+    cannot: at the first rejection past the m - k(n-1) a packing affords,
+    or when the edges run out.
+    """
     family = _ForestFamily(g.n, flat_edges(g), k)
     need = k * (g.n - 1)
     spare = g.m - need                         # rejections a packing affords
@@ -164,20 +173,14 @@ def _pack_forests(g: BipartiteGraph, k: int):
         if family.try_add(eid):
             need -= 1
             if need == 0:
-                break
+                return tuple(
+                    tuple(sorted(g.edges[e] for e in f)) for f in family.forests()
+                )
         else:
             spare -= 1
             if spare < 0:
-                break
-    return family.forests()
-
-
-def _spanning_trees(g: BipartiteGraph, k: int):
-    """k edge-disjoint spanning trees as sorted edge tuples, or None."""
-    forests = _pack_forests(g, k)
-    if any(len(f) != g.n - 1 for f in forests):
-        return None
-    return tuple(tuple(sorted(g.edges[eid] for eid in f)) for f in forests)
+                return None
+    return None
 
 
 def tree_packing_number(
@@ -186,27 +189,18 @@ def tree_packing_number(
     """Packing number tau, capped at k_max when given (value = min(tau, k_max)).
 
     The witness holds value-many edge-disjoint spanning trees. Disconnected
-    graphs report 0. Round k packs exactly when tau >= k, so the cap
-    min(m // (n - 1), k_max) is tried first: when it packs, it is the
-    answer. Otherwise rounds 1, 2, ... run below it until one fails.
+    graphs report 0. Round k packs exactly when tau >= k, so rounds run
+    down from the cap min(m // (n - 1), k_max), and the first that packs
+    is the answer: a cap that packs settles tau in one round.
     A given k_max must be a positive integer (InvalidParam otherwise).
     """
     cap = g.m // (g.n - 1)
     if k_max is not None:
         cap = min(cap, check_k(k_max))
-    if cap > 1:
-        trees = _spanning_trees(g, cap)
+    for k in range(cap, 0, -1):
+        trees = _spanning_trees(g, k)
         if trees is not None:
             return OracleResult(
-                GraphProperty.TREE_PACKING, cap, ForestPacking(trees), True
+                GraphProperty.TREE_PACKING, k, ForestPacking(trees), True
             )
-        cap -= 1
-    best, best_trees = 0, ()
-    for k in range(1, cap + 1):
-        trees = _spanning_trees(g, k)
-        if trees is None:
-            break
-        best, best_trees = k, trees
-    return OracleResult(
-        GraphProperty.TREE_PACKING, best, ForestPacking(best_trees), True
-    )
+    return OracleResult(GraphProperty.TREE_PACKING, 0, ForestPacking(()), True)

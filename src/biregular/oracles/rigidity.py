@@ -50,11 +50,12 @@ its edges. Insertion order matters only for which basis the game picks, not
 for the rank, so extraction feeds edges in a deterministic "diagonal" order
 that spreads the basis across vertices; lexicographic order would hand the
 first basis every edge at the lowest-numbered vertices and strand them
-isolated for the next round. A failed first round means g is not rigid,
-which settles every k, and m // (2n-3) rounds use up all the room the edge
-count leaves; any other later failure never refutes. A bipartite graph on
-n <= 14 vertices has m <= n^2/4 < 2(2n-3) edges, so there greedy is always
-exact.
+isolated for the next round. The order is sorted once; each round feeds
+the edges left by the earlier ones, still in that order. A failed first
+round means g is not rigid, which settles every k, and m // (2n-3) rounds
+use up all the room the edge count leaves; any other later failure never
+refutes. A bipartite graph on n <= 14 vertices has m <= n^2/4 < 2(2n-3)
+edges, so there greedy is always exact.
 """
 
 from __future__ import annotations
@@ -265,10 +266,7 @@ def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
         raise TooSmall("global rigidity oracle needs at least 4 vertices")
     if _connectivity_upto3(flat_adjacency(g)) < 3:
         return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
-    redundant = is_redundantly_rigid(g)
-    return OracleResult(
-        GraphProperty.GLOBAL_RIGIDITY, redundant.value, redundant.witness, True
-    )
+    return is_redundantly_rigid(g)
 
 
 def _spread_order(g: BipartiteGraph, edges):
@@ -298,10 +296,10 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
             LamanPacking((res.witness.edges,)) if rigid else None,
             True,
         )
-    remaining = list(g.edges)
+    remaining = _spread_order(g, g.edges)
     extracted = []
     for _ in range(k):
-        rank, independent = pebble_rank_edges(g, _spread_order(g, remaining))
+        rank, independent = pebble_rank_edges(g, remaining)
         if rank != target:
             break
         extracted.append(tuple(sorted(independent)))

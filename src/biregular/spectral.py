@@ -48,7 +48,7 @@ class MixingReport:
     lhs = |e(A,B) - sqrt(ab)/sqrt(|X||Y|) * |A||B||
     rhs = lambda2 * sqrt(|A||B| (1-|A|/|X|) (1-|B|/|Y|))
 
-    ``holds`` is lhs <= rhs + tolerance; a False value on a validated
+    ``holds`` is lhs <= rhs + MIXING_TOL; a False value on a validated
     biregular graph means a bug somewhere in the pipeline, never new math.
     """
 
@@ -96,7 +96,6 @@ def mixing_check(
     a_side: Iterable[Vertex],
     b_side: Iterable[Vertex],
     spectrum: Spectrum | None = None,
-    tol: float = MIXING_TOL,
 ) -> MixingReport:
     """Evaluate the bipartite mixing inequality for A within X, B within Y.
 
@@ -112,7 +111,7 @@ def mixing_check(
     e_ab = cross_edges(g, a_set, b_set)
     lhs, rhs = mixing_sides(g, profile, spectrum, e_ab, len(a_set), len(b_set))
     lhs, rhs = float(lhs), float(rhs)
-    return MixingReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + tol)
+    return MixingReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + MIXING_TOL)
 
 
 def mixing_sides(g, profile, spectrum, e_ab, na, nb):

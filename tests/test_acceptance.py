@@ -115,7 +115,7 @@ def test_criterion_2_mixing_lemma(corpus):
     worst = None
     for gid, seed, g, spectrum in sample:
         assert g.n <= 60
-        report = mixing_audit(g, 1000, seed=seed, spectrum=spectrum, tol=TOL)
+        report = mixing_audit(g, 1000, seed=seed, spectrum=spectrum)
         assert report.violations == 0
         if worst is None or report.min_slack < worst:
             worst = report.min_slack

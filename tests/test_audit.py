@@ -69,6 +69,12 @@ def test_config_validation():
         AuditConfig(1, ((4, 4, 2, 2),), (2,), (GraphProperty.RAMANUJAN,), 1)
     with pytest.raises(InvalidParam):
         AuditConfig(1, ((4, 4, 2, 2),), (2,), (), 1)
+    # A repeated k or property would emit the same record more than once.
+    edge = GraphProperty.EDGE_CONNECTIVITY
+    with pytest.raises(InvalidParam, match="k grid repeats a value"):
+        AuditConfig(1, ((6, 6, 3, 3),), (2, 3, 2), (edge,), 5)
+    with pytest.raises(InvalidParam, match="property set repeats a property"):
+        AuditConfig(1, ((6, 6, 3, 3),), (2,), (edge, edge), 5)
 
 
 def test_config_rejects_k_grid_entries_up_front():

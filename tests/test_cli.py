@@ -199,6 +199,20 @@ def test_audit_json_format(tmp_path):
     assert records and records[0]["property"] == "edge-conn"
 
 
+def test_audit_dedups_repeated_k_and_properties(tmp_path):
+    # The CLI drops repeats before AuditConfig, which rejects them.
+    once, twice = tmp_path / "once.csv", tmp_path / "twice.csv"
+    args = ("audit", "--seed", "7", "--trials", "1", "--grid", "6,4,2,3")
+    res = run_cli(*args, "--k", "2", "--properties", "edge-conn", "--out", str(once))
+    assert res.returncode == 0
+    res = run_cli(
+        *args, "--k", "2", "--k", "2", "--properties", "edge-conn,edge-conn",
+        "--out", str(twice),
+    )
+    assert res.returncode == 0
+    assert once.read_bytes() == twice.read_bytes()
+
+
 def test_audit_bad_grid_exit_1():
     res = run_cli("audit", "--grid", "4,5,2,2", "--trials", "1")
     assert res.returncode == 1

@@ -354,6 +354,29 @@ def test_flows_only_for_a_witness(monkeypatch):
         assert calls > 0
 
 
+def test_one_scan_below_delta(default_corpus, monkeypatch):
+    # kappa >= delta is decided once; only kappa < delta runs a scan, and
+    # that one scan is capped at delta.
+    bounds = []
+    run = flow._vertex_cut
+
+    def counted(g, adj, bound):
+        bounds.append(bound)
+        return run(g, adj, bound)
+
+    monkeypatch.setattr(flow, "_vertex_cut", counted)
+    below_delta = 0
+    for g in [*default_corpus, TWO_K33_BLOCKS, DISCONNECTED]:
+        bounds.clear()
+        delta = min(len(lst) for lst in g.adj_x + g.adj_y)
+        if vertex_connectivity(g).value == delta:
+            assert bounds == []
+        else:
+            assert bounds == [delta]
+            below_delta += 1
+    assert below_delta >= 15
+
+
 def test_size_guards(monkeypatch):
     # even_cycle(514) takes the depth-first path (delta = 2), the 4-regular
     # circulant on 2 * 257 vertices the flow path, which must refuse it

@@ -124,13 +124,13 @@ def test_cap_first_matches_bottom_up_rounds(default_corpus):
 
 def test_cap_round_runs_first(monkeypatch):
     rounds = []
-    run = packing._pack_forests
+    run = packing._spanning_trees
 
     def counted(g, k):
         rounds.append(k)
         return run(g, k)
 
-    monkeypatch.setattr(packing, "_pack_forests", counted)
+    monkeypatch.setattr(packing, "_spanning_trees", counted)
     assert tree_packing_number(complete_bipartite(6, 6)).value == 3
     assert rounds == [3]
     rounds.clear()
@@ -138,9 +138,12 @@ def test_cap_round_runs_first(monkeypatch):
     assert tree_packing_number(even_cycle(6), k_max=2).value == 1
     assert rounds == [1]
     rounds.clear()
-    # The cap 3 fails to pack, then rounds 1 and 2 run from the bottom.
+    # The cap 3 fails to pack, then rounds run down until one packs.
     assert tree_packing_number(_joined_k66_blocks(2)).value == 2
-    assert rounds == [3, 1, 2]
+    assert rounds == [3, 2]
+    rounds.clear()
+    assert tree_packing_number(_joined_k66_blocks(1)).value == 1
+    assert rounds == [3, 2, 1]
 
 
 def test_rounds_match_frozen_reference(default_corpus):

@@ -31,6 +31,7 @@ from biregular.prng import SplitMix64, derive_seed
 from testutil import (
     DISCONNECTED,
     K44_PENDANT,
+    greedy_rigid_packing_reference,
     medium_corpus,
     modular_rank_bruteforce,
     partition_bound_reference,
@@ -42,6 +43,8 @@ from testutil import (
     rigid_packing_partition_sufficient_reference,
     small_corpus,
 )
+
+from test_flow_oracles import _bipartite_circulants
 
 RANK_SEEDS = (101, 202, 303)
 
@@ -360,6 +363,26 @@ def test_greedy_packing_non_rigid_is_exact():
         for k in (1, 2, 3):
             res = greedy_rigid_packing(g, k)
             assert (res.value, res.witness, res.exact) == (0, None, True)
+
+
+def test_greedy_packing_matches_per_round_sort():
+    # Sorting the diagonal order once and filtering it each round feeds
+    # every round the edges that re-sorting the remainder feeds it.
+    graphs = [
+        complete_bipartite(12, 12),
+        complete_bipartite(12, 18),
+        complete_bipartite(18, 18),
+        *_bipartite_circulants(31),
+        *medium_corpus(),
+    ]
+    packed = 0
+    for g in graphs:
+        for k in range(1, 5):
+            res = greedy_rigid_packing(g, k)
+            assert res == greedy_rigid_packing_reference(g, k)
+            packed += res.value >= 2
+    # Several graphs reach a second round, so the filtered order is used.
+    assert packed >= 20
 
 
 def test_greedy_packing_bad_k():

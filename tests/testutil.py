@@ -22,6 +22,7 @@ from biregular.graphs import (
 )
 from biregular.oracles import (
     ForestPacking,
+    LamanPacking,
     OracleResult,
     PartitionWitness,
     flow,
@@ -63,7 +64,7 @@ def random_biregular_scalar(x, y, a, b, seed, max_retries=10000):
     )
 
 
-def mixing_audit_scalar(g, pairs, seed, spectrum, tol=1e-9):
+def mixing_audit_scalar(g, pairs, seed, spectrum):
     """``mixing_audit`` one ``mixing_check`` per pair (the reference).
 
     Returns (pairs, min_slack, max_slack), or on the first violating pair
@@ -78,7 +79,7 @@ def mixing_audit_scalar(g, pairs, seed, spectrum, tol=1e-9):
         b_side = frozenset(
             ("y", j) for j in range(g.y_count) if rng.next_u64() & 1
         )
-        report = mixing_check(g, a_side, b_side, spectrum, tol)
+        report = mixing_check(g, a_side, b_side, spectrum)
         if not report.holds:
             return ("violation", index, a_side, b_side, report.lhs, report.rhs)
         slacks.append(report.rhs - report.lhs)
@@ -412,7 +413,8 @@ def spanning_trees_reference(g: BipartiteGraph, k: int):
 def tree_packing_number_reference(g: BipartiteGraph, k_max=None) -> OracleResult:
     """tau from matroid-union rounds k = 1, 2, ... up to
     min(m // (n - 1), k_max), stopping at the first that fails to pack: the
-    loop ``tree_packing_number`` ran before it tried the cap first."""
+    loop ``tree_packing_number`` ran before its rounds ran down from the
+    cap."""
     cap = g.m // (g.n - 1)
     if k_max is not None:
         cap = min(cap, k_max)
@@ -544,6 +546,42 @@ def redundantly_rigid_reference(g: BipartiteGraph):
         if rank != target:
             return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, edge, True)
     return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 1, None, True)
+
+
+def greedy_rigid_packing_reference(g: BipartiteGraph, k: int) -> OracleResult:
+    """``greedy_rigid_packing`` re-sorting the remaining edges into the
+    diagonal order every round: the loop before the order was sorted once."""
+    target = 2 * g.n - 3
+    if k == 1:
+        res = rigidity_rank(g)
+        rigid = res.value == target
+        return OracleResult(
+            GraphProperty.RIGID_PACKING,
+            1 if rigid else 0,
+            LamanPacking((res.witness.edges,)) if rigid else None,
+            True,
+        )
+    period = max(g.x_count, g.y_count)
+    remaining = list(g.edges)
+    extracted = []
+    for _ in range(k):
+        order = sorted(
+            remaining, key=lambda e: ((e[0] + e[1]) % period, e[0], e[1])
+        )
+        rank, independent = pebble_rank_edges(g, order)
+        if rank != target:
+            break
+        extracted.append(tuple(sorted(independent)))
+        used = set(independent)
+        remaining = [e for e in remaining if e not in used]
+    if not extracted:
+        return OracleResult(GraphProperty.RIGID_PACKING, 0, None, True)
+    return OracleResult(
+        GraphProperty.RIGID_PACKING,
+        len(extracted),
+        LamanPacking(tuple(extracted)),
+        len(extracted) == min(k, g.m // target),
+    )
 
 
 def iter_partition_assignments_reference(n: int):
