@@ -202,21 +202,19 @@ def _kappa_at_least_delta(g: BipartiteGraph, adj, delta: int) -> bool:
 
 
 def _vertex_cut(g: BipartiteGraph, adj, bound: int):
-    """min(kappa, bound) and, when kappa < bound, a minimum separator.
+    """``(kappa, separator)``, the separator as sorted flat ids, when
+    kappa < bound: some non-adjacent pair then has flow below ``bound``.
 
-    Returns ``(value, separator)`` with the separator as sorted flat ids, or
-    ``None`` when no non-adjacent pair has flow below ``bound``. Sources
-    stop at v_(best-1), after Even (1975): while kappa < best, a minimum
-    separator S misses some v_i with i <= |S| = kappa < best, and every
-    vertex across S from v_i has a higher id. The visited pairs are thus a
-    prefix of the full ordered-up scan that holds its first minimum pair,
-    so the witness is that scan's.
+    Sources stop at v_(best-1), after Even (1975): while kappa < best, a
+    minimum separator S misses some v_i with i <= |S| = kappa < best, and
+    every vertex across S from v_i has a higher id. The visited pairs are
+    thus a prefix of the full ordered-up scan that holds its first minimum
+    pair, so the witness is that scan's.
     """
     n = g.n
     net = _split_network(g)
     adj_sets = [set(lst) for lst in adj]
     best = bound
-    reach = None
     for u in range(n):
         if u >= best:
             break
@@ -227,8 +225,6 @@ def _vertex_cut(g: BipartiteGraph, adj, bound: int):
             if f < best:
                 best = f
                 reach = reached
-    if reach is None:
-        return best, None
     sep = tuple(v for v in range(n) if reach[2 * v] and not reach[2 * v + 1])
     assert len(sep) == best
     return best, sep

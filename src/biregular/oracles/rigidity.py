@@ -40,10 +40,40 @@ set later, and the circuit of every reach set was covered when it was
 found; the circuit of a skipped edge lies inside its component and so
 covers nothing new.
 
-An independent randomized cross-check builds the rigidity matrix at random
-positions over a large prime field and row-reduces it; by Schwartz-Zippel
-its rank equals the generic rank except with vanishing probability, so any
-disagreement with the pebble game is treated as a bug.
+An independent randomized cross-check takes the rank of the rigidity matrix
+R at random points over a large prime field; by Schwartz-Zippel it equals
+the generic rank except with vanishing probability, so any disagreement
+with the pebble game is treated as a bug. The rank is exact at those
+points, and two facts, true over any field, save most of the elimination.
+Row (u, v) of R is d = p_u - p_v in u's two columns and -d in v's.
+
+- The ceiling: rank R <= 2n - 3 for n >= 2. R sends to zero both
+  translations, (1, 0) and (0, 1) at every vertex, and the rotation
+  (-y_i, x_i): row (u, v) gives -d_x y_u + d_y x_u + d_x y_v - d_y x_v =
+  -d_x d_y + d_y d_x = 0. If a t_x + b t_y + c rot = 0, then c = 0 forces
+  a = b = 0, and c != 0 puts every point at (-b/c, a/c). So the three are
+  independent unless all points coincide, and then R = 0.
+- Hub block elimination. No edge lies inside a part, so the two columns of
+  a vertex h are nonzero only in h's own rows. Take h in the larger part
+  (the hubs; X on a tie) and its rows r_1, r_2 at its two lowest
+  neighbors, with hub blocks d_1, d_2 forming an invertible 2 x 2 matrix
+  D. Each other row r_j of h, less c_1 r_1 + c_2 r_2 with
+  (c_1, c_2) = d_j D^-1, is zero on h's columns; this Schur row keeps
+  -d_j at its own leaf and gains c_1 d_1 and c_2 d_2 at the leaves of r_1
+  and r_2, six entries at most. Now r_1 and r_2 are the only rows that
+  meet h's columns, and column operations through D clear the rest of
+  them, so they add exactly 2 to the rank; every such hub does so at once,
+  on its own columns. So rank R = 2 (pivoted hubs) + rank of the residual:
+  the Schur rows and every row of the other hubs, over the leaf columns
+  and those hubs' columns.
+
+By the ceiling the residual has rank at most 2n - 3 - 2 (pivoted hubs).
+It is first eliminated on a prefix of about 1.25 times that many rows,
+taken round robin over the rows' leaves (each leaf's first row, then each
+leaf's second) so the prefix spreads over the leaf columns. A prefix that
+reaches the ceiling settles the rank, since the residual's rank lies
+between the prefix's and the ceiling; otherwise all its rows are
+eliminated. The points decide only how much work is done, never the rank.
 
 Greedy packing repeatedly extracts a spanning Laman subgraph and removes
 its edges. Insertion order matters only for which basis the game picks, not
@@ -59,6 +89,8 @@ edges, so there greedy is always exact.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -185,22 +217,95 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
     """Rigidity-matrix rank at seeded random points mod RANK_FIELD_PRIME.
 
     Row for edge (u, v): (p_u - p_v) in u's coordinate pair and the negation
-    in v's. Random points land outside the degeneracy variety except with
-    probability O(poly(n) / RANK_FIELD_PRIME), so this equals the pebble-game
-    rank for all practical purposes and is re-run under several seeds by the
-    tests.
+    in v's. The 2n coordinates are ``SplitMix64(seed).below(RANK_FIELD_PRIME)``
+    draws, x then y of each flat vertex in turn. Random points land outside
+    the degeneracy variety except with probability O(poly(n) /
+    RANK_FIELD_PRIME), so this equals the pebble-game rank for all practical
+    purposes and is re-run under several seeds by the tests. The rank is the
+    exact rank of that matrix over the field, computed by hub block
+    elimination and stopped at the 2n - 3 ceiling (see the module
+    docstring and ``_rank_at``).
     """
     rng = SplitMix64(seed)
     pos = np.array(
         [rng.below(RANK_FIELD_PRIME) for _ in range(2 * g.n)], dtype=np.int64
     ).reshape(g.n, 2)
-    u, v = np.array(flat_edges(g), dtype=np.intp).reshape(-1, 2).T
-    rows = np.arange(g.m)
-    diff = (pos[u] - pos[v]) % RANK_FIELD_PRIME
-    mat = np.zeros((g.m, g.n, 2), dtype=np.int64)  # [edge, vertex, coordinate]
-    mat[rows, u] = diff
-    mat[rows, v] = -diff % RANK_FIELD_PRIME
-    return _rank_mod_p(mat.reshape(g.m, 2 * g.n), RANK_FIELD_PRIME)
+    return _rank_at(g, pos, RANK_FIELD_PRIME)
+
+
+def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:
+    """Rank over GF(p) of g's rigidity matrix at the points ``pos`` (n x 2).
+
+    The larger part holds the hubs (X on a tie). A hub of degree 2 or more
+    whose first two rows, at its two lowest neighbors, have an invertible
+    2 x 2 hub block has both its columns pivoted at once, and each of its
+    other rows becomes a Schur row over three leaves. Every other hub keeps
+    its rows and its two columns. The residual is eliminated on a
+    round-robin prefix of its rows and again in full only when the prefix
+    falls short of the 2n - 3 ceiling (see the module docstring).
+    """
+    x, m = g.x_count, g.m
+    if not m:
+        return 0
+    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * m)
+    u, v = ends[0::2], ends[1::2] + x
+    if x >= g.y_count:
+        hub, leaf, leaves, first_leaf = u, v, g.y_count, x
+    else:
+        order = np.argsort(v, kind="stable")  # grouped by hub, leaves ascending
+        hub, leaf, leaves, first_leaf = v[order], u[order], x, 0
+    d = (pos[hub] - pos[leaf]) % p  # a row is d at its hub and -d at its leaf
+    leaf = leaf - first_leaf
+    starts = np.r_[True, hub[1:] != hub[:-1]]
+    first = np.flatnonzero(starts)  # each hub's first row
+    group = np.cumsum(starts) - 1  # row -> its hub
+    d1 = d[first]
+    d2 = d[np.minimum(first + 1, m - 1)]  # read only at degree 2 or more
+    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) % p
+    pivoted = (np.diff(np.r_[first, m]) >= 2) & (det != 0)
+    inv = np.zeros(len(first), dtype=np.int64)
+    inv[pivoted] = [pow(int(t), -1, p) for t in det[pivoted]]
+
+    # The residual rows: all but the two pivot rows of each pivoted hub, in
+    # round robin over their leaves (each leaf's first row, then each leaf's
+    # second, and so on).
+    rows = np.flatnonzero(~pivoted[group] | (np.arange(m) - first[group] >= 2))
+    base = 2 * int(np.count_nonzero(pivoted))
+    if not len(rows):
+        return base
+    key = leaf[rows]
+    by_leaf = np.argsort(key, kind="stable")
+    in_order = key[by_leaf]
+    turn = np.empty_like(by_leaf)
+    turn[by_leaf] = np.arange(len(rows)) - np.searchsorted(in_order, in_order)
+    rows = rows[np.lexsort((key, turn))]
+    # Residual vertices: the leaves, then the hubs that were not pivoted.
+    kept_vertex = leaves - 1 + np.cumsum(~pivoted)
+
+    def residual(rows):
+        out = np.zeros((len(rows), kept_vertex[-1] + 1, 2), dtype=np.int64)
+        at = np.arange(len(rows))
+        out[at, leaf[rows]] = -d[rows] % p
+        schur = pivoted[group[rows]]
+        kept = rows[~schur]
+        out[at[~schur], kept_vertex[group[kept]]] = d[kept]
+        # Row j less c1 (row 1) and c2 (row 2), where c1 d1 + c2 d2 = d_j,
+        # is zero on the hub and keeps -d_j at its leaf, c1 d1 and c2 d2 at
+        # the hub's first two leaves. Cramer's rule gives c1 and c2.
+        j = rows[schur]
+        h = group[j]
+        e, f = d[j, 0], d[j, 1]
+        c1 = (e * d2[h, 1] - f * d2[h, 0]) % p * inv[h] % p
+        c2 = (d1[h, 0] * f - d1[h, 1] * e) % p * inv[h] % p
+        out[at[schur], leaf[first[h]]] = c1[:, None] * d1[h] % p
+        out[at[schur], leaf[first[h] + 1]] = c2[:, None] * d2[h] % p
+        return out.reshape(len(rows), -1)
+
+    ceiling = 2 * g.n - 3 - base
+    prefix = ceiling + ceiling // 4 + 1
+    if len(rows) > prefix and _rank_mod_p(residual(rows[:prefix]), p) == ceiling:
+        return base + ceiling
+    return base + _rank_mod_p(residual(rows), p)
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:
@@ -216,9 +321,11 @@ def _rank_mod_p(mat: np.ndarray, p: int) -> int:
             continue
         if nonzero[0] != r:
             a[[r, nonzero[0]]] = a[[nonzero[0], r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), p - 2, p) % p
+        pivot = a[r, c:]  # a view: scaled in place
+        pivot *= pow(int(pivot[0]), -1, p)
+        pivot %= p
         below = nonzero[1:]
-        a[below, c:] = (a[below, c:] - np.outer(a[below, c], a[r, c:])) % p
+        a[below, c:] = (a[below, c:] - np.outer(a[below, c], pivot)) % p
         r += 1
         if r == rows:
             break

@@ -31,6 +31,7 @@ from biregular.prng import SplitMix64, derive_seed
 from testutil import (
     DISCONNECTED,
     K44_PENDANT,
+    TWO_K44_BLOCKS,
     greedy_rigid_packing_reference,
     medium_corpus,
     modular_rank_bruteforce,
@@ -41,6 +42,8 @@ from testutil import (
     redundantly_rigid_reference,
     rigid_packing_exhaustive,
     rigid_packing_partition_sufficient_reference,
+    rigidity_matrix_mod_p,
+    rigidity_matrix_rank_modular_reference,
     small_corpus,
 )
 
@@ -259,6 +262,106 @@ def test_forward_elimination_matches_gauss_jordan(monkeypatch):
     assert all(new == old for new, old in ranks)
     # Both full and deficient ranks occur.
     assert len({new for new, _ in ranks}) >= 10
+
+
+def test_modular_rank_matches_full_matrix(default_corpus):
+    graphs = [
+        *_seeded_circulants(31),
+        *_seeded_circulants(57),
+        *(complete_bipartite(m, n) for m in range(1, 9) for n in range(1, 9)),
+        complete_bipartite(12, 18),
+        complete_bipartite(18, 12),
+        BipartiteGraph(3, 4, ()),
+        *(even_cycle(length) for length in (4, 6, 8, 10)),
+        heawood(),
+        *(g for g in default_corpus if g.n <= 30),
+    ]
+    for g in graphs:
+        for seed in RANK_SEEDS:
+            expected = rigidity_matrix_rank_modular_reference(g, seed)
+            assert rigidity_matrix_rank_modular(g, seed) == expected
+
+
+def test_rank_at_small_primes_takes_every_branch(monkeypatch):
+    """``_rank_at`` against Gauss-Jordan on the full matrix at points mod 5,
+    7 and 11, where hub blocks are often singular. The calls into
+    ``_rank_mod_p`` follow from which hubs can pivot, found here from the
+    points: a prefix of ceiling + ceiling // 4 + 1 rows when the residual
+    has more, then all of them only when the prefix falls short."""
+    calls = []
+    rank_mod_p = rigidity._rank_mod_p
+
+    def spy(mat, p):
+        calls.append((mat.shape, rank_mod_p(mat, p)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(rigidity, "_rank_mod_p", spy)
+    graphs = [
+        *small_corpus(),
+        *medium_corpus(),
+        K44_PENDANT,
+        TWO_K44_BLOCKS,
+        *(complete_bipartite(m, n) for m, n in ((4, 1), (6, 6), (5, 8))),
+    ]
+    seen = dict.fromkeys(("singular hub", "degree-1 hub", "hit", "miss"), 0)
+    for g in graphs:
+        x_hubs = g.x_count >= g.y_count
+        hubs, leaves = (g.adj_x, g.y_count) if x_hubs else (g.adj_y, g.x_count)
+        hub_base, leaf_base = (0, g.x_count) if x_hubs else (g.x_count, 0)
+        for p in (5, 7, 11):
+            for seed in RANK_SEEDS:
+                rng = SplitMix64(derive_seed(seed, p))
+                pos = np.array(
+                    [rng.below(p) for _ in range(2 * g.n)], dtype=np.int64
+                ).reshape(g.n, 2)
+                pivots = kept = 0
+                for h, nbrs in enumerate(hubs):
+                    if len(nbrs) >= 2:
+                        ends = [leaf_base + w for w in nbrs[:2]]
+                        (a, b), (c, d) = pos[hub_base + h] - pos[ends]
+                        if (a * d - b * c) % p:
+                            pivots += 1
+                            continue
+                        seen["singular hub"] += 1
+                    elif len(nbrs) == 1:
+                        seen["degree-1 hub"] += 1
+                    kept += bool(nbrs)
+                calls.clear()
+                full = rank_mod_p_reference(rigidity_matrix_mod_p(g, pos, p), p)
+                assert rigidity._rank_at(g, pos, p) == full
+                rows, cols = g.m - 2 * pivots, 2 * (leaves + kept)
+                ceiling = 2 * g.n - 3 - 2 * pivots
+                prefix = ceiling + ceiling // 4 + 1
+                shapes = [shape for shape, _ in calls]
+                if rows > prefix:
+                    hit = calls[0][1] == ceiling
+                    seen["hit" if hit else "miss"] += 1
+                    assert shapes == [(prefix, cols)] + [(rows, cols)] * (not hit)
+                else:
+                    assert shapes == [(rows, cols)] * bool(rows)
+    assert all(seen.values()), seen
+
+
+def test_rank_eliminates_leaf_columns_and_a_prefix(monkeypatch):
+    """Every hub pivots on these rigid graphs, so the residual has the 2|L|
+    leaf columns, |L| the smaller part, and its ceiling 2|L| - 3 is met
+    by the first prefix."""
+    shapes = []
+    rank_mod_p = rigidity._rank_mod_p
+
+    def spy(mat, p):
+        shapes.append(mat.shape)
+        return rank_mod_p(mat, p)
+
+    monkeypatch.setattr(rigidity, "_rank_mod_p", spy)
+    circulant = next(g for g in _seeded_circulants(31) if len(g.adj_x[0]) == 18)
+    for g in (complete_bipartite(18, 18), circulant):
+        leaves = min(g.x_count, g.y_count)
+        ceiling = 2 * leaves - 3
+        for seed in RANK_SEEDS:
+            shapes.clear()
+            assert rigidity_matrix_rank_modular(g, seed) == 2 * g.n - 3
+            assert shapes == [(ceiling + ceiling // 4 + 1, 2 * leaves)]
 
 
 def test_global_rigidity_cutoff_matches_full_kappa():

@@ -29,7 +29,12 @@ from biregular.oracles import (
     rigidity_rank,
 )
 from biregular.oracles.partitions import _outside_z, blocks_from_assignment
-from biregular.oracles.rigidity import _pull_pebble, pebble_rank_edges
+from biregular.oracles.rigidity import (
+    RANK_FIELD_PRIME,
+    _pull_pebble,
+    _rank_mod_p,
+    pebble_rank_edges,
+)
 from biregular.prng import SplitMix64, derive_seed
 from biregular.properties import GraphProperty
 from biregular.spectral import mixing_check
@@ -303,6 +308,30 @@ def vertex_connectivity_all_pairs(g: BipartiteGraph):
     return best, sep
 
 
+def vertex_cut_reference(g: BipartiteGraph, adj, bound: int):
+    """min(kappa, bound) from the bound-capped split-flow scan, with Even's
+    source bound, and its flat-id separator, or None when no pair has flow
+    below ``bound`` (the reference; ``flow._vertex_cut`` runs only when
+    kappa < bound and always has a separator)."""
+    net = flow._split_network(g)
+    adj_sets = [set(lst) for lst in adj]
+    best, reach = bound, None
+    for u in range(g.n):
+        if u >= best:
+            break
+        for w in range(u + 1, g.n):
+            if w in adj_sets[u]:
+                continue
+            f, reached = net.flow(2 * u + 1, 2 * w, best)
+            if f < best:
+                best, reach = f, reached
+    if reach is None:
+        return best, None
+    sep = tuple(v for v in range(g.n) if reach[2 * v] and not reach[2 * v + 1])
+    assert len(sep) == best
+    return best, sep
+
+
 def vertex_connectivity_flow_path(g: BipartiteGraph):
     """kappa and flat-id separator from the delta-capped split-flow scan
     alone, the path ``vertex_connectivity`` took for every delta before
@@ -310,7 +339,7 @@ def vertex_connectivity_flow_path(g: BipartiteGraph):
     adj = flat_adjacency(g)
     degs = [len(lst) for lst in adj]
     low = degs.index(min(degs))
-    kappa, sep = flow._vertex_cut(g, adj, degs[low])
+    kappa, sep = vertex_cut_reference(g, adj, degs[low])
     return kappa, tuple(adj[low]) if sep is None else sep
 
 
@@ -460,6 +489,29 @@ def is_spanning_tree(g: BipartiteGraph, edges) -> bool:
             return False
         parent[ru] = rv
     return len({find(v) for v in range(g.n)}) == 1
+
+
+def rigidity_matrix_mod_p(g: BipartiteGraph, pos, p: int) -> np.ndarray:
+    """The full m x 2n rigidity matrix of g at integer points pos, mod p:
+    row (u, v) holds p_u - p_v in u's coordinate pair, the negation in v's."""
+    u, v = np.array(flat_edges(g), dtype=np.intp).reshape(-1, 2).T
+    rows = np.arange(g.m)
+    diff = (pos[u] - pos[v]) % p
+    mat = np.zeros((g.m, g.n, 2), dtype=np.int64)  # [edge, vertex, coordinate]
+    mat[rows, u] = diff
+    mat[rows, v] = -diff % p
+    return mat.reshape(g.m, 2 * g.n)
+
+
+def rigidity_matrix_rank_modular_reference(g: BipartiteGraph, seed: int) -> int:
+    """``rigidity_matrix_rank_modular`` by forward elimination of the full
+    matrix at the same seeded points (the reference)."""
+    rng = SplitMix64(seed)
+    pos = np.array(
+        [rng.below(RANK_FIELD_PRIME) for _ in range(2 * g.n)], dtype=np.int64
+    ).reshape(g.n, 2)
+    mat = rigidity_matrix_mod_p(g, pos, RANK_FIELD_PRIME)
+    return _rank_mod_p(mat, RANK_FIELD_PRIME)
 
 
 def modular_rank_bruteforce(g: BipartiteGraph, edges, seed=12345) -> int:
