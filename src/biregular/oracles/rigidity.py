@@ -40,6 +40,19 @@ set later, and the circuit of every reach set was covered when it was
 found; the circuit of a skipped edge lies inside its component and so
 covers nothing new.
 
+The orientation lives in flat per-vertex lists: ``succ[v]`` holds v's
+out-edges, never more than 2, since each of v's 2 pebbles is free or spent
+on one of them. A search marks the vertices it visits in one ``mark`` array
+kept for the whole game, with a fresh stamp per search, records each
+vertex's discoverer in ``prev``, and takes a free pebble as soon as it
+discovers the vertex holding it. Which pebble a search finds changes only
+the orientation, never what the game reports: the accepted indices are the
+greedy basis in feed order, which is unique, and a reach set is the
+smallest tight set holding u and v, fixed by the accepted edges alone. The
+edges read off a reach set are the same under every orientation too, since
+no out-edge leaves it and every accepted edge inside it leaves one of its
+vertices.
+
 An independent randomized cross-check takes the rank of the rigidity matrix
 R at random points over a large prime field; by Schwartz-Zippel it equals
 the generic rank except with vanishing probability, so any disagreement
@@ -94,9 +107,10 @@ from itertools import chain
 
 import numpy as np
 
+from .. import prng
 from ..errors import TooSmall, check_k
 from ..graphs import BipartiteGraph, EdgePair, flat_adjacency, flat_edges
-from ..prng import SplitMix64
+from ..prng import SplitMix64, stream_u64
 from ..properties import GraphProperty
 from .flow import _connectivity_upto3
 from .result import LamanPacking, LamanSubgraph, OracleResult
@@ -104,31 +118,38 @@ from .result import LamanPacking, LamanSubgraph, OracleResult
 RANK_FIELD_PRIME = 2**31 - 1
 
 
-def _pull_pebble(root, banned, peb, succ):
-    # DFS along accepted-edge orientations for a pebble not on root/banned;
-    # reversing the discovery path carries it back to root.
-    parent = {root: None}
+def _pull_pebble(root, banned, peb, succ, mark, prev, stamp):
+    # Depth-first along accepted-edge orientations for a pebble on neither
+    # root nor banned, taken when its vertex is discovered; reversing the
+    # discovery path (prev) carries it back to root. The search may pass
+    # through banned. A vertex is visited when its mark equals stamp.
+    mark[root] = stamp
     stack = [root]
     while stack:
         w = stack.pop()
-        if w != root and w != banned and peb[w] > 0:
-            peb[w] -= 1
-            peb[root] += 1
-            while parent[w] is not None:
-                p = parent[w]
-                succ[p].remove(w)
-                succ[w].add(p)
-                w = p
-            return True
-        for nxt in succ[w]:
-            if nxt not in parent:
-                parent[nxt] = w
-                stack.append(nxt)
+        for x in succ[w]:
+            if mark[x] == stamp:
+                continue
+            mark[x] = stamp
+            prev[x] = w
+            if peb[x] and x != banned:
+                peb[x] -= 1
+                peb[root] += 1
+                while x != root:
+                    w = prev[x]
+                    succ[w].remove(x)
+                    succ[x].append(w)
+                    x = w
+                return True
+            stack.append(x)
     return False
 
 
 def _pebble_accepted(n, edges, rejected=None):
     """Indices of flat-id edges accepted by the (2,3) pebble game, in feed order.
+
+    The orientation ``succ`` and the search marks are flat per-vertex
+    lists (see the module docstring).
 
     Known rigid components are kept as vertex bitmasks: an edge inside one
     is rejected without a search. At a searched rejection the reach set
@@ -139,32 +160,41 @@ def _pebble_accepted(n, edges, rejected=None):
     passed to it: their circuits were covered when the component formed.
     """
     peb = [2] * n
-    succ = [set() for _ in range(n)]
+    succ = [[] for _ in range(n)]
+    mark = [0] * n
+    prev = [0] * n
+    stamp = 0
     components = []
     accepted = []
     for idx, (u, v) in enumerate(edges):
         ends = (1 << u) | (1 << v)
-        if any(c & ends == ends for c in components):
+        for c in components:  # a plain loop: any() over a generator costs more
+            if c & ends == ends:
+                break
+        else:
+            c = 0
+        if c:
             continue
         while peb[u] + peb[v] < 4:
-            if peb[u] < 2 and _pull_pebble(u, v, peb, succ):
+            stamp += 1
+            if peb[u] < 2 and _pull_pebble(u, v, peb, succ, mark, prev, stamp):
                 continue
-            if peb[v] < 2 and _pull_pebble(v, u, peb, succ):
+            stamp += 1
+            if peb[v] < 2 and _pull_pebble(v, u, peb, succ, mark, prev, stamp):
                 continue
             break
         if peb[u] + peb[v] >= 4:
             peb[u] -= 1
-            succ[u].add(v)
+            succ[u].append(v)
             accepted.append(idx)
             continue
-        reach = {u, v}
-        stack = [u, v]
-        while stack:
-            for w in succ[stack.pop()]:
-                if w not in reach:
-                    reach.add(w)
-                    stack.append(w)
-        components = _merge_component(components, sum(1 << w for w in reach))
+        reach, mask = [u, v], ends
+        for w in reach:  # grows as it is read: a breadth-first search
+            for x in succ[w]:
+                if not mask >> x & 1:
+                    mask |= 1 << x
+                    reach.append(x)
+        components = _merge_component(components, mask)
         if rejected is not None and rejected(reach, succ):
             break
     return accepted
@@ -226,11 +256,19 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
     elimination and stopped at the 2n - 3 ceiling (see the module
     docstring and ``_rank_at``).
     """
-    rng = SplitMix64(seed)
-    pos = np.array(
-        [rng.below(RANK_FIELD_PRIME) for _ in range(2 * g.n)], dtype=np.int64
-    ).reshape(g.n, 2)
-    return _rank_at(g, pos, RANK_FIELD_PRIME)
+    return _rank_at(g, _rank_points(g.n, seed), RANK_FIELD_PRIME)
+
+
+def _rank_points(n: int, seed: int) -> np.ndarray:
+    # The 2n ``below(RANK_FIELD_PRIME)`` draws as one stream block. A word
+    # above the accepted range (4 in 2^64 for this prime) is redrawn by
+    # below() and shifts every later draw, so then the draws are taken one
+    # at a time.
+    words = stream_u64(seed, 0, 2 * n)
+    if (words > prng.accept_max(RANK_FIELD_PRIME)).any():
+        rng = SplitMix64(seed)
+        words = np.array([rng.below(RANK_FIELD_PRIME) for _ in range(2 * n)])
+    return (words % RANK_FIELD_PRIME).astype(np.int64).reshape(n, 2)
 
 
 def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:

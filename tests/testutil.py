@@ -31,7 +31,6 @@ from biregular.oracles import (
 from biregular.oracles.partitions import _outside_z, blocks_from_assignment
 from biregular.oracles.rigidity import (
     RANK_FIELD_PRIME,
-    _pull_pebble,
     _rank_mod_p,
     pebble_rank_edges,
 )
@@ -537,19 +536,45 @@ def modular_rank_bruteforce(g: BipartiteGraph, edges, seed=12345) -> int:
     return rank_mod_p_reference(np.array(rows), p)
 
 
+def _pull_pebble_reference(root, banned, peb, succ):
+    # DFS along accepted-edge orientations for a pebble not on root/banned,
+    # taken when its vertex is popped; reversing the discovery path carries
+    # it back to root. Out-edges are sets, visits a parent dict per search.
+    parent = {root: None}
+    stack = [root]
+    while stack:
+        w = stack.pop()
+        if w != root and w != banned and peb[w] > 0:
+            peb[w] -= 1
+            peb[root] += 1
+            while parent[w] is not None:
+                p = parent[w]
+                succ[p].remove(w)
+                succ[w].add(p)
+                w = p
+            return True
+        for nxt in succ[w]:
+            if nxt not in parent:
+                parent[nxt] = w
+                stack.append(nxt)
+    return False
+
+
 def pebble_accepted_reference(n, edges):
     """The (2,3) pebble game with a full search at every edge (the reference).
 
     No rigid components: each rejection pays its failed pebble searches.
+    Its search keeps its own set-and-dict form, apart from the production
+    one, so that the comparison does not check the game against itself.
     """
     peb = [2] * n
     succ = [set() for _ in range(n)]
     accepted = []
     for idx, (u, v) in enumerate(edges):
         while peb[u] + peb[v] < 4:
-            if peb[u] < 2 and _pull_pebble(u, v, peb, succ):
+            if peb[u] < 2 and _pull_pebble_reference(u, v, peb, succ):
                 continue
-            if peb[v] < 2 and _pull_pebble(v, u, peb, succ):
+            if peb[v] < 2 and _pull_pebble_reference(v, u, peb, succ):
                 continue
             break
         if peb[u] + peb[v] >= 4:
