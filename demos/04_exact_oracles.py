@@ -15,11 +15,9 @@ from biregular.oracles import (
     greedy_rigid_packing,
     is_globally_rigid,
     is_redundantly_rigid,
-    rigid_packing_partition_bound,
     rigidity_matrix_rank_modular,
     rigidity_rank,
     tree_packing_number,
-    tree_packing_partition_bruteforce,
     vertex_connectivity,
 )
 
@@ -34,8 +32,6 @@ res = tree_packing_number(k44)
 print(f"\nK_{{4,4}}: tau = {res.value} edge-disjoint spanning trees")
 for i, tree in enumerate(res.witness.forests):
     print(f"  tree {i}: {tree}")
-brute = tree_packing_partition_bruteforce(k44, 3)
-print(f"  partition brute force agrees: {brute.value}")
 
 k66 = complete_bipartite(6, 6)
 rank = rigidity_rank(k66)
@@ -49,12 +45,5 @@ sizes = [len(s) for s in packing.witness.subgraphs]
 print(f"\nK_{{12,12}}: greedy extracted {packing.value} disjoint spanning "
       f"Laman subgraphs of sizes {sizes}")
 
-# the partition inequality that governs rigid packings, on one example
-k33 = complete_bipartite(3, 3)
-singles = [[v] for v in k33.vertices()]
-rep = rigid_packing_partition_bound(k33, 1, (), singles)
-print(f"\nK_{{3,3}} singleton partition: cross edges {rep.lhs} >= bound {rep.rhs} "
-      f"(tight) -> {rep.holds}")
-
 c6 = even_cycle(6)
-print(f"6-cycle rigidity rank: {rigidity_rank(c6).value} < {2*c6.n-3} -> not rigid")
+print(f"\n6-cycle rigidity rank: {rigidity_rank(c6).value} < {2*c6.n-3} -> not rigid")

@@ -4,8 +4,7 @@ The package certifies edge connectivity, vertex connectivity, spanning tree
 packing, rigid-subgraph packing, and global rigidity of (a,b)-biregular
 bipartite graphs from lambda_2, the second largest adjacency eigenvalue,
 and double-checks every fired certificate with exact combinatorial oracles
-(augmenting-path flows, matroid union, the (2,3) pebble game, and brute-force
-partition bounds at desk scale).
+(augmenting-path flows, matroid union and the (2,3) pebble game).
 """
 
 from .audit import (

@@ -7,9 +7,10 @@ UTF-8, LF line endings::
     edges <edge_count>
     e <xi> <yj>          (exactly edge_count lines, 0-based indices)
 
-Whole-line comments starting with ``#`` and blank lines are ignored
-anywhere; any other unrecognized line is an error. The writer emits edges
-sorted lexicographically, so write/parse round trips are exact.
+Numbers are ASCII digits with an optional leading ``-``. Whole-line
+comments starting with ``#`` and blank lines are ignored anywhere; any
+other unrecognized line is an error. The writer emits edges sorted
+lexicographically, so write/parse round trips are exact.
 """
 
 from __future__ import annotations
@@ -94,8 +95,8 @@ def parse_bbg(text: str) -> BipartiteGraph:
 def _ints(lineno, fields):
     out = []
     for f in fields:
-        try:
-            out.append(int(f))
-        except ValueError:
+        # int() alone would also take '+', '_' separators and non-ASCII digits.
+        if not (f.isascii() and f.removeprefix("-").isdigit()):
             raise ParseError(lineno, f"expected integer, got {f!r}")
+        out.append(int(f))
     return tuple(out)

@@ -157,13 +157,12 @@ def _parse_grid(text):
         chunk = chunk.strip()
         if not chunk:
             continue
-        parts = chunk.split(",")
+        parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 4:
             raise UsageError(f"grid entry {chunk!r} is not x,y,a,b")
-        try:
-            grid.append(tuple(int(p) for p in parts))
-        except ValueError:
+        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
             raise UsageError(f"grid entry {chunk!r} holds a non-integer")
+        grid.append(tuple(int(p) for p in parts))
     if not grid:
         raise UsageError("empty grid")
     return tuple(grid)

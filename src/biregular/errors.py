@@ -65,10 +65,6 @@ class ConvergenceFailure(Error):
     """The LAPACK singular value decomposition did not converge."""
 
 
-class InvalidPartition(Error):
-    """Blocks do not form a partition of the required vertex set."""
-
-
 class TooLarge(Error):
     """Input exceeds a hard enumeration guard."""
 

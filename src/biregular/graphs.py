@@ -289,12 +289,6 @@ def _shuffled_rows(y_base: np.ndarray, swaps: np.ndarray) -> np.ndarray:
     return perm.reshape(width + 1, rows).T
 
 
-def flat_index(g: BipartiteGraph, v: Vertex) -> int:
-    """Flatten (part, index) to a single id: X first, then Y offset by x_count."""
-    part, idx = _check_vertex(g, v)
-    return idx if part == X_PART else g.x_count + idx
-
-
 def flat_vertex(g: BipartiteGraph, fid: int) -> Vertex:
     if not 0 <= fid < g.n:
         raise IndexOutOfRange(f"flat id {fid} outside [0, {g.n})")

@@ -44,14 +44,6 @@ class LamanPacking:
 
 
 @dataclass(frozen=True)
-class PartitionWitness:
-    """A removed set and a partition of the rest violating some bound."""
-
-    removed: tuple[Vertex, ...]
-    blocks: tuple[tuple[Vertex, ...], ...]
-
-
-@dataclass(frozen=True)
 class OracleResult:
     """Exact combinatorial answer plus a re-checkable witness.
 

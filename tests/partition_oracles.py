@@ -1,17 +1,5 @@
-"""Set-partition enumeration and the two partition oracles built on it.
-
-This module owns every brute force over vertex partitions:
-
-- ``tree_packing_partition_bruteforce`` evaluates the Nash-Williams/Tutte
-  characterization of the tree packing number: for a connected graph it
-  equals the minimum over all vertex partitions with t >= 2 blocks of
-  floor(cross_edges / (t - 1)). It is guarded at 12 vertices; it and the
-  matroid-union oracle must agree wherever both run.
-- ``rigid_packing_partition_sufficient`` and
-  ``rigid_packing_partition_bound`` evaluate the rigid-packing partition
-  inequality through one helper, ``_partition_sides``; ``_outside_z``
-  prepares its inputs that depend only on the removed set Z (the edges of
-  g - Z and the Z-degrees), once per Z.
+"""Set-partition enumeration and the partition brute forces for tree and
+rigid packing: test references, which the package does not use.
 
 Partitions are restricted growth strings: assignment a with a[0] = 0 and
 a[i] <= 1 + max(a[:i]). ``partition_blocks`` yields them as int8 tables,
@@ -27,25 +15,23 @@ grown on its own, and enumeration has a hard ceiling of 12 items.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 import numpy as np
 
-from ..errors import InvalidPartition, TooLarge, check_k
-from ..graphs import (
-    BipartiteGraph,
-    flat_adjacency,
-    flat_edges,
-    flat_index,
-    flat_vertex,
-)
-from ..properties import GraphProperty
-from .result import OracleResult, PartitionWitness
+from biregular.errors import TooLarge, check_k
+from biregular.graphs import BipartiteGraph, flat_adjacency, flat_edges, flat_vertex
+from biregular.oracles import OracleResult
+from biregular.properties import GraphProperty
 
 PARTITION_GUARD = 12
 PARTITION_SUFFICIENT_GUARD = 9
 _BLOCK_ROWS = 1 << 11
+
+
+# A removed set and a partition of the rest violating some bound.
+PartitionWitness = namedtuple("PartitionWitness", "removed blocks")
 
 
 def partition_blocks(m: int) -> Iterator[np.ndarray]:
@@ -71,10 +57,23 @@ def _grow(table, m):
     yield table
 
 
+def iter_partition_assignments_reference(n: int, prefix=()):
+    """Restricted growth strings of length n, depth first: each position
+    takes the labels 0..max(prefix)+1 in increasing order.
+
+    The row order ``partition_blocks`` must keep, its tables joined. Yields
+    fresh lists.
+    """
+    if len(prefix) == n:
+        yield list(prefix)
+        return
+    for label in range(max(prefix, default=-1) + 2):
+        yield from iter_partition_assignments_reference(n, prefix + (label,))
+
+
 def blocks_from_assignment(items, assignment) -> tuple[tuple, ...]:
     """Group items by their assignment label, blocks ordered by first label."""
-    count = max(assignment) + 1 if assignment else 0
-    blocks = [[] for _ in range(count)]
+    blocks = [[] for _ in range(max(assignment) + 1)]
     for item, label in zip(items, assignment):
         blocks[label].append(item)
     return tuple(tuple(b) for b in blocks)
@@ -145,19 +144,8 @@ def _partition_sides(k, z_size, live, zdeg, table):
     return _crossings(table, live), rhs
 
 
-@dataclass(frozen=True)
-class PartitionBoundReport:
-    """Both sides of the packing partition inequality for one (Z, pi)."""
-
-    lhs: int
-    rhs: int
-    holds: bool
-
-
-def rigid_packing_partition_bound(
-    g: BipartiteGraph, k: int, removed, partition
-) -> PartitionBoundReport:
-    """Evaluate the partition inequality for k rigid-subgraph packings.
+def rigid_packing_partition_bound(g: BipartiteGraph, k: int, removed, partition):
+    """(lhs, rhs) of the partition inequality for k rigid-subgraph packings.
 
     With Z the removed set and pi a partition of the rest having n0 trivial
     and n0' nontrivial blocks:
@@ -167,34 +155,23 @@ def rigid_packing_partition_bound(
 
     where n_Z(pi) sums, over trivial blocks {v}, the number of Z-vertices
     adjacent to v. The inequality lhs >= rhs for every choice of (Z, pi) is
-    sufficient for k edge-disjoint spanning rigid subgraphs.
+    sufficient for k edge-disjoint spanning rigid subgraphs. Counted in one
+    scalar pass over the edges of g, for a valid (Z, pi).
     """
-    k = check_k(k)
-    z_flat = {flat_index(g, v) for v in removed}
-    if len(z_flat) >= g.n:
-        raise InvalidPartition("removed set must be a proper subset")
-    seen = set()
-    flat_blocks = []
-    for block in partition:
-        fb = [flat_index(g, v) for v in block]
-        if not fb:
-            raise InvalidPartition("empty block")
-        for fid in fb:
-            if fid in z_flat:
-                raise InvalidPartition("block overlaps the removed set")
-            if fid in seen:
-                raise InvalidPartition("blocks are not disjoint")
-            seen.add(fid)
-        flat_blocks.append(fb)
-    if len(seen) != g.n - len(z_flat):
-        raise InvalidPartition("blocks do not cover all remaining vertices")
-
-    rest = [fid for fb in flat_blocks for fid in fb]
-    row = np.array([[li for li, fb in enumerate(flat_blocks) for _ in fb]])
-    live, zdeg = _outside_z(flat_edges(g), flat_adjacency(g), z_flat, rest)
-    lhs, rhs = _partition_sides(k, len(z_flat), live, zdeg, row)
-    lhs, rhs = int(lhs[0]), int(rhs[0])
-    return PartitionBoundReport(lhs=lhs, rhs=rhs, holds=lhs >= rhs)
+    z = set(removed)
+    label = {v: i for i, block in enumerate(partition) for v in block}
+    single = {block[0] for block in partition if len(block) == 1}
+    lhs = nz = 0
+    for xi, yj in g.edges:
+        u, w = ("x", xi), ("y", yj)
+        if u in z or w in z:
+            # A Z-vertex is in no block, so only the other end can count.
+            nz += (u in single) + (w in single)
+        else:
+            lhs += label[u] != label[w]
+    n0 = len(single)
+    rhs = k * (3 - len(z)) * (len(partition) - n0) + 2 * k * n0 - 3 * k - nz
+    return lhs, rhs
 
 
 def rigid_packing_partition_sufficient(g: BipartiteGraph, k: int) -> OracleResult:

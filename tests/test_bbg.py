@@ -68,3 +68,15 @@ def test_unknown_line_is_error():
 def test_non_integer_field():
     with pytest.raises(ParseError):
         parse_bbg("bbg 1\nparts two 2\nedges 0\n")
+
+
+
+def test_integers_are_ascii_digits():
+    # int() would read this as a 10 x 3 graph with the edge (0, 2).
+    with pytest.raises(ParseError):
+        parse_bbg("bbg 1\nparts 1_0 \u0663\nedges 1\ne +0 0_2\n")
+    for field in ("+1", "0_1", "\u0661", "1.0", "-", "--1"):
+        with pytest.raises(ParseError):
+            parse_bbg(f"bbg 1\nparts 2 2\nedges 1\ne 0 {field}\n")
+    with pytest.raises(IndexOutOfRange):
+        parse_bbg("bbg 1\nparts 2 2\nedges 1\ne -1 0\n")

@@ -218,6 +218,16 @@ def test_audit_bad_grid_exit_1():
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("entry", ["6,4,2,+3", "6,4,2,\u0663", "6,4,2,0_3"])
+def test_audit_grid_integers_are_ascii_digits(capsys, entry):
+    assert main(["audit", "--grid", entry, "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"usage error: grid entry {entry!r} holds a non-integer\n"
+    )
+
+
 def test_mixing_audit_cli(c6_file):
     res = run_cli("mixing-audit", "--input", c6_file, "--pairs", "200", "--seed", "3")
     assert res.returncode == 0

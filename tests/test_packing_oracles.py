@@ -5,28 +5,23 @@ import pytest
 from biregular import BipartiteGraph, complete_bipartite, even_cycle
 from biregular.errors import InvalidParam, TooLarge
 from biregular.graphs import flat_edges
-from biregular.oracles import (
-    ForestPacking,
-    packing,
-    tree_packing_number,
-    tree_packing_partition_bruteforce,
-)
-from biregular.oracles.partitions import (
+from biregular.oracles import ForestPacking, packing, tree_packing_number
+
+from partition_oracles import (
     _BLOCK_ROWS,
     PARTITION_GUARD,
+    iter_partition_assignments_reference,
     partition_blocks,
+    tree_packing_partition_bruteforce,
 )
-
 from testutil import (
     ForestFamilyReference,
     is_spanning_tree,
-    iter_partition_assignments_reference,
     medium_corpus,
     partition_corpus,
     small_corpus,
     spanning_trees_reference,
     tree_packing_number_reference,
-    tree_packing_partition_bruteforce_reference,
 )
 
 from test_flow_oracles import DISCONNECTED, _seeded_bipartite
@@ -110,18 +105,6 @@ def _round_graphs(default_corpus):
     ]
 
 
-def test_cap_first_matches_bottom_up_rounds(default_corpus):
-    capped = 0
-    for g in _round_graphs(default_corpus):
-        for k_max in (None, 1, 2, 3, 8):
-            res = tree_packing_number(g, k_max)
-            assert res == tree_packing_number_reference(g, k_max)
-        cap = g.m // (g.n - 1)
-        capped += 1 < cap and res.value < cap
-    # Some graphs miss their cap, so the rounds below it run too.
-    assert capped >= 8
-
-
 def test_cap_round_runs_first(monkeypatch):
     rounds = []
     run = packing._spanning_trees
@@ -146,12 +129,6 @@ def test_cap_round_runs_first(monkeypatch):
     assert rounds == [3, 2, 1]
 
 
-def test_rounds_match_frozen_reference(default_corpus):
-    for g in _round_graphs(default_corpus):
-        for k in range(1, 6):
-            assert packing._spanning_trees(g, k) == spanning_trees_reference(g, k)
-
-
 def _components(n, adj):
     """Vertex -> smallest vertex of its component, by breadth-first search."""
     label = [None] * n
@@ -173,58 +150,63 @@ def _partition(labels):
     return [first.setdefault(c, v) for v, c in enumerate(labels)]
 
 
-def test_union_find_tracks_forest_components(default_corpus, monkeypatch):
+def test_rounds_match_references(default_corpus, monkeypatch):
+    # One pass of the rounds k = 1..5 over _round_graphs. At every
+    # insertion the union-find must match the forests' components, and an
+    # edge rejected for a component common to all forests must be rejected
+    # by the frozen full search too; each round must match the reference
+    # round, and tau for each cap the bottom-up answer from those rounds.
     exchanges = {"all": 0, "default cap": 0}
+    settled = searched = 0
     run = packing._ForestFamily.try_add
 
     def checked(self, eid):
+        nonlocal settled, searched
         before = dict(self.assign)
+        n = len(self.comp[0])
+        common = self._common_component(*self.endpoints[eid])
+        if common:
+            full = ForestFamilyReference(n, self.endpoints, self.k)
+            full.assign = dict(self.assign)
+            full.adj = [[list(nbrs) for nbrs in forest] for forest in self.adj]
+            assert not full.try_add(eid)
         added = run(self, eid)
+        assert not (common and added)
+        settled += common
+        searched += not (common or added)
         moved = any(self.assign[e] != f for e, f in before.items())
         exchanges["all"] += moved
         exchanges["default cap"] += moved and in_default_cap
-        n = len(self.comp[0])
         for f in range(self.k):
             assert _partition(self.comp[f]) == _components(n, self.adj[f])
         return added
 
     monkeypatch.setattr(packing._ForestFamily, "try_add", checked)
     default_ids = {id(g) for g in default_corpus}
-    for g in _round_graphs(default_corpus):
+    graphs = _round_graphs(default_corpus)
+    rounds = []
+    for g in graphs:
+        rounds.append([])
         for k in range(1, 6):
             in_default_cap = id(g) in default_ids and k == g.m // (g.n - 1)
-            packing._spanning_trees(g, k)
+            rounds[-1].append(spanning_trees_reference(g, k))
+            assert packing._spanning_trees(g, k) == rounds[-1][-1]
+    monkeypatch.undo()
+    capped = 0
+    for g, trees in zip(graphs, rounds):
+        for k_max in (None, 1, 2, 3, 8):
+            res = tree_packing_number(g, k_max)
+            assert res == tree_packing_number_reference(g, k_max, trees)
+        cap = g.m // (g.n - 1)
+        capped += 1 < cap and res.value < cap
     # Insertions that relocate placed edges run (714 in the default
     # corpus's cap rounds), so more than direct placements is checked.
     assert exchanges["default cap"] >= 500
     assert exchanges["all"] > exchanges["default cap"]
-
-
-def test_common_component_rejections_need_no_search(default_corpus, monkeypatch):
-    settled = searched = 0
-    run = packing._ForestFamily.try_add
-
-    def checked(self, eid):
-        nonlocal settled, searched
-        if not self._common_component(*self.endpoints[eid]):
-            added = run(self, eid)
-            searched += not added
-            return added
-        # The frozen full search on a copy of the family rejects the edge too.
-        n = len(self.comp[0])
-        full = ForestFamilyReference(n, self.endpoints, self.k)
-        full.assign = dict(self.assign)
-        full.adj = [[list(nbrs) for nbrs in forest] for forest in self.adj]
-        assert not full.try_add(eid)
-        assert not run(self, eid)
-        settled += 1
-        return False
-
-    monkeypatch.setattr(packing._ForestFamily, "try_add", checked)
-    for g in _round_graphs(default_corpus):
-        for k in range(1, 6):
-            packing._spanning_trees(g, k)
+    # Common-component rejections far outnumber searched ones.
     assert settled > 10 * searched > 0
+    # Some graphs miss their cap, so the rounds below it run too.
+    assert capped >= 8
 
 
 def test_common_component_compares_vertex_sets():
@@ -346,12 +328,24 @@ def test_partition_blocks_stay_bounded_at_the_guard():
         next(partition_blocks(PARTITION_GUARD + 1))
 
 
-def test_bruteforce_matches_scalar_reference():
+def test_bruteforce_matches_matroid_union():
+    # Below k the brute force is tau, and from k on both reach k. Its
+    # witness is a partition of V whose crossings // (t - 1) is its value.
     for g in partition_corpus():
         for k in (1, 2):
-            assert tree_packing_partition_bruteforce(
-                g, k
-            ) == tree_packing_partition_bruteforce_reference(g, k)
+            brute = tree_packing_partition_bruteforce(g, k)
+            assert min(brute.value, k) == tree_packing_number(g, k_max=k).value
+            if brute.value >= k:
+                assert brute.witness is None
+                continue
+            blocks = brute.witness.blocks
+            label = {v: i for i, block in enumerate(blocks) for v in block}
+            assert sorted(label) == sorted(g.vertices())
+            assert sum(map(len, blocks)) == g.n and len(blocks) >= 2
+            crossing = sum(
+                label[("x", xi)] != label[("y", yj)] for xi, yj in g.edges
+            )
+            assert crossing // (len(blocks) - 1) == brute.value < k
 
 
 @pytest.mark.parametrize("k", [0, 1.5])

@@ -13,15 +13,13 @@ from biregular import (
     prng,
     random_biregular,
 )
-from biregular.errors import InvalidParam, InvalidPartition, TooLarge, TooSmall
-from biregular.graphs import flat_edges
+from biregular.errors import InvalidParam, TooLarge, TooSmall
+from biregular.graphs import flat_adjacency, flat_edges
 from biregular.oracles import (
     greedy_rigid_packing,
     is_globally_rigid,
     is_redundantly_rigid,
     is_rigid,
-    rigid_packing_partition_bound,
-    rigid_packing_partition_sufficient,
     rigidity_matrix_rank_modular,
     rigidity_rank,
     vertex_connectivity,
@@ -29,6 +27,12 @@ from biregular.oracles import (
 from biregular.oracles import rigidity
 from biregular.prng import SplitMix64, derive_seed, stream_u64
 
+from partition_oracles import (
+    _outside_z,
+    _partition_sides,
+    rigid_packing_partition_bound,
+    rigid_packing_partition_sufficient,
+)
 from testutil import (
     DISCONNECTED,
     K44_PENDANT,
@@ -36,13 +40,11 @@ from testutil import (
     greedy_rigid_packing_reference,
     medium_corpus,
     modular_rank_bruteforce,
-    partition_bound_reference,
     partition_corpus,
     pebble_accepted_reference,
     rank_mod_p_reference,
     redundantly_rigid_reference,
     rigid_packing_exhaustive,
-    rigid_packing_partition_sufficient_reference,
     rigidity_matrix_mod_p,
     rigidity_matrix_rank_modular_reference,
     small_corpus,
@@ -551,41 +553,26 @@ def test_greedy_packing_bad_k():
 def test_partition_bound_desk_values():
     k33 = complete_bipartite(3, 3)
     singles = [[v] for v in k33.vertices()]
-    rep = rigid_packing_partition_bound(k33, 1, (), singles)
-    assert (rep.lhs, rep.rhs, rep.holds) == (9, 9, True)
+    assert rigid_packing_partition_bound(k33, 1, (), singles) == (9, 9)
 
     two_blocks = [
         [("x", i) for i in range(3)],
         [("y", j) for j in range(3)],
     ]
-    rep = rigid_packing_partition_bound(k33, 1, (), two_blocks)
-    assert (rep.lhs, rep.rhs, rep.holds) == (9, 3, True)
+    assert rigid_packing_partition_bound(k33, 1, (), two_blocks) == (9, 3)
 
-    rep = rigid_packing_partition_bound(k33, 1, (), [list(k33.vertices())])
-    assert (rep.lhs, rep.rhs, rep.holds) == (0, 0, True)
+    one_block = [list(k33.vertices())]
+    assert rigid_packing_partition_bound(k33, 1, (), one_block) == (0, 0)
 
 
 def test_partition_bound_with_removed_set():
     k33 = complete_bipartite(3, 3)
     removed = [("x", 0)]
     rest = [v for v in k33.vertices() if v != ("x", 0)]
-    rep = rigid_packing_partition_bound(k33, 1, removed, [[v] for v in rest])
+    lhs, rhs = rigid_packing_partition_bound(k33, 1, removed, [[v] for v in rest])
     # K_{2,3} remains: lhs = 6; n0 = 5, n_Z = 3 (each y sees x0)
-    assert rep.lhs == 6
-    assert rep.rhs == 1 * 2 * 5 - 3 - 3 + 0
-    assert rep.holds
-
-
-def test_partition_bound_validation():
-    k33 = complete_bipartite(3, 3)
-    with pytest.raises(InvalidPartition):
-        rigid_packing_partition_bound(k33, 1, (), [[("x", 0)]])
-    with pytest.raises(InvalidPartition):
-        rigid_packing_partition_bound(
-            k33, 1, [("x", 0)], [[v] for v in k33.vertices()]
-        )
-    with pytest.raises(InvalidPartition):
-        rigid_packing_partition_bound(k33, 1, (), [list(k33.vertices()), [("x", 0)]])
+    assert lhs == 6
+    assert rhs == 1 * 2 * 5 - 3 - 3 + 0
 
 
 def test_partition_sufficient_fires_for_k33():
@@ -597,10 +584,10 @@ def test_partition_sufficient_fires_for_k33():
 def test_partition_sufficient_finds_violation_for_c6():
     res = rigid_packing_partition_sufficient(even_cycle(6), 1)
     assert res.value == 0
-    rep = rigid_packing_partition_bound(
+    lhs, rhs = rigid_packing_partition_bound(
         even_cycle(6), 1, res.witness.removed, res.witness.blocks
     )
-    assert not rep.holds
+    assert lhs < rhs
 
 
 def test_partition_sufficient_consistent_with_pebble_game():
@@ -618,21 +605,36 @@ def test_partition_sufficient_consistent_with_pebble_game():
             assert is_rigid(g)
 
 
-def test_partition_sufficient_matches_scalar_reference():
+def test_partition_sufficient_against_bound_and_greedy():
+    # A violating (Z, pi) splits V and violates the scalar bound too; when
+    # every (Z, pi) holds, greedy extraction packs k rigid subgraphs.
+    violated = held = 0
     for g in partition_corpus():
         if g.n > 9:
             continue
         for k in (1, 2):
-            assert rigid_packing_partition_sufficient(
-                g, k
-            ) == rigid_packing_partition_sufficient_reference(g, k)
+            res = rigid_packing_partition_sufficient(g, k)
+            if res.value == 0:
+                removed, blocks = res.witness.removed, res.witness.blocks
+                assert sorted(sum(blocks, removed)) == sorted(g.vertices())
+                lhs, rhs = rigid_packing_partition_bound(g, k, removed, blocks)
+                assert lhs < rhs
+                violated += 1
+            else:
+                packing = greedy_rigid_packing(g, k)
+                assert packing.exact and packing.value >= k
+                held += 1
+    assert (violated, held) == (66, 8)
 
 
 def test_partition_bound_matches_scalar_reference():
-    # One block, singletons and two blocks, each also listed out of vertex
+    # The table sides on one-row tables against the scalar bound: one
+    # block, singletons and two blocks, each also listed out of vertex
     # order, for every Z of size 0..2.
     for g in (complete_bipartite(3, 4), even_cycle(8), DISCONNECTED, K44_PENDANT):
         verts = list(g.vertices())
+        fid = {v: i for i, v in enumerate(verts)}
+        edges, adj = flat_edges(g), flat_adjacency(g)
         for z_size in range(3):
             for removed in combinations(verts, z_size):
                 rest = [v for v in verts if v not in removed]
@@ -645,14 +647,15 @@ def test_partition_bound_matches_scalar_reference():
                     [rest[1::2], rest[::2]],
                     [rest[half:], rest[:half][::-1]],
                 ):
+                    order = [fid[v] for block in partition for v in block]
+                    row = np.array([[i for i, b in enumerate(partition) for _ in b]])
+                    z_set = {fid[v] for v in removed}
+                    live, zdeg = _outside_z(edges, adj, z_set, order)
                     for k in (1, 2):
-                        rep = rigid_packing_partition_bound(
-                            g, k, removed, partition
+                        lhs, rhs = _partition_sides(k, z_size, live, zdeg, row)
+                        assert (int(lhs[0]), int(rhs[0])) == (
+                            rigid_packing_partition_bound(g, k, removed, partition)
                         )
-                        assert (rep.lhs, rep.rhs) == partition_bound_reference(
-                            g, k, removed, partition
-                        )
-                        assert rep.holds == (rep.lhs >= rep.rhs)
 
 
 def test_partition_sufficient_guards():

@@ -1,34 +1,30 @@
 """Shared test helpers: independent oracles and small seeded corpora.
 
-Everything here intentionally avoids the production code paths it checks:
-spectra come from numpy's dense eigensolver on the full adjacency matrix,
-connectivity from exhaustive enumeration, and witnesses are re-validated
-from first principles.
+Most helpers avoid the production code paths they check: spectra come
+from numpy's dense eigensolver on the full adjacency matrix, connectivity
+from exhaustive enumeration, and witnesses are re-validated from first
+principles. A few reuse production code on purpose, to isolate one change
+against the rest: ``vertex_cut_reference`` runs ``flow._split_network``
+and its ``_Network.flow``, ``rigidity_matrix_rank_modular_reference``
+eliminates with ``_rank_mod_p``, and ``redundantly_rigid_reference`` and
+``greedy_rigid_packing_reference`` play the production pebble game.
 """
 
 from collections import deque
-from itertools import combinations
+from itertools import chain, combinations, count
 
 import numpy as np
 
-from biregular import complete_bipartite, even_cycle, random_biregular
+from biregular import complete_bipartite, even_cycle, prng, random_biregular
 from biregular.errors import RetriesExhausted
-from biregular.graphs import (
-    BipartiteGraph,
-    flat_adjacency,
-    flat_edges,
-    flat_index,
-    flat_vertex,
-)
+from biregular.graphs import BipartiteGraph, flat_adjacency, flat_edges
 from biregular.oracles import (
     ForestPacking,
     LamanPacking,
     OracleResult,
-    PartitionWitness,
     flow,
     rigidity_rank,
 )
-from biregular.oracles.partitions import _outside_z, blocks_from_assignment
 from biregular.oracles.rigidity import (
     RANK_FIELD_PRIME,
     _rank_mod_p,
@@ -42,17 +38,29 @@ from biregular.spectral import mixing_check
 def random_biregular_scalar(x, y, a, b, seed, max_retries=10000):
     """The configuration-model sampler one shuffle at a time (the reference).
 
-    Reads the splitmix64 stream one word per ``below`` call;
-    ``random_biregular``, which reads it in blocks, must return the same
+    A top-down Fisher-Yates shuffle of the Y stubs per attempt, each
+    position drawing splitmix64 words one at a time until one is at most
+    ``prng.accept_max(i + 1)``, as ``SplitMix64.below`` does; the words come
+    from ``stream_u64`` in chunks of 16384. ``random_biregular``,
+    which reads the stream in blocks of attempts, must return the same
     graph, or raise RetriesExhausted where this does. Argument guards are
     left to the sampler.
     """
-    rng = SplitMix64(seed)
     x_stubs = [i for i in range(x) for _ in range(a)]
     y_base = [j for j in range(y) for _ in range(b)]
+    steps = [(i, prng.accept_max(i + 1)) for i in range(len(y_base) - 1, 0, -1)]
+    words = chain.from_iterable(
+        prng.stream_u64(seed, start, 1 << 14).tolist()
+        for start in count(0, 1 << 14)
+    )
     for _ in range(max_retries):
         y_stubs = y_base.copy()
-        rng.shuffle(y_stubs)
+        for i, top in steps:
+            word = next(words)
+            while word > top:
+                word = next(words)
+            j = word % (i + 1)
+            y_stubs[i], y_stubs[j] = y_stubs[j], y_stubs[i]
         pairs = set()
         simple = True
         for xi, yj in zip(x_stubs, y_stubs):
@@ -438,20 +446,18 @@ def spanning_trees_reference(g: BipartiteGraph, k: int):
     return tuple(tuple(sorted(g.edges[eid] for eid in f)) for f in forests)
 
 
-def tree_packing_number_reference(g: BipartiteGraph, k_max=None) -> OracleResult:
+def tree_packing_number_reference(g: BipartiteGraph, k_max, rounds):
     """tau from matroid-union rounds k = 1, 2, ... up to
     min(m // (n - 1), k_max), stopping at the first that fails to pack: the
     loop ``tree_packing_number`` ran before its rounds ran down from the
-    cap."""
+    cap. ``rounds[k - 1]`` is ``spanning_trees_reference(g, k)``."""
     cap = g.m // (g.n - 1)
     if k_max is not None:
         cap = min(cap, k_max)
-    best, trees = 0, ()
-    for k in range(1, cap + 1):
-        found = spanning_trees_reference(g, k)
-        if found is None:
-            break
-        best, trees = k, found
+    best = 0
+    while best < cap and rounds[best] is not None:
+        best += 1
+    trees = rounds[best - 1] if best else ()
     return OracleResult(
         GraphProperty.TREE_PACKING, best, ForestPacking(trees), True
     )
@@ -470,24 +476,10 @@ def disconnects_by_vertices(g: BipartiteGraph, vertices) -> bool:
 
 
 def is_spanning_tree(g: BipartiteGraph, edges) -> bool:
+    """n - 1 edges of g that connect it."""
     edges = list(edges)
-    if len(edges) != g.n - 1:
-        return False
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for xi, yj in edges:
-        u, v = xi, g.x_count + yj
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return len({find(v) for v in range(g.n)}) == 1
+    rest = set(g.edges).difference(edges)
+    return len(edges) == g.n - 1 and not disconnects_by_edges(g, rest)
 
 
 def rigidity_matrix_mod_p(g: BipartiteGraph, pos, p: int) -> np.ndarray:
@@ -519,21 +511,11 @@ def modular_rank_bruteforce(g: BipartiteGraph, edges, seed=12345) -> int:
     Independent of the pebble game; used to re-validate Laman witnesses.
     """
     p = 2**31 - 1
-    rng_state = derive_seed(seed, g.n, len(list(edges)))
-    rng = np.random.default_rng(rng_state)
+    edges = tuple(edges)
+    rng = np.random.default_rng(derive_seed(seed, g.n, len(edges)))
     pos = rng.integers(1, p, size=(g.n, 2), dtype=np.int64)
-    rows = []
-    for xi, yj in edges:
-        u, v = xi, g.x_count + yj
-        row = np.zeros(2 * g.n, dtype=np.int64)
-        row[2 * u] = (pos[u][0] - pos[v][0]) % p
-        row[2 * u + 1] = (pos[u][1] - pos[v][1]) % p
-        row[2 * v] = (-row[2 * u]) % p
-        row[2 * v + 1] = (-row[2 * u + 1]) % p
-        rows.append(row)
-    if not rows:
-        return 0
-    return rank_mod_p_reference(np.array(rows), p)
+    sub = BipartiteGraph(g.x_count, g.y_count, edges)
+    return rank_mod_p_reference(rigidity_matrix_mod_p(sub, pos, p), p)
 
 
 def _pull_pebble_reference(root, banned, peb, succ):
@@ -660,107 +642,6 @@ def greedy_rigid_packing_reference(g: BipartiteGraph, k: int) -> OracleResult:
         len(extracted) == min(k, g.m // target),
     )
 
-
-def iter_partition_assignments_reference(n: int):
-    """Restricted growth strings of length n, scanning max(a[:j]) each step.
-
-    The row order ``partition_blocks`` must keep, its tables joined. Yields
-    fresh lists.
-    """
-    if n == 0:
-        yield []
-        return
-    a = [0] * n
-    while True:
-        yield list(a)
-        j = n - 1
-        while j > 0:
-            if a[j] < max(a[:j]) + 1:
-                break
-            j -= 1
-        if j == 0:
-            return
-        a[j] += 1
-        for i in range(j + 1, n):
-            a[i] = 0
-
-
-def tree_packing_partition_bruteforce_reference(g: BipartiteGraph, k: int):
-    """The partition brute force for tau, one Python list per partition.
-
-    Keeps the first strict minimum as the witness, the rule
-    ``tree_packing_partition_bruteforce`` must reproduce.
-    """
-    edges = flat_edges(g)
-    best = None
-    best_assignment = None
-    for assignment in iter_partition_assignments_reference(g.n):
-        t = max(assignment) + 1
-        if t < 2:
-            continue
-        crossing = sum(1 for u, v in edges if assignment[u] != assignment[v])
-        value = crossing // (t - 1)
-        if best is None or value < best:
-            best = value
-            best_assignment = assignment
-    witness = None
-    if best is not None and best < k:
-        verts = [flat_vertex(g, fid) for fid in range(g.n)]
-        witness = PartitionWitness(
-            removed=(), blocks=blocks_from_assignment(verts, best_assignment)
-        )
-    return OracleResult(GraphProperty.TREE_PACKING, best or 0, witness, True)
-
-
-def partition_sides_reference(k, z_size, live, zdeg, assignment):
-    """(lhs, rhs) of the rigid-packing partition inequality for one
-    labelling, counted in a scalar loop."""
-    t = max(assignment) + 1
-    sizes = [0] * t
-    for lab in assignment:
-        sizes[lab] += 1
-    n0 = sizes.count(1)
-    nz = sum(zdeg[i] for i, lab in enumerate(assignment) if sizes[lab] == 1)
-    rhs = k * (3 - z_size) * (t - n0) + 2 * k * n0 - 3 * k - nz
-    lhs = sum(1 for u, v in live if assignment[u] != assignment[v])
-    return lhs, rhs
-
-
-def partition_bound_reference(g: BipartiteGraph, k, removed, partition):
-    """(lhs, rhs) of ``rigid_packing_partition_bound`` for a valid (Z, pi)."""
-    z_set = {flat_index(g, v) for v in removed}
-    flat_blocks = [[flat_index(g, v) for v in block] for block in partition]
-    rest = [fid for fb in flat_blocks for fid in fb]
-    assignment = [li for li, fb in enumerate(flat_blocks) for _ in fb]
-    live, zdeg = _outside_z(flat_edges(g), flat_adjacency(g), z_set, rest)
-    return partition_sides_reference(k, len(z_set), live, zdeg, assignment)
-
-
-def rigid_packing_partition_sufficient_reference(g: BipartiteGraph, k: int):
-    """The first (Z, pi) violating the partition inequality, scanning Z by
-    size and then lexicographically, and pi in restricted-growth order."""
-    n = g.n
-    edges, adj = flat_edges(g), flat_adjacency(g)
-    for z_size in range(min(2, n - 1) + 1):
-        for z_combo in combinations(range(n), z_size):
-            z_set = set(z_combo)
-            rest = [v for v in range(n) if v not in z_set]
-            live, zdeg = _outside_z(edges, adj, z_set, rest)
-            for assignment in iter_partition_assignments_reference(len(rest)):
-                lhs, rhs = partition_sides_reference(
-                    k, z_size, live, zdeg, assignment
-                )
-                if lhs < rhs:
-                    witness = PartitionWitness(
-                        removed=tuple(flat_vertex(g, v) for v in z_combo),
-                        blocks=blocks_from_assignment(
-                            [flat_vertex(g, v) for v in rest], assignment
-                        ),
-                    )
-                    return OracleResult(
-                        GraphProperty.RIGID_PACKING, 0, witness, True
-                    )
-    return OracleResult(GraphProperty.RIGID_PACKING, 1, None, True)
 
 def rigid_packing_exhaustive(g: BipartiteGraph, k: int) -> int:
     """Most edge-disjoint spanning Laman subgraphs of g, at most k, by search.
