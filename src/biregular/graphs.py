@@ -84,6 +84,15 @@ class BipartiteGraph:
         object.__setattr__(self, "adj_x", tuple(tuple(v) for v in ax))
         object.__setattr__(self, "adj_y", tuple(tuple(v) for v in ay))
         object.__setattr__(self, "_edge_set", frozenset(seen))
+        # The (a, b) profile, or None when the graph has no edge or is not
+        # biregular; ``validate_biregular`` then raises.
+        a, b = len(ax[0]), len(ay[0])
+        profile = None
+        if normalized and all(len(v) == a for v in ax) and all(
+            len(v) == b for v in ay
+        ):
+            profile = BiregularProfile(a, b)
+        object.__setattr__(self, "_profile", profile)
 
     @property
     def n(self) -> int:
@@ -135,8 +144,11 @@ def validate_biregular(g: BipartiteGraph) -> BiregularProfile:
 
     Raises EmptyGraph for edgeless graphs and NotBiregular naming the first
     deviating vertex. The returned profile always satisfies a*|X| == b*|Y|
-    because both sides count the same edges.
+    because both sides count the same edges. The graph records it when it
+    is built, so a check of a biregular graph costs no scan.
     """
+    if g._profile is not None:
+        return g._profile
     if g.m == 0:
         raise EmptyGraph("graph has no edges")
     a = len(g.adj_x[0])

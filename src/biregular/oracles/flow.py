@@ -55,14 +55,33 @@ read from it is empty. With an isolated vertex the min-degree fallbacks
 give the same empty witness.
 
 min(kappa, 3) needs no flow. One lowpoint depth-first search (Tarjan 1972)
-finds a cut vertex, so it tells kappa 0, 1 and at least 2 apart; for
-n >= 4, kappa >= 3 holds exactly when every G - v is connected with no cut
-vertex, one more search each. Graphs with more than 3(n - 1) edges are
-first thinned to the union of three scan-first (breadth-first) forests,
-each grown in the graph minus the earlier ones (Cheriyan, Kao and
-Thurimella 1993): that union has min(kappa, 3) equal to G's and at most
-3(n - 1) edges. ``vertex_connectivity`` decides kappa >= delta this way
-when delta <= 3; ``is_globally_rigid`` needs no witness and runs no flow.
+from vertex 0 tells kappa 0, 1 and at least 2 apart: it reaches every
+vertex or not, and finds a cut vertex or none. With delta >= 3 and kappa >=
+2, kappa >= 3 holds exactly when G has no separation pair, which the path
+search of Hopcroft and Tarjan (1973), as corrected by Gutwenger and Mutzel
+(2001), decides on the same palm tree in O(n + m): each vertex's arcs are
+ordered by phi, the vertices renumbered, and the type-1 and type-2 checks
+run over the stack of candidate triples. The full algorithm splits G at
+each pair it finds until only triconnected components are left; this one
+stops at the first, with no edge stack, split or virtual edge. That is
+exact:
+
+- The first pair found is a 2-separator of G. Every split the full
+  algorithm makes is at a separation pair of the graph it splits, and
+  before the first split that graph is G. In a simple graph with no
+  vertex of degree below 2, every separation class of a pair {a, b} but
+  the edge ab holds a vertex outside {a, b}, so a separation pair is a
+  2-vertex separator.
+- A pair is found when G has one. The full algorithm's output consists
+  of triangles, bonds and 3-connected simple graphs, and a simple graph of
+  minimum degree 3 with a 2-separator is none of these, so it splits at
+  least once. Its first split comes from a multiple edge (G has none), a
+  tree arc into a vertex of degree 2 (degrees change only at splits, and
+  delta >= 3), or the type-1 or type-2 check, which are the two this
+  search runs.
+
+``vertex_connectivity`` decides kappa >= delta this way when delta <= 3;
+``is_globally_rigid`` needs no witness and runs no flow.
 """
 
 from __future__ import annotations
@@ -230,97 +249,228 @@ def _vertex_cut(g: BipartiteGraph, adj, bound: int):
     return best, sep
 
 
-def _three_forests(adj):
-    """Union of three scan-first forests, each grown in the graph minus the
-    earlier ones, as sorted adjacency lists (Cheriyan, Kao and Thurimella
-    1993). Each forest is breadth-first from the lowest unreached vertex,
-    neighbors in list order."""
-    n = len(adj)
-    rest = adj
-    union = [[] for _ in range(n)]
-    for _ in range(3):
-        seen = [False] * n
-        tree = [set() for _ in range(n)]
-        for root in range(n):
-            if seen[root]:
-                continue
-            seen[root] = True
-            queue = [root]
-            for u in queue:
-                for w in rest[u]:
-                    if not seen[w]:
-                        seen[w] = True
-                        tree[u].add(w)
-                        tree[w].add(u)
-                        queue.append(w)
-        rest = [[w for w in rest[v] if w not in tree[v]] for v in range(n)]
-        for v in range(n):
-            union[v].extend(tree[v])
-    return [sorted(lst) for lst in union]
+def _palm_tree(adj):
+    """One lowpoint depth-first search from vertex 0 (Tarjan 1972).
 
-
-def _blocks(adj, skip):
-    """0 if G - skip is disconnected, 1 if it has a cut vertex, else 2.
-
-    One iterative lowpoint search (Tarjan 1972); ``skip`` = -1 removes
-    nothing. The removed vertex counts as discovered last, so it never
-    lowers a lowpoint.
+    Returns ``(order, parent, low1, low2, nd, arcs, span)``. ``order``
+    lists the vertices reached, in preorder; the rest are indexed by
+    preorder number and hold preorder numbers. ``parent`` is the tree
+    parent (-1 at the root); ``low1`` and ``low2`` are lowpt1 and lowpt2,
+    the least and second least of the vertex itself and the ends of the
+    fronds that leave its subtree; ``nd`` is the subtree's size. ``arcs``
+    keys each vertex's arcs by phi (Hopcroft and Tarjan 1973) as
+    ``phi * n + head``, unsorted: 3 lowpt1(c), plus 2 when lowpt2(c) is at
+    least the tail, for a tree arc to a child c, and 3 x + 1 for a frond to
+    an ancestor x. ``span`` counts the arcs out of each subtree's vertices.
     """
     n = len(adj)
-    disc = [0] * n                      # discovery order from 1; 0 = unseen
-    if skip >= 0:
-        disc[skip] = n + 1
-    root = 1 if skip == 0 else 0
-    disc[root] = 1
-    low = disc.copy()
-    seen = 1
-    cut = False
-    root_children = 0
-    stack = [(root, iter(adj[root]))]
+    num = [-1] * n                      # vertex -> preorder number
+    num[0] = 0
+    order = [0]
+    parent = [-1] * n
+    low1 = [0] * n
+    low2 = [0] * n
+    nd = [1] * n
+    arcs = [[] for _ in range(n)]
+    span = [0] * n
+    stack = [(0, iter(adj[0]))]
     while stack:
-        v, nbrs = stack[-1]
+        k, nbrs = stack[-1]
+        out, up, l1, l2 = arcs[k], parent[k], low1[k], low2[k]
         for w in nbrs:
-            if not disc[w]:
-                seen += 1
-                disc[w] = low[w] = seen
-                stack.append((w, iter(adj[w])))
+            x = num[w]
+            if x < 0:
+                x = len(order)
+                num[w] = low1[x] = low2[x] = x
+                order.append(w)
+                parent[x] = k
+                stack.append((x, iter(adj[w])))
                 break
-            if disc[w] < low[v]:
-                low[v] = disc[w]
+            # x > k is a frond from a descendant, seen from its far end.
+            if x < k and x != up:
+                out.append((3 * x + 1) * n + x)
+                if x < l1:
+                    l1, l2 = x, l1
+                elif l1 < x < l2:
+                    l2 = x
         else:
             stack.pop()
             if not stack:
                 break
-            u = stack[-1][0]
-            if u == root:
-                root_children += 1
-            elif low[v] >= disc[u]:
-                cut = True
-            if low[v] < low[u]:
-                low[u] = low[v]
-    if seen < n - (skip >= 0):
-        return 0
-    return 1 if cut or root_children > 1 else 2
+            nd[up] += nd[k]
+            span[k] += len(out)
+            span[up] += span[k]
+            arcs[up].append((3 * l1 + 2 * (l2 >= up)) * n + k)
+            if l1 < low1[up]:
+                low2[up] = min(low1[up], l2)
+                low1[up] = l1
+            elif l1 == low1[up]:
+                low2[up] = min(low2[up], l2)
+            else:
+                low2[up] = min(low2[up], l1)
+        low1[k], low2[k] = l1, l2
+    return order, parent, low1, low2, nd, arcs, span
+
+
+def _separation_pair(palm):
+    """A separation pair of a 2-connected graph of minimum degree 3, as
+    flat ids ``(a, b)``, or None when the graph is 3-connected.
+
+    ``palm`` is ``_palm_tree(adj)``. The path search of Hopcroft and Tarjan
+    (1973), as corrected by Gutwenger and Mutzel (2001), stopped at the
+    first pair it would split off (see the module docstring).
+    """
+    order, parent, low1, low2, nd, keys, span = palm
+    n = len(order)
+    # The search visits each vertex's arcs in phi order. Renumber the
+    # vertices so that they are numbered n - 1 down to 0 in the order that
+    # search leaves them: a vertex's first child then holds the top block of
+    # its subtree. Stamp the fronds with times that grow in the order the
+    # search meets them, a subtree's arcs taking ``span`` times, and let
+    # high(x) be the source of the first frond into x (-1 if none).
+    new = [0] * n                       # preorder number -> new number
+    time = [0] * n                      # preorder number -> its first time
+    first = [n * n] * n                 # preorder number -> first frond in
+    arcs = [None] * n                   # the rest are indexed by new number
+    lo1 = [0] * n
+    lo2 = [0] * n
+    size = [0] * n
+    up = [-1] * n
+    high = [-1] * n
+    for k in range(n):
+        v = new[k]
+        top = v + nd[k]
+        t = time[k]
+        out = []
+        for key in sorted(keys[k]):
+            x = key % n
+            if x > k:
+                top -= nd[x]
+                new[x] = top
+                time[x] = t
+                t += span[x]
+                out.append(top)
+            else:
+                out.append(new[x])
+                if t < first[x]:
+                    first[x] = t
+                    high[new[x]] = v
+                t += 1
+        arcs[v] = out
+        lo1[v] = new[low1[k]]
+        lo2[v] = new[low2[k]]
+        size[v] = nd[k]
+        if k:
+            up[v] = new[parent[k]]
+    pair = _path_search(arcs, lo1, lo2, size, up, high)
+    if pair is None:
+        return None
+    at = dict(zip(new, order))
+    return at[pair[0]], at[pair[1]]
+
+
+def _path_search(arcs, low1, low2, nd, parent, high):
+    """The first type-1 or type-2 separation pair found, in new numbers.
+
+    A triple (h, a, b) on ``tstack`` is a type-2 candidate {a, b}, a an
+    ancestor of b, whose split part would hold the vertices the search has
+    passed numbered from a to h. ``eos`` ends the triples of each path that
+    a tree arc starts; its h = n stops every pop at it. An arc starts a
+    path unless it is the first out of a vertex other than the root.
+    """
+    n = len(arcs)
+    eos = (n, -1, -1)
+    tstack = [eos]
+    down = [0] * n                      # vertex -> index of its current tree arc
+    stack = [(0, enumerate(arcs[0]))]
+    while stack:
+        v, it = stack[-1]
+        for i, w in it:
+            if w > v:                   # tree arc
+                if i or v == 0:         # starts a path
+                    low = low1[w]
+                    h = w + nd[w] - 1
+                    if tstack[-1][1] > low:
+                        while tstack[-1][1] > low:
+                            y, _, b = tstack.pop()
+                            h = max(h, y)
+                        tstack.append((h, low, b))
+                    else:
+                        tstack.append((h, low, v))
+                    tstack.append(eos)
+                down[v] = i
+                stack.append((w, enumerate(arcs[w])))
+                break
+            if i:                       # frond that starts a path
+                if tstack[-1][1] > w:
+                    h = -1
+                    while tstack[-1][1] > w:
+                        y, _, b = tstack.pop()
+                        h = max(h, y)
+                    tstack.append((h, w, b))
+                else:
+                    tstack.append((v, w, v))
+        else:
+            stack.pop()
+            if not stack:
+                return None
+            w = v
+            v = stack[-1][0]
+            i = down[v]
+            if v:
+                while tstack[-1][1] == v:
+                    b = tstack[-1][2]
+                    if parent[b] != v:
+                        return v, b             # type-2 pair
+                    tstack.pop()
+            # Only low1[w] and v join w's subtree to the rest, which is
+            # more than those two unless v is the root's child with no arc
+            # left.
+            if low2[w] >= v > low1[w] and (
+                parent[v] != 0 or i + 1 < len(arcs[v])
+            ):
+                return low1[w], v               # type-1 pair
+            if i or v == 0:
+                while tstack.pop()[1] >= 0:
+                    pass
+            hv = high[v]
+            while True:
+                h, a, b = tstack[-1]
+                if a == v or b == v or hv <= h:
+                    break
+                tstack.pop()
+    return None
 
 
 def _connectivity_upto3(adj) -> int:
-    """min(kappa, 3) with no flow, for a bipartite graph on 3+ vertices."""
+    """min(kappa, 3) with no flow, for a simple graph on 3+ vertices.
+
+    One lowpoint search finds whether G is connected and has a cut vertex;
+    with neither and delta >= 3, the separation-pair search on the same
+    palm tree settles kappa >= 3. Both take O(n + m).
+    """
     n = len(adj)
     _check_size(n)
-    if sum(map(len, adj)) > 6 * (n - 1):
-        adj = _three_forests(adj)
-    kappa = _blocks(adj, -1)
-    if kappa < 2 or min(map(len, adj)) < 3:
+    palm = _palm_tree(adj)
+    order, parent, low1, _, nd, _, _ = palm
+    if len(order) < n:
+        return 0
+    # The root is a cut vertex when its first subtree misses a vertex, any
+    # other vertex when some child's subtree has no frond above it.
+    if nd[1] < n - 1 or any(low1[k] >= parent[k] > 0 for k in range(2, n)):
+        return 1
+    if min(map(len, adj)) < 3:
         # kappa <= delta, so delta <= 2 leaves "at least 2" at exactly 2.
-        return kappa
-    return 3 if all(_blocks(adj, v) == 2 for v in range(n)) else 2
+        return 2
+    return 2 if _separation_pair(palm) else 3
 
 
 def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa with a minimum separator as witness.
 
-    One decision settles kappa >= delta: ``_connectivity_upto3`` by
-    depth-first search when delta <= 3, ``_kappa_at_least_delta`` by flows
+    One decision settles kappa >= delta: ``_connectivity_upto3`` when
+    delta <= 3, by one lowpoint search and, at delta = 3, the linear-time
+    separation-pair search on its palm tree; ``_kappa_at_least_delta`` by flows
     from one part's lowest vertex to the rest of the part and between its
     neighbors otherwise. Then kappa = delta and the separator is the
     neighborhood of the first minimum-degree vertex. Else one delta-capped

@@ -405,7 +405,8 @@ def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
 def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
     """1 iff 3-connected and redundantly rigid (the planar characterization).
 
-    Whether kappa >= 3 is decided by depth-first search, with no flow.
+    Whether kappa >= 3 is decided with no flow, by one lowpoint search and
+    the linear-time separation-pair search (Hopcroft and Tarjan 1973).
     """
     if g.n < 4:
         raise TooSmall("global rigidity oracle needs at least 4 vertices")

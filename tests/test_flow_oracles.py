@@ -249,6 +249,134 @@ def _seeded_bipartite(seed, count):
         yield BipartiteGraph(x, y, tuple(edges))
 
 
+def _permuted(rng, x, y, edges):
+    """The graph on ``edges`` with its X and its Y ids shuffled, so that the
+    depth-first search starts elsewhere and meets neighbors in another
+    order."""
+    px, py = list(range(x)), list(range(y))
+    rng.shuffle(px)
+    rng.shuffle(py)
+    return BipartiteGraph(x, y, tuple((px[i], py[j]) for i, j in edges))
+
+
+def _dense_block(rng):
+    """K_{p,q} for 3 <= p, q <= 6, less some edges whose ends keep degree 3
+    or more: ``(p, q, edges)``."""
+    p, q = 3 + rng.below(4), 3 + rng.below(4)
+    edges = [(i, j) for i in range(p) for j in range(q)]
+    rng.shuffle(edges)
+    deg = [q] * p + [p] * q
+    kept = []
+    for i, j in edges:
+        if deg[i] > 3 and deg[p + j] > 3 and rng.below(3) == 0:
+            deg[i] -= 1
+            deg[p + j] -= 1
+        else:
+            kept.append((i, j))
+    return p, q, kept
+
+
+def _two_sums(seed, count):
+    """Two delta >= 3 blocks glued at x_0 and y_0, their edge dropped half
+    the time, at x_0 and x_1, or at y_0 and y_1; ids shuffled."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        p1, q1, first = _dense_block(rng)
+        p2, q2, second = _dense_block(rng)
+        sx, sy = ((1, 1), (2, 0), (0, 2))[rng.below(3)]
+        xs = [*range(sx), *range(p1, p1 + p2 - sx)]
+        ys = [*range(sy), *range(q1, q1 + q2 - sy)]
+        edges = {*first, *((xs[i], ys[j]) for i, j in second)}
+        if sx == sy and rng.below(2):
+            edges.discard((0, 0))
+        yield _permuted(rng, p1 + p2 - sx, q1 + q2 - sy, sorted(edges))
+
+
+def _block_rings(seed, count):
+    """Rings of 3..5 K_{m,m} blocks, m = 3 or 4, each sharing one X vertex
+    with the next: any two shared vertices separate G, and no cut vertex
+    does. Ids shuffled."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        t, m = 3 + rng.below(3), 3 + rng.below(2)
+        edges = []
+        for i in range(t):
+            own = range(t + i * (m - 2), t + (i + 1) * (m - 2))
+            xs = (i, (i + 1) % t, *own)
+            edges += [(a, i * m + j) for a in xs for j in range(m)]
+        yield _permuted(rng, t * (m - 1), t * m, edges)
+
+
+def _pendant_blocks(seed, count):
+    """A K_{5,5} core with one to three K_{3,3} or K_{4,4} blocks hanging
+    from two core vertices each, an X and a Y vertex or two X vertices.
+    Ids shuffled."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        x = y = 5
+        edges = {(i, j) for i in range(5) for j in range(5)}
+        for _ in range(1 + rng.below(3)):
+            m, a = 3 + rng.below(2), rng.below(5)
+            if rng.below(2):
+                sx, sy = [a, (a + 1) % 5], []
+            else:
+                sx, sy = [a], [rng.below(5)]
+            xs = [*sx, *range(x, x + m - len(sx))]
+            ys = [*sy, *range(y, y + m - len(sy))]
+            x, y = x + m - len(sx), y + m - len(sy)
+            edges.update((i, j) for i in xs for j in ys)
+        yield _permuted(rng, x, y, sorted(edges))
+
+
+def _prism(k):
+    """C_k x K2 for even k: cycles u_0..u_(k-1) and w_0..w_(k-1) joined by
+    the rungs u_i w_i; 3-regular and 3-connected. u_i is an X vertex for
+    even i, w_i for odd i."""
+    half = k // 2
+
+    def at(ring, i):
+        i %= k
+        return (i + ring) % 2, ring * half + i // 2
+
+    edges = []
+    for i in range(k):
+        for a, b in (
+            (at(0, i), at(0, i + 1)),
+            (at(1, i), at(1, i + 1)),
+            (at(0, i), at(1, i)),
+        ):
+            edges.append((a[1], b[1]) if a[0] == 0 else (b[1], a[1]))
+    return BipartiteGraph(k, k, tuple(edges))
+
+
+def _prism_pair(k):
+    """Two C_k x K2 prisms, each less its edge x_0 y_0 (u_0 u_1), joined by
+    the edges from each one's x_0 to the other's y_0: 3-regular, kappa 2."""
+    one = _prism(k).edges
+    two = tuple((i + k, j + k) for i, j in one)
+    edges = {*one, *two, (0, k), (k, 0)} - {(0, 0), (k, k)}
+    return BipartiteGraph(2 * k, 2 * k, tuple(edges))
+
+
+class _CountedList:
+    """A neighbor list that counts how often it is read."""
+
+    def __init__(self, items):
+        self.items = tuple(items)
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.items)
+
+    def __iter__(self):
+        self.reads += 1
+        return iter(self.items)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.items[i]
+
+
 GLUED_BLOCKS = [_glued_blocks(m, t) for m in range(5, 9) for t in (1, 2, 3)]
 # Two K5,5 blocks (x1..x5 x y1..y5 and x6..x10 x y6..y10) joined through x0,
 # adjacent to every y, and y0, adjacent to every x: kappa = 2 < delta = 6.
@@ -263,7 +391,7 @@ HUB_BLOCKS = BipartiteGraph(
     + tuple((i, j) for i in range(1, 6) for j in range(1, 6))
     + tuple((i, j) for i in range(6, 11) for j in range(6, 11)),
 )
-# K8,8 and an isolated y8: kappa 0 on the three-forest certificate path.
+# K8,8 and an isolated y8: kappa 0, with more than 3(n - 1) edges.
 K88_ISOLATED = BipartiteGraph(
     8, 9, tuple((i, j) for i in range(8) for j in range(8))
 )
@@ -284,30 +412,64 @@ def test_connectivity_upto3_matches_flow_scan(default_corpus):
         TWO_K44_BLOCKS,
         THREE_K44_BLOCKS,
     ]
-    thinned = {}
+    values = {}
+    searched = {}
     for g in graphs:
         adj = flat_adjacency(g)
         value = flow._connectivity_upto3(adj)
         assert value == vertex_cut_reference(g, adj, 3)[0]
-        if g.m > 3 * (g.n - 1):
-            thinned[value] = thinned.get(value, 0) + 1
-    # Every value is reached on the three-forest certificate path too.
-    assert set(thinned) == {0, 1, 2, 3}
-    assert thinned[1] >= 3 and thinned[2] >= 3 and thinned[3] >= 50
+        values[value] = values.get(value, 0) + 1
+        if value >= 2 and min(map(len, adj)) >= 3:
+            # The separation-pair search decided this one.
+            searched[value] = searched.get(value, 0) + 1
+    assert set(values) == {0, 1, 2, 3}
+    assert values[0] >= 3 and values[1] >= 3
+    assert searched[2] >= 3 and searched[3] >= 150
 
 
-def test_witness_matches_flow_path_on_default_corpus(default_corpus):
-    below_delta = 0
-    for g in default_corpus:
-        res = vertex_connectivity(g)
-        kappa, sep = vertex_connectivity_flow_path(g)
-        assert res.value == kappa
-        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
-        if kappa < min(len(lst) for lst in g.adj_x + g.adj_y):
-            # The separator comes from a flow: check it with all pairs too.
-            below_delta += 1
-            assert (kappa, sep) == vertex_connectivity_all_pairs(g)
-    assert below_delta >= 10
+def test_separation_pair_search_matches_flow_scan():
+    # Each graph has a 2-separator by construction: 2-sums and pendant
+    # blocks split at both pair types, block rings at type-2 pairs, and the
+    # shuffled ids vary which pair the search meets first.
+    graphs = [
+        *_two_sums(1901, 100),
+        *_block_rings(1902, 24),
+        *_pendant_blocks(1903, 30),
+    ]
+    for g in graphs:
+        adj = flat_adjacency(g)
+        assert min(map(len, adj)) >= 3
+        assert flow._connectivity_upto3(adj) == 2
+        assert vertex_cut_reference(g, adj, 3)[0] == 2
+        pair = flow._separation_pair(flow._palm_tree(adj))
+        assert disconnects_by_vertices(g, [flat_vertex(g, v) for v in pair])
+
+
+def test_separation_pair_search_at_the_size_guard():
+    # 512 vertices and a deep depth-first tree, searched without recursion.
+    prism = _prism(256)
+    adj = flat_adjacency(prism)
+    assert prism.n == flow.VERTEX_CONN_GUARD
+    assert flow._connectivity_upto3(adj) == 3
+    assert flow._separation_pair(flow._palm_tree(adj)) is None
+    assert vertex_connectivity(prism).value == 3
+    joined = _prism_pair(128)
+    adj = flat_adjacency(joined)
+    assert joined.n == flow.VERTEX_CONN_GUARD
+    assert min(map(len, adj)) == 3
+    assert flow._connectivity_upto3(adj) == 2
+    pair = flow._separation_pair(flow._palm_tree(adj))
+    cut = [flat_vertex(joined, v) for v in pair]
+    assert disconnects_by_vertices(joined, cut)
+
+
+def test_three_connected_graph_gets_no_pass_per_vertex():
+    # One lowpoint search reads each neighbor list once; the separation-pair
+    # search works on the palm tree it left, not on G - v for each v.
+    for g in (heawood(), complete_bipartite(6, 6), _prism(64)):
+        adj = [_CountedList(lst) for lst in flat_adjacency(g)]
+        assert flow._connectivity_upto3(adj) == 3
+        assert max(lst.reads for lst in adj) == 1
 
 
 def test_witness_matches_all_pairs_on_dense_and_arbitrary_graphs():
@@ -438,20 +600,29 @@ def _counting_flows(monkeypatch):
     return calls
 
 
-def test_kappa_delta_test_matches_flow_path(default_corpus):
-    at_delta = below_delta = 0
-    for g in _delta_test_graphs(default_corpus):
+def test_kappa_matches_flow_path(default_corpus):
+    # One flow-path run per graph: every default-corpus graph, and every
+    # other graph with delta >= 4, where the delta test is checked too.
+    corpus_below_delta = at_delta = below_delta = 0
+    for i, g in enumerate(_delta_test_graphs(default_corpus)):
         delta = _min_degree(g)
-        if delta < 4:
+        in_corpus = i < len(default_corpus)
+        if delta < 4 and not in_corpus:
             continue
         kappa, sep = vertex_connectivity_flow_path(g)
         res = vertex_connectivity(g)
         assert res.value == kappa
         assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
-        adj = flat_adjacency(g)
-        assert flow._kappa_at_least_delta(g, adj, delta) == (kappa == delta)
-        at_delta += kappa == delta
-        below_delta += kappa < delta
+        if in_corpus and kappa < delta:
+            # The separator comes from a flow: check it with all pairs too.
+            corpus_below_delta += 1
+            assert (kappa, sep) == vertex_connectivity_all_pairs(g)
+        if delta >= 4:
+            adj = flat_adjacency(g)
+            assert flow._kappa_at_least_delta(g, adj, delta) == (kappa == delta)
+            at_delta += kappa == delta
+            below_delta += kappa < delta
+    assert corpus_below_delta >= 10
     # The glued and hub blocks take the fallback scan.
     assert at_delta >= 150 and below_delta == len(GLUED_BLOCKS) + 1
     assert vertex_connectivity(HUB_BLOCKS).value == 2
