@@ -472,6 +472,20 @@ def test_three_connected_graph_gets_no_pass_per_vertex():
         assert max(lst.reads for lst in adj) == 1
 
 
+def test_witness_matches_flow_path_on_default_corpus(default_corpus):
+    below_delta = 0
+    for g in default_corpus:
+        res = vertex_connectivity(g)
+        kappa, sep = vertex_connectivity_flow_path(g)
+        assert res.value == kappa
+        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+        if kappa < min(len(lst) for lst in g.adj_x + g.adj_y):
+            # The separator comes from a flow: check it with all pairs too.
+            below_delta += 1
+            assert (kappa, sep) == vertex_connectivity_all_pairs(g)
+    assert below_delta >= 10
+
+
 def test_witness_matches_all_pairs_on_dense_and_arbitrary_graphs():
     graphs = [
         *(g for g in _seeded_bipartite(4096, 120) if g.n >= 3),
@@ -600,29 +614,20 @@ def _counting_flows(monkeypatch):
     return calls
 
 
-def test_kappa_matches_flow_path(default_corpus):
-    # One flow-path run per graph: every default-corpus graph, and every
-    # other graph with delta >= 4, where the delta test is checked too.
-    corpus_below_delta = at_delta = below_delta = 0
-    for i, g in enumerate(_delta_test_graphs(default_corpus)):
+def test_kappa_delta_test_matches_flow_path(default_corpus):
+    at_delta = below_delta = 0
+    for g in _delta_test_graphs(default_corpus):
         delta = _min_degree(g)
-        in_corpus = i < len(default_corpus)
-        if delta < 4 and not in_corpus:
+        if delta < 4:
             continue
         kappa, sep = vertex_connectivity_flow_path(g)
         res = vertex_connectivity(g)
         assert res.value == kappa
         assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
-        if in_corpus and kappa < delta:
-            # The separator comes from a flow: check it with all pairs too.
-            corpus_below_delta += 1
-            assert (kappa, sep) == vertex_connectivity_all_pairs(g)
-        if delta >= 4:
-            adj = flat_adjacency(g)
-            assert flow._kappa_at_least_delta(g, adj, delta) == (kappa == delta)
-            at_delta += kappa == delta
-            below_delta += kappa < delta
-    assert corpus_below_delta >= 10
+        adj = flat_adjacency(g)
+        assert flow._kappa_at_least_delta(g, adj, delta) == (kappa == delta)
+        at_delta += kappa == delta
+        below_delta += kappa < delta
     # The glued and hub blocks take the fallback scan.
     assert at_delta >= 150 and below_delta == len(GLUED_BLOCKS) + 1
     assert vertex_connectivity(HUB_BLOCKS).value == 2
