@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import index
 from typing import Iterable
 
 import numpy as np
@@ -40,8 +41,10 @@ class BipartiteGraph:
     """Simple bipartite graph with parts X and Y.
 
     ``edges`` is normalized to a lexicographically sorted tuple; duplicate
-    pairs and out-of-range endpoints are rejected at construction. Sorted
-    adjacency lists are derived once and cached on the value.
+    pairs and out-of-range or non-integer endpoints are rejected at
+    construction. Part sizes and endpoints are read with ``operator.index``,
+    so numpy integers pass and floats or strings do not. Sorted adjacency
+    lists are derived once and cached on the value.
     """
 
     x_count: int
@@ -55,12 +58,23 @@ class BipartiteGraph:
     )
 
     def __post_init__(self):
-        if self.x_count < 1 or self.y_count < 1:
+        try:
+            x_count, y_count = index(self.x_count), index(self.y_count)
+        except TypeError:
+            raise InvalidParam("part sizes must be integers") from None
+        if x_count < 1 or y_count < 1:
             raise InvalidParam("both parts must be nonempty")
+        object.__setattr__(self, "x_count", x_count)
+        object.__setattr__(self, "y_count", y_count)
         seen = set()
         normalized = []
         for e in self.edges:
-            xi, yj = int(e[0]), int(e[1])
+            try:
+                xi, yj = index(e[0]), index(e[1])
+            except TypeError:
+                raise IndexOutOfRange(
+                    f"edge {e!r} has a non-integer endpoint"
+                ) from None
             if not 0 <= xi < self.x_count:
                 raise IndexOutOfRange(
                     f"x index {xi} outside [0, {self.x_count})"

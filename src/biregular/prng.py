@@ -41,9 +41,13 @@ class SplitMix64:
         return z ^ (z >> 31)
 
     def below(self, bound: int) -> int:
-        """Uniform integer in [0, bound) without modulo bias."""
+        """Uniform integer in [0, bound) without modulo bias, for
+        1 <= bound <= 2^64."""
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if bound > 1 << 64:
+            # accept_max would be negative and reject every word.
+            raise ValueError("bound must be at most 2^64")
         top = accept_max(bound)
         while True:
             v = self.next_u64()

@@ -12,7 +12,7 @@ from biregular import (
 )
 from biregular.errors import TooLarge, TooSmall
 from biregular.graphs import flat_adjacency, flat_vertex
-from biregular.prng import SplitMix64, derive_seed
+from biregular.prng import SplitMix64
 from biregular.oracles import (
     EdgeCut,
     ForestPacking,
@@ -35,11 +35,12 @@ from testutil import (
     edge_connectivity_bruteforce,
     edge_connectivity_reference,
     medium_corpus,
+    record_calls,
+    seeded_bipartite,
+    seeded_circulants,
     small_corpus,
-    vertex_connectivity_all_pairs,
     vertex_connectivity_bruteforce,
-    vertex_connectivity_flow_path,
-    vertex_cut_reference,
+    vertex_connectivity_reference,
 )
 
 
@@ -171,7 +172,7 @@ def test_source_bound_matches_all_pairs_scan():
         TWO_K44_BLOCKS,
     ]
     for g in graphs:
-        kappa, sep = vertex_connectivity_all_pairs(g)
+        kappa, sep = vertex_connectivity_reference(g, source_bound=False)
         res = vertex_connectivity(g)
         assert res.value == kappa
         assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
@@ -196,37 +197,16 @@ def test_source_bound_flow_count(monkeypatch):
     # the witness is read from the scan, so no flow runs twice. Without the
     # source bound every non-adjacent pair runs a flow (70 on Heawood, 104
     # on C16), over delta (n - 1).
-    calls = 0
-    run_flow = flow._Network.flow
-
-    def counted(self, s, t, limit):
-        nonlocal calls
-        calls += 1
-        f, reached = run_flow(self, s, t, limit)
-        assert f <= limit
-        return f, reached
-
-    monkeypatch.setattr(flow._Network, "flow", counted)
+    calls = record_calls(monkeypatch, flow._Network, "flow")
     for g, delta in ((heawood(), 3), (even_cycle(16), 2)):
-        calls = 0
+        before = len(calls)
         assert vertex_connectivity(g).value == delta
-        assert calls <= delta * (g.n - 1)
+        assert len(calls) - before <= delta * (g.n - 1)
     # Both scans lower the cap below the flow of later pairs (3 inside a
     # K3,3 or K4,4 block), which must still stop at the cap.
     assert vertex_connectivity(TWO_K33_BLOCKS).value == 2
     assert edge_connectivity(THREE_K44_BLOCKS).value == 2
-
-
-def _bipartite_circulants(seed):
-    """Bipartite circulants x_i ~ y_((i + s) mod n) of degree |S| = 12..18,
-    S seeded."""
-    slots = ((16, 12), (18, 13), (20, 14), (21, 15), (22, 16), (24, 17), (26, 18))
-    for slot, (n, d) in enumerate(slots):
-        rng = SplitMix64(derive_seed(seed, slot))
-        pool = list(range(n))
-        rng.shuffle(pool)
-        edges = tuple((i, (i + s) % n) for i in range(n) for s in pool[:d])
-        yield BipartiteGraph(n, n, edges)
+    assert all(f <= limit for (_, _, _, limit), (f, _) in calls)
 
 
 def _glued_blocks(m, shared):
@@ -236,17 +216,6 @@ def _glued_blocks(m, shared):
     xs = [*range(shared), *range(m, 2 * m - shared)]
     b = [(i, j) for i in xs for j in range(m, 2 * m)]
     return BipartiteGraph(2 * m - shared, 2 * m, tuple(sorted(a + b)))
-
-
-def _seeded_bipartite(seed, count):
-    """Seeded bipartite graphs, 2..11 vertices a side, each edge kept with
-    probability d/8 for d = 1..8: many have isolated vertices, some more
-    than 3(n - 1) edges."""
-    rng = SplitMix64(seed)
-    for _ in range(count):
-        x, y, d = 2 + rng.below(10), 2 + rng.below(10), 1 + rng.below(8)
-        edges = [(i, j) for i in range(x) for j in range(y) if rng.below(8) < d]
-        yield BipartiteGraph(x, y, tuple(edges))
 
 
 def _permuted(rng, x, y, edges):
@@ -402,10 +371,10 @@ def test_connectivity_upto3_matches_flow_scan(default_corpus):
         *default_corpus,
         *small_corpus(),
         *medium_corpus(),
-        *_bipartite_circulants(31),
-        *_bipartite_circulants(57),
+        *seeded_circulants(31),
+        *seeded_circulants(57),
         *GLUED_BLOCKS,
-        *(g for g in _seeded_bipartite(2024, 300) if g.n >= 3),
+        *(g for g in seeded_bipartite(2024, 300) if g.n >= 3),
         K88_ISOLATED,
         DISCONNECTED,
         TWO_K33_BLOCKS,
@@ -417,7 +386,7 @@ def test_connectivity_upto3_matches_flow_scan(default_corpus):
     for g in graphs:
         adj = flat_adjacency(g)
         value = flow._connectivity_upto3(adj)
-        assert value == vertex_cut_reference(g, adj, 3)[0]
+        assert value == vertex_connectivity_reference(g, 3)[0]
         values[value] = values.get(value, 0) + 1
         if value >= 2 and min(map(len, adj)) >= 3:
             # The separation-pair search decided this one.
@@ -440,7 +409,7 @@ def test_separation_pair_search_matches_flow_scan():
         adj = flat_adjacency(g)
         assert min(map(len, adj)) >= 3
         assert flow._connectivity_upto3(adj) == 2
-        assert vertex_cut_reference(g, adj, 3)[0] == 2
+        assert vertex_connectivity_reference(g, 3)[0] == 2
         pair = flow._separation_pair(flow._palm_tree(adj))
         assert disconnects_by_vertices(g, [flat_vertex(g, v) for v in pair])
 
@@ -476,26 +445,27 @@ def test_witness_matches_flow_path_on_default_corpus(default_corpus):
     below_delta = 0
     for g in default_corpus:
         res = vertex_connectivity(g)
-        kappa, sep = vertex_connectivity_flow_path(g)
+        kappa, sep = vertex_connectivity_reference(g)
         assert res.value == kappa
         assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
         if kappa < min(len(lst) for lst in g.adj_x + g.adj_y):
             # The separator comes from a flow: check it with all pairs too.
             below_delta += 1
-            assert (kappa, sep) == vertex_connectivity_all_pairs(g)
+            all_pairs = vertex_connectivity_reference(g, source_bound=False)
+            assert (kappa, sep) == all_pairs
     assert below_delta >= 10
 
 
 def test_witness_matches_all_pairs_on_dense_and_arbitrary_graphs():
     graphs = [
-        *(g for g in _seeded_bipartite(4096, 120) if g.n >= 3),
+        *(g for g in seeded_bipartite(4096, 120) if g.n >= 3),
         *GLUED_BLOCKS,
-        next(_bipartite_circulants(31)),
+        next(seeded_circulants(31)),
         K88_ISOLATED,
         DISCONNECTED,
     ]
     for g in graphs:
-        kappa, sep = vertex_connectivity_all_pairs(g)
+        kappa, sep = vertex_connectivity_reference(g, source_bound=False)
         res = vertex_connectivity(g)
         assert res.value == kappa
         assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
@@ -504,52 +474,37 @@ def test_witness_matches_all_pairs_on_dense_and_arbitrary_graphs():
 def test_flows_only_for_a_witness(monkeypatch):
     # kappa = delta <= 3: the witness is the min-degree neighbourhood.
     at_delta = [heawood(), even_cycle(16), complete_bipartite(1, 4)]
-    expected = [vertex_connectivity_flow_path(g) for g in at_delta]
-    calls = 0
-    run_flow = flow._Network.flow
-
-    def counted(self, s, t, limit):
-        nonlocal calls
-        calls += 1
-        return run_flow(self, s, t, limit)
-
-    monkeypatch.setattr(flow._Network, "flow", counted)
+    expected = [vertex_connectivity_reference(g) for g in at_delta]
+    calls = record_calls(monkeypatch, flow._Network, "flow")
     for g, (kappa, sep), delta in zip(at_delta, expected, (3, 2, 1)):
-        calls = 0
+        calls.clear()
         res = vertex_connectivity(g)
         assert res.value == kappa == delta
         assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
-        assert calls == 0
-    calls = 0
+        assert len(calls) == 0
+    calls.clear()
     assert is_globally_rigid(complete_bipartite(6, 6)).value == 1
-    assert calls == 0
+    assert len(calls) == 0
     # kappa < delta <= 3: flows find the separator the flow scan found.
     for g, sep in ((TWO_K33_BLOCKS, (("y", 0), ("y", 1))), (DISCONNECTED, ())):
-        calls = 0
+        calls.clear()
         res = vertex_connectivity(g)
         assert res.witness.vertices == sep
-        assert calls > 0
+        assert len(calls) > 0
 
 
 def test_one_scan_below_delta(default_corpus, monkeypatch):
     # kappa >= delta is decided once; only kappa < delta runs a scan, and
     # that one scan is capped at delta.
-    bounds = []
-    run = flow._vertex_cut
-
-    def counted(g, adj, bound):
-        bounds.append(bound)
-        return run(g, adj, bound)
-
-    monkeypatch.setattr(flow, "_vertex_cut", counted)
+    calls = record_calls(monkeypatch, flow, "_vertex_cut")
     below_delta = 0
     for g in [*default_corpus, TWO_K33_BLOCKS, DISCONNECTED]:
-        bounds.clear()
+        calls.clear()
         delta = min(len(lst) for lst in g.adj_x + g.adj_y)
         if vertex_connectivity(g).value == delta:
-            assert bounds == []
+            assert calls == []
         else:
-            assert bounds == [delta]
+            assert [bound for (_, _, bound), _ in calls] == [delta]
             below_delta += 1
     assert below_delta >= 15
 
@@ -591,27 +546,14 @@ def _delta_test_graphs(default_corpus):
     delta tests."""
     return [
         *default_corpus,
-        *_bipartite_circulants(31),
-        *_bipartite_circulants(57),
+        *seeded_circulants(31),
+        *seeded_circulants(57),
         *GLUED_BLOCKS,
         HUB_BLOCKS,
         *(complete_bipartite(m, n) for m in range(4, 9) for n in range(m, 9)),
-        *(g for g in _seeded_bipartite(2024, 300) if g.n >= 3),
-        *(g for g in _seeded_bipartite(4096, 120) if g.n >= 3),
+        *(g for g in seeded_bipartite(2024, 300) if g.n >= 3),
+        *(g for g in seeded_bipartite(4096, 120) if g.n >= 3),
     ]
-
-
-def _counting_flows(monkeypatch):
-    """Patch ``_Network.flow`` to count its calls; returns the counter."""
-    calls = [0]
-    run_flow = flow._Network.flow
-
-    def counted(self, s, t, limit):
-        calls[0] += 1
-        return run_flow(self, s, t, limit)
-
-    monkeypatch.setattr(flow._Network, "flow", counted)
-    return calls
 
 
 def test_kappa_delta_test_matches_flow_path(default_corpus):
@@ -620,7 +562,7 @@ def test_kappa_delta_test_matches_flow_path(default_corpus):
         delta = _min_degree(g)
         if delta < 4:
             continue
-        kappa, sep = vertex_connectivity_flow_path(g)
+        kappa, sep = vertex_connectivity_reference(g)
         res = vertex_connectivity(g)
         assert res.value == kappa
         assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
@@ -637,10 +579,10 @@ def test_kappa_at_delta_runs_few_flows(default_corpus, monkeypatch):
     graphs = [
         complete_bipartite(4, 6),
         complete_bipartite(8, 8),
-        *_bipartite_circulants(31),
+        *seeded_circulants(31),
         *(g for g in default_corpus if _min_degree(g) >= 4),
     ]
-    calls = _counting_flows(monkeypatch)
+    calls = record_calls(monkeypatch, flow._Network, "flow")
     for g in graphs:
         adj = flat_adjacency(g)
         delta = _min_degree(g)
@@ -649,13 +591,13 @@ def test_kappa_at_delta_runs_few_flows(default_corpus, monkeypatch):
             g.x_count - 1 + len(x0) * (len(x0) - 1) // 2,
             g.y_count - 1 + len(y0) * (len(y0) - 1) // 2,
         )
-        calls[0] = 0
+        calls.clear()
         res = vertex_connectivity(g)
         assert res.value == delta
         assert res.witness.vertices == tuple(
             flat_vertex(g, v) for v in adj[[len(a) for a in adj].index(delta)]
         )
-        assert 0 < calls[0] <= bound < delta * (g.n - 1)
+        assert 0 < len(calls) <= bound < delta * (g.n - 1)
 
 
 def test_edge_delta_test_matches_reference(default_corpus):
@@ -681,15 +623,15 @@ def test_edge_connectivity_at_delta_runs_few_flows(default_corpus, monkeypatch):
         complete_bipartite(1, 4),
         complete_bipartite(4, 6),
         complete_bipartite(7, 5),
-        *_bipartite_circulants(31),
+        *seeded_circulants(31),
         *default_corpus,
     ]
-    calls = _counting_flows(monkeypatch)
+    calls = record_calls(monkeypatch, flow._Network, "flow")
     at_delta = 0
     for g in graphs:
-        calls[0] = 0
+        calls.clear()
         if edge_connectivity(g).value != _min_degree(g):
             continue
         at_delta += 1
-        assert calls[0] <= min(g.x_count, g.y_count) - 1
+        assert len(calls) <= min(g.x_count, g.y_count) - 1
     assert at_delta >= 400

@@ -1,5 +1,6 @@
 """Graph values, validation, generators, and counting primitives."""
 
+import numpy as np
 import pytest
 
 from biregular import (
@@ -68,6 +69,20 @@ def test_construction_rejects_bad_edges():
         BipartiteGraph(3, 3, ((0, 0), (0, 0)))
     with pytest.raises(InvalidParam):
         BipartiteGraph(0, 3, ())
+
+
+def test_construction_rejects_non_integers():
+    # Floats and strings are neither truncated nor parsed; numpy integers
+    # are read as the ints they hold.
+    for edges in (((0.7, 1.9),), (("1", 0),), ((0, 1.0),)):
+        with pytest.raises(IndexOutOfRange):
+            BipartiteGraph(2, 2, edges)
+    for x, y in ((2.0, 2), (2, "2")):
+        with pytest.raises(InvalidParam):
+            BipartiteGraph(x, y, ())
+    g = BipartiteGraph(np.int64(2), np.uint8(2), ((np.int64(1), np.int32(0)),))
+    assert g == BipartiteGraph(2, 2, ((1, 0),))
+    assert type(g.x_count) is int and type(g.edges[0][0]) is int
 
 
 def test_edges_are_normalized_sorted():

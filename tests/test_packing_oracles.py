@@ -15,16 +15,17 @@ from partition_oracles import (
     tree_packing_partition_bruteforce,
 )
 from testutil import (
+    DISCONNECTED,
     ForestFamilyReference,
     is_spanning_tree,
     medium_corpus,
     partition_corpus,
+    record_calls,
+    seeded_bipartite,
     small_corpus,
     spanning_trees_reference,
     tree_packing_number_reference,
 )
-
-from test_flow_oracles import DISCONNECTED, _seeded_bipartite
 
 
 def _joined_k66_blocks(links):
@@ -99,34 +100,27 @@ def _round_graphs(default_corpus):
         *small_corpus(),
         *medium_corpus(),
         *(complete_bipartite(a, b) for a in range(1, 9) for b in range(1, 9)),
-        *_seeded_bipartite(2024, 100),
+        *seeded_bipartite(2024, 100),
         _joined_k66_blocks(1),
         _joined_k66_blocks(2),
     ]
 
 
 def test_cap_round_runs_first(monkeypatch):
-    rounds = []
-    run = packing._spanning_trees
-
-    def counted(g, k):
-        rounds.append(k)
-        return run(g, k)
-
-    monkeypatch.setattr(packing, "_spanning_trees", counted)
+    calls = record_calls(monkeypatch, packing, "_spanning_trees")
     assert tree_packing_number(complete_bipartite(6, 6)).value == 3
-    assert rounds == [3]
-    rounds.clear()
+    assert [k for (_, k), _ in calls] == [3]
+    calls.clear()
     # C6 has 6 edges on 6 vertices: cap 1 < 2 = k_max, one round.
     assert tree_packing_number(even_cycle(6), k_max=2).value == 1
-    assert rounds == [1]
-    rounds.clear()
+    assert [k for (_, k), _ in calls] == [1]
+    calls.clear()
     # The cap 3 fails to pack, then rounds run down until one packs.
     assert tree_packing_number(_joined_k66_blocks(2)).value == 2
-    assert rounds == [3, 2]
-    rounds.clear()
+    assert [k for (_, k), _ in calls] == [3, 2]
+    calls.clear()
     assert tree_packing_number(_joined_k66_blocks(1)).value == 1
-    assert rounds == [3, 2, 1]
+    assert [k for (_, k), _ in calls] == [3, 2, 1]
 
 
 def _components(n, adj):
@@ -230,20 +224,6 @@ def test_common_component_compares_vertex_sets():
     assert family.assign[eid[(1, 0)]] == 1
 
 
-def _count_insertions(monkeypatch):
-    counts = {"calls": 0, "rejected": 0}
-    run = packing._ForestFamily.try_add
-
-    def counted(self, eid):
-        added = run(self, eid)
-        counts["calls"] += 1
-        counts["rejected"] += not added
-        return added
-
-    monkeypatch.setattr(packing._ForestFamily, "try_add", counted)
-    return counts
-
-
 def _reference_placements(g, k):
     """Whether the frozen full search accepts each edge of one round."""
     full = ForestFamilyReference(g.n, flat_edges(g), k)
@@ -255,9 +235,9 @@ def test_round_stops_once_the_family_fills(monkeypatch):
     placed = _reference_placements(g, 3)
     filling = next(i for i in range(g.m) if sum(placed[: i + 1]) == 3 * (g.n - 1))
     assert filling < g.m - 1
-    counts = _count_insertions(monkeypatch)
+    calls = record_calls(monkeypatch, packing._ForestFamily, "try_add")
     assert packing._spanning_trees(g, 3) == spanning_trees_reference(g, 3)
-    assert counts["calls"] == filling + 1
+    assert len(calls) == filling + 1
 
 
 @pytest.mark.parametrize("links", [1, 2])
@@ -266,31 +246,23 @@ def test_round_stops_once_it_cannot_fill(monkeypatch, links):
     spare = g.m - 3 * (g.n - 1)
     placed = _reference_placements(g, 3)
     failing = next(i for i in range(g.m) if placed[: i + 1].count(False) > spare)
-    counts = _count_insertions(monkeypatch)
+    calls = record_calls(monkeypatch, packing._ForestFamily, "try_add")
     assert packing._spanning_trees(g, 3) is None
-    assert counts["rejected"] == spare + 1
-    assert counts["calls"] == failing + 1
+    assert sum(not added for _, added in calls) == spare + 1
+    assert len(calls) == failing + 1
 
 
 def test_path_search_count_on_default_corpus(default_corpus, monkeypatch):
     # The full search of every insertion made 69 500 path searches here.
-    calls = 0
-    run = packing._ForestFamily._forest_path
-
-    def counted(self, f, u, v):
-        nonlocal calls
-        calls += 1
-        return run(self, f, u, v)
-
-    monkeypatch.setattr(packing._ForestFamily, "_forest_path", counted)
+    calls = record_calls(monkeypatch, packing._ForestFamily, "_forest_path")
     for g in default_corpus:
         tree_packing_number(g, k_max=8)
-    assert calls <= 8000
+    assert len(calls) <= 8000
     # A one-forest round is Kruskal's algorithm: no search at all.
-    calls = 0
+    calls.clear()
     for g in default_corpus:
         packing._spanning_trees(g, 1)
-    assert calls == 0
+    assert len(calls) == 0
 
 
 @pytest.mark.parametrize("k_max", [0, -3, 1.5])

@@ -68,6 +68,15 @@ def test_below_bounds_and_coverage():
         g.below(0)
 
 
+def test_below_takes_bounds_up_to_2_64():
+    # Bound 2^64 accepts every word as it is. A larger bound has no
+    # unbiased draw from one word, so it raises instead of rejecting forever.
+    word = SplitMix64(1).next_u64()
+    assert SplitMix64(1).below(1 << 64) == word
+    with pytest.raises(ValueError):
+        SplitMix64(1).below((1 << 64) + 1)
+
+
 def test_accept_max_rejects_only_the_biased_tail():
     # 2^64 = 3 * 6148914691236517205 + 1: bound 3 rejects one word, and a
     # power-of-two bound rejects none.

@@ -43,16 +43,19 @@ from testutil import (
     partition_corpus,
     pebble_accepted_reference,
     rank_mod_p_reference,
+    rank_points_reference,
+    record_calls,
     redundantly_rigid_reference,
     rigid_packing_exhaustive,
     rigidity_matrix_mod_p,
     rigidity_matrix_rank_modular_reference,
+    seeded_circulants,
     small_corpus,
 )
 
-from test_flow_oracles import _bipartite_circulants
-
 RANK_SEEDS = (101, 202, 303)
+# (n, |S|) of the rigid circulants most comparisons here draw.
+RIGID_CIRCULANTS = ((16, 12), (20, 15), (23, 14), (26, 18))
 
 
 def test_rank_desk_values():
@@ -140,20 +143,9 @@ def _near_laman_subgraphs(count, seed):
         yield BipartiteGraph(m, n, tuple(edges[:keep]))
 
 
-def _seeded_circulants(seed, sizes=((16, 12), (20, 15), (23, 14), (26, 18))):
-    """Bipartite circulants x_i ~ y_((i + s) mod n), s in a seeded S, for
-    each (n, |S|) in sizes."""
-    for slot, (n, d) in enumerate(sizes):
-        rng = SplitMix64(derive_seed(seed, slot))
-        pool = list(range(n))
-        rng.shuffle(pool)
-        edges = tuple((i, (i + s) % n) for i in range(n) for s in pool[:d])
-        yield BipartiteGraph(n, n, edges)
-
-
 def test_redundant_rigidity_matches_per_edge_reference():
     graphs = [
-        *_seeded_circulants(31),
+        *seeded_circulants(31, RIGID_CIRCULANTS),
         complete_bipartite(12, 12),
         complete_bipartite(12, 18),
         complete_bipartite(18, 18),
@@ -177,8 +169,8 @@ def test_component_shortcut_matches_full_search():
     # Rejecting inside a known rigid component must accept exactly the
     # edges the game with a search at every edge accepts, in either feed.
     graphs = [
-        *_seeded_circulants(31),
-        *_seeded_circulants(57),
+        *seeded_circulants(31, RIGID_CIRCULANTS),
+        *seeded_circulants(57, RIGID_CIRCULANTS),
         complete_bipartite(12, 12),
         complete_bipartite(12, 18),
         complete_bipartite(18, 18),
@@ -226,7 +218,7 @@ def test_pebble_game_accepts_the_greedy_basis():
         heawood(),
         K44_PENDANT,
         BipartiteGraph(5, 8, HINGE_EDGES),
-        *_seeded_circulants(11, ((12, 5), (14, 7))),
+        *seeded_circulants(11, ((12, 5), (14, 7))),
     ]
     rejected = 0
     for g in graphs:
@@ -246,28 +238,15 @@ def test_component_shortcut_search_count(monkeypatch):
     # game pulls 661 times in sorted feed, 1169 in spread feed and 631 in
     # is_redundantly_rigid; with components it pulls 211, 167, 211. The
     # lower bound fails if the game stops calling the search counted here.
-    calls = 0
-    pull = rigidity._pull_pebble
-
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return pull(*args)
-
-    monkeypatch.setattr(rigidity, "_pull_pebble", counted)
+    calls = record_calls(monkeypatch, rigidity, "_pull_pebble")
     g = complete_bipartite(18, 18)
     for order in (g.edges, rigidity._spread_order(g, g.edges)):
-        calls = 0
+        calls.clear()
         assert rigidity.pebble_rank_edges(g, order)[0] == 2 * g.n - 3
-        assert 150 <= calls <= 220
-    calls = 0
+        assert 150 <= len(calls) <= 220
+    calls.clear()
     assert is_redundantly_rigid(g).value == 1
-    assert 150 <= calls <= 220
-
-
-def _scalar_points(seed, n):
-    rng = SplitMix64(seed)
-    return [rng.below(rigidity.RANK_FIELD_PRIME) for _ in range(2 * n)]
+    assert 150 <= len(calls) <= 220
 
 
 def test_rank_points_match_scalar_draws(monkeypatch):
@@ -280,14 +259,14 @@ def test_rank_points_match_scalar_draws(monkeypatch):
         for seed in (*range(1000), -1, 2**64 - 1, 2**64 + 5):
             points = rigidity._rank_points(26, seed)
             assert points.shape == (26, 2) and points.dtype == np.int64
-            assert points.ravel().tolist() == _scalar_points(seed, 26)
+            assert points.ravel().tolist() == rank_points_reference(seed, 26)
     # A cap of 2^63 rejects about half the words, so every block holds one
     # and the draws are taken one at a time, as below() takes them under
     # the same cap; they then differ from the block's words.
     monkeypatch.setattr(prng, "accept_max", lambda bound: 1 << 63)
     for seed in range(50):
         points = rigidity._rank_points(26, seed).ravel().tolist()
-        assert points == _scalar_points(seed, 26)
+        assert points == rank_points_reference(seed, 26)
         block = stream_u64(seed, 0, 52) % rigidity.RANK_FIELD_PRIME
         assert points != block.tolist()
 
@@ -301,7 +280,10 @@ def test_forward_elimination_matches_gauss_jordan(monkeypatch):
         return ranks[-1][0]
 
     monkeypatch.setattr(rigidity, "_rank_mod_p", both)
-    graphs = [*_seeded_circulants(31), *_seeded_circulants(57)]
+    graphs = [
+        *seeded_circulants(31, RIGID_CIRCULANTS),
+        *seeded_circulants(57, RIGID_CIRCULANTS),
+    ]
     graphs += [complete_bipartite(m, n) for m, n in ((2, 5), (3, 3), (6, 6), (12, 18))]
     for g in graphs:
         for seed in RANK_SEEDS:
@@ -323,8 +305,8 @@ def test_forward_elimination_matches_gauss_jordan(monkeypatch):
 
 def test_modular_rank_matches_full_matrix(default_corpus):
     graphs = [
-        *_seeded_circulants(31),
-        *_seeded_circulants(57),
+        *seeded_circulants(31, RIGID_CIRCULANTS),
+        *seeded_circulants(57, RIGID_CIRCULANTS),
         *(complete_bipartite(m, n) for m in range(1, 9) for n in range(1, 9)),
         complete_bipartite(12, 18),
         complete_bipartite(18, 12),
@@ -345,14 +327,7 @@ def test_rank_at_small_primes_takes_every_branch(monkeypatch):
     ``_rank_mod_p`` follow from which hubs can pivot, found here from the
     points: a prefix of ceiling + ceiling // 4 + 1 rows when the residual
     has more, then all of them only when the prefix falls short."""
-    calls = []
-    rank_mod_p = rigidity._rank_mod_p
-
-    def spy(mat, p):
-        calls.append((mat.shape, rank_mod_p(mat, p)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(rigidity, "_rank_mod_p", spy)
+    calls = record_calls(monkeypatch, rigidity, "_rank_mod_p")
     graphs = [
         *small_corpus(),
         *medium_corpus(),
@@ -389,7 +364,7 @@ def test_rank_at_small_primes_takes_every_branch(monkeypatch):
                 rows, cols = g.m - 2 * pivots, 2 * (leaves + kept)
                 ceiling = 2 * g.n - 3 - 2 * pivots
                 prefix = ceiling + ceiling // 4 + 1
-                shapes = [shape for shape, _ in calls]
+                shapes = [mat.shape for (mat, _), _ in calls]
                 if rows > prefix:
                     hit = calls[0][1] == ceiling
                     seen["hit" if hit else "miss"] += 1
@@ -403,21 +378,17 @@ def test_rank_eliminates_leaf_columns_and_a_prefix(monkeypatch):
     """Every hub pivots on these rigid graphs, so the residual has the 2|L|
     leaf columns, |L| the smaller part, and its ceiling 2|L| - 3 is met
     by the first prefix."""
-    shapes = []
-    rank_mod_p = rigidity._rank_mod_p
-
-    def spy(mat, p):
-        shapes.append(mat.shape)
-        return rank_mod_p(mat, p)
-
-    monkeypatch.setattr(rigidity, "_rank_mod_p", spy)
-    circulant = next(g for g in _seeded_circulants(31) if len(g.adj_x[0]) == 18)
+    calls = record_calls(monkeypatch, rigidity, "_rank_mod_p")
+    circulant = next(
+        g for g in seeded_circulants(31, RIGID_CIRCULANTS) if len(g.adj_x[0]) == 18
+    )
     for g in (complete_bipartite(18, 18), circulant):
         leaves = min(g.x_count, g.y_count)
         ceiling = 2 * leaves - 3
         for seed in RANK_SEEDS:
-            shapes.clear()
+            calls.clear()
             assert rigidity_matrix_rank_modular(g, seed) == 2 * g.n - 3
+            shapes = [mat.shape for (mat, _), _ in calls]
             assert shapes == [(ceiling + ceiling // 4 + 1, 2 * leaves)]
 
 
@@ -532,7 +503,7 @@ def test_greedy_packing_matches_per_round_sort():
         complete_bipartite(12, 12),
         complete_bipartite(12, 18),
         complete_bipartite(18, 18),
-        *_bipartite_circulants(31),
+        *seeded_circulants(31),
         *medium_corpus(),
     ]
     packed = 0

@@ -4,8 +4,9 @@ Most helpers avoid the production code paths they check: spectra come
 from numpy's dense eigensolver on the full adjacency matrix, connectivity
 from exhaustive enumeration, and witnesses are re-validated from first
 principles. A few reuse production code on purpose, to isolate one change
-against the rest: ``vertex_cut_reference`` runs ``flow._split_network``
-and its ``_Network.flow``, ``rigidity_matrix_rank_modular_reference``
+against the rest: ``vertex_connectivity_reference`` runs
+``flow._split_network`` and its ``_Network.flow``,
+``rigidity_matrix_rank_modular_reference``
 eliminates with ``_rank_mod_p``, and ``redundantly_rigid_reference`` and
 ``greedy_rigid_packing_reference`` play the production pebble game.
 """
@@ -98,17 +99,12 @@ def mixing_audit_scalar(g, pairs, seed, spectrum):
     return (pairs, min(slacks), max(slacks))
 
 
-def adjacency_matrix(g: BipartiteGraph) -> np.ndarray:
-    n = g.n
-    adj = np.zeros((n, n))
-    for xi, yj in g.edges:
-        adj[xi, g.x_count + yj] = adj[g.x_count + yj, xi] = 1.0
-    return adj
-
-
 def dense_sigma(g: BipartiteGraph) -> list[float]:
     """Top min(|X|,|Y|) adjacency eigenvalues via numpy's dense eigensolver."""
-    eigs = sorted(np.linalg.eigvalsh(adjacency_matrix(g)), reverse=True)
+    adj = np.zeros((g.n, g.n))
+    for xi, yj in g.edges:
+        adj[xi, g.x_count + yj] = adj[g.x_count + yj, xi] = 1.0
+    eigs = sorted(np.linalg.eigvalsh(adj), reverse=True)
     return [float(v) for v in eigs[: min(g.x_count, g.y_count)]]
 
 
@@ -154,19 +150,6 @@ def _components_after_vertex_removal(adj, removed):
                     seen.add(w)
                     queue.append(w)
     return comps
-
-
-def _components_after_edge_removal(g, removed_edges):
-    n = g.n
-    adj = [[] for _ in range(n)]
-    removed = set(removed_edges)
-    for e in g.edges:
-        if e in removed:
-            continue
-        xi, yj = e
-        adj[xi].append(g.x_count + yj)
-        adj[g.x_count + yj].append(xi)
-    return _components_after_vertex_removal(adj, set())
 
 
 def edge_connectivity_bruteforce(g: BipartiteGraph) -> int:
@@ -265,66 +248,34 @@ def edge_connectivity_reference(g: BipartiteGraph):
     )
 
 
-def _split_flow_reach(adj, s, t):
-    """Max flow s_out -> t_in in the vertex-split network (2v in, 2v + 1 out).
+def vertex_connectivity_reference(g: BipartiteGraph, bound=None,
+                                  source_bound=True):
+    """min(kappa, bound) and a flat-id separator of that size, from one scan
+    of split-network flows over the non-adjacent pairs (u, w), u < w, in
+    order (the reference).
 
-    Returns the flow and the residual-reachable split nodes.
-    """
-    n = len(adj)
-    cap = {}
+    Each flow is capped at the running minimum, which starts at min(delta,
+    bound), and the first pair below it gives the separator. With no such
+    pair the separator is the neighborhood of the lowest-numbered
+    minimum-degree vertex, or None when bound < delta. ``source_bound``
+    stops the sources at v_(best-1), after Even (1975); that keeps the first
+    minimum pair, so an all-pairs scan without it gives the same answer.
 
-    def arc(a, b, c):
-        cap[(a, b)] = c
-        cap.setdefault((b, a), 0)
-
-    for v in range(n):
-        arc(2 * v, 2 * v + 1, 1)
-        for w in adj[v]:
-            arc(2 * v + 1, 2 * w, n + 1)
-    return _max_flow_reach(cap, 2 * s + 1, 2 * t)
-
-
-def vertex_connectivity_all_pairs(g: BipartiteGraph):
-    """kappa and flat-id separator from the all-pairs scan (no source bound).
-
-    Visits every non-adjacent pair (u, w), u < w, in order and keeps the
-    first pair whose flow is below the running minimum, which starts at the
-    minimum degree; with no such pair the separator is the neighborhood of
-    the lowest-numbered minimum-degree vertex.
+    The flows are the production ones, ``flow._split_network`` and its
+    ``_Network.flow``. Code that runs none of them checks them:
+    ``vertex_connectivity_bruteforce``, ``disconnects_by_vertices``,
+    ``flow._connectivity_upto3`` and ``edge_connectivity_reference`` on
+    ``_max_flow_reach``.
     """
     adj = flat_adjacency(g)
-    if _components_after_vertex_removal(adj, set()) > 1:
-        return 0, ()
     degs = [len(lst) for lst in adj]
     low = degs.index(min(degs))
-    best, best_pair = degs[low], None
-    for u in range(g.n):
-        for w in range(u + 1, g.n):
-            if w in adj[u]:
-                continue
-            flow, _ = _split_flow_reach(adj, u, w)
-            if flow < best:
-                best, best_pair = flow, (u, w)
-    if best_pair is None:
-        return best, tuple(adj[low])
-    _, reach = _split_flow_reach(adj, *best_pair)
-    sep = tuple(
-        v for v in range(g.n) if 2 * v in reach and 2 * v + 1 not in reach
-    )
-    assert len(sep) == best
-    return best, sep
-
-
-def vertex_cut_reference(g: BipartiteGraph, adj, bound: int):
-    """min(kappa, bound) from the bound-capped split-flow scan, with Even's
-    source bound, and its flat-id separator, or None when no pair has flow
-    below ``bound`` (the reference; ``flow._vertex_cut`` runs only when
-    kappa < bound and always has a separator)."""
+    best = degs[low] if bound is None else min(degs[low], bound)
     net = flow._split_network(g)
     adj_sets = [set(lst) for lst in adj]
-    best, reach = bound, None
+    reach = None
     for u in range(g.n):
-        if u >= best:
+        if source_bound and u >= best:
             break
         for w in range(u + 1, g.n):
             if w in adj_sets[u]:
@@ -333,21 +284,12 @@ def vertex_cut_reference(g: BipartiteGraph, adj, bound: int):
             if f < best:
                 best, reach = f, reached
     if reach is None:
-        return best, None
-    sep = tuple(v for v in range(g.n) if reach[2 * v] and not reach[2 * v + 1])
+        return best, tuple(adj[low]) if best == degs[low] else None
+    sep = tuple(
+        v for v in range(g.n) if reach[2 * v] and not reach[2 * v + 1]
+    )
     assert len(sep) == best
     return best, sep
-
-
-def vertex_connectivity_flow_path(g: BipartiteGraph):
-    """kappa and flat-id separator from the delta-capped split-flow scan
-    alone, the path ``vertex_connectivity`` took for every delta before
-    min(kappa, 3) came from depth-first search."""
-    adj = flat_adjacency(g)
-    degs = [len(lst) for lst in adj]
-    low = degs.index(min(degs))
-    kappa, sep = vertex_cut_reference(g, adj, degs[low])
-    return kappa, tuple(adj[low]) if sep is None else sep
 
 
 class ForestFamilyReference:
@@ -422,28 +364,20 @@ class ForestFamilyReference:
                         queue.append(path_eid)
         return False
 
-    def forests(self):
-        out = [[] for _ in range(self.k)]
-        for eid, f in self.assign.items():
-            out[f].append(eid)
-        return out
-
-
-def pack_forests_reference(g: BipartiteGraph, k: int):
-    """One matroid-union round offering every edge to the full search."""
-    family = ForestFamilyReference(g.n, flat_edges(g), k)
-    for eid in range(g.m):
-        family.try_add(eid)
-    return family.forests()
-
 
 def spanning_trees_reference(g: BipartiteGraph, k: int):
-    """k spanning trees as sorted edge tuples from the reference round, or
-    None when it does not pack."""
-    forests = pack_forests_reference(g, k)
-    if any(len(f) != g.n - 1 for f in forests):
+    """k spanning trees as sorted edge tuples from one matroid-union round
+    offering every edge to the full search, or None when it does not
+    pack."""
+    family = ForestFamilyReference(g.n, flat_edges(g), k)
+    trees = [[] for _ in range(k)]
+    for eid in range(g.m):
+        family.try_add(eid)
+    for eid, f in family.assign.items():
+        trees[f].append(g.edges[eid])
+    if any(len(t) != g.n - 1 for t in trees):
         return None
-    return tuple(tuple(sorted(g.edges[eid] for eid in f)) for f in forests)
+    return tuple(tuple(sorted(t)) for t in trees)
 
 
 def tree_packing_number_reference(g: BipartiteGraph, k_max, rounds):
@@ -464,7 +398,13 @@ def tree_packing_number_reference(g: BipartiteGraph, k_max, rounds):
 
 
 def disconnects_by_edges(g: BipartiteGraph, edges) -> bool:
-    return _components_after_edge_removal(g, edges) > 1
+    adj = [[] for _ in range(g.n)]
+    removed = set(edges)
+    for xi, yj in g.edges:
+        if (xi, yj) not in removed:
+            adj[xi].append(g.x_count + yj)
+            adj[g.x_count + yj].append(xi)
+    return _components_after_vertex_removal(adj, set()) > 1
 
 
 def disconnects_by_vertices(g: BipartiteGraph, vertices) -> bool:
@@ -494,13 +434,18 @@ def rigidity_matrix_mod_p(g: BipartiteGraph, pos, p: int) -> np.ndarray:
     return mat.reshape(g.m, 2 * g.n)
 
 
+def rank_points_reference(seed: int, n: int) -> list[int]:
+    """The 2n point coordinates of ``rigidity_matrix_rank_modular``, one
+    ``SplitMix64.below`` draw each (the reference)."""
+    rng = SplitMix64(seed)
+    return [rng.below(RANK_FIELD_PRIME) for _ in range(2 * n)]
+
+
 def rigidity_matrix_rank_modular_reference(g: BipartiteGraph, seed: int) -> int:
     """``rigidity_matrix_rank_modular`` by forward elimination of the full
     matrix at the same seeded points (the reference)."""
-    rng = SplitMix64(seed)
-    pos = np.array(
-        [rng.below(RANK_FIELD_PRIME) for _ in range(2 * g.n)], dtype=np.int64
-    ).reshape(g.n, 2)
+    pos = np.array(rank_points_reference(seed, g.n), dtype=np.int64)
+    pos = pos.reshape(g.n, 2)
     mat = rigidity_matrix_mod_p(g, pos, RANK_FIELD_PRIME)
     return _rank_mod_p(mat, RANK_FIELD_PRIME)
 
@@ -780,3 +725,46 @@ def medium_corpus(seed=777, per_combo=2):
         for t in range(per_combo):
             out.append(random_biregular(x, y, a, b, derive_seed(seed, ci, t)))
     return out
+
+
+# (n, |S|): circulants of degree 12..18 on 32..52 vertices.
+CIRCULANT_SIZES = (
+    (16, 12), (18, 13), (20, 14), (21, 15), (22, 16), (24, 17), (26, 18)
+)
+
+
+def seeded_circulants(seed, sizes=CIRCULANT_SIZES):
+    """Bipartite circulants x_i ~ y_((i + s) mod n), s in a seeded S, for
+    each (n, |S|) in sizes."""
+    for slot, (n, d) in enumerate(sizes):
+        rng = SplitMix64(derive_seed(seed, slot))
+        pool = list(range(n))
+        rng.shuffle(pool)
+        edges = tuple((i, (i + s) % n) for i in range(n) for s in pool[:d])
+        yield BipartiteGraph(n, n, edges)
+
+
+def seeded_bipartite(seed, count):
+    """Seeded bipartite graphs, 2..11 vertices a side, each edge kept with
+    probability d/8 for d = 1..8: many have isolated vertices, some more
+    than 3(n - 1) edges."""
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        x, y, d = 2 + rng.below(10), 2 + rng.below(10), 1 + rng.below(8)
+        edges = [(i, j) for i in range(x) for j in range(y) if rng.below(8) < d]
+        yield BipartiteGraph(x, y, tuple(edges))
+
+
+def record_calls(monkeypatch, owner, name):
+    """Patch ``owner.name`` to append ``(args, result)`` for each call to
+    the returned list, which a test clears between counts."""
+    calls = []
+    run = getattr(owner, name)
+
+    def recorded(*args):
+        result = run(*args)
+        calls.append((args, result))
+        return result
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
