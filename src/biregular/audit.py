@@ -137,9 +137,14 @@ class AuditConfig:
         if not self.size_grid:
             raise InvalidParam("size grid must be nonempty")
         for x, y, a, b in self.size_grid:
+            entry = f"grid entry (x={x}, y={y}, a={a}, b={b})"
+            if min(x, y, a, b) < 1:
+                raise InvalidParam(f"{entry} has a size or degree below 1")
             if a * x != b * y:
+                raise InvalidParam(f"{entry} violates a*x = b*y")
+            if a > y or b > x:
                 raise InvalidParam(
-                    f"grid entry (x={x}, y={y}, a={a}, b={b}) violates a*x = b*y"
+                    f"{entry} has a degree above the opposite part's size"
                 )
         if not self.k_grid:
             raise InvalidParam("k grid must be nonempty")

@@ -10,8 +10,13 @@ class InvalidParam(Error):
 
 
 def check_k(k) -> int:
-    """k as an int; InvalidParam unless it is a positive integer."""
-    if int(k) != k or k < 1:
+    """k as an int; InvalidParam unless it is a positive integer (an
+    integral float such as 2.0 counts)."""
+    try:
+        valid = int(k) == k and k >= 1
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         raise InvalidParam(f"k must be a positive integer, got {k!r}")
     return int(k)
 

@@ -125,7 +125,12 @@ class BipartiteGraph:
         )
 
     def without_edge(self, edge: EdgePair) -> "BipartiteGraph":
-        e = (int(edge[0]), int(edge[1]))
+        try:
+            e = (index(edge[0]), index(edge[1]))
+        except TypeError:
+            raise IndexOutOfRange(
+                f"edge {edge!r} has a non-integer endpoint"
+            ) from None
         if e not in self._edge_set:
             raise InvalidParam(f"edge {e} not present")
         return BipartiteGraph(

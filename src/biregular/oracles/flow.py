@@ -4,55 +4,46 @@ Each flow pushes one unit per breadth-first augmenting path (Edmonds &
 Karp 1972), capped at the running minimum. Vertex flows run in a split
 network: each vertex becomes an in/out pair joined by a unit arc.
 
-Each oracle makes one decision, "connectivity >= delta", and runs at
-most one scan after it. Connectivity never exceeds delta, so a passed
-test settles the value at delta; otherwise one delta-capped scan finds
-the value and the witness. kappa' and, for delta >= 4, kappa are decided
-by a few delta-capped flows from one vertex of a part, because
-bipartiteness pins where a cut below the minimum degree falls; kappa with
-delta <= 3 by depth-first search (below).
+kappa' and, for delta >= 4, kappa each run one pass of flows over a few
+pairs from one part, each flow capped at the running minimum, which
+starts at delta. The least flow is the value. No flow between two
+vertices (for kappa, two non-adjacent ones) is below the connectivity,
+and each proof below exhibits, when the connectivity is below delta, a
+pair whose flow is at most it: bipartiteness pins where a cut below the
+minimum degree falls. Connectivity never exceeds delta, so a pass in
+which no flow falls below delta settles it at delta.
 
 - kappa' (Matula 1987). If kappa' < delta, each side A of a minimum cut
   holds a vertex with its whole neighborhood in A: otherwise the cut has
   at least |A| edges, so |A| < delta, and then it has at least
   |A| (delta - |A| + 1) >= delta edges. Such a vertex is in, or next to,
-  any dominating set D, so D meets both sides, and the flow from any
-  vertex of D to some other one is below delta. Without isolated
-  vertices each part dominates, so flows from the first vertex of the
-  smaller part to the rest of it decide kappa' >= delta; with delta = 0
-  it holds anyway.
+  any dominating set D, so D meets both sides, and any vertex of D has
+  another across the cut, with flow at most kappa' between them.
+  Without isolated vertices each part dominates, so the pairs are the
+  first vertex of the smaller part and each other vertex of it; with
+  delta = 0 the value is 0 anyway.
 - kappa, delta >= 4 (after Esfahanian and Hakimi 1984). If kappa < delta,
   no component of G - S for a minimum separator S is a lone vertex, whose
   delta or more neighbors would all be in S; so every component holds an
   edge and a vertex of each part. Take the lowest vertex v of a part P.
   If v is outside S, some w in P lies across S from it. If v is in S, it
-  has neighbors in two components (else S - v still separates). So kappa
-  >= delta exactly when the flows from v to the rest of P and between
-  every pair of v's neighbors all reach delta: (|P| - 1) + C(deg v, 2)
-  flows, on the part where that count is smaller. Same-part pairs are
-  never adjacent.
+  has neighbors in two components (else S - v still separates). Either
+  way S separates the pair, so its flow is at most kappa. The pairs are v
+  with the rest of P and every two of v's neighbors: (|P| - 1) +
+  C(deg v, 2) flows, on the part where that count is smaller. Same-part
+  pairs are never adjacent.
 
-When the test holds, the witness is the trivial one at the first
-minimum-degree vertex: its edges, or its neighborhood. Otherwise the one
-scan below runs, so every value and witness is the one it gives:
+The witness is read from the residual-reachable set left by the last,
+failed search of the first flow that reached the minimum; every maximum
+flow leaves the same set. When no flow falls below delta it is the
+trivial one at the first minimum-degree vertex: its edges, or its
+neighborhood.
 
-- kappa': one flow from vertex 0 to every other sink; the global minimum
-  cut must separate vertex 0 from something.
-- kappa: delta-capped flows over non-adjacent ordered-up pairs whose
-  lower vertex is one of v_0..v_kappa, Even's (1975) source bound: at
-  most delta (n - 1) flows instead of about n^2 / 2 (guarded at 512
-  vertices). The bound only cuts the pair order short after its first
-  minimum pair, so the witness is the one the all-pairs scan finds.
-
-Each witness is read from the residual-reachable set left by the last,
-failed search of the flow that set the minimum; every maximum flow leaves
-the same set.
-
-A disconnected graph needs no separate check: the flow from v_0 to a vertex
-outside its component is 0, and what v_0 reaches is its whole component
-(both halves of each vertex in the split network), so the cut or separator
-read from it is empty. With an isolated vertex the min-degree fallbacks
-give the same empty witness.
+A disconnected graph needs no separate check: the proofs hold with an
+empty cut or separator, so some pair's flow is 0, and what its source
+reaches is its whole component (both halves of each vertex in the split
+network), so the cut or separator read from it is empty. With an isolated
+vertex the min-degree fallbacks give the same empty witness.
 
 min(kappa, 3) needs no flow. One lowpoint depth-first search (Tarjan 1972)
 from vertex 0 tells kappa 0, 1 and at least 2 apart: it reaches every
@@ -80,8 +71,10 @@ exact:
   delta >= 3), or the type-1 or type-2 check, which are the two this
   search runs.
 
-``vertex_connectivity`` decides kappa >= delta this way when delta <= 3;
-``is_globally_rigid`` needs no witness and runs no flow.
+The searches return the separator they find: the empty one when G is
+disconnected, a cut vertex, or the first separation pair.
+``vertex_connectivity`` takes min(kappa, 3) and that separator this way
+when delta <= 3; ``is_globally_rigid`` reads only the value.
 """
 
 from __future__ import annotations
@@ -149,14 +142,27 @@ class _Network:
         return flow, None
 
 
+def _least_flow(net, pairs, limit):
+    """The least flow over ``pairs``, each capped at the running minimum,
+    which starts at ``limit``, and the residual reach of the first flow
+    that set it: ``(limit, None)`` when no flow falls below ``limit``."""
+    reach = None
+    for s, t in pairs:
+        f, reached = net.flow(s, t, limit)
+        if f < limit:
+            limit, reach = f, reached
+    return limit, reach
+
+
 def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa' with a minimum edge cut as witness.
 
-    Flows capped at delta from the first vertex of the smaller part to the
-    rest of it decide kappa' >= delta (Matula's dominating-set argument);
-    then the cut is the trivial one at the first minimum-degree vertex.
-    Otherwise one flow runs from vertex 0 to every other sink. Disconnected
-    graphs report 0 with an empty cut.
+    One pass of flows from the first vertex of the smaller part to the rest
+    of it, capped at the running minimum that starts at delta, gives the
+    value (Matula's dominating-set argument). The cut is read from the flow
+    that set it, or is the trivial one at the first minimum-degree vertex
+    when no flow fell below delta. Disconnected graphs report 0 with an
+    empty cut.
     """
     n = g.n
     flat = flat_edges(g)
@@ -164,19 +170,11 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     for u, v in flat:
         net.add_edge(u, v, 1, 1)
     degs = [len(lst) for lst in g.adj_x + g.adj_y]
-    best = min(degs)
-    reach = None
     x = g.x_count
     part = range(x) if x <= g.y_count else range(x, n)
-    if any(net.flow(part[0], t, best)[0] < best for t in part[1:]):
-        for t in range(1, n):
-            f, reached = net.flow(0, t, best)
-            if f < best:
-                best = f
-                reach = reached
+    pairs = ((part[0], t) for t in part[1:])
+    best, reach = _least_flow(net, pairs, min(degs))
     if reach is None:
-        # Every sink saw at least min-degree flow, so the trivial cut
-        # around a minimum-degree vertex is optimal.
         low = degs.index(best)
         reach = [v == low for v in range(n)]
     cut = tuple(e for e, (u, v) in zip(g.edges, flat) if reach[u] != reach[v])
@@ -205,48 +203,6 @@ def _split_network(g: BipartiteGraph):
         net.add_edge(2 * u + 1, 2 * w, inf)
         net.add_edge(2 * w + 1, 2 * u, inf)
     return net
-
-
-def _kappa_at_least_delta(g: BipartiteGraph, adj, delta: int) -> bool:
-    """Whether kappa >= delta, for delta >= 4, from (|P| - 1) + C(deg v, 2)
-    flows: v the lowest vertex of the part P where that count is smaller
-    (see the module docstring)."""
-    x = g.x_count
-    parts = (range(x), range(x, g.n))
-    part = min(parts, key=lambda p: len(p) - 1 + comb(len(adj[p[0]]), 2))
-    v = part[0]
-    pairs = [*((v, w) for w in part[1:]), *combinations(adj[v], 2)]
-    net = _split_network(g)
-    return all(net.flow(2 * s + 1, 2 * t, delta)[0] == delta for s, t in pairs)
-
-
-def _vertex_cut(g: BipartiteGraph, adj, bound: int):
-    """``(kappa, separator)``, the separator as sorted flat ids, when
-    kappa < bound: some non-adjacent pair then has flow below ``bound``.
-
-    Sources stop at v_(best-1), after Even (1975): while kappa < best, a
-    minimum separator S misses some v_i with i <= |S| = kappa < best, and
-    every vertex across S from v_i has a higher id. The visited pairs are
-    thus a prefix of the full ordered-up scan that holds its first minimum
-    pair, so the witness is that scan's.
-    """
-    n = g.n
-    net = _split_network(g)
-    adj_sets = [set(lst) for lst in adj]
-    best = bound
-    for u in range(n):
-        if u >= best:
-            break
-        for w in range(u + 1, n):
-            if w in adj_sets[u]:
-                continue
-            f, reached = net.flow(2 * u + 1, 2 * w, best)
-            if f < best:
-                best = f
-                reach = reached
-    sep = tuple(v for v in range(n) if reach[2 * v] and not reach[2 * v + 1])
-    assert len(sep) == best
-    return best, sep
 
 
 def _palm_tree(adj):
@@ -442,57 +398,70 @@ def _path_search(arcs, low1, low2, nd, parent, high):
     return None
 
 
-def _connectivity_upto3(adj) -> int:
-    """min(kappa, 3) with no flow, for a simple graph on 3+ vertices.
+def _connectivity_upto3(adj):
+    """``(min(kappa, 3), separator)`` with no flow, for a simple graph on
+    3+ vertices.
 
     One lowpoint search finds whether G is connected and has a cut vertex;
     with neither and delta >= 3, the separation-pair search on the same
-    palm tree settles kappa >= 3. Both take O(n + m).
+    palm tree settles kappa >= 3. Both take O(n + m). The separator, as
+    sorted flat ids, is () when G is disconnected, the cut vertex, or the
+    separation pair; None when the value is 3, or 2 with delta <= 2.
     """
     n = len(adj)
     _check_size(n)
     palm = _palm_tree(adj)
     order, parent, low1, _, nd, _, _ = palm
     if len(order) < n:
-        return 0
+        return 0, ()
     # The root is a cut vertex when its first subtree misses a vertex, any
     # other vertex when some child's subtree has no frond above it.
-    if nd[1] < n - 1 or any(low1[k] >= parent[k] > 0 for k in range(2, n)):
-        return 1
+    if nd[1] < n - 1:
+        return 1, (0,)
+    for k in range(2, n):
+        if low1[k] >= parent[k] > 0:
+            return 1, (order[parent[k]],)
     if min(map(len, adj)) < 3:
         # kappa <= delta, so delta <= 2 leaves "at least 2" at exactly 2.
-        return 2
-    return 2 if _separation_pair(palm) else 3
+        return 2, None
+    pair = _separation_pair(palm)
+    return (2, tuple(sorted(pair))) if pair else (3, None)
 
 
 def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
     """Exact kappa with a minimum separator as witness.
 
-    One decision settles kappa >= delta: ``_connectivity_upto3`` when
-    delta <= 3, by one lowpoint search and, at delta = 3, the linear-time
-    separation-pair search on its palm tree; ``_kappa_at_least_delta`` by flows
-    from one part's lowest vertex to the rest of the part and between its
-    neighbors otherwise. Then kappa = delta and the separator is the
-    neighborhood of the first minimum-degree vertex. Else one delta-capped
-    scan of split-network flows over non-adjacent pairs, whose lower vertex
-    is among v_0..v_kappa (Even's bound), gives the value and separator;
-    the bound only drops pairs after the first minimum one, so the
-    separator is the one the all-pairs scan returns. Bipartite graphs on 3+
-    vertices always have a non-adjacent same-part pair, so the
-    complete-bipartite convention kappa(K_{m,n}) = min(m, n) falls out of
-    the flows themselves.
+    When delta <= 3, ``_connectivity_upto3`` gives min(kappa, 3) and its
+    separator by one lowpoint search and, at delta = 3, the linear-time
+    separation-pair search on its palm tree. Otherwise one pass of
+    split-network flows, from one part's lowest vertex to the rest of the
+    part and between its neighbors, capped at the running minimum that
+    starts at delta, gives kappa and reads the separator from the flow that
+    set it. When kappa = delta the separator is the neighborhood of the
+    first minimum-degree vertex. Bipartite graphs on 3+ vertices always
+    have a non-adjacent same-part pair, so the complete-bipartite
+    convention kappa(K_{m,n}) = min(m, n) falls out of the search itself.
     """
+    n = g.n
     adj = flat_adjacency(g)
     degs = [len(lst) for lst in adj]
     low = degs.index(min(degs))
     delta = degs[low]
     if delta <= 3:
-        settled = _connectivity_upto3(adj) >= delta
+        kappa, sep = _connectivity_upto3(adj)
     else:
-        settled = _kappa_at_least_delta(g, adj, delta)
-    if settled:
+        x = g.x_count
+        parts = (range(x), range(x, n))
+        part = min(parts, key=lambda p: len(p) - 1 + comb(len(adj[p[0]]), 2))
+        v = part[0]
+        pairs = [*((v, w) for w in part[1:]), *combinations(adj[v], 2)]
+        split = ((2 * s + 1, 2 * t) for s, t in pairs)
+        kappa, reach = _least_flow(_split_network(g), split, delta)
+        sep = reach and [
+            u for u in range(n) if reach[2 * u] and not reach[2 * u + 1]
+        ]
+    if kappa >= delta:
         kappa, sep = delta, tuple(sorted(adj[low]))
-    else:
-        kappa, sep = _vertex_cut(g, adj, delta)
+    assert len(sep) == kappa
     witness = Separator(tuple(flat_vertex(g, v) for v in sep))
     return OracleResult(GraphProperty.VERTEX_CONNECTIVITY, kappa, witness, True)

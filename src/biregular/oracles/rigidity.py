@@ -410,7 +410,7 @@ def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
     """
     if g.n < 4:
         raise TooSmall("global rigidity oracle needs at least 4 vertices")
-    if _connectivity_upto3(flat_adjacency(g)) < 3:
+    if _connectivity_upto3(flat_adjacency(g))[0] < 3:
         return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
     return is_redundantly_rigid(g)
 

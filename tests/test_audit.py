@@ -27,7 +27,12 @@ from biregular.errors import (
 from biregular.prng import derive_seed
 from biregular.spectral import Spectrum
 
-from testutil import medium_corpus, mixing_audit_scalar, small_corpus
+from testutil import (
+    medium_corpus,
+    mixing_audit_scalar,
+    record_calls,
+    small_corpus,
+)
 
 SMALL_CFG = AuditConfig(
     trials=3,
@@ -86,6 +91,20 @@ def test_config_rejects_k_grid_entries_up_front():
             AuditConfig(1, ((4, 4, 2, 2),), grid, props, 1)
     with pytest.raises(InvalidParam, match="k grid must be nonempty"):
         AuditConfig(1, ((4, 4, 2, 2),), (), props, 1)
+
+
+def test_config_rejects_impossible_profiles_before_sampling(monkeypatch):
+    # A size or degree below 1, or a degree above the opposite part's size
+    # (a > y, and so b > x), has no simple graph: the config refuses it
+    # before any profile is sampled.
+    import biregular.audit as audit_mod
+
+    calls = record_calls(monkeypatch, audit_mod, "random_biregular")
+    props = (GraphProperty.EDGE_CONNECTIVITY,)
+    for bad in ((0, 0, 1, 1), (-2, -2, 1, 1), (4, 4, 0, 0), (4, 2, 3, 6)):
+        with pytest.raises(InvalidParam, match="grid entry"):
+            audit_random(AuditConfig(2, ((4, 4, 2, 2), bad), (2,), props, 1))
+    assert calls == []
 
 
 def test_unsound_oracle_aborts(monkeypatch):

@@ -146,6 +146,8 @@ def test_ramanujan_desk_values():
 
 
 def test_k_must_be_positive():
+    # int() raises ValueError for nan, OverflowError for inf and TypeError
+    # for None; each must surface as InvalidParam. Integral floats pass.
     g = complete_bipartite(3, 3)
     for fn in (
         certify_edge_connectivity,
@@ -153,8 +155,10 @@ def test_k_must_be_positive():
         certify_tree_packing,
         certify_rigid_packing,
     ):
-        with pytest.raises(InvalidParam):
-            fn(g, 0)
+        for k in (0, float("nan"), float("inf"), None):
+            with pytest.raises(InvalidParam, match="k must be a positive"):
+                fn(g, k)
+        assert fn(g, 2.0) == fn(g, 2)
 
 
 def test_decide_epsilon_band():

@@ -11,6 +11,8 @@ from biregular import complete_bipartite, even_cycle, parse_bbg, write_bbg
 from biregular.cli import main
 from biregular.properties import GraphProperty
 
+from testutil import record_calls
+
 
 def run_cli(*args, **kwargs):
     return subprocess.run(
@@ -216,6 +218,18 @@ def test_audit_dedups_repeated_k_and_properties(tmp_path):
 def test_audit_bad_grid_exit_1():
     res = run_cli("audit", "--grid", "4,5,2,2", "--trials", "1")
     assert res.returncode == 1
+
+
+def test_audit_impossible_grid_entry_exits_before_sampling(capsys, monkeypatch):
+    import biregular.audit as audit_mod
+
+    calls = record_calls(monkeypatch, audit_mod, "random_biregular")
+    assert main(["audit", "--grid", "4,4,2,2;0,0,1,1"]) == 1
+    assert calls == []
+    assert capsys.readouterr().err == (
+        "usage error: grid entry (x=0, y=0, a=1, b=1) has a size or degree "
+        "below 1\n"
+    )
 
 
 @pytest.mark.parametrize("entry", ["6,4,2,+3", "6,4,2,\u0663", "6,4,2,0_3"])

@@ -1,5 +1,7 @@
 """Connectivity oracles against exhaustive enumeration and witness recheck."""
 
+from math import comb
+
 import pytest
 
 from biregular import (
@@ -27,6 +29,7 @@ from biregular.oracles import (
 
 from testutil import (
     DISCONNECTED,
+    K44_PENDANT,
     THREE_K44_BLOCKS,
     TWO_K33_BLOCKS,
     TWO_K44_BLOCKS,
@@ -42,6 +45,40 @@ from testutil import (
     vertex_connectivity_bruteforce,
     vertex_connectivity_reference,
 )
+
+
+def _min_degree(g):
+    return min(len(lst) for lst in g.adj_x + g.adj_y)
+
+
+def _check_edge_cut(g):
+    """kappa' against ``edge_connectivity_reference``: the same value, the
+    same cut when kappa' is 0 or delta, and below delta value-many edges
+    that disconnect g."""
+    res = edge_connectivity(g)
+    cut = edge_connectivity_reference(g)
+    assert res.value == len(cut) <= _min_degree(g)
+    if 0 < res.value < _min_degree(g):
+        assert len(res.witness.edges) == res.value
+        assert disconnects_by_edges(g, res.witness.edges)
+    else:
+        assert res.witness.edges == cut
+    return res
+
+
+def _check_separator(g):
+    """kappa against ``vertex_connectivity_reference``: the same value, the
+    same separator when kappa is 0 or delta, and below delta value-many
+    vertices that disconnect g."""
+    kappa, sep = vertex_connectivity_reference(g)
+    res = vertex_connectivity(g)
+    assert res.value == kappa
+    if 0 < kappa < _min_degree(g):
+        assert len(res.witness.vertices) == kappa
+        assert disconnects_by_vertices(g, res.witness.vertices)
+    else:
+        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+    return res
 
 
 def test_edge_connectivity_desk_values():
@@ -79,7 +116,7 @@ def test_edge_cut_witness_matches_reference():
         THREE_K44_BLOCKS,
     ]
     for g in graphs:
-        assert edge_connectivity(g).witness.edges == edge_connectivity_reference(g)
+        _check_edge_cut(g)
     res = edge_connectivity(THREE_K44_BLOCKS)
     assert res.value == 2
     assert res.witness.edges == ((2, 8), (8, 1))
@@ -172,10 +209,7 @@ def test_source_bound_matches_all_pairs_scan():
         TWO_K44_BLOCKS,
     ]
     for g in graphs:
-        kappa, sep = vertex_connectivity_reference(g, source_bound=False)
-        res = vertex_connectivity(g)
-        assert res.value == kappa
-        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+        _check_separator(g)
 
 
 def test_kappa_below_min_degree():
@@ -185,28 +219,11 @@ def test_kappa_below_min_degree():
     assert res.value == 2 == vertex_connectivity_bruteforce(g)
     assert disconnects_by_vertices(g, res.witness.vertices)
 
-    # x0 and x1 lie in every minimum separator, so sources v_0 and v_1
-    # alone would report 3.
+    # {x0, x1} is the only 2-separator and holds x0, the lowest vertex of
+    # X, so only the flows between x0's neighbors find it.
     res = vertex_connectivity(TWO_K44_BLOCKS)
     assert res.value == 2
     assert res.witness.vertices == (("x", 0), ("x", 1))
-
-
-def test_source_bound_flow_count(monkeypatch):
-    # kappa = delta: at most delta sources with fewer than n sinks each, and
-    # the witness is read from the scan, so no flow runs twice. Without the
-    # source bound every non-adjacent pair runs a flow (70 on Heawood, 104
-    # on C16), over delta (n - 1).
-    calls = record_calls(monkeypatch, flow._Network, "flow")
-    for g, delta in ((heawood(), 3), (even_cycle(16), 2)):
-        before = len(calls)
-        assert vertex_connectivity(g).value == delta
-        assert len(calls) - before <= delta * (g.n - 1)
-    # Both scans lower the cap below the flow of later pairs (3 inside a
-    # K3,3 or K4,4 block), which must still stop at the cap.
-    assert vertex_connectivity(TWO_K33_BLOCKS).value == 2
-    assert edge_connectivity(THREE_K44_BLOCKS).value == 2
-    assert all(f <= limit for (_, _, _, limit), (f, _) in calls)
 
 
 def _glued_blocks(m, shared):
@@ -385,8 +402,11 @@ def test_connectivity_upto3_matches_flow_scan(default_corpus):
     searched = {}
     for g in graphs:
         adj = flat_adjacency(g)
-        value = flow._connectivity_upto3(adj)
+        value, sep = flow._connectivity_upto3(adj)
         assert value == vertex_connectivity_reference(g, 3)[0]
+        if sep is not None:
+            assert len(sep) == value
+            assert disconnects_by_vertices(g, [flat_vertex(g, v) for v in sep])
         values[value] = values.get(value, 0) + 1
         if value >= 2 and min(map(len, adj)) >= 3:
             # The separation-pair search decided this one.
@@ -408,7 +428,7 @@ def test_separation_pair_search_matches_flow_scan():
     for g in graphs:
         adj = flat_adjacency(g)
         assert min(map(len, adj)) >= 3
-        assert flow._connectivity_upto3(adj) == 2
+        assert flow._connectivity_upto3(adj)[0] == 2
         assert vertex_connectivity_reference(g, 3)[0] == 2
         pair = flow._separation_pair(flow._palm_tree(adj))
         assert disconnects_by_vertices(g, [flat_vertex(g, v) for v in pair])
@@ -419,14 +439,14 @@ def test_separation_pair_search_at_the_size_guard():
     prism = _prism(256)
     adj = flat_adjacency(prism)
     assert prism.n == flow.VERTEX_CONN_GUARD
-    assert flow._connectivity_upto3(adj) == 3
+    assert flow._connectivity_upto3(adj)[0] == 3
     assert flow._separation_pair(flow._palm_tree(adj)) is None
     assert vertex_connectivity(prism).value == 3
     joined = _prism_pair(128)
     adj = flat_adjacency(joined)
     assert joined.n == flow.VERTEX_CONN_GUARD
     assert min(map(len, adj)) == 3
-    assert flow._connectivity_upto3(adj) == 2
+    assert flow._connectivity_upto3(adj)[0] == 2
     pair = flow._separation_pair(flow._palm_tree(adj))
     cut = [flat_vertex(joined, v) for v in pair]
     assert disconnects_by_vertices(joined, cut)
@@ -437,22 +457,14 @@ def test_three_connected_graph_gets_no_pass_per_vertex():
     # search works on the palm tree it left, not on G - v for each v.
     for g in (heawood(), complete_bipartite(6, 6), _prism(64)):
         adj = [_CountedList(lst) for lst in flat_adjacency(g)]
-        assert flow._connectivity_upto3(adj) == 3
+        assert flow._connectivity_upto3(adj)[0] == 3
         assert max(lst.reads for lst in adj) == 1
 
 
 def test_witness_matches_flow_path_on_default_corpus(default_corpus):
     below_delta = 0
     for g in default_corpus:
-        res = vertex_connectivity(g)
-        kappa, sep = vertex_connectivity_reference(g)
-        assert res.value == kappa
-        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
-        if kappa < min(len(lst) for lst in g.adj_x + g.adj_y):
-            # The separator comes from a flow: check it with all pairs too.
-            below_delta += 1
-            all_pairs = vertex_connectivity_reference(g, source_bound=False)
-            assert (kappa, sep) == all_pairs
+        below_delta += _check_separator(g).value < _min_degree(g)
     assert below_delta >= 10
 
 
@@ -465,14 +477,12 @@ def test_witness_matches_all_pairs_on_dense_and_arbitrary_graphs():
         DISCONNECTED,
     ]
     for g in graphs:
-        kappa, sep = vertex_connectivity_reference(g, source_bound=False)
-        res = vertex_connectivity(g)
-        assert res.value == kappa
-        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
+        _check_separator(g)
 
 
 def test_flows_only_for_a_witness(monkeypatch):
-    # kappa = delta <= 3: the witness is the min-degree neighbourhood.
+    # delta <= 3 runs no flow. kappa = delta: the witness is the min-degree
+    # neighbourhood.
     at_delta = [heawood(), even_cycle(16), complete_bipartite(1, 4)]
     expected = [vertex_connectivity_reference(g) for g in at_delta]
     calls = record_calls(monkeypatch, flow._Network, "flow")
@@ -485,28 +495,12 @@ def test_flows_only_for_a_witness(monkeypatch):
     calls.clear()
     assert is_globally_rigid(complete_bipartite(6, 6)).value == 1
     assert len(calls) == 0
-    # kappa < delta <= 3: flows find the separator the flow scan found.
+    # kappa < delta <= 3: the depth-first searches find the separator.
     for g, sep in ((TWO_K33_BLOCKS, (("y", 0), ("y", 1))), (DISCONNECTED, ())):
         calls.clear()
         res = vertex_connectivity(g)
         assert res.witness.vertices == sep
-        assert len(calls) > 0
-
-
-def test_one_scan_below_delta(default_corpus, monkeypatch):
-    # kappa >= delta is decided once; only kappa < delta runs a scan, and
-    # that one scan is capped at delta.
-    calls = record_calls(monkeypatch, flow, "_vertex_cut")
-    below_delta = 0
-    for g in [*default_corpus, TWO_K33_BLOCKS, DISCONNECTED]:
-        calls.clear()
-        delta = min(len(lst) for lst in g.adj_x + g.adj_y)
-        if vertex_connectivity(g).value == delta:
-            assert calls == []
-        else:
-            assert [bound for (_, _, bound), _ in calls] == [delta]
-            below_delta += 1
-    assert below_delta >= 15
+        assert len(calls) == 0
 
 
 def test_size_guards(monkeypatch):
@@ -536,8 +530,15 @@ def test_size_guards(monkeypatch):
     assert vertex_connectivity(BipartiteGraph(1, 2, ())).value == 0
 
 
-def _min_degree(g):
-    return min(len(lst) for lst in g.adj_x + g.adj_y)
+def _kappa_flow_bound(g):
+    """(|P| - 1) + C(deg v, 2), v the lowest vertex of the part P where
+    that is smaller: the flows ``vertex_connectivity`` may run at delta >=
+    4."""
+    adj = flat_adjacency(g)
+    x0, y0 = adj[0], adj[g.x_count]
+    return min(
+        g.x_count - 1 + comb(len(x0), 2), g.y_count - 1 + comb(len(y0), 2)
+    )
 
 
 def _delta_test_graphs(default_corpus):
@@ -562,15 +563,10 @@ def test_kappa_delta_test_matches_flow_path(default_corpus):
         delta = _min_degree(g)
         if delta < 4:
             continue
-        kappa, sep = vertex_connectivity_reference(g)
-        res = vertex_connectivity(g)
-        assert res.value == kappa
-        assert res.witness.vertices == tuple(flat_vertex(g, v) for v in sep)
-        adj = flat_adjacency(g)
-        assert flow._kappa_at_least_delta(g, adj, delta) == (kappa == delta)
+        kappa = _check_separator(g).value
         at_delta += kappa == delta
         below_delta += kappa < delta
-    # The glued and hub blocks take the fallback scan.
+    # The glued and hub blocks fall below delta.
     assert at_delta >= 150 and below_delta == len(GLUED_BLOCKS) + 1
     assert vertex_connectivity(HUB_BLOCKS).value == 2
 
@@ -586,18 +582,13 @@ def test_kappa_at_delta_runs_few_flows(default_corpus, monkeypatch):
     for g in graphs:
         adj = flat_adjacency(g)
         delta = _min_degree(g)
-        x0, y0 = adj[0], adj[g.x_count]
-        bound = min(
-            g.x_count - 1 + len(x0) * (len(x0) - 1) // 2,
-            g.y_count - 1 + len(y0) * (len(y0) - 1) // 2,
-        )
         calls.clear()
         res = vertex_connectivity(g)
         assert res.value == delta
         assert res.witness.vertices == tuple(
             flat_vertex(g, v) for v in adj[[len(a) for a in adj].index(delta)]
         )
-        assert 0 < len(calls) <= bound < delta * (g.n - 1)
+        assert 0 < len(calls) <= _kappa_flow_bound(g) < delta * (g.n - 1)
 
 
 def test_edge_delta_test_matches_reference(default_corpus):
@@ -609,11 +600,7 @@ def test_edge_delta_test_matches_reference(default_corpus):
     ]
     below_delta = 0
     for g in graphs:
-        res = edge_connectivity(g)
-        cut = edge_connectivity_reference(g)
-        assert res.witness.edges == cut
-        assert res.value == len(cut) <= _min_degree(g)
-        below_delta += res.value < _min_degree(g)
+        below_delta += _check_edge_cut(g).value < _min_degree(g)
     assert below_delta >= 10
 
 
@@ -635,3 +622,34 @@ def test_edge_connectivity_at_delta_runs_few_flows(default_corpus, monkeypatch):
         at_delta += 1
         assert len(calls) <= min(g.x_count, g.y_count) - 1
     assert at_delta >= 400
+
+
+def test_one_pass_flow_count(default_corpus, monkeypatch):
+    # Below delta as at it, each oracle runs its decision pairs once:
+    # kappa at most (|P| - 1) + C(deg v, 2) flows when delta >= 4 and none
+    # when delta <= 3, kappa' at most min(|X|, |Y|) - 1. Once the running
+    # minimum falls below the flow of later pairs (3 or more inside a
+    # block), those flows must still stop at it.
+    graphs = [
+        *GLUED_BLOCKS,
+        HUB_BLOCKS,
+        TWO_K33_BLOCKS,
+        TWO_K44_BLOCKS,
+        THREE_K44_BLOCKS,
+        K44_PENDANT,
+        *default_corpus,
+    ]
+    calls = record_calls(monkeypatch, flow._Network, "flow")
+    lowered = 0
+    for g in graphs:
+        delta = _min_degree(g)
+        start = len(calls)
+        vertex_connectivity(g)
+        bound = _kappa_flow_bound(g) if delta >= 4 else 0
+        assert len(calls) - start <= bound
+        before = len(calls)
+        edge_connectivity(g)
+        assert len(calls) - before <= min(g.x_count, g.y_count) - 1
+        lowered += any(limit < delta for (*_, limit), _ in calls[start:])
+    assert all(f <= limit for (*_, limit), (f, _) in calls)
+    assert lowered >= 5

@@ -300,3 +300,9 @@ def test_without_edge():
     assert g.m == 8 and not g.has_edge(0, 0)
     with pytest.raises(InvalidParam):
         g.without_edge((0, 0))
+    # Endpoints are read as the constructor reads them: numpy integers
+    # pass, and a float is refused rather than truncated to another edge.
+    assert k33.without_edge((np.int64(0), np.uint8(0))) == g
+    for edge in ((0.7, 1.9), (0, 1.0), ("0", 1)):
+        with pytest.raises(IndexOutOfRange, match="non-integer endpoint"):
+            k33.without_edge(edge)

@@ -56,6 +56,7 @@ def test_small_desk_values():
 def test_k_max_caps_the_search():
     assert tree_packing_number(complete_bipartite(4, 4), k_max=1).value == 1
     assert tree_packing_number(complete_bipartite(6, 6), k_max=2).value == 2
+    assert tree_packing_number(complete_bipartite(6, 6), k_max=2.0).value == 2
 
 
 def test_disconnected_tau_zero():
@@ -265,7 +266,7 @@ def test_path_search_count_on_default_corpus(default_corpus, monkeypatch):
     assert len(calls) == 0
 
 
-@pytest.mark.parametrize("k_max", [0, -3, 1.5])
+@pytest.mark.parametrize("k_max", [0, -3, 1.5, float("nan"), float("inf")])
 def test_k_max_rejects_bad_values(k_max):
     with pytest.raises(InvalidParam):
         tree_packing_number(complete_bipartite(4, 4), k_max=k_max)

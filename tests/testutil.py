@@ -248,8 +248,7 @@ def edge_connectivity_reference(g: BipartiteGraph):
     )
 
 
-def vertex_connectivity_reference(g: BipartiteGraph, bound=None,
-                                  source_bound=True):
+def vertex_connectivity_reference(g: BipartiteGraph, bound=None):
     """min(kappa, bound) and a flat-id separator of that size, from one scan
     of split-network flows over the non-adjacent pairs (u, w), u < w, in
     order (the reference).
@@ -257,9 +256,10 @@ def vertex_connectivity_reference(g: BipartiteGraph, bound=None,
     Each flow is capped at the running minimum, which starts at min(delta,
     bound), and the first pair below it gives the separator. With no such
     pair the separator is the neighborhood of the lowest-numbered
-    minimum-degree vertex, or None when bound < delta. ``source_bound``
-    stops the sources at v_(best-1), after Even (1975); that keeps the first
-    minimum pair, so an all-pairs scan without it gives the same answer.
+    minimum-degree vertex, or None when bound < delta. Sources stop at
+    v_(best-1), after Even (1975): while kappa < best, a minimum separator
+    misses some v_i with i <= kappa, and every vertex across it from v_i
+    has a higher id.
 
     The flows are the production ones, ``flow._split_network`` and its
     ``_Network.flow``. Code that runs none of them checks them:
@@ -275,7 +275,7 @@ def vertex_connectivity_reference(g: BipartiteGraph, bound=None,
     adj_sets = [set(lst) for lst in adj]
     reach = None
     for u in range(g.n):
-        if source_bound and u >= best:
+        if u >= best:
             break
         for w in range(u + 1, g.n):
             if w in adj_sets[u]:
@@ -630,8 +630,7 @@ TWO_K33_BLOCKS = BipartiteGraph(
 
 # Two K4,4 blocks (x2..x5 x y0..y3 and x6..x9 x y4..y7) joined through x0,
 # adjacent to y0, y1, y4, y5, and x1, adjacent to y2, y3, y6, y7: {x0, x1}
-# is the only 2-separator, so kappa = 2 < delta = 4 and no pair with v_0 or
-# v_1 as source reaches it; the first minimum pair has source v_2.
+# is the only 2-separator, so kappa = 2 < delta = 4.
 TWO_K44_BLOCKS = BipartiteGraph(
     10,
     8,
@@ -643,8 +642,8 @@ TWO_K44_BLOCKS = BipartiteGraph(
 
 # Three K4,4 blocks, A = x0..x3 x y0..y3, B = x4..x7 x y4..y7 and
 # C = x8..x11 x y8..y11, with A joined to B by three edges and to C by two:
-# kappa' = 2 < delta = 4, and the sink scan from x0 improves twice, first
-# at x4 (3) and then at x8 (2).
+# kappa' = 2 < delta = 4, and the flows from x0 to the rest of X lower the
+# minimum twice, first at x4 (3) and then at x8 (2).
 THREE_K44_BLOCKS = BipartiteGraph(
     12,
     12,
