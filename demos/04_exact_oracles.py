@@ -2,11 +2,11 @@
 """Every certificate has an exact combinatorial oracle behind it.
 
 Connectivity comes from unit augmenting-path flows: a few flows inside
-one part settle "at least the minimum degree", and the full scans run
-only below it (vertex connectivity up to 3 comes from depth-first search,
-with flows only for a separator). Tree packing comes from graphic matroid
-union, rigidity from the (2,3) pebble game, and all of them return
-witnesses you can re-check by hand.
+one part settle "at least the minimum degree", and below it the least of
+those same flows is the value, its cut the witness (vertex connectivity
+up to 3, separator included, comes from depth-first search instead).
+Tree packing comes from graphic matroid union, rigidity from the (2,3)
+pebble game, and all of them return witnesses you can re-check by hand.
 """
 
 from biregular import complete_bipartite, even_cycle, heawood

@@ -10,12 +10,10 @@ and double-checks every fired certificate with exact combinatorial oracles
 from .audit import (
     AuditConfig,
     AuditRecord,
-    MixingAuditReport,
     audit_random,
     default_config,
     default_size_grid,
     generate_corpus,
-    mixing_audit,
     parse_report_json,
     report_emit,
 )
@@ -45,10 +43,12 @@ from .graphs import (
 from .prng import SplitMix64, derive_seed
 from .properties import GraphProperty, Verdict
 from .spectral import (
+    MixingAuditReport,
     MixingReport,
     Spectrum,
     biadjacency,
     lambda2,
+    mixing_audit,
     mixing_check,
     singular_values,
     spectral_gap,

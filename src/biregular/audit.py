@@ -1,4 +1,5 @@
-"""Randomized soundness audit joining certificates with exact oracles.
+"""Randomized soundness audit joining certificates with exact oracles,
+and its CSV and JSON reports.
 
 ``audit_random`` walks a seeded corpus of configuration-model graphs,
 evaluates every configured certificate at every configured k, runs the
@@ -20,8 +21,6 @@ import logging
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, fields
 
-import numpy as np
-
 from .certify import (
     Certificate,
     certify_edge_connectivity,
@@ -31,14 +30,8 @@ from .certify import (
     certify_vertex_connectivity,
     is_ramanujan,
 )
-from .errors import (
-    AuditUnsound,
-    InvalidParam,
-    MixingViolation,
-    RetriesExhausted,
-    check_k,
-)
-from .graphs import BipartiteGraph, random_biregular, validate_biregular
+from .errors import AuditUnsound, InvalidParam, RetriesExhausted, check_k
+from .graphs import BipartiteGraph, check_int, check_profile, random_biregular
 from .oracles import (
     OracleResult,
     edge_connectivity,
@@ -47,15 +40,9 @@ from .oracles import (
     tree_packing_number,
     vertex_connectivity,
 )
-from .prng import derive_seed, stream_u64
+from .prng import derive_seed
 from .properties import GraphProperty, Verdict
-from .spectral import (
-    MIXING_TOL,
-    Spectrum,
-    biadjacency,
-    mixing_sides,
-    singular_values,
-)
+from .spectral import singular_values
 
 log = logging.getLogger(__name__)
 
@@ -132,20 +119,13 @@ class AuditConfig:
     seed: int
 
     def __post_init__(self):
-        if self.trials < 1:
+        if check_int(self.trials, "trials") < 1:
             raise InvalidParam("trials must be at least 1")
+        check_int(self.seed, "seed")
         if not self.size_grid:
             raise InvalidParam("size grid must be nonempty")
-        for x, y, a, b in self.size_grid:
-            entry = f"grid entry (x={x}, y={y}, a={a}, b={b})"
-            if min(x, y, a, b) < 1:
-                raise InvalidParam(f"{entry} has a size or degree below 1")
-            if a * x != b * y:
-                raise InvalidParam(f"{entry} violates a*x = b*y")
-            if a > y or b > x:
-                raise InvalidParam(
-                    f"{entry} has a degree above the opposite part's size"
-                )
+        for entry in self.size_grid:
+            check_profile(*entry, what="grid entry")
         if not self.k_grid:
             raise InvalidParam("k grid must be nonempty")
         for k in self.k_grid:
@@ -302,76 +282,6 @@ def audit_random(cfg: AuditConfig) -> list[AuditRecord]:
                 records.append(record)
     records.sort(key=lambda r: (r.graph_id, r.property, r.k))
     return records
-
-
-@dataclass(frozen=True)
-class MixingAuditReport:
-    """Summary of a sampled mixing-inequality sweep over one graph."""
-
-    pairs: int
-    violations: int
-    min_slack: float
-    max_slack: float
-
-
-# Pairs drawn and checked per chunk of mixing_audit: bounds its arrays
-# (and peak memory) however many pairs are asked for.
-_MIXING_CHUNK = 64
-
-
-def mixing_audit(
-    g: BipartiteGraph,
-    pairs: int,
-    seed: int,
-    spectrum: Spectrum | None = None,
-) -> MixingAuditReport:
-    """Check the mixing inequality on ``pairs`` uniform (A, B) subset pairs.
-
-    Membership of each vertex is one low bit of the seeded stream, so the
-    sample includes empty and full sides: pair p reads words
-    p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
-    drawn and checked in chunks. e(A, B) comes from one product with the
-    biadjacency matrix, whose float sums of 0/1 terms are exact integers,
-    and ``mixing_sides`` evaluates lhs and rhs elementwise as it does for
-    ``mixing_check``, so each float is the one that returns. Any violation
-    raises MixingViolation carrying the first offending pair: the
-    inequality is a theorem, so a violation means a bug.
-    """
-    if pairs < 1:
-        raise InvalidParam("pairs must be at least 1")
-    if spectrum is None:
-        spectrum = singular_values(g)
-    if g.n < 3:
-        raise InvalidParam("mixing bound requires at least 3 vertices")
-    profile = validate_biregular(g)
-    x, y = g.x_count, g.y_count
-    adj = biadjacency(g)
-    lows, highs = [], []
-    for first in range(0, pairs, _MIXING_CHUNK):
-        count = min(_MIXING_CHUNK, pairs - first)
-        bits = stream_u64(seed, first * (x + y), count * (x + y))
-        bits &= 1
-        bits = bits.astype(np.float64).reshape(count, x + y)
-        a_in, b_in = bits[:, :x], bits[:, x:]
-        e_ab = np.einsum("pj,pj->p", a_in @ adj, b_in)
-        lhs, rhs = mixing_sides(
-            g, profile, spectrum, e_ab, a_in.sum(axis=1), b_in.sum(axis=1)
-        )
-        bad = np.flatnonzero(~(lhs <= rhs + MIXING_TOL))
-        if bad.size:
-            p = bad[0]
-            raise MixingViolation(
-                frozenset(("x", int(i)) for i in np.flatnonzero(a_in[p])),
-                frozenset(("y", int(j)) for j in np.flatnonzero(b_in[p])),
-                float(lhs[p]),
-                float(rhs[p]),
-            )
-        slack = rhs - lhs
-        lows.append(float(slack.min()))
-        highs.append(float(slack.max()))
-    return MixingAuditReport(
-        pairs=pairs, violations=0, min_slack=min(lows), max_slack=max(highs)
-    )
 
 
 def _csv_value(value):

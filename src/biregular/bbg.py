@@ -95,8 +95,13 @@ def parse_bbg(text: str) -> BipartiteGraph:
 def _ints(lineno, fields):
     out = []
     for f in fields:
-        # int() alone would also take '+', '_' separators and non-ASCII digits.
-        if not (f.isascii() and f.removeprefix("-").isdigit()):
+        if not is_int_token(f):
             raise ParseError(lineno, f"expected integer, got {f!r}")
         out.append(int(f))
     return tuple(out)
+
+
+def is_int_token(text: str) -> bool:
+    """True for ASCII digits with an optional leading ``-``; int() alone
+    would also take '+', '_' separators and non-ASCII digits."""
+    return text.isascii() and text.removeprefix("-").isdigit()

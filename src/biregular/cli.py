@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, spectrum, certify, verify, audit, mixing-audit.
-Exit codes: 0 success, 1 usage error, 2 unsound audit, 3 oracle or solver
-failure.
+Exit codes: 0 success, 1 usage error or any other InvalidParam (an
+impossible profile included), 2 unsound audit, 3 oracle or solver failure.
 """
 
 from __future__ import annotations
@@ -20,32 +20,15 @@ from .audit import (
     AuditConfig,
     audit_random,
     default_size_grid,
-    mixing_audit,
     report_emit,
 )
-from .bbg import parse_bbg, write_bbg
-from .errors import (
-    AuditUnsound,
-    DuplicateEdge,
-    Error,
-    IndexOutOfRange,
-    InvalidParam,
-    ParseError,
-    UsageError,
-    check_k,
-)
+from .bbg import is_int_token, parse_bbg, write_bbg
+from .errors import AuditUnsound, Error, InvalidParam, UsageError, check_k
 from .graphs import complete_bipartite, even_cycle, heawood, random_biregular
 from .properties import GraphProperty
-from .spectral import singular_values, validate_biregular
+from .spectral import mixing_audit, singular_values, validate_biregular
 
-_USAGE_ERRORS = (
-    UsageError,
-    InvalidParam,
-    ParseError,
-    IndexOutOfRange,
-    DuplicateEdge,
-    FileNotFoundError,
-)
+_USAGE_ERRORS = (InvalidParam, FileNotFoundError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -160,7 +143,7 @@ def _parse_grid(text):
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 4:
             raise UsageError(f"grid entry {chunk!r} is not x,y,a,b")
-        if not all(p.isascii() and p.removeprefix("-").isdigit() for p in parts):
+        if not all(is_int_token(p) for p in parts):
             raise UsageError(f"grid entry {chunk!r} holds a non-integer")
         grid.append(tuple(int(p) for p in parts))
     if not grid:

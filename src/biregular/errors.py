@@ -37,7 +37,7 @@ class NotBiregular(Error):
         )
 
 
-class DegreeEquationViolated(Error):
+class DegreeEquationViolated(InvalidParam):
     """a*|X| != b*|Y|, so no (a,b)-biregular graph on these parts exists."""
 
 
@@ -45,15 +45,15 @@ class RetriesExhausted(Error):
     """Rejection sampling failed to produce a simple graph within the retry budget."""
 
 
-class IndexOutOfRange(Error):
+class IndexOutOfRange(InvalidParam):
     """An edge endpoint or vertex index is outside its part."""
 
 
-class DuplicateEdge(Error):
+class DuplicateEdge(InvalidParam):
     """The same (x, y) pair appears more than once."""
 
 
-class ParseError(Error):
+class ParseError(InvalidParam):
     """Malformed text input."""
 
     def __init__(self, line, reason):
@@ -62,7 +62,7 @@ class ParseError(Error):
         super().__init__(f"line {line}: {reason}")
 
 
-class PartMismatch(Error):
+class PartMismatch(InvalidParam):
     """A vertex belongs to the wrong side of the bipartition for this operation."""
 
 
@@ -100,5 +100,5 @@ class AuditUnsound(Error):
         )
 
 
-class UsageError(Error):
+class UsageError(InvalidParam):
     """Bad command-line usage."""

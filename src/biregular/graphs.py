@@ -58,10 +58,8 @@ class BipartiteGraph:
     )
 
     def __post_init__(self):
-        try:
-            x_count, y_count = index(self.x_count), index(self.y_count)
-        except TypeError:
-            raise InvalidParam("part sizes must be integers") from None
+        x_count = check_int(self.x_count, "part size")
+        y_count = check_int(self.y_count, "part size")
         if x_count < 1 or y_count < 1:
             raise InvalidParam("both parts must be nonempty")
         object.__setattr__(self, "x_count", x_count)
@@ -183,8 +181,7 @@ def validate_biregular(g: BipartiteGraph) -> BiregularProfile:
 
 def complete_bipartite(m: int, n: int) -> BipartiteGraph:
     """K_{m,n} with X-side size m: profile (a, b) = (n, m)."""
-    if m < 1 or n < 1:
-        raise InvalidParam("part sizes must be positive")
+    m, n = check_int(m, "part size"), check_int(n, "part size")
     return BipartiteGraph(
         m, n, tuple((i, j) for i in range(m) for j in range(n))
     )
@@ -192,6 +189,7 @@ def complete_bipartite(m: int, n: int) -> BipartiteGraph:
 
 def even_cycle(length: int) -> BipartiteGraph:
     """Cycle on ``length`` vertices, alternating x0, y0, x1, y1, ... around it."""
+    length = check_int(length, "cycle length")
     if length < 4 or length % 2 != 0:
         raise InvalidParam("cycle length must be even and at least 4")
     half = length // 2
@@ -213,6 +211,37 @@ def heawood() -> BipartiteGraph:
         for offset in (0, 1, 3):
             edges.append(((j + offset) % 7, j))
     return BipartiteGraph(7, 7, tuple(edges))
+
+
+def check_int(value, what: str) -> int:
+    """value read with ``operator.index``; InvalidParam naming ``what`` if
+    it is not an integer (numpy integers pass, floats and strings do not)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidParam(
+            f"{what} must be an integer, got {value!r}"
+        ) from None
+
+
+def check_profile(x, y, a, b, what: str = "profile") -> tuple[int, ...]:
+    """(x, y, a, b) read with ``operator.index``; InvalidParam unless each is
+    at least 1, a*x = b*y (DegreeEquationViolated: both count the edges), and
+    a <= y and b <= x, so that a simple (a,b)-biregular graph can exist."""
+    entry = f"{what} (x={x}, y={y}, a={a}, b={b})"
+    try:
+        x, y, a, b = index(x), index(y), index(a), index(b)
+    except TypeError:
+        raise InvalidParam(f"{entry} holds a non-integer") from None
+    if min(x, y, a, b) < 1:
+        raise InvalidParam(f"{entry} has a size or degree below 1")
+    if a * x != b * y:
+        raise DegreeEquationViolated(f"{entry} violates a*x = b*y")
+    if a > y or b > x:
+        raise InvalidParam(
+            f"{entry} has a degree above the opposite part's size"
+        )
+    return x, y, a, b
 
 
 # Attempts per block of the batched sampler: the first block is small
@@ -245,18 +274,9 @@ def random_biregular(
     (probability about 1e-17 per word), sampling continues one attempt at
     a time at the same stream position.
     """
-    if min(x, y, a, b) < 1:
-        raise InvalidParam("sizes and degrees must be positive")
+    x, y, a, b = check_profile(x, y, a, b)
     if max_retries < 1:
         raise InvalidParam("max_retries must be positive")
-    if a * x != b * y:
-        raise DegreeEquationViolated(
-            f"a*x = {a * x} != {b * y} = b*y: no such biregular graph"
-        )
-    if a > y or b > x:
-        raise InvalidParam(
-            "degree exceeds opposite part size; simple graph impossible"
-        )
     stubs = a * x
     width = stubs - 1
     bounds = np.arange(stubs, 1, -1, dtype=np.uint64)

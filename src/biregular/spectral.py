@@ -9,6 +9,10 @@ matrix B B^T keeps zero singular values at roundoff level instead of
 magnifying their error through a square root. For a connected
 (a,b)-biregular graph the top singular value is sqrt(a*b) and the second
 one is the lambda_2 used by every certificate.
+
+The bipartite mixing inequality is checked here too: for one pair of
+vertex sets (``mixing_check``) or on a seeded sample of pairs
+(``mixing_audit``).
 """
 
 from __future__ import annotations
@@ -19,8 +23,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidParam
+from .errors import ConvergenceFailure, InvalidParam, MixingViolation
 from .graphs import BipartiteGraph, Vertex, cross_edges, validate_biregular
+from .prng import stream_u64
 
 MIXING_TOL = 1e-9
 
@@ -101,20 +106,91 @@ def mixing_check(
 
     Pass a precomputed ``spectrum`` when checking many pairs on one graph.
     """
-    if g.n < 3:
-        raise InvalidParam("mixing bound requires at least 3 vertices")
-    profile = validate_biregular(g)
-    if spectrum is None:
-        spectrum = singular_values(g)
+    profile, spectrum = _mixing_guard(g, spectrum)
     a_set = frozenset(a_side)
     b_set = frozenset(b_side)
     e_ab = cross_edges(g, a_set, b_set)
-    lhs, rhs = mixing_sides(g, profile, spectrum, e_ab, len(a_set), len(b_set))
+    lhs, rhs = _mixing_sides(g, profile, spectrum, e_ab, len(a_set), len(b_set))
     lhs, rhs = float(lhs), float(rhs)
     return MixingReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + MIXING_TOL)
 
 
-def mixing_sides(g, profile, spectrum, e_ab, na, nb):
+@dataclass(frozen=True)
+class MixingAuditReport:
+    """Summary of a sampled mixing-inequality sweep over one graph."""
+
+    pairs: int
+    violations: int
+    min_slack: float
+    max_slack: float
+
+
+# Pairs drawn and checked per chunk of mixing_audit: bounds its arrays
+# (and peak memory) however many pairs are asked for.
+_MIXING_CHUNK = 64
+
+
+def mixing_audit(
+    g: BipartiteGraph,
+    pairs: int,
+    seed: int,
+    spectrum: Spectrum | None = None,
+) -> MixingAuditReport:
+    """Check the mixing inequality on ``pairs`` uniform (A, B) subset pairs.
+
+    Membership of each vertex is one low bit of the seeded stream, so the
+    sample includes empty and full sides: pair p reads words
+    p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
+    drawn and checked in chunks. e(A, B) comes from one product with the
+    biadjacency matrix, whose float sums of 0/1 terms are exact integers,
+    and ``_mixing_sides`` evaluates lhs and rhs elementwise as it does for
+    ``mixing_check``, so each float is the one that returns. Any violation
+    raises MixingViolation carrying the first offending pair: the
+    inequality is a theorem, so a violation means a bug.
+    """
+    if pairs < 1:
+        raise InvalidParam("pairs must be at least 1")
+    profile, spectrum = _mixing_guard(g, spectrum)
+    x, y = g.x_count, g.y_count
+    adj = biadjacency(g)
+    lows, highs = [], []
+    for first in range(0, pairs, _MIXING_CHUNK):
+        count = min(_MIXING_CHUNK, pairs - first)
+        bits = stream_u64(seed, first * (x + y), count * (x + y))
+        bits &= 1
+        bits = bits.astype(np.float64).reshape(count, x + y)
+        a_in, b_in = bits[:, :x], bits[:, x:]
+        e_ab = np.einsum("pj,pj->p", a_in @ adj, b_in)
+        lhs, rhs = _mixing_sides(
+            g, profile, spectrum, e_ab, a_in.sum(axis=1), b_in.sum(axis=1)
+        )
+        bad = np.flatnonzero(~(lhs <= rhs + MIXING_TOL))
+        if bad.size:
+            p = bad[0]
+            raise MixingViolation(
+                frozenset(("x", int(i)) for i in np.flatnonzero(a_in[p])),
+                frozenset(("y", int(j)) for j in np.flatnonzero(b_in[p])),
+                float(lhs[p]),
+                float(rhs[p]),
+            )
+        slack = rhs - lhs
+        lows.append(float(slack.min()))
+        highs.append(float(slack.max()))
+    return MixingAuditReport(
+        pairs=pairs, violations=0, min_slack=min(lows), max_slack=max(highs)
+    )
+
+
+def _mixing_guard(g, spectrum):
+    """Profile and spectrum, after the checks both mixing functions make
+    first; the spectrum is computed last, and only when none is given."""
+    if g.n < 3:
+        raise InvalidParam("mixing bound requires at least 3 vertices")
+    profile = validate_biregular(g)
+    return profile, singular_values(g) if spectrum is None else spectrum
+
+
+def _mixing_sides(g, profile, spectrum, e_ab, na, nb):
     """lhs and rhs of the mixing inequality at e(A,B), |A|, |B| = e_ab, na, nb.
 
     Works on numbers and, elementwise, on numpy arrays of them, with the

@@ -1,5 +1,6 @@
 """Audit harness: determinism, soundness wiring, report formats."""
 
+import sys
 from dataclasses import replace
 
 import pytest
@@ -80,6 +81,16 @@ def test_config_validation():
         AuditConfig(1, ((6, 6, 3, 3),), (2, 3, 2), (edge,), 5)
     with pytest.raises(InvalidParam, match="property set repeats a property"):
         AuditConfig(1, ((6, 6, 3, 3),), (2,), (edge, edge), 5)
+    # Non-integers are refused at construction, not mid-run by a TypeError.
+    with pytest.raises(InvalidParam, match="trials must be an integer"):
+        AuditConfig(1.5, ((4, 4, 2, 2),), (2,), (edge,), 1)
+    with pytest.raises(InvalidParam, match="seed must be an integer"):
+        AuditConfig(1, ((4, 4, 2, 2),), (2,), (edge,), 1.5)
+    with pytest.raises(
+        InvalidParam,
+        match=r"^grid entry \(x=4\.0, y=4, a=2, b=2\) holds a non-integer$",
+    ):
+        AuditConfig(1, ((4.0, 4, 2, 2),), (2,), (edge,), 1)
 
 
 def test_config_rejects_k_grid_entries_up_front():
@@ -241,12 +252,19 @@ def test_mixing_audit_flags_bad_lambda2(monkeypatch):
         mixing_audit(g, 500, seed=3, spectrum=bad)
 
 
-def test_mixing_audit_validates_pairs():
+def test_mixing_audit_validates_pairs(monkeypatch):
+    # Every refusal comes before the spectrum: no SVD runs, in whichever
+    # module mixing_audit looks singular_values up.
+    owner = sys.modules[mixing_audit.__module__]
+    calls = record_calls(monkeypatch, owner, "singular_values")
     with pytest.raises(InvalidParam):
         mixing_audit(heawood(), 0, seed=1)
-    with pytest.raises(InvalidParam):
+    with pytest.raises(InvalidParam, match="at least 3 vertices"):
         mixing_audit(complete_bipartite(1, 1), 10, seed=1)
     lopsided = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0)))
+    with pytest.raises(NotBiregular):
+        mixing_audit(lopsided, 10, seed=1)
+    assert calls == []
     with pytest.raises(NotBiregular):
         mixing_audit(lopsided, 10, seed=1, spectrum=singular_values(heawood()))
 

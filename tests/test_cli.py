@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
 import json
+from pathlib import Path
 import subprocess
 import sys
 
@@ -67,6 +68,21 @@ def test_gen_random_retries_exhausted_exit_3():
     )
     assert res.returncode == 3
     assert res.stderr.startswith("error: no simple matching")
+
+
+def test_gen_random_impossible_profiles_exit_1(capsys):
+    # A broken degree equation is an InvalidParam like any other impossible
+    # profile, not an oracle or solver failure.
+    base = ["gen", "random", "--x", "3", "--y", "3", "--seed", "1"]
+    assert main([*base, "--a", "2", "--b", "3"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: profile (x=3, y=3, a=2, b=3) violates a*x = b*y\n"
+    )
+    assert main([*base, "--a", "4", "--b", "4"]) == 1
+    assert capsys.readouterr().err == (
+        "usage error: profile (x=3, y=3, a=4, b=4) has a degree above the "
+        "opposite part's size\n"
+    )
 
 
 def test_gen_random_zero_retries_exit_1(capsys):
@@ -255,3 +271,56 @@ def test_usage_errors_exit_1(tmp_path, c6_file):
     bad = tmp_path / "bad.bbg"
     bad.write_text("bogus\n")
     assert run_cli("spectrum", "--input", str(bad)).returncode == 1
+
+
+def _verify_json_transcript(tmp_path, capsys):
+    """Every oracle's ``verify --json`` run on a fixed set of graphs, with k
+    omitted and k = 2, as one text: a header line per run giving the graph,
+    property, k and exit code, then its stdout and stderr."""
+    from biregular import heawood
+    from testutil import (
+        DISCONNECTED,
+        K44_PENDANT,
+        THREE_K44_BLOCKS,
+        TWO_K33_BLOCKS,
+        TWO_K44_BLOCKS,
+        small_corpus,
+    )
+
+    graphs = {
+        "heawood": heawood(),
+        "c6": even_cycle(6),
+        "k33": complete_bipartite(3, 3),
+        "k66": complete_bipartite(6, 6),
+        "k1212": complete_bipartite(12, 12),
+        "disconnected": DISCONNECTED,
+        "two_k33_blocks": TWO_K33_BLOCKS,
+        "two_k44_blocks": TWO_K44_BLOCKS,
+        "three_k44_blocks": THREE_K44_BLOCKS,
+        "k44_pendant": K44_PENDANT,
+    }
+    graphs.update(
+        (f"small_corpus[{i}]", g) for i, g in enumerate(small_corpus())
+    )
+    props = [p.value for p in GraphProperty if p is not GraphProperty.RAMANUJAN]
+    path = tmp_path / "g.bbg"
+    parts = []
+    for name, g in graphs.items():
+        path.write_text(write_bbg(g))
+        for prop in props:
+            for k in (None, 2):
+                args = ["verify", "--property", prop, "--input", str(path)]
+                args += ["--json"] if k is None else ["--k", str(k), "--json"]
+                code = main(args)
+                captured = capsys.readouterr()
+                parts.append(f"# {name} {prop} k={k} exit={code}\n")
+                parts.append(captured.out + captured.err)
+    return "".join(parts)
+
+
+def test_verify_json_matches_golden(tmp_path, capsys):
+    # Pins every oracle's value, exactness and witness bytes as the CLI
+    # prints them.
+    golden = Path(__file__).with_name("golden") / "verify_json.txt"
+    got = _verify_json_transcript(tmp_path, capsys)
+    assert got == golden.read_text(encoding="utf-8")

@@ -106,6 +106,12 @@ def test_builtin_rejects_bad_params():
         even_cycle(2)
     with pytest.raises(InvalidParam):
         complete_bipartite(0, 3)
+    # Sizes are read with operator.index, as BipartiteGraph reads them.
+    with pytest.raises(InvalidParam, match="part size must be an integer"):
+        complete_bipartite(2.0, 3)
+    with pytest.raises(InvalidParam, match="cycle length must be an integer"):
+        even_cycle(6.0)
+    assert complete_bipartite(np.int64(2), 3) == complete_bipartite(2, 3)
 
 
 def test_heawood_shape():
