@@ -8,11 +8,25 @@ import sys
 import numpy as np
 import pytest
 
-from biregular import complete_bipartite, even_cycle, parse_bbg, write_bbg
+from biregular import (
+    complete_bipartite,
+    even_cycle,
+    heawood,
+    parse_bbg,
+    write_bbg,
+)
 from biregular.cli import main
 from biregular.properties import GraphProperty
 
-from testutil import record_calls
+from testutil import (
+    DISCONNECTED,
+    K44_PENDANT,
+    THREE_K44_BLOCKS,
+    TWO_K33_BLOCKS,
+    TWO_K44_BLOCKS,
+    record_calls,
+    small_corpus,
+)
 
 
 def run_cli(*args, **kwargs):
@@ -277,16 +291,6 @@ def _verify_json_transcript(tmp_path, capsys):
     """Every oracle's ``verify --json`` run on a fixed set of graphs, with k
     omitted and k = 2, as one text: a header line per run giving the graph,
     property, k and exit code, then its stdout and stderr."""
-    from biregular import heawood
-    from testutil import (
-        DISCONNECTED,
-        K44_PENDANT,
-        THREE_K44_BLOCKS,
-        TWO_K33_BLOCKS,
-        TWO_K44_BLOCKS,
-        small_corpus,
-    )
-
     graphs = {
         "heawood": heawood(),
         "c6": even_cycle(6),
