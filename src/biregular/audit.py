@@ -30,8 +30,8 @@ from .certify import (
     certify_vertex_connectivity,
     is_ramanujan,
 )
-from .errors import AuditUnsound, InvalidParam, RetriesExhausted, check_k
-from .graphs import BipartiteGraph, check_int, check_profile, random_biregular
+from .errors import AuditUnsound, InvalidParam, RetriesExhausted, check_int, check_k
+from .graphs import BipartiteGraph, check_profile, random_biregular
 from .oracles import (
     OracleResult,
     edge_connectivity,
@@ -99,6 +99,8 @@ PROPERTIES: dict[GraphProperty, PropertySpec] = {
     ),
 }
 
+DEFAULT_TRIALS = 10
+DEFAULT_SEED = 0x5EED_B1A5
 DEFAULT_K_GRID = (2, 3, 4, 5, 6, 7, 8)
 # Sorted by value, as the CLI sorts a --properties list.
 DEFAULT_PROPERTIES = (
@@ -125,7 +127,7 @@ class AuditConfig:
         if not self.size_grid:
             raise InvalidParam("size grid must be nonempty")
         for entry in self.size_grid:
-            check_profile(*entry, what="grid entry")
+            check_profile(entry, what="grid entry")
         if not self.k_grid:
             raise InvalidParam("k grid must be nonempty")
         for k in self.k_grid:
@@ -213,7 +215,7 @@ def default_size_grid() -> tuple[tuple[int, int, int, int], ...]:
     )
 
 
-def default_config(trials: int = 10, seed: int = 0x5EED_B1A5) -> AuditConfig:
+def default_config(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED) -> AuditConfig:
     return AuditConfig(
         trials=trials,
         size_grid=default_size_grid(),

@@ -16,6 +16,8 @@ from . import __version__
 from .audit import (
     DEFAULT_K_GRID,
     DEFAULT_PROPERTIES,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
     PROPERTIES,
     AuditConfig,
     audit_random,
@@ -24,7 +26,8 @@ from .audit import (
 )
 from .bbg import is_int_token, parse_bbg, write_bbg
 from .errors import AuditUnsound, Error, InvalidParam, UsageError, check_k
-from .graphs import complete_bipartite, even_cycle, heawood, random_biregular
+from .graphs import DEFAULT_MAX_RETRIES, complete_bipartite, even_cycle
+from .graphs import heawood, random_biregular
 from .properties import GraphProperty
 from .spectral import mixing_audit, singular_values, validate_biregular
 
@@ -204,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--max-retries", type=int, default=10000)
+    p.add_argument("--max-retries", type=int, default=DEFAULT_MAX_RETRIES)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
 
@@ -231,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("audit", help="randomized certificate/oracle audit")
-    p.add_argument("--seed", type=int, default=0x5EED_B1A5)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--grid", default=None, help="x,y,a,b[;x,y,a,b...]")
     p.add_argument("--k", type=int, action="append", default=None)
     p.add_argument("--properties", default=None, help="comma-separated names")
@@ -243,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mixing-audit", help="sampled mixing-inequality sweep")
     p.add_argument("--input", required=True)
     p.add_argument("--pairs", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0x5EED_B1A5)
+    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_mixing_audit)
     return parser

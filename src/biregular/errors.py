@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and two integer readers."""
+
+from operator import index
 
 
 class Error(Exception):
@@ -7,6 +9,15 @@ class Error(Exception):
 
 class InvalidParam(Error):
     """A parameter is outside its documented domain."""
+
+
+def check_int(value, what: str) -> int:
+    """value read with ``operator.index``; InvalidParam naming ``what`` if
+    it is not an integer (numpy integers pass, floats and strings do not)."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidParam(f"{what} must be an integer, got {value!r}") from None
 
 
 def check_k(k) -> int:

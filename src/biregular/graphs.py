@@ -16,7 +16,6 @@ from typing import Iterable
 
 import numpy as np
 
-from . import prng
 from .errors import (
     DegreeEquationViolated,
     DuplicateEdge,
@@ -26,8 +25,9 @@ from .errors import (
     NotBiregular,
     PartMismatch,
     RetriesExhausted,
+    check_int,
 )
-from .prng import GAMMA, SplitMix64, stream_u64
+from .prng import shuffled_rows
 
 X_PART = "x"
 Y_PART = "y"
@@ -67,12 +67,7 @@ class BipartiteGraph:
         seen = set()
         normalized = []
         for e in self.edges:
-            try:
-                xi, yj = index(e[0]), index(e[1])
-            except TypeError:
-                raise IndexOutOfRange(
-                    f"edge {e!r} has a non-integer endpoint"
-                ) from None
+            xi, yj = _endpoints(e)
             if not 0 <= xi < self.x_count:
                 raise IndexOutOfRange(
                     f"x index {xi} outside [0, {self.x_count})"
@@ -123,12 +118,7 @@ class BipartiteGraph:
         )
 
     def without_edge(self, edge: EdgePair) -> "BipartiteGraph":
-        try:
-            e = (index(edge[0]), index(edge[1]))
-        except TypeError:
-            raise IndexOutOfRange(
-                f"edge {edge!r} has a non-integer endpoint"
-            ) from None
+        e = _endpoints(edge)
         if e not in self._edge_set:
             raise InvalidParam(f"edge {e} not present")
         return BipartiteGraph(
@@ -136,6 +126,13 @@ class BipartiteGraph:
             self.y_count,
             tuple(f for f in self.edges if f != e),
         )
+
+
+def _endpoints(edge) -> EdgePair:
+    try:
+        return index(edge[0]), index(edge[1])
+    except TypeError:
+        raise IndexOutOfRange(f"edge {edge!r} has a non-integer endpoint") from None
 
 
 @dataclass(frozen=True)
@@ -213,21 +210,14 @@ def heawood() -> BipartiteGraph:
     return BipartiteGraph(7, 7, tuple(edges))
 
 
-def check_int(value, what: str) -> int:
-    """value read with ``operator.index``; InvalidParam naming ``what`` if
-    it is not an integer (numpy integers pass, floats and strings do not)."""
+def check_profile(profile, what: str = "profile") -> tuple[int, ...]:
+    """The four values (x, y, a, b) read with ``operator.index``; InvalidParam
+    unless each is at least 1, a*x = b*y (DegreeEquationViolated: both count
+    the edges), and a <= y and b <= x, so a simple graph can exist."""
     try:
-        return index(value)
-    except TypeError:
-        raise InvalidParam(
-            f"{what} must be an integer, got {value!r}"
-        ) from None
-
-
-def check_profile(x, y, a, b, what: str = "profile") -> tuple[int, ...]:
-    """(x, y, a, b) read with ``operator.index``; InvalidParam unless each is
-    at least 1, a*x = b*y (DegreeEquationViolated: both count the edges), and
-    a <= y and b <= x, so that a simple (a,b)-biregular graph can exist."""
+        x, y, a, b = profile
+    except (TypeError, ValueError):
+        raise InvalidParam(f"{what} {profile!r} does not hold four values") from None
     entry = f"{what} (x={x}, y={y}, a={a}, b={b})"
     try:
         x, y, a, b = index(x), index(y), index(a), index(b)
@@ -238,9 +228,7 @@ def check_profile(x, y, a, b, what: str = "profile") -> tuple[int, ...]:
     if a * x != b * y:
         raise DegreeEquationViolated(f"{entry} violates a*x = b*y")
     if a > y or b > x:
-        raise InvalidParam(
-            f"{entry} has a degree above the opposite part's size"
-        )
+        raise InvalidParam(f"{entry} has a degree above the opposite part's size")
     return x, y, a, b
 
 
@@ -249,10 +237,12 @@ def check_profile(x, y, a, b, what: str = "profile") -> tuple[int, ...]:
 # up to a cap that keeps the block's arrays (and peak memory) small.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 256
+DEFAULT_MAX_RETRIES = 10000
 
 
 def random_biregular(
-    x: int, y: int, a: int, b: int, seed: int, max_retries: int = 10000
+    x: int, y: int, a: int, b: int, seed: int,
+    max_retries: int = DEFAULT_MAX_RETRIES,
 ) -> BipartiteGraph:
     """Sample a simple (a,b)-biregular graph by the configuration model.
 
@@ -264,36 +254,20 @@ def random_biregular(
     profiles make rejection sampling hopeless: roughly exp((a-1)(b-1)/2)
     attempts are needed on average, and RetriesExhausted signals that.
 
-    Attempts run in blocks of 16, 64, then 256: a block of R attempts
-    reads R*(a*x - 1) words of the stream at once, attempt r taking words
-    r*(a*x - 1) + 1 onward, applies every attempt's shuffle column by
-    column, and returns the first attempt in which no X-vertex has two
-    stubs on one Y-vertex. That is the word-for-word stream the
-    one-attempt-at-a-time shuffle reads, as long as no bounded draw
-    rejects a word. From the first attempt whose draws reject one
-    (probability about 1e-17 per word), sampling continues one attempt at
-    a time at the same stream position.
+    Attempts are shuffled in blocks of 16, 64, then 256 (``shuffled_rows``);
+    the first with no two stubs of one X-vertex on one Y-vertex is returned.
     """
-    x, y, a, b = check_profile(x, y, a, b)
-    if max_retries < 1:
+    x, y, a, b = check_profile((x, y, a, b))
+    if check_int(max_retries, "max_retries") < 1:
         raise InvalidParam("max_retries must be positive")
-    stubs = a * x
-    width = stubs - 1
-    bounds = np.arange(stubs, 1, -1, dtype=np.uint64)
-    top = np.array([prng.accept_max(int(n)) for n in bounds], dtype=np.uint64)
     x_stubs = [i for i in range(x) for _ in range(a)]
     y_base = np.repeat(np.arange(y, dtype=np.min_scalar_type(y)), b)
-    attempt, block = 0, _FIRST_BLOCK
+    attempt, position, block = 0, 0, _FIRST_BLOCK
     while attempt < max_retries:
         rows = min(block, max_retries - attempt)
-        draws = stream_u64(seed, attempt * width, rows * width)
-        draws = draws.reshape(rows, width)
-        rejected = np.flatnonzero((draws > top).any(axis=1))
-        if rejected.size:
-            rows = int(rejected[0])
-            draws = draws[:rows]
+        perms, position = shuffled_rows(seed, position, y_base, rows)
         # Row r, X-vertex i: the Y-ends of i's a stubs; a repeat is a clash.
-        groups = _shuffled_rows(y_base, draws % bounds).reshape(rows, x, a)
+        groups = perms.reshape(rows, x, a)
         clash = np.zeros((rows, x), dtype=bool)
         for d in range(1, a):
             clash |= (groups[:, :, d:] == groups[:, :, :-d]).any(axis=2)
@@ -303,41 +277,11 @@ def random_biregular(
                 x, y, tuple(zip(x_stubs, groups[simple[0]].ravel().tolist()))
             )
         attempt += rows
-        if rejected.size:
-            break
         block = min(4 * block, _MAX_BLOCK)
-    rng = SplitMix64(seed + attempt * width * GAMMA)
-    y_list = y_base.tolist()
-    for _ in range(max_retries - attempt):
-        y_stubs = y_list.copy()
-        rng.shuffle(y_stubs)
-        pairs = set(zip(x_stubs, y_stubs))
-        if len(pairs) == stubs:
-            return BipartiteGraph(x, y, tuple(pairs))
     raise RetriesExhausted(
         f"no simple matching in {max_retries} attempts for "
         f"(x={x}, y={y}, a={a}, b={b}, seed={seed})"
     )
-
-
-def _shuffled_rows(y_base: np.ndarray, swaps: np.ndarray) -> np.ndarray:
-    """Rows of y_base after top-down Fisher-Yates, one row per row of swaps.
-
-    Column c of ``swaps`` holds the partner j of position len(y_base)-1-c.
-    The work array is position-major, so each position's column of rows is
-    one contiguous slice, and the swaps of all rows at one position are
-    three vectorised steps.
-    """
-    rows, width = swaps.shape
-    perm = np.repeat(y_base, rows)
-    partner = swaps.T.astype(np.intp) * rows + np.arange(rows)
-    for c in range(width):
-        i = width - c
-        here = slice(i * rows, (i + 1) * rows)
-        held = perm[here].copy()
-        perm[here] = perm[partner[c]]
-        perm[partner[c]] = held
-    return perm.reshape(width + 1, rows).T
 
 
 def flat_vertex(g: BipartiteGraph, fid: int) -> Vertex:

@@ -107,10 +107,9 @@ from itertools import chain
 
 import numpy as np
 
-from .. import prng
 from ..errors import TooSmall, check_k
 from ..graphs import BipartiteGraph, EdgePair, flat_adjacency, flat_edges
-from ..prng import SplitMix64, stream_u64
+from ..prng import below_rows
 from ..properties import GraphProperty
 from .flow import _connectivity_upto3
 from .result import LamanPacking, LamanSubgraph, OracleResult
@@ -260,15 +259,8 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
 
 
 def _rank_points(n: int, seed: int) -> np.ndarray:
-    # The 2n ``below(RANK_FIELD_PRIME)`` draws as one stream block. A word
-    # above the accepted range (4 in 2^64 for this prime) is redrawn by
-    # below() and shifts every later draw, so then the draws are taken one
-    # at a time.
-    words = stream_u64(seed, 0, 2 * n)
-    if (words > prng.accept_max(RANK_FIELD_PRIME)).any():
-        rng = SplitMix64(seed)
-        words = np.array([rng.below(RANK_FIELD_PRIME) for _ in range(2 * n)])
-    return (words % RANK_FIELD_PRIME).astype(np.int64).reshape(n, 2)
+    # One (x, y) round of ``below(RANK_FIELD_PRIME)`` draws per vertex.
+    return below_rows(seed, 0, (RANK_FIELD_PRIME,) * 2, n)[0].astype(np.int64)
 
 
 def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:

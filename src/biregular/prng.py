@@ -11,12 +11,15 @@ stream.
 State i of the stream is ``(seed & MASK64) + i * GAMMA`` mod 2^64 and output
 i is that state mixed, so any stretch of outputs can be computed without
 the ones before it. ``stream_u64`` returns such a stretch as one numpy
-block; ``SplitMix64`` stays the one-word-at-a-time reference it must match.
+block, which the block readers ``below_rows`` and ``shuffled_rows`` draw
+from; ``SplitMix64`` stays the one-word-at-a-time reference they match.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .errors import check_int
 
 MASK64 = (1 << 64) - 1
 
@@ -31,7 +34,7 @@ class SplitMix64:
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
-        self._state = seed & MASK64
+        self._state = check_int(seed, "seed") & MASK64
 
     def next_u64(self) -> int:
         self._state = (self._state + GAMMA) & MASK64
@@ -43,11 +46,9 @@ class SplitMix64:
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) without modulo bias, for
         1 <= bound <= 2^64."""
-        if bound <= 0:
-            raise ValueError("bound must be positive")
-        if bound > 1 << 64:
-            # accept_max would be negative and reject every word.
-            raise ValueError("bound must be at most 2^64")
+        if not 1 <= bound <= 1 << 64:
+            # Above 2^64, accept_max would be negative and reject every word.
+            raise ValueError("bound must be in [1, 2^64]")
         top = accept_max(bound)
         while True:
             v = self.next_u64()
@@ -61,14 +62,15 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-def accept_max(bound: int) -> int:
-    """Largest 64-bit word that ``below(bound)`` accepts.
+def accept_max(bound):
+    """Largest 64-bit word that ``below(bound)`` accepts, elementwise for a
+    uint64 array of bounds (2^64 mod bound is taken within 64 bits).
 
     Larger words are rejected because they would bias ``v % bound``. A
     power-of-two bound rejects nothing, and its value MASK64 still fits a
     uint64 array, unlike the exclusive limit 2^64.
     """
-    return MASK64 - (1 << 64) % bound
+    return MASK64 - (MASK64 % bound + 1) % bound
 
 
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
@@ -80,13 +82,59 @@ def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """
     z = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
     z *= GAMMA
-    z += seed & MASK64
+    z += check_int(seed, "seed") & MASK64
     z ^= z >> 30
     z *= _MIX1
     z ^= z >> 27
     z *= _MIX2
     z ^= z >> 31
     return z
+
+
+def below_rows(seed: int, start: int, bounds, rows: int):
+    """``rows`` rounds of ``[below(b) for b in bounds]``, b in [1, 2^64),
+    drawn after word ``start`` of ``SplitMix64(seed)``: a (rows, len(bounds))
+    uint64 array, and the stream position after the last draw. A word that
+    ``below`` would reject cuts the block of words read at once; the next
+    block starts one word later, at the same bound.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    width = bounds.size
+    tops = accept_max(bounds)
+    out = np.empty(rows * width, dtype=np.uint64)
+    done, rounds = 0, rows
+    while done < out.size:
+        # Whole rounds from the one holding the next draw (its first ``skip``
+        # words are drawn); after a cut, about twice what it drew, so that
+        # frequent rejections cost linear work.
+        skip = done % width
+        rounds = min(rounds, rows - done // width)
+        words = stream_u64(seed, start - skip, rounds * width)
+        rejected = np.flatnonzero(words.reshape(rounds, width) > tops)
+        rejected = rejected[rejected >= skip]
+        cut = int(rejected[0]) if rejected.size else words.size
+        out[done : done + cut - skip] = words[skip:cut]
+        done += cut - skip
+        start += cut - skip + (cut < words.size)
+        rounds = 2 * (cut // width + 1)
+    return out.reshape(rows, width) % bounds, start
+
+
+def shuffled_rows(seed: int, start: int, items, rows: int):
+    """``rows`` copies of the 1-d array ``items``, each shuffled as
+    ``SplitMix64.shuffle`` shuffles it, drawn after word ``start`` of the
+    stream: a (rows, len(items)) array, and the stream position after it.
+    The work array is position-major, so the swaps of all rows at one
+    position are vectorised steps on one contiguous slice.
+    """
+    size = len(items)
+    swaps, end = below_rows(seed, start, np.arange(size, 1, -1), rows)
+    perm = np.repeat(items, rows)
+    partners = swaps.T.astype(np.intp) * rows + np.arange(rows)
+    for i, j in zip(range(size - 1, 0, -1), partners):
+        here = slice(i * rows, (i + 1) * rows)
+        perm[here], perm[j] = perm[j], perm[here].copy()
+    return perm.reshape(size, rows).T, end
 
 
 def derive_seed(master: int, *indices: int) -> int:
@@ -97,5 +145,5 @@ def derive_seed(master: int, *indices: int) -> int:
     """
     out = SplitMix64(master).next_u64()
     for value in indices:
-        out = SplitMix64(out ^ (value & MASK64)).next_u64()
+        out = SplitMix64(out ^ check_int(value, "seed index")).next_u64()
     return out

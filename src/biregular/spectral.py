@@ -23,7 +23,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidParam, MixingViolation
+from .errors import ConvergenceFailure, InvalidParam, MixingViolation, check_int
 from .graphs import BipartiteGraph, Vertex, cross_edges, validate_biregular
 from .prng import stream_u64
 
@@ -148,7 +148,7 @@ def mixing_audit(
     raises MixingViolation carrying the first offending pair: the
     inequality is a theorem, so a violation means a bug.
     """
-    if pairs < 1:
+    if check_int(pairs, "pairs") < 1:
         raise InvalidParam("pairs must be at least 1")
     profile, spectrum = _mixing_guard(g, spectrum)
     x, y = g.x_count, g.y_count

@@ -1,5 +1,6 @@
 """Audit harness: determinism, soundness wiring, report formats."""
 
+import re
 import sys
 from dataclasses import replace
 
@@ -91,6 +92,12 @@ def test_config_validation():
         match=r"^grid entry \(x=4\.0, y=4, a=2, b=2\) holds a non-integer$",
     ):
         AuditConfig(1, ((4.0, 4, 2, 2),), (2,), (edge,), 1)
+    for entry in ((4, 4, 2), (4, 4, 2, 2, 1), 4):
+        with pytest.raises(
+            InvalidParam,
+            match=rf"^grid entry {re.escape(repr(entry))} does not hold four",
+        ):
+            AuditConfig(1, (entry,), (2,), (edge,), 1)
 
 
 def test_config_rejects_k_grid_entries_up_front():
@@ -259,6 +266,8 @@ def test_mixing_audit_validates_pairs(monkeypatch):
     calls = record_calls(monkeypatch, owner, "singular_values")
     with pytest.raises(InvalidParam):
         mixing_audit(heawood(), 0, seed=1)
+    with pytest.raises(InvalidParam, match="pairs must be an integer"):
+        mixing_audit(heawood(), 1.5, seed=1)
     with pytest.raises(InvalidParam, match="at least 3 vertices"):
         mixing_audit(complete_bipartite(1, 1), 10, seed=1)
     lopsided = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0)))
@@ -267,6 +276,9 @@ def test_mixing_audit_validates_pairs(monkeypatch):
     assert calls == []
     with pytest.raises(NotBiregular):
         mixing_audit(lopsided, 10, seed=1, spectrum=singular_values(heawood()))
+    # The seed is read where it enters the stream.
+    with pytest.raises(InvalidParam, match="seed must be an integer"):
+        mixing_audit(heawood(), 10, seed=1.5)
 
 
 def _sparse_graphs():

@@ -25,10 +25,10 @@ from biregular.errors import (
     PartMismatch,
     RetriesExhausted,
 )
-from biregular import graphs, prng
+from biregular import prng
 from biregular.audit import default_config
 from biregular.graphs import flat_adjacency, flat_vertex
-from biregular.prng import MASK64, SplitMix64, derive_seed
+from biregular.prng import MASK64, derive_seed
 
 from testutil import girth, random_biregular_scalar
 
@@ -195,40 +195,30 @@ def test_random_biregular_block_boundaries():
 def test_random_biregular_rejection_fallback(monkeypatch):
     # Lower the acceptance limit of bounded draws, for the batched sampler
     # and the scalar reference alike, so that one word in 2^s is rejected:
-    # the sampler must stop its block at the first attempt that rejects a
-    # word and go on one attempt at a time from the same stream position.
-    # Only that path builds a SplitMix64 in graphs, so count them: at one
-    # word in 256 some samples end inside a block and some fall back, at
-    # one in 2 every sample falls back from its first attempt.
-    fallbacks = []
-
-    class Counting(SplitMix64):
-        def __init__(self, seed):
-            fallbacks.append(seed)
-            super().__init__(seed)
-
-    monkeypatch.setattr(graphs, "SplitMix64", Counting)
+    # each rejected word cuts a block of draws, and the next block must
+    # start one word later at the same bound, as below() redraws it.
     profiles = ((4, 4, 2, 2), (6, 4, 2, 3), (8, 8, 4, 4), (10, 10, 5, 5))
-    counts = []
     for s in (8, 1):
         monkeypatch.setattr(
             prng, "accept_max", lambda bound, s=s: MASK64 - (MASK64 >> s)
         )
-        before = len(fallbacks)
         for x, y, a, b in profiles:
             for t in range(6):
                 args = (x, y, a, b, derive_seed(13, s, t))
                 got = _sample(random_biregular, *args, max_retries=200)
                 ref = _sample(random_biregular_scalar, *args, max_retries=200)
                 assert got == ref, (s, args)
-        counts.append(len(fallbacks) - before)
-    assert 0 < counts[0] < 24 and counts[1] == 24
 
 
 def test_random_biregular_rejects_nonpositive_retries():
     for retries in (0, -1):
         with pytest.raises(InvalidParam):
             random_biregular(4, 4, 2, 2, seed=1, max_retries=retries)
+    # Non-integers are refused as InvalidParam, not a bare TypeError.
+    with pytest.raises(InvalidParam, match="max_retries must be an integer"):
+        random_biregular(4, 4, 2, 2, seed=1, max_retries=2.5)
+    with pytest.raises(InvalidParam, match="seed must be an integer"):
+        random_biregular(4, 4, 2, 2, 1.5)
 
 
 def test_degree_sums_over_seeded_corpus():

@@ -5,11 +5,15 @@ import warnings
 import numpy as np
 import pytest
 
+from biregular import prng
+from biregular.errors import InvalidParam
 from biregular.prng import (
     MASK64,
     SplitMix64,
     accept_max,
+    below_rows,
     derive_seed,
+    shuffled_rows,
     stream_u64,
 )
 
@@ -84,6 +88,10 @@ def test_accept_max_rejects_only_the_biased_tail():
     assert accept_max(10) == MASK64 - 6
     for bound in (1, 2, 1 << 20, 1 << 63):
         assert accept_max(bound) == MASK64
+    # Elementwise on a uint64 array, as the block readers take it.
+    bounds = [1, 3, 10, 2**31 - 1, 1 << 63, (1 << 63) + 1, MASK64]
+    tops = accept_max(np.array(bounds, dtype=np.uint64))
+    assert tops.tolist() == [accept_max(b) for b in bounds]
 
 
 def test_shuffle_is_deterministic_permutation():
@@ -102,3 +110,63 @@ def test_derive_seed_varies_with_indices():
     seeds = {derive_seed(5, i, j) for i in range(10) for j in range(10)}
     assert len(seeds) == 100
     assert derive_seed(5, 3, 4) == derive_seed(5, 3, 4)
+
+
+def test_seeds_must_be_integers():
+    # Every seed is read where it enters the stream: InvalidParam, not a
+    # bare TypeError from the masking.
+    calls = (
+        lambda: SplitMix64(1.5),
+        lambda: stream_u64(1.5, 0, 4),
+        lambda: below_rows(1.5, 0, (3,), 2),
+        lambda: derive_seed(1.5, 1),
+        lambda: derive_seed(1, 2.5),
+    )
+    for call in calls:
+        with pytest.raises(InvalidParam, match="must be an integer"):
+            call()
+    assert derive_seed(np.uint64(5), np.int64(3)) == derive_seed(5, 3)
+
+
+def _scalar_at(seed, start):
+    rng = SplitMix64(seed)
+    for _ in range(start):
+        rng.next_u64()
+    return rng
+
+
+# None keeps the real acceptance limit; s rejects one word in 2^s.
+@pytest.mark.parametrize("shift", [None, 8, 1])
+def test_block_readers_match_scalar_draws(monkeypatch, shift):
+    if shift is not None:
+        monkeypatch.setattr(
+            prng, "accept_max", lambda bound: MASK64 - (MASK64 >> shift)
+        )
+    bounds_cases = ((), (7,), (10, 3, 2**31 - 1), tuple(range(12, 1, -1)),
+                    (MASK64, 1, 3))
+    items_cases = ([], [4], list(range(10)), [0, 0, 1, 1, 2, 2, 3, 3])
+    for seed in (0, 5, MASK64):
+        for start in (0, 3):
+            for rows in (0, 1, 9):
+                # Each reader's draws, and the word after them, are the
+                # scalar generator's.
+                for bounds in bounds_cases:
+                    rng = _scalar_at(seed, start)
+                    want = [[rng.below(b) for b in bounds] for _ in range(rows)]
+                    got, end = below_rows(seed, start, bounds, rows)
+                    assert got.shape == (rows, len(bounds))
+                    assert got.tolist() == want, (seed, start, bounds, rows)
+                    assert stream_u64(seed, end, 1)[0] == rng.next_u64()
+                for items in items_cases:
+                    rng = _scalar_at(seed, start)
+                    want = []
+                    for _ in range(rows):
+                        row = items.copy()
+                        rng.shuffle(row)
+                        want.append(row)
+                    got, end = shuffled_rows(
+                        seed, start, np.array(items, dtype=np.int64), rows
+                    )
+                    assert got.shape == (rows, len(items))
+                    assert got.tolist() == want, (seed, start, items, rows)
+                    assert stream_u64(seed, end, 1)[0] == rng.next_u64()

@@ -250,19 +250,15 @@ def test_component_shortcut_search_count(monkeypatch):
 
 
 def test_rank_points_match_scalar_draws(monkeypatch):
-    # The block path alone: the scalar stream must not be touched.
-    def no_scalar(seed):
-        raise AssertionError("scalar fallback taken")
-
-    with monkeypatch.context() as patch:
-        patch.setattr(rigidity, "SplitMix64", no_scalar)
-        for seed in (*range(1000), -1, 2**64 - 1, 2**64 + 5):
-            points = rigidity._rank_points(26, seed)
-            assert points.shape == (26, 2) and points.dtype == np.int64
-            assert points.ravel().tolist() == rank_points_reference(seed, 26)
-    # A cap of 2^63 rejects about half the words, so every block holds one
-    # and the draws are taken one at a time, as below() takes them under
-    # the same cap; they then differ from the block's words.
+    for seed in (*range(1000), -1, 2**64 - 1, 2**64 + 5):
+        points = rigidity._rank_points(26, seed)
+        assert points.shape == (26, 2) and points.dtype == np.int64
+        assert points.ravel().tolist() == rank_points_reference(seed, 26)
+    with pytest.raises(InvalidParam, match="seed must be an integer"):
+        rigidity_matrix_rank_modular(complete_bipartite(3, 3), 1.5)
+    # A cap of 2^63 rejects about half the words, so the block is cut at
+    # every other word or so and each redraw shifts the later draws, as
+    # below() redraws under the same cap; they then differ from the words.
     monkeypatch.setattr(prng, "accept_max", lambda bound: 1 << 63)
     for seed in range(50):
         points = rigidity._rank_points(26, seed).ravel().tolist()
