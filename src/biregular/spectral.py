@@ -125,9 +125,14 @@ class MixingAuditReport:
     max_slack: float
 
 
-# Pairs drawn and checked per chunk of mixing_audit: bounds its arrays
-# (and peak memory) however many pairs are asked for.
-_MIXING_CHUNK = 64
+# Stream words drawn per chunk of mixing_audit, so a chunk holds
+# max(1, _MIXING_WORDS // n) pairs: bounds its arrays (and peak memory)
+# however many pairs are asked for.
+_MIXING_WORDS = 1 << 14
+
+# float32 holds every integer up to 2^24 exactly, so the audit counts in
+# float32 while no count (each at most m) can reach it.
+_FLOAT32_EXACT = 1 << 24
 
 
 def mixing_audit(
@@ -141,34 +146,56 @@ def mixing_audit(
     Membership of each vertex is one low bit of the seeded stream, so the
     sample includes empty and full sides: pair p reads words
     p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
-    drawn and checked in chunks. e(A, B) comes from one product with the
-    biadjacency matrix, whose float sums of 0/1 terms are exact integers,
-    and ``_mixing_sides`` evaluates lhs and rhs elementwise as it does for
-    ``mixing_check``, so each float is the one that returns. Any violation
-    raises MixingViolation carrying the first offending pair: the
-    inequality is a theorem, so a violation means a bug.
+    drawn and checked in chunks of max(1, _MIXING_WORDS // n) pairs, so a
+    chunk's arrays stay bounded however many pairs are asked for.
+
+    The counts come from one product per chunk with an (n, |Y|+2) count
+    matrix C: an X-row holds that vertex's biadjacency row and a 1 in
+    column |Y|, a Y-row a 1 in column |Y|+1. So bits @ C gives A's edges
+    into each Y-vertex, |A| and |B| at once, and e(A, B) is the row-wise
+    dot of its first |Y| columns with B's bits. Every count and partial
+    sum is an integer of at most m, so they are exact in float32, in any
+    summation order, while m < 2^24 (float64 above that). They are cast
+    to float64 before ``_mixing_sides`` evaluates lhs and rhs elementwise
+    as it does for ``mixing_check``, so each float is the one that
+    returns. Any violation raises MixingViolation carrying the first
+    offending pair: the inequality is a theorem, so a violation means a
+    bug.
     """
     if check_int(pairs, "pairs") < 1:
         raise InvalidParam("pairs must be at least 1")
+    check_int(seed, "seed")
     profile, spectrum = _mixing_guard(g, spectrum)
-    x, y = g.x_count, g.y_count
-    adj = biadjacency(g)
+    x, y, n = g.x_count, g.y_count, g.n
+    dtype = np.float32 if g.m < _FLOAT32_EXACT else np.float64
+    counts = np.zeros((n, y + 2), dtype)
+    xs, ys = zip(*g.edges)
+    counts[xs, ys] = 1
+    counts[:x, y] = 1
+    counts[x:, y + 1] = 1
+    step = max(1, _MIXING_WORDS // n)
     lows, highs = [], []
-    for first in range(0, pairs, _MIXING_CHUNK):
-        count = min(_MIXING_CHUNK, pairs - first)
-        bits = stream_u64(seed, first * (x + y), count * (x + y))
+    for first in range(0, pairs, step):
+        count = min(step, pairs - first)
+        bits = stream_u64(seed, first * n, count * n)
         bits &= 1
-        bits = bits.astype(np.float64).reshape(count, x + y)
-        a_in, b_in = bits[:, :x], bits[:, x:]
-        e_ab = np.einsum("pj,pj->p", a_in @ adj, b_in)
+        bits = bits.astype(dtype).reshape(count, n)
+        b_in = bits[:, x:]
+        sums = bits @ counts
+        e_ab = np.einsum("pj,pj->p", sums[:, :y], b_in)
         lhs, rhs = _mixing_sides(
-            g, profile, spectrum, e_ab, a_in.sum(axis=1), b_in.sum(axis=1)
+            g,
+            profile,
+            spectrum,
+            e_ab.astype(np.float64),
+            sums[:, y].astype(np.float64),
+            sums[:, y + 1].astype(np.float64),
         )
         bad = np.flatnonzero(~(lhs <= rhs + MIXING_TOL))
         if bad.size:
             p = bad[0]
             raise MixingViolation(
-                frozenset(("x", int(i)) for i in np.flatnonzero(a_in[p])),
+                frozenset(("x", int(i)) for i in np.flatnonzero(bits[p, :x])),
                 frozenset(("y", int(j)) for j in np.flatnonzero(b_in[p])),
                 float(lhs[p]),
                 float(rhs[p]),

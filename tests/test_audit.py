@@ -18,6 +18,7 @@ from biregular import (
     random_biregular,
     report_emit,
     singular_values,
+    spectral,
 )
 from biregular.audit import PROPERTIES, AuditRecord, CSV_HEADER
 from biregular.errors import (
@@ -273,12 +274,11 @@ def test_mixing_audit_validates_pairs(monkeypatch):
     lopsided = BipartiteGraph(2, 2, ((0, 0), (0, 1), (1, 0)))
     with pytest.raises(NotBiregular):
         mixing_audit(lopsided, 10, seed=1)
+    with pytest.raises(InvalidParam, match="seed must be an integer"):
+        mixing_audit(heawood(), 10, seed=1.5)
     assert calls == []
     with pytest.raises(NotBiregular):
         mixing_audit(lopsided, 10, seed=1, spectrum=singular_values(heawood()))
-    # The seed is read where it enters the stream.
-    with pytest.raises(InvalidParam, match="seed must be an integer"):
-        mixing_audit(heawood(), 10, seed=1.5)
 
 
 def _sparse_graphs():
@@ -292,7 +292,8 @@ def _sparse_graphs():
 
 
 def _audit_outcome(g, pairs, seed, spectrum):
-    """mixing_audit in the shape mixing_audit_scalar reports."""
+    """mixing_audit in the shape mixing_audit_scalar reports, less the
+    index of a violating pair."""
     try:
         rep = mixing_audit(g, pairs, seed, spectrum)
     except MixingViolation as exc:
@@ -301,31 +302,60 @@ def _audit_outcome(g, pairs, seed, spectrum):
     return (rep.pairs, rep.min_slack, rep.max_slack)
 
 
+def _scalar_outcome(g, pairs, seed, spectrum):
+    ref = mixing_audit_scalar(g, pairs, seed, spectrum)
+    return ref[:1] + ref[2:] if ref[0] == "violation" else ref
+
+
 def test_mixing_audit_matches_scalar_reference():
-    # Pair counts below, at and across the chunk size; every float equal.
-    graphs = small_corpus() + medium_corpus() + _sparse_graphs()
+    # A chunk holds c pairs: counts below, at and across it, and into a
+    # third chunk; every float equal. One graph per profile: c is in the
+    # thousands on the small ones, and the reference checks pair by pair.
+    graphs = (
+        small_corpus(per_combo=1) + medium_corpus(per_combo=1) + _sparse_graphs()
+    )
     for i, g in enumerate(graphs):
         spectrum = singular_values(g)
-        for pairs in (1, 64, 65, 150) if g.n < 100 else (300,):
+        c = spectral._MIXING_WORDS // g.n
+        for pairs in (c - 1, c, c + 1, 2 * c + 1):
             seed = derive_seed(21, i, pairs)
             got = _audit_outcome(g, pairs, seed, spectrum)
             assert got == mixing_audit_scalar(g, pairs, seed, spectrum)
             assert all(type(v) is float for v in got[1:])
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    # One pair per chunk (a word budget below n); counts in float64.
+    [("_MIXING_WORDS", 1), ("_FLOAT32_EXACT", 0)],
+)
+def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
+    monkeypatch.setattr(spectral, name, value)
+    for i, g in enumerate([heawood()] + _sparse_graphs()[:2]):
+        true = singular_values(g)
+        for spectrum in (true, replace(true, lambda2=0.7 * true.lambda2)):
+            got = _audit_outcome(g, 150, derive_seed(23, i), spectrum)
+            assert got == _scalar_outcome(g, 150, derive_seed(23, i), spectrum)
+
+
 def test_mixing_audit_reports_first_violation():
-    # lambda2 = 0 breaks the bound on almost every pair; 0.7 * lambda2 on
-    # a few pairs deep into the sample, past the first chunk.
+    # lambda2 = 0 breaks the bound on almost every pair; 0.7 and 0.8 times
+    # lambda2 on a few pairs deep into the sample, past the first chunk.
     late = 0
     for i, g in enumerate(medium_corpus() + _sparse_graphs()[:1]):
         true = singular_values(g)
         zero = Spectrum(true.sigma, true.lambda1, 0.0, gap=true.lambda1)
-        for spectrum in (zero, replace(true, lambda2=0.7 * true.lambda2)):
-            ref = mixing_audit_scalar(g, 400, 11, spectrum)
+        c = spectral._MIXING_WORDS // g.n
+        for spectrum in (
+            zero,
+            replace(true, lambda2=0.7 * true.lambda2),
+            replace(true, lambda2=0.8 * true.lambda2),
+        ):
+            ref = mixing_audit_scalar(g, 2 * c + 1, 11, spectrum)
             if ref[0] != "violation":
                 assert spectrum is not zero
                 continue
-            late += ref[1] >= 64
-            got = _audit_outcome(g, 400, 11, spectrum)
+            late += ref[1] >= c
+            got = _audit_outcome(g, 2 * c + 1, 11, spectrum)
             assert got == ref[:1] + ref[2:], i
     assert late >= 5

@@ -1,5 +1,7 @@
 """bbg text format: round trips and malformed input handling."""
 
+import re
+
 import pytest
 
 from biregular import complete_bipartite, heawood, parse_bbg, random_biregular, write_bbg
@@ -51,12 +53,20 @@ def test_extra_edge_line_is_error():
 
 
 def test_index_out_of_range():
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(
+        IndexOutOfRange, match=re.escape("line 4: x index 5 outside [0, 3)")
+    ):
         parse_bbg("bbg 1\nparts 3 3\nedges 1\ne 5 0\n")
+    with pytest.raises(
+        IndexOutOfRange, match=re.escape("line 5: y index 3 outside [0, 3)")
+    ):
+        parse_bbg("bbg 1\nparts 3 3\nedges 1\n\ne 0 3\n")
 
 
 def test_duplicate_edge():
-    with pytest.raises(DuplicateEdge):
+    with pytest.raises(
+        DuplicateEdge, match=re.escape("line 5: edge (0, 0) repeated")
+    ):
         parse_bbg("bbg 1\nparts 2 2\nedges 2\ne 0 0\ne 0 0\n")
 
 
@@ -66,8 +76,12 @@ def test_unknown_line_is_error():
 
 
 def test_non_integer_field():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="line 2: expected integer, got 'two'"):
         parse_bbg("bbg 1\nparts two 2\nedges 0\n")
+    with pytest.raises(ParseError, match="line 4: expected integer, got 'x'"):
+        parse_bbg("bbg 1\nparts 2 2\nedges 1\ne 0 x\n")
+    with pytest.raises(ParseError, match="line 4: expected integer, got '0x'"):
+        parse_bbg("bbg 1\nparts 2 2\nedges 1\ne 0x 0\n")
 
 
 
