@@ -72,12 +72,7 @@ def parse_bbg(text: str) -> BipartiteGraph:
         fields = line.split()
         if len(fields) != 3 or fields[0] != "e":
             raise ParseError(lineno, f"expected 'e <xi> <yj>', got {line!r}")
-        xs, ys = fields[1], fields[2]
-        if xs.isdigit() and ys.isdigit() and xs.isascii() and ys.isascii():
-            xi, yj = int(xs), int(ys)
-        else:
-            # Signs, non-ASCII digits and non-numbers: _ints decides.
-            xi, yj = _ints(lineno, fields[1:])
+        xi, yj = _ints(lineno, fields[1:])
         if not 0 <= xi < x_count:
             raise IndexOutOfRange(
                 f"line {lineno}: x index {xi} outside [0, {x_count})"

@@ -125,10 +125,9 @@ class MixingAuditReport:
     max_slack: float
 
 
-# Stream words drawn per chunk of mixing_audit, so a chunk holds
-# max(1, _MIXING_WORDS // n) pairs: bounds its arrays (and peak memory)
-# however many pairs are asked for.
-_MIXING_WORDS = 1 << 14
+# Pairs drawn and checked per chunk of mixing_audit: bounds its arrays
+# (and peak memory) however many pairs are asked for.
+_MIXING_CHUNK = 128
 
 # float32 holds every integer up to 2^24 exactly, so the audit counts in
 # float32 while no count (each at most m) can reach it.
@@ -146,15 +145,15 @@ def mixing_audit(
     Membership of each vertex is one low bit of the seeded stream, so the
     sample includes empty and full sides: pair p reads words
     p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
-    drawn and checked in chunks of max(1, _MIXING_WORDS // n) pairs, so a
-    chunk's arrays stay bounded however many pairs are asked for.
+    drawn and checked in chunks of _MIXING_CHUNK pairs, so a chunk's
+    arrays stay bounded however many pairs are asked for.
 
-    The counts come from one product per chunk with an (n, |Y|+2) count
-    matrix C: an X-row holds that vertex's biadjacency row and a 1 in
-    column |Y|, a Y-row a 1 in column |Y|+1. So bits @ C gives A's edges
-    into each Y-vertex, |A| and |B| at once, and e(A, B) is the row-wise
-    dot of its first |Y| columns with B's bits. Every count and partial
-    sum is an integer of at most m, so they are exact in float32, in any
+    The counts come from one product per chunk with an (|X|, |Y|+1) count
+    matrix C: X-vertex i's row holds its biadjacency row and a 1 in column
+    |Y|. So A's bits @ C gives A's edges into each Y-vertex and |A| at
+    once; e(A, B) is the row-wise dot of its first |Y| columns with B's
+    bits, and |B| the row sum of B's bits. Every count and partial sum is
+    an integer of at most m, so they are exact in float32, in any
     summation order, while m < 2^24 (float64 above that). They are cast
     to float64 before ``_mixing_sides`` evaluates lhs and rhs elementwise
     as it does for ``mixing_check``, so each float is the one that
@@ -168,20 +167,17 @@ def mixing_audit(
     profile, spectrum = _mixing_guard(g, spectrum)
     x, y, n = g.x_count, g.y_count, g.n
     dtype = np.float32 if g.m < _FLOAT32_EXACT else np.float64
-    counts = np.zeros((n, y + 2), dtype)
-    xs, ys = zip(*g.edges)
-    counts[xs, ys] = 1
-    counts[:x, y] = 1
-    counts[x:, y + 1] = 1
-    step = max(1, _MIXING_WORDS // n)
+    counts = np.zeros((x, y + 1), dtype)
+    counts[tuple(zip(*g.edges))] = 1
+    counts[:, y] = 1
     lows, highs = [], []
-    for first in range(0, pairs, step):
-        count = min(step, pairs - first)
+    for first in range(0, pairs, _MIXING_CHUNK):
+        count = min(_MIXING_CHUNK, pairs - first)
         bits = stream_u64(seed, first * n, count * n)
         bits &= 1
         bits = bits.astype(dtype).reshape(count, n)
-        b_in = bits[:, x:]
-        sums = bits @ counts
+        a_in, b_in = bits[:, :x], bits[:, x:]
+        sums = a_in @ counts
         e_ab = np.einsum("pj,pj->p", sums[:, :y], b_in)
         lhs, rhs = _mixing_sides(
             g,
@@ -189,13 +185,13 @@ def mixing_audit(
             spectrum,
             e_ab.astype(np.float64),
             sums[:, y].astype(np.float64),
-            sums[:, y + 1].astype(np.float64),
+            b_in.sum(axis=1).astype(np.float64),
         )
         bad = np.flatnonzero(~(lhs <= rhs + MIXING_TOL))
         if bad.size:
             p = bad[0]
             raise MixingViolation(
-                frozenset(("x", int(i)) for i in np.flatnonzero(bits[p, :x])),
+                frozenset(("x", int(i)) for i in np.flatnonzero(a_in[p])),
                 frozenset(("y", int(j)) for j in np.flatnonzero(b_in[p])),
                 float(lhs[p]),
                 float(rhs[p]),

@@ -309,15 +309,12 @@ def _scalar_outcome(g, pairs, seed, spectrum):
 
 def test_mixing_audit_matches_scalar_reference():
     # A chunk holds c pairs: counts below, at and across it, and into a
-    # third chunk; every float equal. One graph per profile: c is in the
-    # thousands on the small ones, and the reference checks pair by pair.
-    graphs = (
-        small_corpus(per_combo=1) + medium_corpus(per_combo=1) + _sparse_graphs()
-    )
+    # third chunk; every float equal.
+    graphs = small_corpus() + medium_corpus() + _sparse_graphs()
+    c = spectral._MIXING_CHUNK
     for i, g in enumerate(graphs):
         spectrum = singular_values(g)
-        c = spectral._MIXING_WORDS // g.n
-        for pairs in (c - 1, c, c + 1, 2 * c + 1):
+        for pairs in (1, c - 1, c, c + 1, 2 * c + 1):
             seed = derive_seed(21, i, pairs)
             got = _audit_outcome(g, pairs, seed, spectrum)
             assert got == mixing_audit_scalar(g, pairs, seed, spectrum)
@@ -326,8 +323,8 @@ def test_mixing_audit_matches_scalar_reference():
 
 @pytest.mark.parametrize(
     "name, value",
-    # One pair per chunk (a word budget below n); counts in float64.
-    [("_MIXING_WORDS", 1), ("_FLOAT32_EXACT", 0)],
+    # One pair per chunk; counts in float64.
+    [("_MIXING_CHUNK", 1), ("_FLOAT32_EXACT", 0)],
 )
 def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
     monkeypatch.setattr(spectral, name, value)
@@ -339,23 +336,19 @@ def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
 
 
 def test_mixing_audit_reports_first_violation():
-    # lambda2 = 0 breaks the bound on almost every pair; 0.7 and 0.8 times
-    # lambda2 on a few pairs deep into the sample, past the first chunk.
+    # lambda2 = 0 breaks the bound on almost every pair; 0.7 * lambda2 on
+    # a few pairs deep into the sample, past the first chunk.
     late = 0
+    c = spectral._MIXING_CHUNK
     for i, g in enumerate(medium_corpus() + _sparse_graphs()[:1]):
         true = singular_values(g)
         zero = Spectrum(true.sigma, true.lambda1, 0.0, gap=true.lambda1)
-        c = spectral._MIXING_WORDS // g.n
-        for spectrum in (
-            zero,
-            replace(true, lambda2=0.7 * true.lambda2),
-            replace(true, lambda2=0.8 * true.lambda2),
-        ):
-            ref = mixing_audit_scalar(g, 2 * c + 1, 11, spectrum)
+        for spectrum in (zero, replace(true, lambda2=0.7 * true.lambda2)):
+            ref = mixing_audit_scalar(g, 3 * c + 1, 11, spectrum)
             if ref[0] != "violation":
                 assert spectrum is not zero
                 continue
             late += ref[1] >= c
-            got = _audit_outcome(g, 2 * c + 1, 11, spectrum)
+            got = _audit_outcome(g, 3 * c + 1, 11, spectrum)
             assert got == ref[:1] + ref[2:], i
     assert late >= 5
