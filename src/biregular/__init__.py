@@ -20,6 +20,8 @@ from .audit import (
 from .bbg import parse_bbg, write_bbg
 from .certify import (
     Certificate,
+    GraphProperty,
+    Verdict,
     certify_edge_connectivity,
     certify_global_rigidity,
     certify_rigid_packing,
@@ -41,7 +43,6 @@ from .graphs import (
     validate_biregular,
 )
 from .prng import SplitMix64, derive_seed
-from .properties import GraphProperty, Verdict
 from .spectral import (
     MixingAuditReport,
     MixingReport,

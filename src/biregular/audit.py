@@ -23,6 +23,8 @@ from dataclasses import asdict, dataclass, fields
 
 from .certify import (
     Certificate,
+    GraphProperty,
+    Verdict,
     certify_edge_connectivity,
     certify_global_rigidity,
     certify_rigid_packing,
@@ -41,7 +43,6 @@ from .oracles import (
     vertex_connectivity,
 )
 from .prng import derive_seed
-from .properties import GraphProperty, Verdict
 from .spectral import singular_values
 
 log = logging.getLogger(__name__)

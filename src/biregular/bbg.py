@@ -66,30 +66,25 @@ def parse_bbg(text: str) -> BipartiteGraph:
         raise ParseError(lineno, "edge count must be nonnegative")
 
     edges = []
-    seen = set()
+    linenos = []
     for _ in range(edge_count):
         lineno, line = expect(f"{edge_count} edge lines")
         fields = line.split()
         if len(fields) != 3 or fields[0] != "e":
             raise ParseError(lineno, f"expected 'e <xi> <yj>', got {line!r}")
-        xi, yj = _ints(lineno, fields[1:])
-        if not 0 <= xi < x_count:
-            raise IndexOutOfRange(
-                f"line {lineno}: x index {xi} outside [0, {x_count})"
-            )
-        if not 0 <= yj < y_count:
-            raise IndexOutOfRange(
-                f"line {lineno}: y index {yj} outside [0, {y_count})"
-            )
-        if (xi, yj) in seen:
-            raise DuplicateEdge(f"line {lineno}: edge ({xi}, {yj}) repeated")
-        seen.add((xi, yj))
-        edges.append((xi, yj))
+        edges.append(_ints(lineno, fields[1:]))
+        linenos.append(lineno)
 
     leftover = next(it, None)
     if leftover is not None:
         raise ParseError(leftover[0], f"unexpected line {leftover[1]!r}")
-    return BipartiteGraph(x_count, y_count, tuple(edges))
+    # The graph checks ranges and repeats; the parser adds the line number.
+    try:
+        return BipartiteGraph(x_count, y_count, tuple(edges))
+    except (IndexOutOfRange, DuplicateEdge) as exc:
+        raise type(exc)(
+            f"line {linenos[exc.position]}: {exc}", exc.position
+        ) from None
 
 
 def _ints(lineno, fields):

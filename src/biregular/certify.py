@@ -33,13 +33,38 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from enum import Enum
 
 from .errors import check_k
 from .graphs import BipartiteGraph, validate_biregular
-from .properties import GraphProperty, Verdict
 from .spectral import Spectrum, singular_values
 
 EPSILON = 1e-9
+
+
+class GraphProperty(str, Enum):
+    """Properties with a spectral sufficient condition and/or an exact oracle."""
+
+    EDGE_CONNECTIVITY = "edge-conn"
+    VERTEX_CONNECTIVITY = "vertex-conn"
+    TREE_PACKING = "stp"
+    RIGID_PACKING = "rigid-packing"
+    GLOBAL_RIGIDITY = "global-rigidity"
+    RAMANUJAN = "ramanujan"
+
+
+class Verdict(str, Enum):
+    """Outcome of one threshold evaluation, as ``_decide`` assigns it.
+
+    CERTIFIED means the sufficient condition fired with a safe float margin,
+    NOT_FIRED means it did not (never a refutation), MARGINAL means the
+    second eigenvalue sits within the epsilon band around the threshold where
+    floating point cannot distinguish the two.
+    """
+
+    CERTIFIED = "certified"
+    NOT_FIRED = "not-fired"
+    MARGINAL = "marginal"
 
 
 @dataclass(frozen=True)

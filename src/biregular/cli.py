@@ -25,11 +25,11 @@ from .audit import (
     report_emit,
 )
 from .bbg import is_int_token, parse_bbg, write_bbg
+from .certify import GraphProperty
 from .errors import AuditUnsound, Error, InvalidParam, UsageError, check_k
 from .graphs import DEFAULT_MAX_RETRIES, complete_bipartite, even_cycle
-from .graphs import heawood, random_biregular
-from .properties import GraphProperty
-from .spectral import mixing_audit, singular_values, validate_biregular
+from .graphs import heawood, random_biregular, validate_biregular
+from .spectral import mixing_audit, singular_values
 
 _USAGE_ERRORS = (InvalidParam, FileNotFoundError)
 
@@ -123,7 +123,7 @@ def _cmd_verify(args):
     res = oracle(g, None if args.k is None else check_k(args.k))
     if args.json:
         payload = {
-            "property": res.property.value,
+            "property": prop.value,
             "value": res.value,
             "exact": res.exact,
             "witness": _witness_json(res.witness),
@@ -154,16 +154,20 @@ def _parse_grid(text):
     return tuple(grid)
 
 
+def _parse_properties(text):
+    names = {p.strip() for p in text.split(",")}
+    known = {prop.value: prop for prop in GraphProperty}
+    unknown = sorted(names - known.keys())
+    if unknown:
+        raise UsageError(f"unknown property {unknown[0]!r}")
+    return tuple(known[name] for name in sorted(names))
+
+
 def _cmd_audit(args):
     grid = _parse_grid(args.grid) if args.grid else default_size_grid()
     k_grid = tuple(sorted(set(args.k))) if args.k else DEFAULT_K_GRID
     if args.properties:
-        props = tuple(
-            sorted(
-                {GraphProperty(p.strip()) for p in args.properties.split(",")},
-                key=lambda p: p.value,
-            )
-        )
+        props = _parse_properties(args.properties)
     else:
         props = DEFAULT_PROPERTIES
     cfg = AuditConfig(

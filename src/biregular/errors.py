@@ -56,11 +56,20 @@ class RetriesExhausted(Error):
     """Rejection sampling failed to produce a simple graph within the retry budget."""
 
 
-class IndexOutOfRange(InvalidParam):
+class _EdgeRejected(InvalidParam):
+    """An edge list entry was refused; ``position`` is its index in the
+    input edge sequence, or None outside an edge list."""
+
+    def __init__(self, message, position=None):
+        self.position = position
+        super().__init__(message)
+
+
+class IndexOutOfRange(_EdgeRejected):
     """An edge endpoint or vertex index is outside its part."""
 
 
-class DuplicateEdge(InvalidParam):
+class DuplicateEdge(_EdgeRejected):
     """The same (x, y) pair appears more than once."""
 
 

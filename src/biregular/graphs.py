@@ -42,9 +42,10 @@ class BipartiteGraph:
 
     ``edges`` is normalized to a lexicographically sorted tuple; duplicate
     pairs and out-of-range or non-integer endpoints are rejected at
-    construction. Part sizes and endpoints are read with ``operator.index``,
-    so numpy integers pass and floats or strings do not. Sorted adjacency
-    lists are derived once and cached on the value.
+    construction, with the first offending edge's input position as the
+    error's ``position``. Part sizes and endpoints are read with
+    ``operator.index``, so numpy integers pass and floats or strings do
+    not. Sorted adjacency lists are derived once and cached on the value.
     """
 
     x_count: int
@@ -66,18 +67,18 @@ class BipartiteGraph:
         object.__setattr__(self, "y_count", y_count)
         seen = set()
         normalized = []
-        for e in self.edges:
-            xi, yj = _endpoints(e)
+        for pos, e in enumerate(self.edges):
+            xi, yj = _endpoints(e, pos)
             if not 0 <= xi < self.x_count:
                 raise IndexOutOfRange(
-                    f"x index {xi} outside [0, {self.x_count})"
+                    f"x index {xi} outside [0, {self.x_count})", pos
                 )
             if not 0 <= yj < self.y_count:
                 raise IndexOutOfRange(
-                    f"y index {yj} outside [0, {self.y_count})"
+                    f"y index {yj} outside [0, {self.y_count})", pos
                 )
             if (xi, yj) in seen:
-                raise DuplicateEdge(f"edge ({xi}, {yj}) listed twice")
+                raise DuplicateEdge(f"edge ({xi}, {yj}) repeated", pos)
             seen.add((xi, yj))
             normalized.append((xi, yj))
         normalized.sort()
@@ -128,11 +129,13 @@ class BipartiteGraph:
         )
 
 
-def _endpoints(edge) -> EdgePair:
+def _endpoints(edge, position=None) -> EdgePair:
     try:
         return index(edge[0]), index(edge[1])
     except TypeError:
-        raise IndexOutOfRange(f"edge {edge!r} has a non-integer endpoint") from None
+        raise IndexOutOfRange(
+            f"edge {edge!r} has a non-integer endpoint", position
+        ) from None
 
 
 @dataclass(frozen=True)

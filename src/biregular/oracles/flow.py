@@ -85,7 +85,6 @@ from math import comb
 
 from ..errors import TooLarge, TooSmall
 from ..graphs import BipartiteGraph, flat_adjacency, flat_edges, flat_vertex
-from ..properties import GraphProperty
 from .result import EdgeCut, OracleResult, Separator
 
 VERTEX_CONN_GUARD = 512
@@ -179,7 +178,7 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
         reach = [v == low for v in range(n)]
     cut = tuple(e for e, (u, v) in zip(g.edges, flat) if reach[u] != reach[v])
     assert len(cut) == best
-    return OracleResult(GraphProperty.EDGE_CONNECTIVITY, best, EdgeCut(cut), True)
+    return OracleResult(best, EdgeCut(cut))
 
 
 def _check_size(n):
@@ -464,4 +463,4 @@ def vertex_connectivity(g: BipartiteGraph) -> OracleResult:
         kappa, sep = delta, tuple(sorted(adj[low]))
     assert len(sep) == kappa
     witness = Separator(tuple(flat_vertex(g, v) for v in sep))
-    return OracleResult(GraphProperty.VERTEX_CONNECTIVITY, kappa, witness, True)
+    return OracleResult(kappa, witness)

@@ -48,7 +48,6 @@ from collections import deque
 
 from ..errors import check_k
 from ..graphs import BipartiteGraph, flat_edges
-from ..properties import GraphProperty
 from .result import ForestPacking, OracleResult
 
 
@@ -200,7 +199,5 @@ def tree_packing_number(
     for k in range(cap, 0, -1):
         trees = _spanning_trees(g, k)
         if trees is not None:
-            return OracleResult(
-                GraphProperty.TREE_PACKING, k, ForestPacking(trees), True
-            )
-    return OracleResult(GraphProperty.TREE_PACKING, 0, ForestPacking(()), True)
+            return OracleResult(k, ForestPacking(trees))
+    return OracleResult(0, ForestPacking(()))

@@ -1,11 +1,10 @@
-"""Result and witness types returned by the exact oracles."""
+"""What the exact oracles return: a value, a witness type and exactness."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..graphs import EdgePair, Vertex
-from ..properties import GraphProperty
 
 
 @dataclass(frozen=True)
@@ -45,13 +44,13 @@ class LamanPacking:
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Exact combinatorial answer plus a re-checkable witness.
+    """An oracle's value, a re-checkable witness, and whether value is exact.
 
-    ``exact`` is False only for inconclusive greedy rigid-packing outcomes;
-    every other oracle decides its question outright.
+    The caller knows which property it asked about, so the result does not
+    name it. ``exact`` is False only for inconclusive greedy rigid-packing
+    outcomes; every other oracle decides its question outright.
     """
 
-    property: GraphProperty
     value: int
     witness: object | None
     exact: bool = True

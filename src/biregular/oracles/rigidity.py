@@ -110,7 +110,6 @@ import numpy as np
 from ..errors import TooSmall, check_k
 from ..graphs import BipartiteGraph, EdgePair, flat_adjacency, flat_edges
 from ..prng import below_rows
-from ..properties import GraphProperty
 from .flow import _connectivity_upto3
 from .result import LamanPacking, LamanSubgraph, OracleResult
 
@@ -233,9 +232,7 @@ def rigidity_rank(g: BipartiteGraph) -> OracleResult:
     deterministic.
     """
     rank, independent = pebble_rank_edges(g, g.edges)
-    return OracleResult(
-        GraphProperty.RIGID_PACKING, rank, LamanSubgraph(independent), True
-    )
+    return OracleResult(rank, LamanSubgraph(independent))
 
 
 def is_rigid(g: BipartiteGraph) -> bool:
@@ -385,13 +382,11 @@ def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
     edges = flat_edges(g)
     accepted = _pebble_accepted(g.n, edges, cover_circuit)
     if len(accepted) != target:
-        return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
+        return OracleResult(0, None)
     critical = next(
         (g.edges[i] for i in accepted if edges[i] not in covered), None
     )
-    return OracleResult(
-        GraphProperty.GLOBAL_RIGIDITY, int(critical is None), critical, True
-    )
+    return OracleResult(int(critical is None), critical)
 
 
 def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
@@ -403,7 +398,7 @@ def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
     if g.n < 4:
         raise TooSmall("global rigidity oracle needs at least 4 vertices")
     if _connectivity_upto3(flat_adjacency(g))[0] < 3:
-        return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
+        return OracleResult(0, None)
     return is_redundantly_rigid(g)
 
 
@@ -426,14 +421,10 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     check_k(k)
     target = 2 * g.n - 3
     if k == 1:
-        res = rigidity_rank(g)
-        rigid = res.value == target
-        return OracleResult(
-            GraphProperty.RIGID_PACKING,
-            1 if rigid else 0,
-            LamanPacking((res.witness.edges,)) if rigid else None,
-            True,
-        )
+        rank, independent = pebble_rank_edges(g, g.edges)
+        if rank != target:
+            return OracleResult(0, None)
+        return OracleResult(1, LamanPacking((independent,)))
     remaining = _spread_order(g, g.edges)
     extracted = []
     for _ in range(k):
@@ -444,9 +435,8 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
         used = set(independent)
         remaining = [e for e in remaining if e not in used]
     if not extracted:
-        return OracleResult(GraphProperty.RIGID_PACKING, 0, None, True)
+        return OracleResult(0, None)
     return OracleResult(
-        GraphProperty.RIGID_PACKING,
         len(extracted),
         LamanPacking(tuple(extracted)),
         len(extracted) == min(k, g.m // target),

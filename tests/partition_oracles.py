@@ -23,7 +23,6 @@ import numpy as np
 from biregular.errors import TooLarge, check_k
 from biregular.graphs import BipartiteGraph, flat_adjacency, flat_edges, flat_vertex
 from biregular.oracles import OracleResult
-from biregular.properties import GraphProperty
 
 PARTITION_GUARD = 12
 PARTITION_SUFFICIENT_GUARD = 9
@@ -114,7 +113,7 @@ def tree_packing_partition_bruteforce(g: BipartiteGraph, k: int) -> OracleResult
         witness = PartitionWitness(
             removed=(), blocks=blocks_from_assignment(verts, best_row.tolist())
         )
-    return OracleResult(GraphProperty.TREE_PACKING, best, witness, True)
+    return OracleResult(best, witness)
 
 
 def _outside_z(edges, adj, z_set, rest):
@@ -205,7 +204,5 @@ def rigid_packing_partition_sufficient(g: BipartiteGraph, k: int) -> OracleResul
                         removed=tuple(flat_vertex(g, v) for v in z_combo),
                         blocks=blocks_from_assignment(verts, row),
                     )
-                    return OracleResult(
-                        GraphProperty.RIGID_PACKING, 0, witness, True
-                    )
-    return OracleResult(GraphProperty.RIGID_PACKING, 1, None, True)
+                    return OracleResult(0, witness)
+    return OracleResult(1, None)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from biregular import (
+    GraphProperty,
     complete_bipartite,
     even_cycle,
     heawood,
@@ -16,7 +17,6 @@ from biregular import (
     write_bbg,
 )
 from biregular.cli import main
-from biregular.properties import GraphProperty
 
 from testutil import (
     DISCONNECTED,
@@ -248,6 +248,17 @@ def test_audit_dedups_repeated_k_and_properties(tmp_path):
 def test_audit_bad_grid_exit_1():
     res = run_cli("audit", "--grid", "4,5,2,2", "--trials", "1")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "names, bad", [("nope", "nope"), ("edge-conn,,stp", "")]
+)
+def test_audit_unknown_property_is_usage_error(names, bad):
+    res = run_cli("audit", "--properties", names, "--trials", "1")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert res.stderr == f"usage error: unknown property {bad!r}\n"
+    assert "Traceback" not in res.stderr
 
 
 def test_audit_impossible_grid_entry_exits_before_sampling(capsys, monkeypatch):

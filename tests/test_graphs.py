@@ -71,6 +71,22 @@ def test_construction_rejects_bad_edges():
         BipartiteGraph(0, 3, ())
 
 
+def test_bad_edge_errors_carry_input_position():
+    # The first offending edge in input order, before sorting; the bbg
+    # parser maps the position back to a line number.
+    cases = [
+        (((1, 1), (0, 2), (0, 5)), IndexOutOfRange, 2),
+        (((2, 2), (0, 0), (2, 2)), DuplicateEdge, 2),
+        (((1, 0), (0.5, 0)), IndexOutOfRange, 1),
+    ]
+    for edges, cls, position in cases:
+        with pytest.raises(cls) as info:
+            BipartiteGraph(3, 3, edges)
+        assert info.value.position == position
+    with pytest.raises(DuplicateEdge, match=r"^edge \(2, 2\) repeated$"):
+        BipartiteGraph(3, 3, ((2, 2), (2, 2)))
+
+
 def test_construction_rejects_non_integers():
     # Floats and strings are neither truncated nor parsed; numpy integers
     # are read as the ints they hold.

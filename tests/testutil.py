@@ -32,7 +32,6 @@ from biregular.oracles.rigidity import (
     pebble_rank_edges,
 )
 from biregular.prng import SplitMix64, derive_seed
-from biregular.properties import GraphProperty
 from biregular.spectral import mixing_check
 
 
@@ -392,9 +391,7 @@ def tree_packing_number_reference(g: BipartiteGraph, k_max, rounds):
     while best < cap and rounds[best] is not None:
         best += 1
     trees = rounds[best - 1] if best else ()
-    return OracleResult(
-        GraphProperty.TREE_PACKING, best, ForestPacking(trees), True
-    )
+    return OracleResult(best, ForestPacking(trees))
 
 
 def disconnects_by_edges(g: BipartiteGraph, edges) -> bool:
@@ -544,12 +541,12 @@ def redundantly_rigid_reference(g: BipartiteGraph):
     target = 2 * g.n - 3
     res = rigidity_rank(g)
     if res.value != target:
-        return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, None, True)
+        return OracleResult(0, None)
     for edge in res.witness.edges:
         rank, _ = pebble_rank_edges(g, [e for e in g.edges if e != edge])
         if rank != target:
-            return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 0, edge, True)
-    return OracleResult(GraphProperty.GLOBAL_RIGIDITY, 1, None, True)
+            return OracleResult(0, edge)
+    return OracleResult(1, None)
 
 
 def greedy_rigid_packing_reference(g: BipartiteGraph, k: int) -> OracleResult:
@@ -560,10 +557,8 @@ def greedy_rigid_packing_reference(g: BipartiteGraph, k: int) -> OracleResult:
         res = rigidity_rank(g)
         rigid = res.value == target
         return OracleResult(
-            GraphProperty.RIGID_PACKING,
             1 if rigid else 0,
             LamanPacking((res.witness.edges,)) if rigid else None,
-            True,
         )
     period = max(g.x_count, g.y_count)
     remaining = list(g.edges)
@@ -579,9 +574,8 @@ def greedy_rigid_packing_reference(g: BipartiteGraph, k: int) -> OracleResult:
         used = set(independent)
         remaining = [e for e in remaining if e not in used]
     if not extracted:
-        return OracleResult(GraphProperty.RIGID_PACKING, 0, None, True)
+        return OracleResult(0, None)
     return OracleResult(
-        GraphProperty.RIGID_PACKING,
         len(extracted),
         LamanPacking(tuple(extracted)),
         len(extracted) == min(k, g.m // target),
