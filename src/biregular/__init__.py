@@ -14,7 +14,6 @@ from .audit import (
     default_config,
     default_size_grid,
     generate_corpus,
-    parse_report_json,
     report_emit,
 )
 from .bbg import parse_bbg, write_bbg
@@ -33,12 +32,9 @@ from .graphs import (
     BipartiteGraph,
     BiregularProfile,
     complete_bipartite,
-    connected_components,
     cross_edges,
-    cut_size,
     even_cycle,
     heawood,
-    is_connected,
     random_biregular,
     validate_biregular,
 )
@@ -48,11 +44,9 @@ from .spectral import (
     MixingReport,
     Spectrum,
     biadjacency,
-    lambda2,
     mixing_audit,
     mixing_check,
     singular_values,
-    spectral_gap,
 )
 from . import errors, oracles
 
@@ -78,9 +72,7 @@ __all__ = [
     "certify_tree_packing",
     "certify_vertex_connectivity",
     "complete_bipartite",
-    "connected_components",
     "cross_edges",
-    "cut_size",
     "default_config",
     "default_size_grid",
     "derive_seed",
@@ -88,18 +80,14 @@ __all__ = [
     "even_cycle",
     "generate_corpus",
     "heawood",
-    "is_connected",
     "is_ramanujan",
-    "lambda2",
     "mixing_audit",
     "mixing_check",
     "oracles",
     "parse_bbg",
-    "parse_report_json",
     "random_biregular",
     "report_emit",
     "singular_values",
-    "spectral_gap",
     "validate_biregular",
     "write_bbg",
 ]

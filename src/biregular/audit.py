@@ -113,7 +113,7 @@ DEFAULT_PROPERTIES = (
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """One audit campaign: sizes, k values, properties, and the master seed."""
+    """One audit campaign; sizes, k values and seed are kept as checked ints."""
 
     trials: int
     size_grid: tuple[tuple[int, int, int, int], ...]
@@ -122,18 +122,17 @@ class AuditConfig:
     seed: int
 
     def __post_init__(self):
-        if check_int(self.trials, "trials") < 1:
+        trials = check_int(self.trials, "trials")
+        if trials < 1:
             raise InvalidParam("trials must be at least 1")
-        check_int(self.seed, "seed")
+        seed = check_int(self.seed, "seed")
         if not self.size_grid:
             raise InvalidParam("size grid must be nonempty")
-        for entry in self.size_grid:
-            check_profile(entry, what="grid entry")
+        grid = tuple(check_profile(e, what="grid entry") for e in self.size_grid)
         if not self.k_grid:
             raise InvalidParam("k grid must be nonempty")
-        for k in self.k_grid:
-            check_k(k)
-        if len(set(self.k_grid)) != len(self.k_grid):
+        k_grid = tuple(check_k(k) for k in self.k_grid)
+        if len(set(k_grid)) != len(k_grid):
             raise InvalidParam("k grid repeats a value")
         if not self.properties:
             raise InvalidParam("property set must be nonempty")
@@ -142,6 +141,10 @@ class AuditConfig:
         for prop in self.properties:
             if PROPERTIES[prop].oracle is None:
                 raise InvalidParam(f"no exact oracle to audit {prop.value!r}")
+        object.__setattr__(self, "trials", trials)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "size_grid", grid)
+        object.__setattr__(self, "k_grid", k_grid)
 
 
 @dataclass(frozen=True)
@@ -312,7 +315,3 @@ def report_emit(records, fmt: str = "csv") -> str:
     if fmt == "json":
         return json.dumps([asdict(r) for r in records], indent=1) + "\n"
     raise InvalidParam(f"unknown report format {fmt!r}")
-
-
-def parse_report_json(text: str) -> list[AuditRecord]:
-    return [AuditRecord(**obj) for obj in json.loads(text)]

@@ -1,4 +1,4 @@
-"""Bipartite graph values, biregularity validation, generators, and counting.
+"""Bipartite graph values, validation, generators, flat ids and e(A, B).
 
 A vertex is addressed as a ``(part, index)`` pair where ``part`` is the
 string ``"x"`` or ``"y"`` and the index counts within that part, so the same
@@ -9,7 +9,6 @@ across concurrent readers.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from operator import index
 from typing import Iterable
@@ -68,7 +67,12 @@ class BipartiteGraph:
         seen = set()
         normalized = []
         for pos, e in enumerate(self.edges):
-            xi, yj = _endpoints(e, pos)
+            try:
+                xi, yj = index(e[0]), index(e[1])
+            except TypeError:
+                raise IndexOutOfRange(
+                    f"edge {e!r} has a non-integer endpoint", pos
+                ) from None
             if not 0 <= xi < self.x_count:
                 raise IndexOutOfRange(
                     f"x index {xi} outside [0, {self.x_count})", pos
@@ -91,7 +95,6 @@ class BipartiteGraph:
         # Edges are sorted by x first, so every list is already in order.
         object.__setattr__(self, "adj_x", tuple(tuple(v) for v in ax))
         object.__setattr__(self, "adj_y", tuple(tuple(v) for v in ay))
-        object.__setattr__(self, "_edge_set", frozenset(seen))
         # The (a, b) profile, or None when the graph has no edge or is not
         # biregular; ``validate_biregular`` then raises.
         a, b = len(ax[0]), len(ay[0])
@@ -110,32 +113,10 @@ class BipartiteGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def has_edge(self, xi: int, yj: int) -> bool:
-        return (xi, yj) in self._edge_set
-
     def vertices(self) -> tuple[Vertex, ...]:
         return tuple((X_PART, i) for i in range(self.x_count)) + tuple(
             (Y_PART, j) for j in range(self.y_count)
         )
-
-    def without_edge(self, edge: EdgePair) -> "BipartiteGraph":
-        e = _endpoints(edge)
-        if e not in self._edge_set:
-            raise InvalidParam(f"edge {e} not present")
-        return BipartiteGraph(
-            self.x_count,
-            self.y_count,
-            tuple(f for f in self.edges if f != e),
-        )
-
-
-def _endpoints(edge, position=None) -> EdgePair:
-    try:
-        return index(edge[0]), index(edge[1])
-    except TypeError:
-        raise IndexOutOfRange(
-            f"edge {edge!r} has a non-integer endpoint", position
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -150,6 +131,10 @@ def _check_vertex(g: BipartiteGraph, v: Vertex) -> Vertex:
     part, idx = v
     if part not in (X_PART, Y_PART):
         raise InvalidParam(f"unknown part tag {part!r}")
+    try:
+        idx = index(idx)
+    except TypeError:
+        raise IndexOutOfRange(f"vertex {v!r} has a non-integer index") from None
     bound = g.x_count if part == X_PART else g.y_count
     if not 0 <= idx < bound:
         raise IndexOutOfRange(f"{part} index {idx} outside [0, {bound})")
@@ -305,42 +290,6 @@ def flat_adjacency(g: BipartiteGraph) -> list[list[int]]:
     """Adjacency lists over flat ids, neighbor lists sorted."""
     x = g.x_count
     return [[x + yj for yj in ys] for ys in g.adj_x] + [list(xs) for xs in g.adj_y]
-
-
-def connected_components(g: BipartiteGraph) -> tuple[tuple[Vertex, ...], ...]:
-    """Components as sorted vertex tuples, ordered by their smallest flat id."""
-    adj = flat_adjacency(g)
-    seen = [False] * g.n
-    comps = []
-    for start in range(g.n):
-        if seen[start]:
-            continue
-        seen[start] = True
-        queue = deque([start])
-        comp = [start]
-        while queue:
-            u = queue.popleft()
-            for w in adj[u]:
-                if not seen[w]:
-                    seen[w] = True
-                    comp.append(w)
-                    queue.append(w)
-        comps.append(tuple(flat_vertex(g, fid) for fid in sorted(comp)))
-    return tuple(comps)
-
-
-def is_connected(g: BipartiteGraph) -> bool:
-    return len(connected_components(g)) == 1
-
-
-def cut_size(g: BipartiteGraph, vertices: Iterable[Vertex]) -> int:
-    """Number of edges with exactly one endpoint in the given set."""
-    members = {_check_vertex(g, v) for v in vertices}
-    total = 0
-    for xi, yj in g.edges:
-        if ((X_PART, xi) in members) != ((Y_PART, yj) in members):
-            total += 1
-    return total
 
 
 def cross_edges(

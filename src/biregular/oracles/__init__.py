@@ -14,7 +14,6 @@ from .rigidity import (
     greedy_rigid_packing,
     is_globally_rigid,
     is_redundantly_rigid,
-    is_rigid,
     rigidity_matrix_rank_modular,
     rigidity_rank,
 )
@@ -30,7 +29,6 @@ __all__ = [
     "greedy_rigid_packing",
     "is_globally_rigid",
     "is_redundantly_rigid",
-    "is_rigid",
     "rigidity_matrix_rank_modular",
     "rigidity_rank",
     "tree_packing_number",

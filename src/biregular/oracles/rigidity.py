@@ -235,10 +235,6 @@ def rigidity_rank(g: BipartiteGraph) -> OracleResult:
     return OracleResult(rank, LamanSubgraph(independent))
 
 
-def is_rigid(g: BipartiteGraph) -> bool:
-    return rigidity_rank(g).value == 2 * g.n - 3
-
-
 def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
     """Rigidity-matrix rank at seeded random points mod RANK_FIELD_PRIME.
 
@@ -418,7 +414,7 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     successful round does not refute the packing. That takes
     m >= 2(2n-3), so n >= 15.
     """
-    check_k(k)
+    k = check_k(k)
     target = 2 * g.n - 3
     if k == 1:
         rank, independent = pebble_rank_edges(g, g.edges)

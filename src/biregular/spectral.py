@@ -88,14 +88,6 @@ def singular_values(g: BipartiteGraph) -> Spectrum:
     return Spectrum(sigma=sigma, lambda1=lam1, lambda2=lam2, gap=gap)
 
 
-def lambda2(g: BipartiteGraph) -> float:
-    return singular_values(g).lambda2
-
-
-def spectral_gap(g: BipartiteGraph) -> float:
-    return singular_values(g).gap
-
-
 def mixing_check(
     g: BipartiteGraph,
     a_side: Iterable[Vertex],

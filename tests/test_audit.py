@@ -1,9 +1,11 @@
 """Audit harness: determinism, soundness wiring, report formats."""
 
+import json
 import re
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from biregular import (
@@ -14,7 +16,6 @@ from biregular import (
     complete_bipartite,
     heawood,
     mixing_audit,
-    parse_report_json,
     random_biregular,
     report_emit,
     singular_values,
@@ -112,6 +113,20 @@ def test_config_rejects_k_grid_entries_up_front():
         AuditConfig(1, ((4, 4, 2, 2),), (), props, 1)
 
 
+def test_config_stores_k_grid_as_ints():
+    # A k of 2.0, np.int64(2) or True is stored as the int it stands for,
+    # so the records, the CSV and the JSON match those of the plain int.
+    props = (GraphProperty.EDGE_CONNECTIVITY,)
+
+    def emitted(k_grid):
+        records = audit_random(AuditConfig(1, ((6, 4, 2, 3),), k_grid, props, 99))
+        return report_emit(records, "csv"), report_emit(records, "json")
+
+    for k_grid, plain in (((2.0,), (2,)), ((np.int64(2),), (2,)), ((True,), (1,))):
+        assert AuditConfig(1, ((6, 4, 2, 3),), k_grid, props, 99).k_grid == plain
+        assert emitted(k_grid) == emitted(plain)
+
+
 def test_config_rejects_impossible_profiles_before_sampling(monkeypatch):
     # A size or degree below 1, or a degree above the opposite part's size
     # (a > y, and so b > x), has no simple graph: the config refuses it
@@ -194,12 +209,13 @@ def test_report_none_fields():
     )
     line = report_emit([rec], "csv").splitlines()[1]
     assert line == "g,2,2,3,3,1,stp,9,,not-fired,,true"
-    assert parse_report_json(report_emit([rec], "json")) == [rec]
+    assert [AuditRecord(**o) for o in json.loads(report_emit([rec], "json"))] == [rec]
 
 
 def test_json_round_trip():
     records = audit_random(SMALL_CFG)
-    assert parse_report_json(report_emit(records, "json")) == records
+    text = report_emit(records, "json")
+    assert [AuditRecord(**o) for o in json.loads(text)] == records
 
 
 def test_report_rejects_unknown_format():

@@ -5,7 +5,12 @@ import pytest
 from biregular import BipartiteGraph, complete_bipartite, even_cycle
 from biregular.errors import InvalidParam, TooLarge
 from biregular.graphs import flat_edges
-from biregular.oracles import ForestPacking, packing, tree_packing_number
+from biregular.oracles import (
+    ForestPacking,
+    greedy_rigid_packing,
+    packing,
+    tree_packing_number,
+)
 
 from partition_oracles import (
     _BLOCK_ROWS,
@@ -57,6 +62,14 @@ def test_k_max_caps_the_search():
     assert tree_packing_number(complete_bipartite(4, 4), k_max=1).value == 1
     assert tree_packing_number(complete_bipartite(6, 6), k_max=2).value == 2
     assert tree_packing_number(complete_bipartite(6, 6), k_max=2.0).value == 2
+
+
+def test_greedy_rigid_packing_takes_integral_float_k():
+    # check_k accepts an integral float for every k, so greedy packing
+    # packs the same as at the int rather than failing in range(2.0).
+    k1212 = complete_bipartite(12, 12)
+    assert greedy_rigid_packing(k1212, 2.0) == greedy_rigid_packing(k1212, 2)
+    assert greedy_rigid_packing(k1212, 2.0).value == 2
 
 
 def test_disconnected_tau_zero():

@@ -19,7 +19,6 @@ from biregular.oracles import (
     greedy_rigid_packing,
     is_globally_rigid,
     is_redundantly_rigid,
-    is_rigid,
     rigidity_matrix_rank_modular,
     rigidity_rank,
     vertex_connectivity,
@@ -68,10 +67,13 @@ def test_rank_desk_values():
 
 
 def test_rigidity_flags():
-    assert is_rigid(complete_bipartite(3, 3))
-    assert not is_rigid(even_cycle(6))
-    assert is_rigid(complete_bipartite(6, 6))
-    assert not is_rigid(complete_bipartite(2, 3))
+    for g, rigid in (
+        (complete_bipartite(3, 3), True),
+        (even_cycle(6), False),
+        (complete_bipartite(6, 6), True),
+        (complete_bipartite(2, 3), False),
+    ):
+        assert (rigidity_rank(g).value == 2 * g.n - 3) == rigid
 
 
 def test_pebble_rank_matches_modular_rank():
@@ -107,7 +109,7 @@ def _first_critical_edge(g):
     """Delete every edge in turn; GF(p) rank, no pebble game."""
     target = 2 * g.n - 3
     for edge in g.edges:
-        if modular_rank_bruteforce(g, g.without_edge(edge).edges) != target:
+        if modular_rank_bruteforce(g, [e for e in g.edges if e != edge]) != target:
             return edge
     return None
 
@@ -124,7 +126,7 @@ def test_critical_edge_witness():
     assert is_globally_rigid(K44_PENDANT).value == 0
 
     for g in (*small_corpus(), *medium_corpus()):
-        if not is_rigid(g):
+        if rigidity_rank(g).value != 2 * g.n - 3:
             continue
         critical = _first_critical_edge(g)
         res = is_redundantly_rigid(g)
@@ -543,9 +545,9 @@ def test_partition_bound_with_removed_set():
 
 
 def test_partition_sufficient_fires_for_k33():
-    res = rigid_packing_partition_sufficient(complete_bipartite(3, 3), 1)
-    assert res.value == 1
-    assert is_rigid(complete_bipartite(3, 3))
+    k33 = complete_bipartite(3, 3)
+    assert rigid_packing_partition_sufficient(k33, 1).value == 1
+    assert rigidity_rank(k33).value == 2 * k33.n - 3
 
 
 def test_partition_sufficient_finds_violation_for_c6():
@@ -569,7 +571,7 @@ def test_partition_sufficient_consistent_with_pebble_game():
     for g in graphs:
         res = rigid_packing_partition_sufficient(g, 1)
         if res.value == 1:
-            assert is_rigid(g)
+            assert rigidity_rank(g).value == 2 * g.n - 3
 
 
 def test_partition_sufficient_against_bound_and_greedy():
