@@ -79,14 +79,31 @@ Row (u, v) of R is d = p_u - p_v in u's two columns and -d in v's.
   on its own columns. So rank R = 2 (pivoted hubs) + rank of the residual:
   the Schur rows and every row of the other hubs, over the leaf columns
   and those hubs' columns.
+- Private leaf elimination. A leaf holding one of a pivoted hub's two
+  pivot rows is an anchor; the other leaves are private. A residual row
+  is -d_j at its own leaf and otherwise lies on its hub's columns (a hub
+  not pivoted) or on its hub's two anchors (a Schur row). So a private
+  leaf w's columns are nonzero only in the rows whose own leaf is w, and
+  no two private leaves share a row. Take w's first two residual rows,
+  with blocks -d_1 and -d_2 forming an invertible D. Each other row r_j of
+  w, less c_1 r_1 + c_2 r_2 with (c_1, c_2) = d_j D^-1 (the hubs' Cramer
+  step), is zero on w's columns, and lies on the anchors and hubs of r_j,
+  r_1 and r_2. Now r_1 and r_2 are the only rows that meet w's columns,
+  column operations through D clear the rest of them, and they add
+  exactly 2 to the rank. Each such leaf changes only its own rows, so all
+  are pivoted at once, in any set of residual rows: its rank is 2
+  (pivoted private leaves) + rank of the other rows over the columns of
+  the anchors, the unpivoted hubs and the unpivoted private leaves.
 
 By the ceiling the residual has rank at most 2n - 3 - 2 (pivoted hubs).
-It is first eliminated on a prefix of about 1.25 times that many rows,
-taken round robin over the rows' leaves (each leaf's first row, then each
-leaf's second) so the prefix spreads over the leaf columns. A prefix that
-reaches the ceiling settles the rank, since the residual's rank lies
-between the prefix's and the ceiling; otherwise all its rows are
-eliminated. The points decide only how much work is done, never the rank.
+It is first ranked on a prefix of about 1.25 times that many rows, taken
+round robin over the rows' leaves (each leaf's first row, then each
+leaf's second) so the prefix spreads over the leaf columns and holds the
+first two rows of most leaves. A prefix that reaches the ceiling settles
+the rank, since the residual's rank lies between the prefix's and the
+ceiling; otherwise all its rows are ranked. Each of the two pivots its
+private leaves before the dense elimination of what is left. The points
+decide only how much work is done, never the rank.
 
 Greedy packing repeatedly extracts a spanning Laman subgraph and removes
 its edges. Insertion order matters only for which basis the game picks, not
@@ -156,6 +173,8 @@ def _pebble_accepted(n, edges, rejected=None):
     there with the reach set and the orientation the failed search left; a
     true return ends the game. Edges rejected inside a component are not
     passed to it: their circuits were covered when the component formed.
+    Without ``rejected`` the game ends at the 2n - 3 ceiling, since no
+    later edge can be accepted.
     """
     peb = [2] * n
     succ = [[] for _ in range(n)]
@@ -164,6 +183,7 @@ def _pebble_accepted(n, edges, rejected=None):
     stamp = 0
     components = []
     accepted = []
+    full = 2 * n - 3 if rejected is None else None
     for idx, (u, v) in enumerate(edges):
         ends = (1 << u) | (1 << v)
         for c in components:  # a plain loop: any() over a generator costs more
@@ -185,6 +205,8 @@ def _pebble_accepted(n, edges, rejected=None):
             peb[u] -= 1
             succ[u].append(v)
             accepted.append(idx)
+            if len(accepted) == full:
+                break
             continue
         reach, mask = [u, v], ends
         for w in reach:  # grows as it is read: a breadth-first search
@@ -244,9 +266,9 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
     the degeneracy variety except with probability O(poly(n) /
     RANK_FIELD_PRIME), so this equals the pebble-game rank for all practical
     purposes and is re-run under several seeds by the tests. The rank is the
-    exact rank of that matrix over the field, computed by hub block
-    elimination and stopped at the 2n - 3 ceiling (see the module
-    docstring and ``_rank_at``).
+    exact rank of that matrix over the field, computed by hub and private
+    leaf block elimination and stopped at the 2n - 3 ceiling (see the
+    module docstring and ``_rank_at``).
     """
     return _rank_at(g, _rank_points(g.n, seed), RANK_FIELD_PRIME)
 
@@ -263,9 +285,11 @@ def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:
     whose first two rows, at its two lowest neighbors, have an invertible
     2 x 2 hub block has both its columns pivoted at once, and each of its
     other rows becomes a Schur row over three leaves. Every other hub keeps
-    its rows and its two columns. The residual is eliminated on a
-    round-robin prefix of its rows and again in full only when the prefix
-    falls short of the 2n - 3 ceiling (see the module docstring).
+    its rows and its two columns. The residual is ranked on a round-robin
+    prefix of its rows and again in full only when the prefix falls short
+    of the 2n - 3 ceiling; in each, every private leaf with an invertible
+    block in its first two rows is pivoted the same way before the rest is
+    eliminated (see the module docstring).
     """
     x, m = g.x_count, g.m
     if not m:
@@ -284,10 +308,7 @@ def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:
     group = np.cumsum(starts) - 1  # row -> its hub
     d1 = d[first]
     d2 = d[np.minimum(first + 1, m - 1)]  # read only at degree 2 or more
-    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) % p
-    pivoted = (np.diff(np.r_[first, m]) >= 2) & (det != 0)
-    inv = np.zeros(len(first), dtype=np.int64)
-    inv[pivoted] = [pow(int(t), -1, p) for t in det[pivoted]]
+    pivoted, inv = _invertible(d1, d2, np.diff(np.r_[first, m]) >= 2, p)
 
     # The residual rows: all but the two pivot rows of each pivoted hub, in
     # round robin over their leaves (each leaf's first row, then each leaf's
@@ -301,34 +322,80 @@ def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:
     in_order = key[by_leaf]
     turn = np.empty_like(by_leaf)
     turn[by_leaf] = np.arange(len(rows)) - np.searchsorted(in_order, in_order)
-    rows = rows[np.lexsort((key, turn))]
+    order = np.lexsort((key, turn))
+    rows, key, turn = rows[order], key[order], turn[order]
     # Residual vertices: the leaves, then the hubs that were not pivoted.
     kept_vertex = leaves - 1 + np.cumsum(~pivoted)
+    unpivoted = np.ones(kept_vertex[-1] + 1 - leaves, dtype=bool)
+    # The anchors hold the pivoted hubs' pivot rows; the other leaves are
+    # private. Each leaf's first and second residual rows, by position in
+    # the round robin (len(rows) where there is none).
+    private = np.ones(leaves, dtype=bool)
+    private[leaf[first[pivoted]]] = private[leaf[first[pivoted] + 1]] = False
+    lead = np.full(leaves, len(rows))
+    lead[key[turn == 0]] = np.flatnonzero(turn == 0)
+    second = np.full(leaves, len(rows))
+    second[key[turn == 1]] = np.flatnonzero(turn == 1)
 
-    def residual(rows):
-        out = np.zeros((len(rows), kept_vertex[-1] + 1, 2), dtype=np.int64)
-        at = np.arange(len(rows))
-        out[at, leaf[rows]] = -d[rows] % p
-        schur = pivoted[group[rows]]
-        kept = rows[~schur]
+    def residual_rank(count):
+        # The first count residual rows, each -d at its leaf and either d at
+        # its unpivoted hub or, as a Schur row j less c1 (row 1) and c2
+        # (row 2) of its hub, c1 d1 and c2 d2 at the hub's first two leaves.
+        part, own, later = rows[:count], key[:count], turn[:count] >= 2
+        out = np.zeros((count, kept_vertex[-1] + 1, 2), dtype=np.int64)
+        at = np.arange(count)
+        out[at, own] = -d[part] % p
+        schur = pivoted[group[part]]
+        kept = part[~schur]
         out[at[~schur], kept_vertex[group[kept]]] = d[kept]
-        # Row j less c1 (row 1) and c2 (row 2), where c1 d1 + c2 d2 = d_j,
-        # is zero on the hub and keeps -d_j at its leaf, c1 d1 and c2 d2 at
-        # the hub's first two leaves. Cramer's rule gives c1 and c2.
-        j = rows[schur]
+        j = part[schur]
         h = group[j]
-        e, f = d[j, 0], d[j, 1]
-        c1 = (e * d2[h, 1] - f * d2[h, 0]) % p * inv[h] % p
-        c2 = (d1[h, 0] * f - d1[h, 1] * e) % p * inv[h] % p
+        c1, c2 = _cramer(d[j], d1[h], d2[h], inv[h], p)
         out[at[schur], leaf[first[h]]] = c1[:, None] * d1[h] % p
         out[at[schur], leaf[first[h] + 1]] = c2[:, None] * d2[h] % p
-        return out.reshape(len(rows), -1)
+        # A private leaf's columns meet only its own rows, -d in each, so the
+        # hubs' step pivots at once every private leaf with two rows here.
+        r1, r2 = np.minimum(lead, count - 1), np.minimum(second, count - 1)
+        done, inv_leaf = _invertible(
+            d[part[r1]], d[part[r2]], private & (second < count), p
+        )
+        j = np.flatnonzero(done[own] & later)
+        w = own[j]
+        c1, c2 = _cramer(d[part[j]], d[part[r1[w]]], d[part[r2[w]]], inv_leaf[w], p)
+        out[j] = (
+            out[j]
+            - c1[:, None, None] * out[r1[w]] % p
+            - c2[:, None, None] * out[r2[w]] % p
+        ) % p
+        # What is left: the other rows, on the columns of the anchors, the
+        # unpivoted hubs and the unpivoted private leaves.
+        rest = out[~done[own] | later][:, np.concatenate((~done, unpivoted))]
+        left = _rank_mod_p(rest.reshape(len(rest), -1), p) if len(rest) else 0
+        return 2 * int(np.count_nonzero(done)) + left
 
     ceiling = 2 * g.n - 3 - base
     prefix = ceiling + ceiling // 4 + 1
-    if len(rows) > prefix and _rank_mod_p(residual(rows[:prefix]), p) == ceiling:
+    if len(rows) > prefix and residual_rank(prefix) == ceiling:
         return base + ceiling
-    return base + _rank_mod_p(residual(rows), p)
+    return base + residual_rank(len(rows))
+
+
+def _invertible(d1, d2, eligible, p):
+    # Which eligible 2 x 2 blocks, rows d1 and d2, are invertible mod p, and
+    # the inverse of each such block's determinant (0 elsewhere).
+    det = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) % p
+    pivoted = eligible & (det != 0)
+    inv = np.zeros(len(det), dtype=np.int64)
+    inv[pivoted] = [pow(t, -1, p) for t in det[pivoted].tolist()]
+    return pivoted, inv
+
+
+def _cramer(e, d1, d2, inv, p):
+    # (c1, c2) with c1 d1 + c2 d2 = e mod p, row by row, by Cramer's rule;
+    # inv is the inverse of det(d1, d2).
+    c1 = (e[:, 0] * d2[:, 1] - e[:, 1] * d2[:, 0]) % p * inv % p
+    c2 = (d1[:, 0] * e[:, 1] - d1[:, 1] * e[:, 0]) % p * inv % p
+    return c1, c2
 
 
 def _rank_mod_p(mat: np.ndarray, p: int) -> int:

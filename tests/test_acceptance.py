@@ -44,7 +44,7 @@ from partition_oracles import (
     rigid_packing_partition_sufficient,
     tree_packing_partition_bruteforce,
 )
-from testutil import dense_sigma
+from testutil import CHILD_ENV, dense_sigma
 
 TOL = 1e-9
 CORPUS_SEED = 20240808
@@ -322,8 +322,8 @@ def test_criterion_9_audit_determinism(tmp_path):
         "--properties", "edge-conn,vertex-conn,stp",
     ]
     out1, out2 = tmp_path / "audit1.csv", tmp_path / "audit2.csv"
-    r1 = subprocess.run([*args, "--out", str(out1)], capture_output=True)
-    r2 = subprocess.run([*args, "--out", str(out2)], capture_output=True)
+    r1 = subprocess.run([*args, "--out", str(out1)], capture_output=True, env=CHILD_ENV)
+    r2 = subprocess.run([*args, "--out", str(out2)], capture_output=True, env=CHILD_ENV)
     assert r1.returncode == 0 and r2.returncode == 0
     b1, b2 = out1.read_bytes(), out2.read_bytes()
     assert b1 == b2

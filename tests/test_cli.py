@@ -19,6 +19,7 @@ from biregular import (
 from biregular.cli import main
 
 from testutil import (
+    CHILD_ENV,
     DISCONNECTED,
     K44_PENDANT,
     THREE_K44_BLOCKS,
@@ -34,6 +35,7 @@ def run_cli(*args, **kwargs):
         [sys.executable, "-m", "biregular", *args],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
         **kwargs,
     )
 

@@ -1,24 +1,21 @@
 """Every demo script runs to completion against the package in src."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
+from testutil import CHILD_ENV, ROOT
+
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_runs(demo):
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     proc = subprocess.run(
         [sys.executable, str(demo)],
         cwd=ROOT,
-        env=env,
+        env=CHILD_ENV,
         capture_output=True,
         text=True,
         timeout=120,

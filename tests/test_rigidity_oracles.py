@@ -238,7 +238,8 @@ def test_pebble_game_accepts_the_greedy_basis():
 def test_component_shortcut_search_count(monkeypatch):
     # K18,18 accepts 69 of 324 edges. With a search at every rejection the
     # game pulls 661 times in sorted feed, 1169 in spread feed and 631 in
-    # is_redundantly_rigid; with components it pulls 211, 167, 211. The
+    # is_redundantly_rigid; with components, and the plain game stopped at
+    # full rank, it pulls 208, 163, 211. The
     # lower bound fails if the game stops calling the search counted here.
     calls = record_calls(monkeypatch, rigidity, "_pull_pebble")
     g = complete_bipartite(18, 18)
@@ -249,6 +250,28 @@ def test_component_shortcut_search_count(monkeypatch):
     calls.clear()
     assert is_redundantly_rigid(g).value == 1
     assert 150 <= len(calls) <= 220
+
+
+def test_plain_game_stops_at_full_rank(monkeypatch):
+    # Each acceptance spends one of the 2n pebbles, so 3 are free after the
+    # (2n - 3)-th. The plain game searches no more after it, in either
+    # feed; the redundancy game keeps going, since it needs the circuits.
+    pull = rigidity._pull_pebble
+    free = []
+
+    def counted(root, banned, peb, *rest):
+        free.append(sum(peb))
+        return pull(root, banned, peb, *rest)
+
+    monkeypatch.setattr(rigidity, "_pull_pebble", counted)
+    g = complete_bipartite(18, 18)
+    for order in (g.edges, rigidity._spread_order(g, g.edges)):
+        free.clear()
+        assert rigidity.pebble_rank_edges(g, order)[0] == 2 * g.n - 3
+        assert free and min(free) >= 4
+    free.clear()
+    assert is_redundantly_rigid(g).value == 1
+    assert min(free) == 3
 
 
 def test_rank_points_match_scalar_draws(monkeypatch):
@@ -321,10 +344,14 @@ def test_modular_rank_matches_full_matrix(default_corpus):
 
 def test_rank_at_small_primes_takes_every_branch(monkeypatch):
     """``_rank_at`` against Gauss-Jordan on the full matrix at points mod 5,
-    7 and 11, where hub blocks are often singular. The calls into
-    ``_rank_mod_p`` follow from which hubs can pivot, found here from the
-    points: a prefix of ceiling + ceiling // 4 + 1 rows when the residual
-    has more, then all of them only when the prefix falls short."""
+    7 and 11, where hub and leaf blocks are often singular. The calls into
+    ``_rank_mod_p`` follow from which hubs and private leaves can pivot,
+    found here from the points: a prefix of ceiling + ceiling // 4 + 1
+    residual rows when the residual has more, then all of them only when
+    the prefix falls short. In each, a private leaf (one that holds no
+    pivoted hub's pivot row) pivots when its first two rows there have an
+    invertible block, and the call gets the other rows over the other
+    columns."""
     calls = record_calls(monkeypatch, rigidity, "_rank_mod_p")
     graphs = [
         *small_corpus(),
@@ -332,8 +359,22 @@ def test_rank_at_small_primes_takes_every_branch(monkeypatch):
         K44_PENDANT,
         TWO_K44_BLOCKS,
         *(complete_bipartite(m, n) for m, n in ((4, 1), (6, 6), (5, 8))),
+        # y3 hangs off x0 after its first two neighbors: a one-row leaf.
+        BipartiteGraph(
+            5,
+            4,
+            tuple((i, j) for i in range(4) for j in range(3)) + ((0, 3), (4, 0), (4, 1)),
+        ),
     ]
-    seen = dict.fromkeys(("singular hub", "degree-1 hub", "hit", "miss"), 0)
+    branches = (
+        "singular hub", "degree-1 hub", "singular leaf", "one-row leaf", "hit", "miss"
+    )
+    seen = dict.fromkeys(branches, 0)
+
+    def singular(d, p):
+        (a, b), (c, e) = d[:2]
+        return (a * e - b * c) % p == 0
+
     for g in graphs:
         x_hubs = g.x_count >= g.y_count
         hubs, leaves = (g.adj_x, g.y_count) if x_hubs else (g.adj_y, g.x_count)
@@ -345,49 +386,89 @@ def test_rank_at_small_primes_takes_every_branch(monkeypatch):
                     [rng.below(p) for _ in range(2 * g.n)], dtype=np.int64
                 ).reshape(g.n, 2)
                 pivots = kept = 0
+                anchors = set()
+                # Each leaf's residual rows, hub ascending, by their d.
+                residual = [[] for _ in range(leaves)]
                 for h, nbrs in enumerate(hubs):
-                    if len(nbrs) >= 2:
-                        ends = [leaf_base + w for w in nbrs[:2]]
-                        (a, b), (c, d) = pos[hub_base + h] - pos[ends]
-                        if (a * d - b * c) % p:
-                            pivots += 1
-                            continue
+                    d = [pos[hub_base + h] - pos[leaf_base + w] for w in nbrs]
+                    pivot = len(nbrs) >= 2 and not singular(d, p)
+                    if pivot:
+                        pivots += 1
+                        anchors.update(nbrs[:2])
+                    elif len(nbrs) >= 2:
                         seen["singular hub"] += 1
                     elif len(nbrs) == 1:
                         seen["degree-1 hub"] += 1
-                    kept += bool(nbrs)
+                    kept += bool(nbrs) and not pivot
+                    for i, w in enumerate(nbrs):
+                        if not (pivot and i < 2):
+                            residual[w].append(d[i])
+                order = sorted(
+                    (turn, w)
+                    for w, rows in enumerate(residual)
+                    for turn in range(len(rows))
+                )
+
+                def leaf_step(count):
+                    # Pivoted private leaves among the first count rows in
+                    # round robin, and the shape of what is left.
+                    taken = np.bincount([w for _, w in order[:count]], minlength=leaves)
+                    done = 0
+                    for w, rows in enumerate(residual):
+                        if w in anchors or not taken[w]:
+                            continue
+                        if taken[w] == 1:
+                            seen["one-row leaf"] += 1
+                        elif singular(rows, p):
+                            seen["singular leaf"] += 1
+                        else:
+                            done += 1
+                    return done, (count - 2 * done, 2 * (leaves + kept - done))
+
                 calls.clear()
                 full = rank_mod_p_reference(rigidity_matrix_mod_p(g, pos, p), p)
                 assert rigidity._rank_at(g, pos, p) == full
-                rows, cols = g.m - 2 * pivots, 2 * (leaves + kept)
                 ceiling = 2 * g.n - 3 - 2 * pivots
                 prefix = ceiling + ceiling // 4 + 1
                 shapes = [mat.shape for (mat, _), _ in calls]
-                if rows > prefix:
-                    hit = calls[0][1] == ceiling
+                expected = []
+                hit = False
+                if len(order) > prefix:
+                    done, shape = leaf_step(prefix)
+                    assert shapes[:1] == [shape]
+                    hit = 2 * done + calls[0][1] == ceiling
                     seen["hit" if hit else "miss"] += 1
-                    assert shapes == [(prefix, cols)] + [(rows, cols)] * (not hit)
-                else:
-                    assert shapes == [(rows, cols)] * bool(rows)
+                    expected.append(shape)
+                if not hit:
+                    _, shape = leaf_step(len(order))
+                    expected += [shape] * bool(shape[0])
+                assert shapes == expected
     assert all(seen.values()), seen
 
 
 def test_rank_eliminates_leaf_columns_and_a_prefix(monkeypatch):
-    """Every hub pivots on these rigid graphs, so the residual has the 2|L|
-    leaf columns, |L| the smaller part, and its ceiling 2|L| - 3 is met
-    by the first prefix."""
+    """Every hub pivots on these rigid graphs, and so does every private
+    leaf, each with two rows or more in the prefix. So the one call into
+    ``_rank_mod_p`` gets the prefix less two rows per private leaf, over
+    the 2A columns of the A anchors (the hubs' first two neighbors): 10 x 4
+    on K18,18. The ceiling is met by that first prefix."""
     calls = record_calls(monkeypatch, rigidity, "_rank_mod_p")
     circulant = next(
         g for g in seeded_circulants(31, RIGID_CIRCULANTS) if len(g.adj_x[0]) == 18
     )
     for g in (complete_bipartite(18, 18), circulant):
-        leaves = min(g.x_count, g.y_count)
+        leaves = g.y_count  # both graphs are square, so X holds the hubs
+        anchors = len({w for nbrs in g.adj_x for w in nbrs[:2]})
         ceiling = 2 * leaves - 3
+        prefix = ceiling + ceiling // 4 + 1
+        shape = (prefix - 2 * (leaves - anchors), 2 * anchors)
+        assert anchors == 2 if g.m == 18 * 18 else 2 <= anchors <= 6
         for seed in RANK_SEEDS:
             calls.clear()
             assert rigidity_matrix_rank_modular(g, seed) == 2 * g.n - 3
             shapes = [mat.shape for (mat, _), _ in calls]
-            assert shapes == [(ceiling + ceiling // 4 + 1, 2 * leaves)]
+            assert shapes == [shape]
+    assert shape[1] <= 12
 
 
 def test_global_rigidity_cutoff_matches_full_kappa():

@@ -13,6 +13,8 @@ eliminates with ``_rank_mod_p``, and ``redundantly_rigid_reference`` and
 
 from collections import deque
 from itertools import chain, combinations, count
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -33,6 +35,12 @@ from biregular.oracles.rigidity import (
 )
 from biregular.prng import SplitMix64, derive_seed
 from biregular.spectral import mixing_check
+
+ROOT = Path(__file__).resolve().parents[1]
+# The environment of a child Python (the CLI, a demo): src leads its path,
+# as pyproject's pythonpath setting puts it on the path of pytest alone.
+_CHILD_PATH = (str(ROOT / "src"), os.environ.get("PYTHONPATH"))
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, _CHILD_PATH)))
 
 
 def random_biregular_scalar(x, y, a, b, seed, max_retries=10000):
