@@ -32,11 +32,11 @@ def check_k(k) -> int:
     return int(k)
 
 
-class EmptyGraph(Error):
+class EmptyGraph(InvalidParam):
     """The graph has no edges where at least one is required."""
 
 
-class NotBiregular(Error):
+class NotBiregular(InvalidParam):
     """Some vertex degree deviates from the claimed biregular profile."""
 
     def __init__(self, vertex, expected, actual):

@@ -113,11 +113,6 @@ class BipartiteGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> tuple[Vertex, ...]:
-        return tuple((X_PART, i) for i in range(self.x_count)) + tuple(
-            (Y_PART, j) for j in range(self.y_count)
-        )
-
 
 @dataclass(frozen=True)
 class BiregularProfile:

@@ -17,7 +17,9 @@ they build are the ones the full search builds.
 
 - Each forest keeps its components in a union-find, so "does forest f
   join u and v?" needs no search, and a path is searched only when it
-  does. The components change only in the forest that ends a chain, by
+  does. A forest holds one u-v path, so climbing its parent links from u
+  and then from v gives the breadth-first search's path in the same
+  order. The components change only in the forest that ends a chain, by
   the union of the last edge's endpoints (span invariance, Roskind and
   Tarjan 1985). Every other move puts an edge x into a forest j that
   joined x's endpoints when the search began and evicts an edge of that
@@ -58,9 +60,7 @@ class _ForestFamily:
         self.endpoints = endpoints
         self.k = k
         self.assign = {}                       # edge id -> forest id
-        self.adj = [
-            [[] for _ in range(n)] for _ in range(k)
-        ]                                      # forest id -> vertex -> [(nbr, eid)]
+        self.up = [[None] * n for _ in range(k)]  # forest -> vertex -> (parent, eid)
         # Union-find by size with a label per vertex: a find is one lookup.
         self.comp = [list(range(n)) for _ in range(k)]   # forest -> vertex -> label
         self.members = [
@@ -89,33 +89,31 @@ class _ForestFamily:
         )
 
     def _forest_path(self, f, u, v):
-        """Edge ids along the unique u-v path in forest f, or None."""
-        prev = {u: (None, None)}
-        queue = deque([u])
-        while queue:
-            w = queue.popleft()
-            if w == v:
-                path = []
-                while w != u:
-                    p, eid = prev[w]
-                    path.append(eid)
-                    w = p
-                return path
-            for nbr, eid in self.adj[f][w]:
-                if nbr not in prev:
-                    prev[nbr] = (w, eid)
-                    queue.append(nbr)
-        return None
+        """Edge ids on forest f's u-v path (f joins u and v), from v's end."""
+        up, climb, depth = self.up[f], [], {u: 0}   # depth: ancestor -> steps from u
+        while up[u] is not None:
+            u, eid = up[u]
+            climb.append(eid)
+            depth[u] = len(climb)
+        path = []
+        while v not in depth:
+            v, eid = up[v]
+            path.append(eid)
+        return path + climb[: depth[v]][::-1]
 
     def _place(self, eid, f):
+        """Move edge eid into forest f: re-root u's tree at u, hang it on v."""
         u, v = self.endpoints[eid]
         old = self.assign.get(eid)
         if old is not None:
-            self.adj[old][u] = [(w, e) for w, e in self.adj[old][u] if e != eid]
-            self.adj[old][v] = [(w, e) for w, e in self.adj[old][v] if e != eid]
+            up = self.up[old]
+            up[u if up[u] == (v, eid) else v] = None
         self.assign[eid] = f
-        self.adj[f][u].append((v, eid))
-        self.adj[f][v].append((u, eid))
+        up, w, link = self.up[f], u, (v, eid)
+        while link is not None:
+            up[w], link = link, up[w]
+            if link is not None:
+                w, link = link[0], (w, link[1])
         return old
 
     def try_add(self, new_eid):

@@ -44,7 +44,7 @@ from partition_oracles import (
     rigid_packing_partition_sufficient,
     tree_packing_partition_bruteforce,
 )
-from testutil import CHILD_ENV, dense_sigma
+from testutil import CHILD_ENV, dense_sigma, vertices
 
 TOL = 1e-9
 CORPUS_SEED = 20240808
@@ -286,7 +286,7 @@ def test_criterion_7_oracle_cross_validation(corpus):
 
 def test_criterion_8_partition_machinery():
     k33 = complete_bipartite(3, 3)
-    singles = [[v] for v in k33.vertices()]
+    singles = [[v] for v in vertices(k33)]
     assert rigid_packing_partition_bound(k33, 1, (), singles) == (9, 9)
 
     small = [

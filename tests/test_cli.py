@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from biregular import (
+    BipartiteGraph,
     GraphProperty,
     complete_bipartite,
     even_cycle,
@@ -292,12 +293,23 @@ def test_mixing_audit_cli(c6_file):
     assert payload["violations"] == 0
 
 
-def test_usage_errors_exit_1(tmp_path, c6_file):
+def test_usage_errors_exit_1(tmp_path, capsys, c6_file):
     assert run_cli("certify", "--property", "nope", "--input", c6_file).returncode == 1
     assert run_cli("spectrum", "--input", str(tmp_path / "missing.bbg")).returncode == 1
     bad = tmp_path / "bad.bbg"
     bad.write_text("bogus\n")
     assert run_cli("spectrum", "--input", str(bad)).returncode == 1
+    # A path on 2 + 2 vertices and an edgeless graph are bad input, not
+    # oracle or solver failures.
+    for g, message in (
+        (BipartiteGraph(2, 2, ((0, 0), (1, 0), (1, 1))), "has degree"),
+        (BipartiteGraph(2, 2, ()), "graph has no edges"),
+    ):
+        bad.write_text(write_bbg(g))
+        for cmd in ("spectrum", "certify --property edge-conn", "mixing-audit"):
+            assert main([*cmd.split(), "--input", str(bad)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("usage error: ") and message in err
 
 
 def _verify_json_transcript(tmp_path, capsys):

@@ -25,10 +25,10 @@ from biregular.errors import (
 )
 from biregular import prng
 from biregular.audit import default_config
-from biregular.graphs import flat_adjacency, flat_vertex
+from biregular.graphs import flat_adjacency
 from biregular.prng import MASK64, derive_seed
 
-from testutil import girth, random_biregular_scalar
+from testutil import girth, random_biregular_scalar, vertices
 
 
 def test_validate_complete_bipartite_2_3():
@@ -290,6 +290,6 @@ def test_components_and_flat_round_trip():
         4, 4,
         ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2), (2, 3), (3, 2), (3, 3)),
     )
-    assert [flat_vertex(g, fid) for fid in range(g.n)] == list(g.vertices())
+    assert vertices(g) == [("x", i) for i in range(4)] + [("y", j) for j in range(4)]
     adj = flat_adjacency(g)
     assert [len(v) for v in adj] == [2] * 8

@@ -25,11 +25,13 @@ from testutil import (
     is_spanning_tree,
     medium_corpus,
     partition_corpus,
+    projective_plane,
     record_calls,
     seeded_bipartite,
     small_corpus,
     spanning_trees_reference,
     tree_packing_number_reference,
+    vertices,
 )
 
 
@@ -56,6 +58,10 @@ def test_small_desk_values():
     assert tree_packing_number(even_cycle(6)).value == 1
     assert tree_packing_number(complete_bipartite(3, 3)).value == 1
     assert tree_packing_number(complete_bipartite(6, 6)).value == 3
+    # PG(2, 7) packs as many trees as its edge count allows.
+    pg7 = projective_plane(7)
+    assert tree_packing_number(pg7).value == 4 == pg7.m // (pg7.n - 1)
+    assert packing._spanning_trees(pg7, 4) == spanning_trees_reference(pg7, 4)
 
 
 def test_k_max_caps_the_search():
@@ -137,6 +143,17 @@ def test_cap_round_runs_first(monkeypatch):
     assert [k for (_, k), _ in calls] == [3, 2, 1]
 
 
+def _adjacency(up):
+    """Vertex -> [(nbr, eid)] of the forest whose parent links are ``up``."""
+    adj = [[] for _ in up]
+    for w, link in enumerate(up):
+        if link is not None:
+            p, eid = link
+            adj[w].append((p, eid))
+            adj[p].append((w, eid))
+    return adj
+
+
 def _components(n, adj):
     """Vertex -> smallest vertex of its component, by breadth-first search."""
     label = [None] * n
@@ -176,7 +193,7 @@ def test_rounds_match_references(default_corpus, monkeypatch):
         if common:
             full = ForestFamilyReference(n, self.endpoints, self.k)
             full.assign = dict(self.assign)
-            full.adj = [[list(nbrs) for nbrs in forest] for forest in self.adj]
+            full.adj = [_adjacency(up) for up in self.up]
             assert not full.try_add(eid)
         added = run(self, eid)
         assert not (common and added)
@@ -185,8 +202,18 @@ def test_rounds_match_references(default_corpus, monkeypatch):
         moved = any(self.assign[e] != f for e, f in before.items())
         exchanges["all"] += moved
         exchanges["default cap"] += moved and in_default_cap
-        for f in range(self.k):
-            assert _partition(self.comp[f]) == _components(n, self.adj[f])
+        # Each placed edge is the parent link of one of its ends, and a
+        # forest has no other link: one link per edge. A forest with a root
+        # per component has no cycle.
+        placed = [0] * self.k
+        for e, f in self.assign.items():
+            u, v = self.endpoints[e]
+            assert self.up[f][u] == (v, e) or self.up[f][v] == (u, e)
+            placed[f] += 1
+        for f, up in enumerate(self.up):
+            assert n - up.count(None) == placed[f]
+            assert up.count(None) == len(set(self.comp[f]))
+            assert _partition(self.comp[f]) == _components(n, _adjacency(up))
         return added
 
     monkeypatch.setattr(packing._ForestFamily, "try_add", checked)
@@ -268,7 +295,20 @@ def test_round_stops_once_it_cannot_fill(monkeypatch, links):
 
 def test_path_search_count_on_default_corpus(default_corpus, monkeypatch):
     # The full search of every insertion made 69 500 path searches here.
-    calls = record_calls(monkeypatch, packing._ForestFamily, "_forest_path")
+    # Each path climbed along the parent links must be the one a
+    # breadth-first search finds in the same forest, in the same order.
+    calls = []
+    run = packing._ForestFamily._forest_path
+
+    def checked(self, f, u, v):
+        path = run(self, f, u, v)
+        full = ForestFamilyReference(len(self.up[f]), self.endpoints, 1)
+        full.adj = [_adjacency(self.up[f])]
+        assert path == full._forest_path(0, u, v)
+        calls.append(path)
+        return path
+
+    monkeypatch.setattr(packing._ForestFamily, "_forest_path", checked)
     for g in default_corpus:
         tree_packing_number(g, k_max=8)
     assert len(calls) <= 8000
@@ -326,7 +366,7 @@ def test_bruteforce_matches_matroid_union():
                 continue
             blocks = brute.witness.blocks
             label = {v: i for i, block in enumerate(blocks) for v in block}
-            assert sorted(label) == sorted(g.vertices())
+            assert sorted(label) == sorted(vertices(g))
             assert sum(map(len, blocks)) == g.n and len(blocks) >= 2
             crossing = sum(
                 label[("x", xi)] != label[("y", yj)] for xi, yj in g.edges

@@ -50,6 +50,7 @@ from testutil import (
     rigidity_matrix_rank_modular_reference,
     seeded_circulants,
     small_corpus,
+    vertices,
 )
 
 RANK_SEEDS = (101, 202, 303)
@@ -602,7 +603,7 @@ def test_greedy_packing_bad_k():
 
 def test_partition_bound_desk_values():
     k33 = complete_bipartite(3, 3)
-    singles = [[v] for v in k33.vertices()]
+    singles = [[v] for v in vertices(k33)]
     assert rigid_packing_partition_bound(k33, 1, (), singles) == (9, 9)
 
     two_blocks = [
@@ -611,14 +612,14 @@ def test_partition_bound_desk_values():
     ]
     assert rigid_packing_partition_bound(k33, 1, (), two_blocks) == (9, 3)
 
-    one_block = [list(k33.vertices())]
+    one_block = [vertices(k33)]
     assert rigid_packing_partition_bound(k33, 1, (), one_block) == (0, 0)
 
 
 def test_partition_bound_with_removed_set():
     k33 = complete_bipartite(3, 3)
     removed = [("x", 0)]
-    rest = [v for v in k33.vertices() if v != ("x", 0)]
+    rest = [v for v in vertices(k33) if v != ("x", 0)]
     lhs, rhs = rigid_packing_partition_bound(k33, 1, removed, [[v] for v in rest])
     # K_{2,3} remains: lhs = 6; n0 = 5, n_Z = 3 (each y sees x0)
     assert lhs == 6
@@ -666,7 +667,7 @@ def test_partition_sufficient_against_bound_and_greedy():
             res = rigid_packing_partition_sufficient(g, k)
             if res.value == 0:
                 removed, blocks = res.witness.removed, res.witness.blocks
-                assert sorted(sum(blocks, removed)) == sorted(g.vertices())
+                assert sorted(sum(blocks, removed)) == sorted(vertices(g))
                 lhs, rhs = rigid_packing_partition_bound(g, k, removed, blocks)
                 assert lhs < rhs
                 violated += 1
@@ -682,7 +683,7 @@ def test_partition_bound_matches_scalar_reference():
     # block, singletons and two blocks, each also listed out of vertex
     # order, for every Z of size 0..2.
     for g in (complete_bipartite(3, 4), even_cycle(8), DISCONNECTED, K44_PENDANT):
-        verts = list(g.vertices())
+        verts = vertices(g)
         fid = {v: i for i, v in enumerate(verts)}
         edges, adj = flat_edges(g), flat_adjacency(g)
         for z_size in range(3):

@@ -20,7 +20,7 @@ import numpy as np
 
 from biregular import complete_bipartite, even_cycle, prng, random_biregular
 from biregular.errors import RetriesExhausted
-from biregular.graphs import BipartiteGraph, flat_adjacency, flat_edges
+from biregular.graphs import BipartiteGraph, flat_adjacency, flat_edges, flat_vertex
 from biregular.oracles import (
     ForestPacking,
     LamanPacking,
@@ -745,6 +745,22 @@ def seeded_circulants(seed, sizes=CIRCULANT_SIZES):
         yield BipartiteGraph(n, n, edges)
 
 
+def projective_plane(q):
+    """Point-line incidence graph of PG(2, q), q prime, from homogeneous
+    coordinates: points and lines are (x, y, 1), (x, 1, 0) and (1, 0, 0)
+    mod q, and a point lies on a line when their dot product is 0 mod q.
+    It is (q + 1, q + 1)-biregular on 2(q^2 + q + 1) vertices."""
+    points = [(x, y, 1) for x in range(q) for y in range(q)]
+    points += [(x, 1, 0) for x in range(q)] + [(1, 0, 0)]
+    edges = tuple(
+        (i, j)
+        for i, point in enumerate(points)
+        for j, line in enumerate(points)
+        if sum(s * t for s, t in zip(point, line)) % q == 0
+    )
+    return BipartiteGraph(len(points), len(points), edges)
+
+
 def seeded_bipartite(seed, count):
     """Seeded bipartite graphs, 2..11 vertices a side, each edge kept with
     probability d/8 for d = 1..8: many have isolated vertices, some more
@@ -769,3 +785,8 @@ def record_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, recorded)
     return calls
+
+
+def vertices(g: BipartiteGraph):
+    """Every vertex of g as (part, index), in flat id order: X, then Y."""
+    return [flat_vertex(g, fid) for fid in range(g.n)]
