@@ -12,7 +12,6 @@ from .audit import (
     AuditRecord,
     audit_random,
     default_config,
-    default_size_grid,
     generate_corpus,
     report_emit,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "complete_bipartite",
     "cross_edges",
     "default_config",
-    "default_size_grid",
     "derive_seed",
     "errors",
     "even_cycle",

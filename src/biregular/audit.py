@@ -102,6 +102,31 @@ PROPERTIES: dict[GraphProperty, PropertySpec] = {
 
 DEFAULT_TRIALS = 10
 DEFAULT_SEED = 0x5EED_B1A5
+# Desk-scale grid, one line per degree pair and its mirror: degrees 2..8,
+# n <= 60. The configuration model's expected rejection count grows like
+# exp((a-1)(b-1)/2), so most pairs keep (a-1)(b-1) <= 14. Past it are
+# (18, 12, 4, 6) and (12, 18, 6, 4) at 15 and (10, 10, 5, 5) at 16, whose
+# trials can use up the sampler's 10000 attempts and are skipped: 7 of the
+# 10 at (10, 10, 5, 5) under the default seed.
+DEFAULT_SIZE_GRID = (
+    (4, 4, 2, 2), (12, 12, 2, 2), (30, 30, 2, 2),
+    (6, 4, 2, 3), (18, 12, 2, 3), (4, 6, 3, 2), (12, 18, 3, 2),
+    (8, 4, 2, 4), (24, 12, 2, 4), (4, 8, 4, 2), (12, 24, 4, 2),
+    (10, 4, 2, 5), (25, 10, 2, 5), (4, 10, 5, 2), (10, 25, 5, 2),
+    (12, 4, 2, 6), (24, 8, 2, 6), (4, 12, 6, 2), (8, 24, 6, 2),
+    (14, 4, 2, 7), (28, 8, 2, 7), (4, 14, 7, 2), (8, 28, 7, 2),
+    (16, 4, 2, 8), (24, 6, 2, 8), (4, 16, 8, 2), (6, 24, 8, 2),
+    (6, 6, 3, 3), (15, 15, 3, 3),
+    (8, 6, 3, 4), (16, 12, 3, 4), (6, 8, 4, 3), (12, 16, 4, 3),
+    (10, 6, 3, 5), (20, 12, 3, 5), (6, 10, 5, 3), (12, 20, 5, 3),
+    (10, 5, 3, 6), (16, 8, 3, 6), (5, 10, 6, 3), (8, 16, 6, 3),
+    (14, 6, 3, 7), (6, 14, 7, 3),
+    (24, 9, 3, 8), (9, 24, 8, 3),
+    (8, 8, 4, 4), (14, 14, 4, 4),
+    (10, 8, 4, 5), (15, 12, 4, 5), (8, 10, 5, 4), (12, 15, 5, 4),
+    (18, 12, 4, 6), (12, 18, 6, 4),
+    (10, 10, 5, 5),
+)
 DEFAULT_K_GRID = (2, 3, 4, 5, 6, 7, 8)
 # Sorted by value, as the CLI sorts a --properties list.
 DEFAULT_PROPERTIES = (
@@ -113,13 +138,15 @@ DEFAULT_PROPERTIES = (
 
 @dataclass(frozen=True)
 class AuditConfig:
-    """One audit campaign; sizes, k values and seed are kept as checked ints."""
+    """One audit campaign, the default audit in every field not given; sizes,
+    k values and seed are kept as checked ints, and properties (each given
+    as a member or its value) as ``GraphProperty`` members."""
 
-    trials: int
-    size_grid: tuple[tuple[int, int, int, int], ...]
-    k_grid: tuple[int, ...]
-    properties: tuple[GraphProperty, ...]
-    seed: int
+    trials: int = DEFAULT_TRIALS
+    size_grid: tuple[tuple[int, int, int, int], ...] = DEFAULT_SIZE_GRID
+    k_grid: tuple[int, ...] = DEFAULT_K_GRID
+    properties: tuple[GraphProperty, ...] = DEFAULT_PROPERTIES
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         trials = check_int(self.trials, "trials")
@@ -136,15 +163,25 @@ class AuditConfig:
             raise InvalidParam("k grid repeats a value")
         if not self.properties:
             raise InvalidParam("property set must be nonempty")
-        if len(set(self.properties)) != len(self.properties):
+        props = tuple(map(_read_property, self.properties))
+        if len(set(props)) != len(props):
             raise InvalidParam("property set repeats a property")
-        for prop in self.properties:
+        for prop in props:
             if PROPERTIES[prop].oracle is None:
                 raise InvalidParam(f"no exact oracle to audit {prop.value!r}")
         object.__setattr__(self, "trials", trials)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "size_grid", grid)
         object.__setattr__(self, "k_grid", k_grid)
+        object.__setattr__(self, "properties", props)
+
+
+def _read_property(name) -> GraphProperty:
+    """A ``GraphProperty`` member given as itself or as its value."""
+    try:
+        return GraphProperty(name)
+    except ValueError:
+        raise InvalidParam(f"unknown property {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -178,55 +215,8 @@ def _round12(value):
     return None if value is None else float(f"{value:.12g}")
 
 
-def default_size_grid() -> tuple[tuple[int, int, int, int], ...]:
-    """Desk-scale grid: degrees 2..8, n <= 60, densities samplable by rejection.
-
-    Expected rejection count for the configuration model grows like
-    exp((a-1)(b-1)/2), so most degree pairs keep (a-1)(b-1) <= 14 and the
-    high degrees appear in asymmetric pairs. Three profiles go past it:
-    (18, 12, 4, 6) and (12, 18, 6, 4) at 15, and (10, 10, 5, 5) at 16.
-    Those are the trials that use up the sampler's 10000 attempts and are
-    skipped: 7 of the 10 at (10, 10, 5, 5) under the default seed.
-    """
-    return (
-        (4, 4, 2, 2), (12, 12, 2, 2), (30, 30, 2, 2),
-        (6, 4, 2, 3), (18, 12, 2, 3),
-        (4, 6, 3, 2), (12, 18, 3, 2),
-        (8, 4, 2, 4), (24, 12, 2, 4),
-        (4, 8, 4, 2), (12, 24, 4, 2),
-        (10, 4, 2, 5), (25, 10, 2, 5),
-        (4, 10, 5, 2), (10, 25, 5, 2),
-        (12, 4, 2, 6), (24, 8, 2, 6),
-        (4, 12, 6, 2), (8, 24, 6, 2),
-        (14, 4, 2, 7), (28, 8, 2, 7),
-        (4, 14, 7, 2), (8, 28, 7, 2),
-        (16, 4, 2, 8), (24, 6, 2, 8),
-        (4, 16, 8, 2), (6, 24, 8, 2),
-        (6, 6, 3, 3), (15, 15, 3, 3),
-        (8, 6, 3, 4), (16, 12, 3, 4),
-        (6, 8, 4, 3), (12, 16, 4, 3),
-        (10, 6, 3, 5), (20, 12, 3, 5),
-        (6, 10, 5, 3), (12, 20, 5, 3),
-        (10, 5, 3, 6), (16, 8, 3, 6),
-        (5, 10, 6, 3), (8, 16, 6, 3),
-        (14, 6, 3, 7), (6, 14, 7, 3),
-        (24, 9, 3, 8), (9, 24, 8, 3),
-        (8, 8, 4, 4), (14, 14, 4, 4),
-        (10, 8, 4, 5), (15, 12, 4, 5),
-        (8, 10, 5, 4), (12, 15, 5, 4),
-        (18, 12, 4, 6), (12, 18, 6, 4),
-        (10, 10, 5, 5),
-    )
-
-
 def default_config(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED) -> AuditConfig:
-    return AuditConfig(
-        trials=trials,
-        size_grid=default_size_grid(),
-        k_grid=DEFAULT_K_GRID,
-        properties=DEFAULT_PROPERTIES,
-        seed=seed,
-    )
+    return AuditConfig(trials=trials, seed=seed)
 
 
 def generate_corpus(cfg: AuditConfig):

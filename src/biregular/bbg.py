@@ -30,12 +30,14 @@ def write_bbg(g: BipartiteGraph) -> str:
 
 
 def parse_bbg(text: str) -> BipartiteGraph:
+    lines = text.split("\n")
     content = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         content.append((lineno, line))
+    end = len(lines) + (lines[-1] != "")  # the line past the last one
 
     it = iter(content)
 
@@ -43,7 +45,7 @@ def parse_bbg(text: str) -> BipartiteGraph:
         try:
             return next(it)
         except StopIteration:
-            raise ParseError(0, f"unexpected end of input, expected {what}")
+            raise ParseError(end, f"unexpected end of input, expected {what}")
 
     lineno, line = expect("header 'bbg 1'")
     if line != "bbg 1":

@@ -14,14 +14,11 @@ from dataclasses import asdict, is_dataclass
 
 from . import __version__
 from .audit import (
-    DEFAULT_K_GRID,
-    DEFAULT_PROPERTIES,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     PROPERTIES,
     AuditConfig,
     audit_random,
-    default_size_grid,
     report_emit,
 )
 from .bbg import is_int_token, parse_bbg, write_bbg
@@ -154,31 +151,18 @@ def _parse_grid(text):
     return tuple(grid)
 
 
-def _parse_properties(text):
-    names = {p.strip() for p in text.split(",")}
-    known = {prop.value: prop for prop in GraphProperty}
-    unknown = sorted(names - known.keys())
-    if unknown:
-        raise UsageError(f"unknown property {unknown[0]!r}")
-    return tuple(known[name] for name in sorted(names))
-
-
 def _cmd_audit(args):
-    grid = _parse_grid(args.grid) if args.grid else default_size_grid()
-    k_grid = tuple(sorted(set(args.k))) if args.k else DEFAULT_K_GRID
+    # AuditConfig holds the defaults; repeats are dropped and the rest sorted.
+    given = {}
+    if args.grid:
+        given["size_grid"] = _parse_grid(args.grid)
+    if args.k:
+        given["k_grid"] = tuple(sorted(set(args.k)))
     if args.properties:
-        props = _parse_properties(args.properties)
-    else:
-        props = DEFAULT_PROPERTIES
-    cfg = AuditConfig(
-        trials=args.trials,
-        size_grid=grid,
-        k_grid=k_grid,
-        properties=props,
-        seed=args.seed,
-    )
-    records = audit_random(cfg)
-    _emit(report_emit(records, args.format), args.out)
+        names = {p.strip() for p in args.properties.split(",")}
+        given["properties"] = tuple(sorted(names))
+    cfg = AuditConfig(trials=args.trials, seed=args.seed, **given)
+    _emit(report_emit(audit_random(cfg), args.format), args.out)
     return 0
 
 

@@ -95,15 +95,15 @@ class BipartiteGraph:
         # Edges are sorted by x first, so every list is already in order.
         object.__setattr__(self, "adj_x", tuple(tuple(v) for v in ax))
         object.__setattr__(self, "adj_y", tuple(tuple(v) for v in ay))
-        # The (a, b) profile, or None when the graph has no edge or is not
-        # biregular; ``validate_biregular`` then raises.
+        # The (a, b) profile, or None when the graph has no edge or a vertex
+        # is off it; the first such (vertex, expected, actual), X side before
+        # Y side, is kept for ``validate_biregular`` to raise.
         a, b = len(ax[0]), len(ay[0])
-        profile = None
-        if normalized and all(len(v) == a for v in ax) and all(
-            len(v) == b for v in ay
-        ):
-            profile = BiregularProfile(a, b)
+        off = [((X_PART, i), a, len(v)) for i, v in enumerate(ax) if len(v) != a]
+        off += [((Y_PART, j), b, len(v)) for j, v in enumerate(ay) if len(v) != b]
+        profile = None if off or not normalized else BiregularProfile(a, b)
         object.__setattr__(self, "_profile", profile)
+        object.__setattr__(self, "_deviation", off[0] if off else None)
 
     @property
     def n(self) -> int:
@@ -141,22 +141,14 @@ def validate_biregular(g: BipartiteGraph) -> BiregularProfile:
 
     Raises EmptyGraph for edgeless graphs and NotBiregular naming the first
     deviating vertex. The returned profile always satisfies a*|X| == b*|Y|
-    because both sides count the same edges. The graph records it when it
-    is built, so a check of a biregular graph costs no scan.
+    because both sides count the same edges. The graph records the profile
+    or the deviation when it is built, so a check costs no scan.
     """
     if g._profile is not None:
         return g._profile
     if g.m == 0:
         raise EmptyGraph("graph has no edges")
-    a = len(g.adj_x[0])
-    for i, nbrs in enumerate(g.adj_x):
-        if len(nbrs) != a:
-            raise NotBiregular((X_PART, i), a, len(nbrs))
-    b = len(g.adj_y[0])
-    for j, nbrs in enumerate(g.adj_y):
-        if len(nbrs) != b:
-            raise NotBiregular((Y_PART, j), b, len(nbrs))
-    return BiregularProfile(a, b)
+    raise NotBiregular(*g._deviation)
 
 
 def complete_bipartite(m: int, n: int) -> BipartiteGraph:

@@ -117,9 +117,11 @@ class MixingAuditReport:
     max_slack: float
 
 
-# Pairs drawn and checked per chunk of mixing_audit: bounds its arrays
-# (and peak memory) however many pairs are asked for.
+# A chunk of mixing_audit holds at most _MIXING_CHUNK pairs (larger chunks
+# ran slower on graphs with n in the hundreds) and _MIXING_WORDS stream
+# words, one per vertex of a pair, so a wide graph's chunk stays small too.
 _MIXING_CHUNK = 128
+_MIXING_WORDS = 128 * 256
 
 # float32 holds every integer up to 2^24 exactly, so the audit counts in
 # float32 while no count (each at most m) can reach it.
@@ -137,8 +139,8 @@ def mixing_audit(
     Membership of each vertex is one low bit of the seeded stream, so the
     sample includes empty and full sides: pair p reads words
     p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
-    drawn and checked in chunks of _MIXING_CHUNK pairs, so a chunk's
-    arrays stay bounded however many pairs are asked for.
+    drawn and checked in chunks of min(_MIXING_CHUNK, _MIXING_WORDS // n)
+    pairs (at least one), so a chunk's arrays stay bounded.
 
     The counts come from one product per chunk with an (|X|, |Y|+1) count
     matrix C: X-vertex i's row holds its biadjacency row and a 1 in column
@@ -163,8 +165,9 @@ def mixing_audit(
     counts[tuple(zip(*g.edges))] = 1
     counts[:, y] = 1
     lows, highs = [], []
-    for first in range(0, pairs, _MIXING_CHUNK):
-        count = min(_MIXING_CHUNK, pairs - first)
+    chunk = max(1, min(_MIXING_CHUNK, _MIXING_WORDS // n))
+    for first in range(0, pairs, chunk):
+        count = min(chunk, pairs - first)
         bits = stream_u64(seed, first * n, count * n)
         bits &= 1
         bits = bits.astype(dtype).reshape(count, n)

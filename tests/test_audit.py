@@ -21,7 +21,7 @@ from biregular import (
     singular_values,
     spectral,
 )
-from biregular.audit import PROPERTIES, AuditRecord, CSV_HEADER
+from biregular.audit import PROPERTIES, AuditRecord, CSV_HEADER, default_config
 from biregular.errors import (
     AuditUnsound,
     InvalidParam,
@@ -100,6 +100,30 @@ def test_config_validation():
             match=rf"^grid entry {re.escape(repr(entry))} does not hold four",
         ):
             AuditConfig(1, (entry,), (2,), (edge,), 1)
+
+
+def test_config_defaults_are_the_default_audit():
+    assert AuditConfig() == default_config()
+    assert AuditConfig(trials=2, seed=5) == default_config(2, 5)
+
+
+def test_config_reads_property_names_as_members():
+    # A value string is read as its member, so names audit exactly as
+    # members do; a name and its member together are a repeat.
+    named = replace(SMALL_CFG, properties=[p.value for p in SMALL_CFG.properties])
+    assert all(type(p) is GraphProperty for p in named.properties)
+    assert named.properties == SMALL_CFG.properties
+    assert report_emit(audit_random(named)) == report_emit(audit_random(SMALL_CFG))
+    edge = GraphProperty.EDGE_CONNECTIVITY
+    for props, message in (
+        (("bogus",), "unknown property 'bogus'"),
+        ((edge, "EDGE_CONNECTIVITY"), "unknown property 'EDGE_CONNECTIVITY'"),
+        ((edge, None), "unknown property None"),
+        (("ramanujan",), "no exact oracle to audit 'ramanujan'"),
+        (("stp", "edge-conn", edge), "property set repeats a property"),
+    ):
+        with pytest.raises(InvalidParam, match=f"^{re.escape(message)}$"):
+            AuditConfig(properties=props)
 
 
 def test_config_rejects_k_grid_entries_up_front():
@@ -323,13 +347,20 @@ def _scalar_outcome(g, pairs, seed, spectrum):
     return ref[:1] + ref[2:] if ref[0] == "violation" else ref
 
 
+def _chunk(g):
+    """Pairs per chunk of mixing_audit on g."""
+    return max(1, min(spectral._MIXING_CHUNK, spectral._MIXING_WORDS // g.n))
+
+
 def test_mixing_audit_matches_scalar_reference():
     # A chunk holds c pairs: counts below, at and across it, and into a
-    # third chunk; every float equal.
-    graphs = small_corpus() + medium_corpus() + _sparse_graphs()
-    c = spectral._MIXING_CHUNK
+    # third chunk; every float equal. n = 300 gets fewer than 128 pairs.
+    wide = random_biregular(150, 150, 3, 3, derive_seed(5, 9))
+    graphs = small_corpus() + medium_corpus() + _sparse_graphs() + [wide]
+    assert _chunk(wide) < 128
     for i, g in enumerate(graphs):
         spectrum = singular_values(g)
+        c = _chunk(g)
         for pairs in (1, c - 1, c, c + 1, 2 * c + 1):
             seed = derive_seed(21, i, pairs)
             got = _audit_outcome(g, pairs, seed, spectrum)
@@ -339,8 +370,8 @@ def test_mixing_audit_matches_scalar_reference():
 
 @pytest.mark.parametrize(
     "name, value",
-    # One pair per chunk; counts in float64.
-    [("_MIXING_CHUNK", 1), ("_FLOAT32_EXACT", 0)],
+    # One pair per chunk, by either bound; counts in float64.
+    [("_MIXING_CHUNK", 1), ("_MIXING_WORDS", 1), ("_FLOAT32_EXACT", 0)],
 )
 def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
     monkeypatch.setattr(spectral, name, value)
@@ -351,13 +382,24 @@ def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
             assert got == _scalar_outcome(g, 150, derive_seed(23, i), spectrum)
 
 
+def test_mixing_audit_chunk_words_are_bounded(monkeypatch):
+    # A chunk reads at most _MIXING_WORDS stream words, at least one pair.
+    calls = record_calls(monkeypatch, spectral, "stream_u64")
+    for g in (complete_bipartite(2, 600), complete_bipartite(3, 20000)):
+        mixing_audit(g, 200, 7)
+        sizes = [args[2] for args, _ in calls]
+        assert sum(sizes) == 200 * g.n
+        assert max(sizes) <= max(g.n, spectral._MIXING_WORDS)
+        calls.clear()
+
+
 def test_mixing_audit_reports_first_violation():
     # lambda2 = 0 breaks the bound on almost every pair; 0.7 * lambda2 on
     # a few pairs deep into the sample, past the first chunk.
     late = 0
-    c = spectral._MIXING_CHUNK
     for i, g in enumerate(medium_corpus() + _sparse_graphs()[:1]):
         true = singular_values(g)
+        c = _chunk(g)
         zero = Spectrum(true.sigma, true.lambda1, 0.0, gap=true.lambda1)
         for spectrum in (zero, replace(true, lambda2=0.7 * true.lambda2)):
             ref = mixing_audit_scalar(g, 3 * c + 1, 11, spectrum)

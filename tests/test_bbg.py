@@ -46,6 +46,23 @@ def test_edge_count_mismatch():
         parse_bbg(short)
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("bbg 1\nparts 2 2\nedges 1\n", 4),
+        ("bbg 1\nparts 2 2\nedges 1", 4),
+        ("bbg 1\nparts 2 2\nedges 1\n# a comment\n\n", 6),
+        ("", 1),
+    ],
+)
+def test_truncated_input_names_the_line_past_the_end(text, line):
+    with pytest.raises(
+        ParseError, match=f"^line {line}: unexpected end of input, expected "
+    ) as info:
+        parse_bbg(text)
+    assert info.value.line == line
+
+
 def test_extra_edge_line_is_error():
     text = "bbg 1\nparts 2 2\nedges 1\ne 0 0\ne 1 1\n"
     with pytest.raises(ParseError):

@@ -58,6 +58,24 @@ def test_validate_rejects_empty():
         validate_biregular(BipartiteGraph(2, 2, ()))
 
 
+@pytest.mark.parametrize(
+    "edges, vertex, expected, actual",
+    [
+        # Every X-vertex has degree 2; y1 is the first Y-vertex off b = 2.
+        (((0, 0), (0, 1), (1, 0), (1, 2)), ("y", 1), 2, 1),
+        # Both sides deviate: the X side is named first.
+        (((0, 0), (0, 1), (0, 2), (1, 0)), ("x", 1), 3, 1),
+    ],
+)
+def test_validate_names_first_deviation(edges, vertex, expected, actual):
+    g = BipartiteGraph(2, 3, edges)
+    for _ in range(2):
+        with pytest.raises(NotBiregular) as info:
+            validate_biregular(g)
+        err = info.value
+        assert (err.vertex, err.expected, err.actual) == (vertex, expected, actual)
+
+
 def test_construction_rejects_bad_edges():
     with pytest.raises(IndexOutOfRange):
         BipartiteGraph(3, 3, ((5, 0),))

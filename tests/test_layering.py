@@ -66,6 +66,18 @@ def test_stream_layout_stays_in_prng():
     assert _uses(paths, {"GAMMA", "accept_max", "SplitMix64"}) == []
 
 
+def test_audit_defaults_stay_in_audit():
+    # AuditConfig holds the default grid, k values and properties; every
+    # other module, the CLI included, passes only what it was given.
+    allowed = ROOT / "src/biregular/audit.py"
+    paths = [
+        p for root in ("src", "bench", "demos", "tests") for p in _files(root)
+        if p != allowed
+    ]
+    names = {"DEFAULT_SIZE_GRID", "DEFAULT_K_GRID", "DEFAULT_PROPERTIES"}
+    assert _uses(paths, names) == []
+
+
 def test_oracles_name_no_property_or_verdict():
     # The property table in audit.py pairs each property with its oracle;
     # an oracle returns a value, a witness and exactness only.
