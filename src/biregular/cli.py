@@ -15,7 +15,6 @@ from dataclasses import asdict, is_dataclass
 from . import __version__
 from .audit import (
     DEFAULT_SEED,
-    DEFAULT_TRIALS,
     PROPERTIES,
     AuditConfig,
     audit_random,
@@ -152,8 +151,9 @@ def _parse_grid(text):
 
 
 def _cmd_audit(args):
-    # AuditConfig holds the defaults; repeats are dropped and the rest sorted.
-    given = {}
+    # AuditConfig holds the defaults, so only the settings given are passed;
+    # repeated k values and properties are dropped and the rest sorted.
+    given = {"trials": args.trials, "seed": args.seed}
     if args.grid:
         given["size_grid"] = _parse_grid(args.grid)
     if args.k:
@@ -161,7 +161,7 @@ def _cmd_audit(args):
     if args.properties:
         names = {p.strip() for p in args.properties.split(",")}
         given["properties"] = tuple(sorted(names))
-    cfg = AuditConfig(trials=args.trials, seed=args.seed, **given)
+    cfg = AuditConfig(**{f: v for f, v in given.items() if v is not None})
     _emit(report_emit(audit_random(cfg), args.format), args.out)
     return 0
 
@@ -222,8 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("audit", help="randomized certificate/oracle audit")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--trials", type=int, default=None)
     p.add_argument("--grid", default=None, help="x,y,a,b[;x,y,a,b...]")
     p.add_argument("--k", type=int, action="append", default=None)
     p.add_argument("--properties", default=None, help="comma-separated names")

@@ -118,8 +118,11 @@ class MixingAuditReport:
 
 
 # A chunk of mixing_audit holds at most _MIXING_CHUNK pairs (larger chunks
-# ran slower on graphs with n in the hundreds) and _MIXING_WORDS stream
-# words, one per vertex of a pair, so a wide graph's chunk stays small too.
+# ran slower on graphs with n in the hundreds). It reads one stream word per
+# vertex of a pair, and its product reads all |X|(|Y|+1) entries of the
+# count matrix, so it also keeps its words within the larger of
+# _MIXING_WORDS and that matrix: a wide, thin graph draws small chunks,
+# and a large square one still draws _MIXING_CHUNK pairs.
 _MIXING_CHUNK = 128
 _MIXING_WORDS = 128 * 256
 
@@ -139,8 +142,9 @@ def mixing_audit(
     Membership of each vertex is one low bit of the seeded stream, so the
     sample includes empty and full sides: pair p reads words
     p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
-    drawn and checked in chunks of min(_MIXING_CHUNK, _MIXING_WORDS // n)
-    pairs (at least one), so a chunk's arrays stay bounded.
+    drawn and checked in chunks of min(_MIXING_CHUNK, max(_MIXING_WORDS,
+    |X|(|Y|+1)) // n) pairs (at least one), so a chunk's arrays stay
+    bounded.
 
     The counts come from one product per chunk with an (|X|, |Y|+1) count
     matrix C: X-vertex i's row holds its biadjacency row and a 1 in column
@@ -165,7 +169,7 @@ def mixing_audit(
     counts[tuple(zip(*g.edges))] = 1
     counts[:, y] = 1
     lows, highs = [], []
-    chunk = max(1, min(_MIXING_CHUNK, _MIXING_WORDS // n))
+    chunk = max(1, min(_MIXING_CHUNK, max(_MIXING_WORDS, counts.size) // n))
     for first in range(0, pairs, chunk):
         count = min(chunk, pairs - first)
         bits = stream_u64(seed, first * n, count * n)

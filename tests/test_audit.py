@@ -349,15 +349,19 @@ def _scalar_outcome(g, pairs, seed, spectrum):
 
 def _chunk(g):
     """Pairs per chunk of mixing_audit on g."""
-    return max(1, min(spectral._MIXING_CHUNK, spectral._MIXING_WORDS // g.n))
+    words = max(spectral._MIXING_WORDS, g.x_count * (g.y_count + 1))
+    return max(1, min(spectral._MIXING_CHUNK, words // g.n))
 
 
 def test_mixing_audit_matches_scalar_reference():
     # A chunk holds c pairs: counts below, at and across it, and into a
-    # third chunk; every float equal. n = 300 gets fewer than 128 pairs.
+    # third chunk; every float equal. Two graphs with n > 256 get fewer
+    # than 128 pairs, one bounded by _MIXING_WORDS (n = 300, c = 109) and
+    # one by its count matrix (n = 480, c = 160 * 321 // 480 = 107).
     wide = random_biregular(150, 150, 3, 3, derive_seed(5, 9))
-    graphs = small_corpus() + medium_corpus() + _sparse_graphs() + [wide]
-    assert _chunk(wide) < 128
+    thin = random_biregular(160, 320, 4, 2, derive_seed(5, 10))
+    assert (_chunk(wide), _chunk(thin)) == (109, 107)
+    graphs = small_corpus() + medium_corpus() + _sparse_graphs() + [wide, thin]
     for i, g in enumerate(graphs):
         spectrum = singular_values(g)
         c = _chunk(g)
@@ -370,7 +374,8 @@ def test_mixing_audit_matches_scalar_reference():
 
 @pytest.mark.parametrize(
     "name, value",
-    # One pair per chunk, by either bound; counts in float64.
+    # One pair per chunk; chunks bounded by the count matrix alone (4 to
+    # 54 pairs here); counts in float64.
     [("_MIXING_CHUNK", 1), ("_MIXING_WORDS", 1), ("_FLOAT32_EXACT", 0)],
 )
 def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
@@ -383,13 +388,19 @@ def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
 
 
 def test_mixing_audit_chunk_words_are_bounded(monkeypatch):
-    # A chunk reads at most _MIXING_WORDS stream words, at least one pair.
+    # A chunk reads at most as many stream words as the larger of
+    # _MIXING_WORDS and the count matrix, and at least one pair: K(2, 600)
+    # gets 54 pairs per chunk, K(3, 20000) 2 and K(300, 300) 128.
     calls = record_calls(monkeypatch, spectral, "stream_u64")
-    for g in (complete_bipartite(2, 600), complete_bipartite(3, 20000)):
+    for g, c in (
+        (complete_bipartite(2, 600), 54),
+        (complete_bipartite(3, 20000), 2),
+        (complete_bipartite(300, 300), 128),
+    ):
         mixing_audit(g, 200, 7)
         sizes = [args[2] for args, _ in calls]
         assert sum(sizes) == 200 * g.n
-        assert max(sizes) <= max(g.n, spectral._MIXING_WORDS)
+        assert sizes[0] == c * g.n == _chunk(g) * g.n
         calls.clear()
 
 

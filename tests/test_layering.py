@@ -67,14 +67,17 @@ def test_stream_layout_stays_in_prng():
 
 
 def test_audit_defaults_stay_in_audit():
-    # AuditConfig holds the default grid, k values and properties; every
-    # other module, the CLI included, passes only what it was given.
+    # AuditConfig holds the default trials, grid, k values and properties;
+    # every other module, the CLI included, passes only what it was given.
     allowed = ROOT / "src/biregular/audit.py"
     paths = [
         p for root in ("src", "bench", "demos", "tests") for p in _files(root)
         if p != allowed
     ]
-    names = {"DEFAULT_SIZE_GRID", "DEFAULT_K_GRID", "DEFAULT_PROPERTIES"}
+    names = {
+        "DEFAULT_TRIALS", "DEFAULT_SIZE_GRID", "DEFAULT_K_GRID",
+        "DEFAULT_PROPERTIES",
+    }
     assert _uses(paths, names) == []
 
 
