@@ -27,12 +27,15 @@ root or divide):
   global rigidity, a,b >= 6:
       sqrt(ab) - (3 + max(a,b)) / sqrt(ceil((a-2)/2) ceil((b-2)/2))
   Ramanujan labelling: lambda2 <= sqrt(a-1) + sqrt(b-1)
+
+The abstract states v/2 where these use ceil(v/2) >= v/2, so each subtracted
+term shrinks; the vertex-connectivity form has no ceiling and is the abstract's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import check_k
@@ -76,7 +79,7 @@ class Certificate:
     when the degree hypothesis fails, since the formula is meaningless or
     undefined there. ``strict`` records whether the underlying condition
     uses '<' rather than '<='. ``implied`` lists consequences that come for
-    free with a fired certificate.
+    free with a fired certificate, and ``tol`` is the fixed EPSILON band.
     """
 
     property: GraphProperty
@@ -92,35 +95,25 @@ class Certificate:
     hypothesis_ok: bool
     verdict: Verdict
     implied: tuple[str, ...] = ()
-    tol: float = EPSILON
+    tol: float = field(default=EPSILON, init=False)
 
     @property
     def certified(self) -> bool:
         return self.verdict is Verdict.CERTIFIED
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d.update(
-            property=self.property.value,
-            thresholds=list(self.thresholds),
-            verdict=self.verdict.value,
-            implied=list(self.implied),
-        )
-        return d
 
 
 def _ceil_half(v: int) -> int:
     return (v + 1) // 2
 
 
-def _decide(lam2: float, threshold: float | None, tol: float) -> Verdict:
+def _decide(lam2: float, threshold: float | None) -> Verdict:
     # A negative threshold can never fire: lambda2 >= 0 on any bipartite
     # graph with edges. Inside the tolerance band floats cannot tell the
     # two sides apart, so the verdict is MARGINAL whether the condition
     # is strict or not; outside the band both reduce to a plain compare.
     if threshold is None or threshold < 0.0:
         return Verdict.NOT_FIRED
-    if abs(lam2 - threshold) < tol:
+    if abs(lam2 - threshold) < EPSILON:
         return Verdict.MARGINAL
     return Verdict.CERTIFIED if lam2 < threshold else Verdict.NOT_FIRED
 
@@ -140,7 +133,7 @@ def _certify(
     hypothesis_ok = hypothesis(a, b)
     found = tuple(thresholds(a, b, x, y)) if hypothesis_ok else ()
     threshold = max(found) if found else None
-    verdict = _decide(lam2, threshold, EPSILON)
+    verdict = _decide(lam2, threshold)
     return Certificate(
         property=prop,
         k=k,

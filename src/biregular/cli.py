@@ -99,7 +99,7 @@ def _cmd_certify(args):
     prop = GraphProperty(args.property)
     cert = PROPERTIES[prop].certify(g, check_k(args.k))
     if args.json:
-        _emit(json.dumps(cert.to_dict()) + "\n", args.out)
+        _emit(json.dumps(asdict(cert)) + "\n", args.out)
     else:
         _emit(
             f"{prop.value} k={cert.k}: {cert.verdict.value} "

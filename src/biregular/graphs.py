@@ -65,7 +65,6 @@ class BipartiteGraph:
         object.__setattr__(self, "x_count", x_count)
         object.__setattr__(self, "y_count", y_count)
         seen = set()
-        normalized = []
         for pos, e in enumerate(self.edges):
             try:
                 xi, yj = index(e[0]), index(e[1])
@@ -84,8 +83,7 @@ class BipartiteGraph:
             if (xi, yj) in seen:
                 raise DuplicateEdge(f"edge ({xi}, {yj}) repeated", pos)
             seen.add((xi, yj))
-            normalized.append((xi, yj))
-        normalized.sort()
+        normalized = sorted(seen)
         object.__setattr__(self, "edges", tuple(normalized))
         ax = [[] for _ in range(self.x_count)]
         ay = [[] for _ in range(self.y_count)]
@@ -122,18 +120,21 @@ class BiregularProfile:
     b: int
 
 
-def _check_vertex(g: BipartiteGraph, v: Vertex) -> Vertex:
-    part, idx = v
-    if part not in (X_PART, Y_PART):
-        raise InvalidParam(f"unknown part tag {part!r}")
+def _vertex_index(g: BipartiteGraph, v: Vertex, part: str) -> int:
+    """v's index; its tag, an integer index in range, then its part are checked."""
+    tag, idx = v
+    if tag not in (X_PART, Y_PART):
+        raise InvalidParam(f"unknown part tag {tag!r}")
     try:
         idx = index(idx)
     except TypeError:
         raise IndexOutOfRange(f"vertex {v!r} has a non-integer index") from None
-    bound = g.x_count if part == X_PART else g.y_count
+    bound = g.x_count if tag == X_PART else g.y_count
     if not 0 <= idx < bound:
-        raise IndexOutOfRange(f"{part} index {idx} outside [0, {bound})")
-    return (part, idx)
+        raise IndexOutOfRange(f"{tag} index {idx} outside [0, {bound})")
+    if tag != part:
+        raise PartMismatch(f"{v} is not {'an X' if part == X_PART else 'a Y'}-vertex")
+    return idx
 
 
 def validate_biregular(g: BipartiteGraph) -> BiregularProfile:
@@ -283,18 +284,6 @@ def cross_edges(
     g: BipartiteGraph, a_side: Iterable[Vertex], b_side: Iterable[Vertex]
 ) -> int:
     """Exact count of edges between A (within X) and B (within Y)."""
-    a_idx = set()
-    for v in a_side:
-        part, idx = _check_vertex(g, v)
-        if part != X_PART:
-            raise PartMismatch(f"{v} is not an X-vertex")
-        a_idx.add(idx)
-    b_idx = set()
-    for v in b_side:
-        part, idx = _check_vertex(g, v)
-        if part != Y_PART:
-            raise PartMismatch(f"{v} is not a Y-vertex")
-        b_idx.add(idx)
-    return sum(
-        1 for i in a_idx for j in g.adj_x[i] if j in b_idx
-    )
+    a_idx = {_vertex_index(g, v, X_PART) for v in a_side}
+    b_idx = {_vertex_index(g, v, Y_PART) for v in b_side}
+    return sum(1 for i in a_idx for j in g.adj_x[i] if j in b_idx)

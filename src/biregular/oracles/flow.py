@@ -70,6 +70,12 @@ exact:
   tree arc into a vertex of degree 2 (degrees change only at splits, and
   delta >= 3), or the type-1 or type-2 check, which are the two this
   search runs.
+- No triple (h, v, b) with b a child c of v, which the full algorithm
+  pops, meets the type-2 check. It was first pushed at c, with a the end
+  of a frond from c (never c's parent) or lowpt1(w) < c (c is no cut
+  vertex) for a child w of c, and merging only lowers a; so lowpt1(w) = v.
+  Then lowpt2(w) >= c, as no ancestor lies between, and the type-1 check
+  back from w to c (v is not the root) has already returned {v, c}.
 
 The searches return the separator they find: the empty one when G is
 disconnected, a cut vertex, or the first separation pair.
@@ -372,12 +378,8 @@ def _path_search(arcs, low1, low2, nd, parent, high):
             w = v
             v = stack[-1][0]
             i = down[v]
-            if v:
-                while tstack[-1][1] == v:
-                    b = tstack[-1][2]
-                    if parent[b] != v:
-                        return v, b             # type-2 pair
-                    tstack.pop()
+            if v and tstack[-1][1] == v:
+                return v, tstack[-1][2]         # type-2 pair
             # Only low1[w] and v join w's subtree to the rest, which is
             # more than those two unless v is the root's child with no arc
             # left.
@@ -394,7 +396,6 @@ def _path_search(arcs, low1, low2, nd, parent, high):
                 if a == v or b == v or hv <= h:
                     break
                 tstack.pop()
-    return None
 
 
 def _connectivity_upto3(adj):

@@ -78,6 +78,8 @@ def test_config_validation():
         AuditConfig(1, ((4, 4, 2, 2),), (2,), (GraphProperty.RAMANUJAN,), 1)
     with pytest.raises(InvalidParam):
         AuditConfig(1, ((4, 4, 2, 2),), (2,), (), 1)
+    with pytest.raises(InvalidParam, match="^size grid must be nonempty$"):
+        AuditConfig(size_grid=())
     # A repeated k or property would emit the same record more than once.
     edge = GraphProperty.EDGE_CONNECTIVITY
     with pytest.raises(InvalidParam, match="k grid repeats a value"):

@@ -63,6 +63,26 @@ def test_truncated_input_names_the_line_past_the_end(text, line):
     assert info.value.line == line
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("bbg 1\nparts 2\nedges 0\n", "line 2: expected 'parts <x> <y>', got 'parts 2'"),
+        ("bbg 1\n# c\npart 2 2\n", "line 3: expected 'parts <x> <y>', got 'part 2 2'"),
+        ("bbg 1\nparts 0 2\nedges 0\n", "line 2: part sizes must be positive"),
+        ("bbg 1\nparts 2 -1\nedges 0\n", "line 2: part sizes must be positive"),
+        ("bbg 1\nparts 2 2\nedge 0\n", "line 3: expected 'edges <count>', got 'edge 0'"),
+        ("bbg 1\nparts 2 2\nedges 1 2\n", "line 3: expected 'edges <count>', got 'edges 1 2'"),
+        ("bbg 1\nparts 2 2\nedges -1\n", "line 3: edge count must be nonnegative"),
+        ("bbg 1\nparts 2 2\nedges 1\nf 0 0\n", "line 4: expected 'e <xi> <yj>', got 'f 0 0'"),
+        ("bbg 1\nparts 2 2\nedges 1\n\ne 0\n", "line 5: expected 'e <xi> <yj>', got 'e 0'"),
+    ],
+)
+def test_malformed_lines_name_the_line_and_the_rule(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_bbg(text)
+    assert str(info.value) == message
+
+
 def test_extra_edge_line_is_error():
     text = "bbg 1\nparts 2 2\nedges 1\ne 0 0\ne 1 1\n"
     with pytest.raises(ParseError):

@@ -3,10 +3,13 @@
 import inspect
 import json
 import math
+from dataclasses import asdict
 
 import pytest
 
 from biregular import (
+    Certificate,
+    MixingAuditReport,
     Verdict,
     certify_edge_connectivity,
     certify_global_rigidity,
@@ -27,6 +30,7 @@ from biregular.certify import (
     edge_connectivity_thresholds,
     rigid_packing_threshold,
     tree_packing_threshold,
+    vertex_connectivity_threshold,
 )
 from biregular.errors import InvalidParam
 
@@ -162,17 +166,38 @@ def test_k_must_be_positive():
 
 
 def test_decide_epsilon_band():
-    assert _decide(1.0, 1.0 + 2 * EPSILON, EPSILON) is Verdict.CERTIFIED
-    assert _decide(1.0, 1.0 + EPSILON / 2, EPSILON) is Verdict.MARGINAL
-    assert _decide(1.0, 1.0 - EPSILON / 2, EPSILON) is Verdict.MARGINAL
-    assert _decide(1.0, 1.0 - 2 * EPSILON, EPSILON) is Verdict.NOT_FIRED
-    assert _decide(0.5, None, EPSILON) is Verdict.NOT_FIRED
-    assert _decide(0.0, -1.0, EPSILON) is Verdict.NOT_FIRED
+    assert _decide(1.0, 1.0 + 2 * EPSILON) is Verdict.CERTIFIED
+    assert _decide(1.0, 1.0 + EPSILON / 2) is Verdict.MARGINAL
+    assert _decide(1.0, 1.0 - EPSILON / 2) is Verdict.MARGINAL
+    assert _decide(1.0, 1.0 - 2 * EPSILON) is Verdict.NOT_FIRED
+    assert _decide(0.5, None) is Verdict.NOT_FIRED
+    assert _decide(0.0, -1.0) is Verdict.NOT_FIRED
+
+
+def test_certified_reads_the_verdict():
+    certs = [make() for make, _ in GOLDEN_JSON]
+    certs.append(is_ramanujan(heawood(), _pinned(2 * math.sqrt(2))))
+    assert {c.verdict for c in certs} == set(Verdict)
+    for cert in certs:
+        assert cert.certified == (cert.verdict is Verdict.CERTIFIED)
+
+
+def test_fixed_values_are_not_parameters():
+    # The epsilon band and the audit's zero violations are constants, not
+    # settings: a caller cannot pass them.
+    cert = certify_edge_connectivity(even_cycle(6), 2)
+    assert cert.tol == EPSILON
+    with pytest.raises(TypeError):
+        Certificate(**{**asdict(cert), "tol": 1e-3})
+    with pytest.raises(TypeError):
+        MixingAuditReport(pairs=1, violations=1, min_slack=0.0, max_slack=0.0)
+    assert MixingAuditReport(pairs=1, min_slack=0.0, max_slack=0.0).violations == 0
+    assert list(inspect.signature(_decide).parameters) == ["lam2", "threshold"]
 
 
 def test_certificate_serialization():
     cert = certify_edge_connectivity(even_cycle(6), 2)
-    d = cert.to_dict()
+    d = asdict(cert)
     assert d["property"] == "edge-conn"
     assert d["verdict"] == "certified"
     assert d["k"] == 2 and d["a"] == 2 and d["x"] == 3
@@ -248,7 +273,7 @@ def test_certificate_json_golden():
     # Key order and values of `certify --json`, one certificate per property
     # (rigid packing twice: ``implied`` only survives a fired certificate).
     for make, want in GOLDEN_JSON:
-        assert json.dumps(make().to_dict()) == want
+        assert json.dumps(asdict(make())) == want
 
 
 def test_certifiers_are_module_functions():
@@ -306,3 +331,9 @@ def test_abstract_thresholds_never_beat_ceiling_forms():
                     (a - 1) * (b - 1)
                 )
                 assert simple <= rigid_packing_threshold(a, b, k) + 1e-12
+            # The vertex-connectivity threshold has no ceiling: it is the
+            # abstract's form itself.
+            for k in range(2, min(a, b) + 1):
+                mx = max(a, b)
+                abstract = root - (k - 1) * mx / (2 * math.sqrt(a * b - (k - 1) * mx))
+                assert abs(vertex_connectivity_threshold(a, b, k) - abstract) <= 1e-9

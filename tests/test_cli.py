@@ -157,6 +157,13 @@ def test_verify_json(c6_file):
     assert len(payload["witness"]["edges"]) == 2
 
 
+def test_verify_plain_text(capsys, c6_file):
+    assert main(["verify", "--property", "edge-conn", "--input", c6_file]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "edge-conn: value=2 exact=true\n"
+    assert captured.err == ""
+
+
 def test_verify_other_properties(tmp_path, c6_file):
     k33 = tmp_path / "k33.bbg"
     k33.write_text(write_bbg(complete_bipartite(3, 3)))
@@ -251,6 +258,47 @@ def test_audit_dedups_repeated_k_and_properties(tmp_path):
 def test_audit_bad_grid_exit_1():
     res = run_cli("audit", "--grid", "4,5,2,2", "--trials", "1")
     assert res.returncode == 1
+
+
+@pytest.mark.parametrize(
+    "grid, message",
+    [
+        ("6,6,3", "grid entry '6,6,3' is not x,y,a,b"),
+        ("6,6,3,3,1;4,4,2,2", "grid entry '6,6,3,3,1' is not x,y,a,b"),
+        (";", "empty grid"),
+        (" ; ;", "empty grid"),
+    ],
+)
+def test_audit_malformed_grid_is_usage_error(capsys, grid, message):
+    assert main(["audit", "--grid", grid, "--trials", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"usage error: {message}\n"
+
+
+def test_audit_grid_skips_empty_entries(capsys):
+    # A leading, trailing or doubled ';' adds no grid entry.
+    args = ["audit", "--trials", "1", "--k", "2", "--properties", "edge-conn"]
+    outputs = []
+    for grid in ("6,6,3,3", "6,6,3,3;", ";6,6,3,3;;"):
+        assert main([*args, "--grid", grid]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].count("\n") == 2
+    assert outputs == [outputs[0]] * 3
+
+
+def test_audit_unsound_exits_2(capsys, monkeypatch):
+    import biregular.audit as audit_mod
+
+    # a lying oracle, as in test_audit.py::test_unsound_oracle_aborts
+    monkeypatch.setattr(
+        audit_mod, "edge_connectivity", lambda g: type("R", (), {"value": 0})()
+    )
+    args = ["audit", "--grid", "6,6,3,3", "--trials", "1", "--k", "2"]
+    assert main([*args, "--properties", "edge-conn"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("audit unsound: unsound record ")
 
 
 @pytest.mark.parametrize(

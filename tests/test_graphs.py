@@ -302,6 +302,37 @@ def test_cross_edges_non_integer_index():
         cross_edges(g, [("x", 0)], [("y", 1.0)])
 
 
+@pytest.mark.parametrize("check", [cross_edges, mixing_check])
+@pytest.mark.parametrize(
+    "a_side, b_side, error, message",
+    [
+        ([("z", 0)], [("y", 0)], InvalidParam, "unknown part tag 'z'"),
+        ([("x", 0)], [("z", 0)], InvalidParam, "unknown part tag 'z'"),
+        ([("x", 9)], [("y", 0)], IndexOutOfRange, "x index 9 outside [0, 3)"),
+        ([("x", 0)], [("y", -1)], IndexOutOfRange, "y index -1 outside [0, 3)"),
+        (
+            [("x", 1.5)], [("y", 0)], IndexOutOfRange,
+            "vertex ('x', 1.5) has a non-integer index",
+        ),
+        ([("y", 0)], [("y", 1)], PartMismatch, "('y', 0) is not an X-vertex"),
+        ([("x", 0)], [("x", 1)], PartMismatch, "('x', 1) is not a Y-vertex"),
+        # The tag, the integer and the range are checked before the part.
+        ([("y", 9)], [("y", 0)], IndexOutOfRange, "y index 9 outside [0, 3)"),
+        (
+            [("x", 0)], [("x", 1.5)], IndexOutOfRange,
+            "vertex ('x', 1.5) has a non-integer index",
+        ),
+    ],
+)
+def test_vertex_faults_name_the_first_rule_broken(
+    check, a_side, b_side, error, message
+):
+    with pytest.raises(InvalidParam) as info:
+        check(complete_bipartite(3, 3), a_side, b_side)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 def test_components_and_flat_round_trip():
     # two disjoint 4-cycles
     g = BipartiteGraph(

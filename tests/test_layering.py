@@ -108,3 +108,15 @@ def test_every_exported_name_is_read_outside_the_tests():
         if not follows_def
     }
     assert sorted(exported - read) == []
+
+
+def test_dataclasses_reach_json_only_through_asdict():
+    # Nothing under src/ defines to_dict: a dataclass becomes a dict through
+    # dataclasses.asdict alone, so its fields are its JSON keys, in order.
+    defined = [
+        f"{path.relative_to(ROOT)}:{line}"
+        for path in _files("src")
+        for line, name, follows_def in _names(path)
+        if follows_def and name == "to_dict"
+    ]
+    assert defined == []
