@@ -35,11 +35,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_bbg(fh.read())
-
-
 def _emit(text, out_path):
     if out_path is None or out_path == "-":
         sys.stdout.write(text)
@@ -75,14 +70,12 @@ def _cmd_gen(args):
         g = random_biregular(
             args.x, args.y, args.a, args.b, args.seed, args.max_retries
         )
-    _emit(write_bbg(g), args.out)
-    return 0
+    return write_bbg(g)
 
 
 def _cmd_spectrum(args):
-    g = _load_graph(args.input)
-    profile = validate_biregular(g)
-    spectrum = singular_values(g)
+    profile = validate_biregular(args.graph)
+    spectrum = singular_values(args.graph)
     payload = {
         "a": profile.a,
         "b": profile.b,
@@ -90,33 +83,27 @@ def _cmd_spectrum(args):
         "lambda2": spectrum.lambda2,
         "gap": spectrum.gap,
     }
-    _emit(json.dumps(payload) + "\n", args.out)
-    return 0
+    return json.dumps(payload) + "\n"
 
 
 def _cmd_certify(args):
-    g = _load_graph(args.input)
     prop = GraphProperty(args.property)
-    cert = PROPERTIES[prop].certify(g, check_k(args.k))
+    cert = PROPERTIES[prop].certify(args.graph, check_k(args.k))
     if args.json:
-        _emit(json.dumps(asdict(cert)) + "\n", args.out)
-    else:
-        _emit(
-            f"{prop.value} k={cert.k}: {cert.verdict.value} "
-            f"(lambda2={cert.lambda2:.12g}, threshold="
-            f"{'n/a' if cert.threshold is None else format(cert.threshold, '.12g')})\n",
-            args.out,
-        )
-    return 0
+        return json.dumps(asdict(cert)) + "\n"
+    return (
+        f"{prop.value} k={cert.k}: {cert.verdict.value} "
+        f"(lambda2={cert.lambda2:.12g}, threshold="
+        f"{'n/a' if cert.threshold is None else format(cert.threshold, '.12g')})\n"
+    )
 
 
 def _cmd_verify(args):
-    g = _load_graph(args.input)
     prop = GraphProperty(args.property)
     oracle = PROPERTIES[prop].oracle
     if oracle is None:
         raise UsageError(f"no exact oracle for {prop.value!r}")
-    res = oracle(g, None if args.k is None else check_k(args.k))
+    res = oracle(args.graph, None if args.k is None else check_k(args.k))
     if args.json:
         payload = {
             "property": prop.value,
@@ -124,13 +111,8 @@ def _cmd_verify(args):
             "exact": res.exact,
             "witness": _witness_json(res.witness),
         }
-        _emit(json.dumps(payload) + "\n", args.out)
-    else:
-        _emit(
-            f"{prop.value}: value={res.value} exact={str(res.exact).lower()}\n",
-            args.out,
-        )
-    return 0
+        return json.dumps(payload) + "\n"
+    return f"{prop.value}: value={res.value} exact={str(res.exact).lower()}\n"
 
 
 def _parse_grid(text):
@@ -162,15 +144,12 @@ def _cmd_audit(args):
         names = {p.strip() for p in args.properties.split(",")}
         given["properties"] = tuple(sorted(names))
     cfg = AuditConfig(**{f: v for f, v in given.items() if v is not None})
-    _emit(report_emit(audit_random(cfg), args.format), args.out)
-    return 0
+    return report_emit(audit_random(cfg), args.format)
 
 
 def _cmd_mixing_audit(args):
-    g = _load_graph(args.input)
-    report = mixing_audit(g, args.pairs, args.seed)
-    _emit(json.dumps(asdict(report)) + "\n", args.out)
-    return 0
+    report = mixing_audit(args.graph, args.pairs, args.seed)
+    return json.dumps(asdict(report)) + "\n"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,21 +184,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_spectrum)
 
     choices = [prop.value for prop in GraphProperty]
-    p = sub.add_parser("certify", help="evaluate a spectral certificate")
-    p.add_argument("--property", required=True, choices=choices)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--input", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("verify", help="run the exact oracle")
-    p.add_argument("--property", required=True, choices=choices)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--input", required=True)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_verify)
+    for name, k_default, func, help_text in (
+        ("certify", 1, _cmd_certify, "evaluate a spectral certificate"),
+        ("verify", None, _cmd_verify, "run the exact oracle"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--property", required=True, choices=choices)
+        p.add_argument("--k", type=int, default=k_default)
+        p.add_argument("--input", required=True)
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("audit", help="randomized certificate/oracle audit")
     p.add_argument("--seed", type=int, default=None)
@@ -244,7 +219,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # The commands with --input read their graph here, before they run.
+        if "input" in args:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                args.graph = parse_bbg(fh.read())
+        _emit(args.func(args), args.out)
+        return 0
     except AuditUnsound as exc:
         print(f"audit unsound: {exc}", file=sys.stderr)
         return 2
@@ -254,7 +234,3 @@ def main(argv=None) -> int:
     except Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -121,8 +121,12 @@ class BiregularProfile:
 
 
 def _vertex_index(g: BipartiteGraph, v: Vertex, part: str) -> int:
-    """v's index; its tag, an integer index in range, then its part are checked."""
-    tag, idx = v
+    """v's index; that it is a pair, its tag, an integer index in range, then
+    its part are checked."""
+    try:
+        tag, idx = v
+    except (TypeError, ValueError):
+        raise InvalidParam(f"vertex {v!r} is not a (part, index) pair") from None
     if tag not in (X_PART, Y_PART):
         raise InvalidParam(f"unknown part tag {tag!r}")
     try:
@@ -261,8 +265,6 @@ def random_biregular(
 
 
 def flat_vertex(g: BipartiteGraph, fid: int) -> Vertex:
-    if not 0 <= fid < g.n:
-        raise IndexOutOfRange(f"flat id {fid} outside [0, {g.n})")
     if fid < g.x_count:
         return (X_PART, fid)
     return (Y_PART, fid - g.x_count)

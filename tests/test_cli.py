@@ -119,6 +119,34 @@ def test_solver_failure_exit_3(monkeypatch, capsys, c6_file):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "command",
+    [
+        "gen heawood",
+        "spectrum",
+        "certify --property edge-conn --k 2 --json",
+        "verify --property edge-conn --json",
+        "mixing-audit",
+        "audit --grid 6,6,3,3 --trials 1 --k 2 --properties edge-conn",
+    ],
+)
+def test_out_writes_the_bytes_stdout_gets(capsys, tmp_path, c6_file, command):
+    # A command's text goes to stdout, with no --out or with --out -, or
+    # else to the named file and nothing to stdout; the bytes are the same.
+    args = command.split()
+    if args[0] not in ("gen", "audit"):
+        args += ["--input", c6_file]
+    out = tmp_path / "out.txt"
+    assert main(args) == 0
+    plain = capsys.readouterr().out
+    assert main([*args, "--out", "-"]) == 0
+    dash = capsys.readouterr().out
+    assert main([*args, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert plain != ""
+    assert plain.encode() == dash.encode() == out.read_bytes()
+
+
 def test_spectrum_json(c6_file):
     res = run_cli("spectrum", "--input", c6_file)
     assert res.returncode == 0

@@ -322,6 +322,17 @@ def test_cross_edges_non_integer_index():
             [("x", 0)], [("x", 1.5)], IndexOutOfRange,
             "vertex ('x', 1.5) has a non-integer index",
         ),
+        # A vertex that is not a pair is refused before its tag is read.
+        (
+            [("x",)], [("y", 0)], InvalidParam,
+            "vertex ('x',) is not a (part, index) pair",
+        ),
+        (
+            [("x", 0, 1)], [("y", 0)], InvalidParam,
+            "vertex ('x', 0, 1) is not a (part, index) pair",
+        ),
+        ([("x", 0)], [5], InvalidParam, "vertex 5 is not a (part, index) pair"),
+        ([None], [("y", 0)], InvalidParam, "vertex None is not a (part, index) pair"),
     ],
 )
 def test_vertex_faults_name_the_first_rule_broken(

@@ -81,6 +81,15 @@ def test_audit_defaults_stay_in_audit():
     assert _uses(paths, names) == []
 
 
+def test_io_stays_in_the_cli():
+    # Under src/, only cli.py opens a file or names a standard stream: the
+    # CLI reads --input and writes --out, and every other module takes and
+    # returns values.
+    allowed = ROOT / "src/biregular/cli.py"
+    paths = [p for p in _files("src") if p != allowed]
+    assert _uses(paths, {"open", "print", "stdout", "stderr", "stdin"}) == []
+
+
 def test_oracles_name_no_property_or_verdict():
     # The property table in audit.py pairs each property with its oracle;
     # an oracle returns a value, a witness and exactness only.
