@@ -9,11 +9,14 @@ UTF-8, LF line endings::
 
 Numbers are ASCII digits with an optional leading ``-``. Whole-line
 comments starting with ``#`` and blank lines are ignored anywhere; any
-other unrecognized line is an error. The writer emits edges sorted
+other unrecognized line is an error; tabs, runs of spaces and CRLF
+endings read as single spaces and LF. The writer emits edges sorted
 lexicographically, so write/parse round trips are exact.
 """
 
 from __future__ import annotations
+
+from itertools import islice
 
 from .errors import DuplicateEdge, IndexOutOfRange, ParseError
 from .graphs import BipartiteGraph
@@ -67,15 +70,19 @@ def parse_bbg(text: str) -> BipartiteGraph:
     if edge_count < 0:
         raise ParseError(lineno, "edge count must be nonnegative")
 
+    body = list(islice(it, edge_count))
     edges = []
-    linenos = []
-    for _ in range(edge_count):
-        lineno, line = expect(f"{edge_count} edge lines")
+    for lineno, line in body:
         fields = line.split()
         if len(fields) != 3 or fields[0] != "e":
             raise ParseError(lineno, f"expected 'e <xi> <yj>', got {line!r}")
-        edges.append(_ints(lineno, fields[1:]))
-        linenos.append(lineno)
+        _, xs, ys = fields
+        if not (is_int_token(xs) and is_int_token(ys)):
+            bad = ys if is_int_token(xs) else xs
+            raise ParseError(lineno, f"expected integer, got {bad!r}")
+        edges.append((int(xs), int(ys)))
+    if len(body) < edge_count:
+        expect(f"{edge_count} edge lines")  # raises: the lines ran out
 
     leftover = next(it, None)
     if leftover is not None:
@@ -85,7 +92,7 @@ def parse_bbg(text: str) -> BipartiteGraph:
         return BipartiteGraph(x_count, y_count, tuple(edges))
     except (IndexOutOfRange, DuplicateEdge) as exc:
         raise type(exc)(
-            f"line {linenos[exc.position]}: {exc}", exc.position
+            f"line {body[exc.position][0]}: {exc}", exc.position
         ) from None
 
 

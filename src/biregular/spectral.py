@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -65,8 +66,8 @@ class MixingReport:
 def biadjacency(g: BipartiteGraph) -> np.ndarray:
     """The x_count-by-y_count 0/1 matrix B with B[i, j] = 1 iff (i, j) is an edge."""
     mat = np.zeros((g.x_count, g.y_count))
-    for xi, yj in g.edges:
-        mat[xi, yj] = 1.0
+    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m)
+    mat[ends[0::2], ends[1::2]] = 1.0
     return mat
 
 
@@ -123,9 +124,12 @@ class MixingAuditReport:
 # vertex of a pair, and its product reads all |X|(|Y|+1) entries of the
 # count matrix, so it also keeps its words within the larger of
 # _MIXING_WORDS and that matrix: a wide, thin graph draws small chunks,
-# and a large square one still draws _MIXING_CHUNK pairs.
+# and a large square one still draws _MIXING_CHUNK pairs. 2^14 words keep
+# a chunk's arrays in reused memory: stream_u64 took 4-6 ns a word up to
+# 20 480 words and 7-12 ns from 24 576 on, where each array takes fresh
+# pages (written into a reused buffer, about 4 ns at every size).
 _MIXING_CHUNK = 128
-_MIXING_WORDS = 128 * 256
+_MIXING_WORDS = 1 << 14
 
 # float32 holds every integer up to 2^24 exactly, so the audit counts in
 # float32 while no count (each at most m) can reach it.
@@ -143,9 +147,9 @@ def mixing_audit(
     Membership of each vertex is one low bit of the seeded stream, so the
     sample includes empty and full sides: pair p reads words
     p*(|X|+|Y|) + 1 onward, X-vertices first, then Y-vertices. Pairs are
-    drawn and checked in chunks of min(_MIXING_CHUNK, max(_MIXING_WORDS,
-    |X|(|Y|+1)) // n) pairs (at least one), so a chunk's arrays stay
-    bounded.
+    drawn and counted in chunks of c = min(_MIXING_CHUNK,
+    max(_MIXING_WORDS, |X|(|Y|+1)) // n) pairs (at least one), so a
+    chunk's arrays stay bounded.
 
     The counts come from one product per chunk with an (|X|, |Y|+1) count
     matrix C: X-vertex i's row holds its biadjacency row and a 1 in column
@@ -153,12 +157,15 @@ def mixing_audit(
     once; e(A, B) is the row-wise dot of its first |Y| columns with B's
     bits, and |B| the row sum of B's bits. Every count and partial sum is
     an integer of at most m, so they are exact in float32, in any
-    summation order, while m < 2^24 (float64 above that). They are cast
-    to float64 before ``_mixing_sides`` evaluates lhs and rhs elementwise
-    as it does for ``mixing_check``, so each float is the one that
-    returns. Any violation raises MixingViolation carrying the first
-    offending pair: the inequality is a theorem, so a violation means a
-    bug.
+    summation order, while m < 2^24 (float64 above that).
+
+    The counts of c * max(1, _MIXING_WORDS // c) pairs gather in float64
+    buffers, so memory does not grow with ``pairs``, and the inequality is
+    checked once per full buffer: ``_mixing_sides`` evaluates lhs and rhs
+    elementwise as it does for ``mixing_check``, so each float is the one
+    that returns. Any violation raises MixingViolation carrying the first
+    offending pair, whose sides are re-read from the stream: the
+    inequality is a theorem, so a violation means a bug.
     """
     if check_int(pairs, "pairs") < 1:
         raise InvalidParam("pairs must be at least 1")
@@ -166,40 +173,43 @@ def mixing_audit(
     profile, spectrum = _mixing_guard(g, spectrum)
     x, y, n = g.x_count, g.y_count, g.n
     dtype = np.float32 if g.m < _FLOAT32_EXACT else np.float64
-    counts = np.zeros((x, y + 1), dtype)
-    counts[tuple(zip(*g.edges))] = 1
-    counts[:, y] = 1
-    lows, highs = [], []
+    counts = np.ones((x, y + 1), dtype)
+    counts[:, :y] = biadjacency(g)
     chunk = max(1, min(_MIXING_CHUNK, max(_MIXING_WORDS, counts.size) // n))
-    for first in range(0, pairs, chunk):
-        count = min(chunk, pairs - first)
-        bits = stream_u64(seed, first * n, count * n)
-        bits &= 1
-        bits = bits.astype(dtype).reshape(count, n)
-        a_in, b_in = bits[:, :x], bits[:, x:]
-        sums = a_in @ counts
-        e_ab = np.einsum("pj,pj->p", sums[:, :y], b_in)
+    span = chunk * max(1, _MIXING_WORDS // chunk)
+    e_ab, na, nb = np.empty((3, min(span, pairs)))
+    low, high = math.inf, -math.inf
+    for start in range(0, pairs, span):
+        stop = min(start + span, pairs)
+        for first in range(start, stop, chunk):
+            count = min(chunk, stop - first)
+            bits = stream_u64(seed, first * n, count * n)
+            bits &= 1
+            bits = bits.astype(np.uint8).astype(dtype).reshape(count, n)
+            a_in, b_in = bits[:, :x], bits[:, x:]
+            sums = a_in @ counts
+            at = slice(first - start, first - start + count)
+            e_ab[at] = np.einsum("pj,pj->p", sums[:, :y], b_in)
+            na[at] = sums[:, y]
+            nb[at] = b_in.sum(axis=1)
+        size = stop - start
         lhs, rhs = _mixing_sides(
-            g,
-            profile,
-            spectrum,
-            e_ab.astype(np.float64),
-            sums[:, y].astype(np.float64),
-            b_in.sum(axis=1).astype(np.float64),
+            g, profile, spectrum, e_ab[:size], na[:size], nb[:size]
         )
         bad = np.flatnonzero(~(lhs <= rhs + MIXING_TOL))
         if bad.size:
-            p = bad[0]
+            p = int(bad[0])
+            bits = stream_u64(seed, (start + p) * n, n) & 1
             raise MixingViolation(
-                frozenset(("x", int(i)) for i in np.flatnonzero(a_in[p])),
-                frozenset(("y", int(j)) for j in np.flatnonzero(b_in[p])),
+                frozenset(("x", int(i)) for i in np.flatnonzero(bits[:x])),
+                frozenset(("y", int(j)) for j in np.flatnonzero(bits[x:])),
                 float(lhs[p]),
                 float(rhs[p]),
             )
         slack = rhs - lhs
-        lows.append(float(slack.min()))
-        highs.append(float(slack.max()))
-    return MixingAuditReport(pairs=pairs, min_slack=min(lows), max_slack=max(highs))
+        low = min(low, float(slack.min()))
+        high = max(high, float(slack.max()))
+    return MixingAuditReport(pairs=pairs, min_slack=low, max_slack=high)
 
 
 def _mixing_guard(g, spectrum):

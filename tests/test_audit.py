@@ -323,11 +323,17 @@ def test_mixing_audit_validates_pairs(monkeypatch):
         mixing_audit(lopsided, 10, seed=1, spectrum=singular_values(heawood()))
 
 
+# The benchmark's certify_sparse profiles (x, y, a, b): n = 98..240.
+CERTIFY_SPARSE_PROFILES = (
+    (60, 40, 2, 3), (40, 60, 3, 2), (90, 60, 2, 3), (100, 50, 2, 4),
+    (160, 80, 2, 4), (100, 40, 2, 5), (105, 30, 2, 7), (60, 60, 3, 3),
+    (84, 84, 3, 3), (80, 60, 3, 4), (45, 60, 4, 3), (56, 42, 3, 4),
+)
+
+
 def _sparse_graphs():
-    # n = 100..240, as in the benchmark's sparse certification inputs.
-    profiles = (
-        (60, 40, 2, 3), (160, 80, 2, 4), (84, 84, 3, 3), (56, 42, 3, 4)
-    )
+    # Four of them, n = 98..240.
+    profiles = [CERTIFY_SPARSE_PROFILES[k] for k in (0, 4, 8, 11)]
     return [
         random_biregular(*p, derive_seed(5, i)) for i, p in enumerate(profiles)
     ]
@@ -355,14 +361,20 @@ def _chunk(g):
     return max(1, min(spectral._MIXING_CHUNK, words // g.n))
 
 
+def _buffer(g):
+    """Pairs per buffer of mixing_audit on g: whole chunks, at least one."""
+    c = _chunk(g)
+    return c * max(1, spectral._MIXING_WORDS // c)
+
+
 def test_mixing_audit_matches_scalar_reference():
     # A chunk holds c pairs: counts below, at and across it, and into a
-    # third chunk; every float equal. Two graphs with n > 256 get fewer
-    # than 128 pairs, one bounded by _MIXING_WORDS (n = 300, c = 109) and
+    # third chunk; every float equal. Two graphs with n > 128 get fewer
+    # than 128 pairs, one bounded by _MIXING_WORDS (n = 200, c = 81) and
     # one by its count matrix (n = 480, c = 160 * 321 // 480 = 107).
-    wide = random_biregular(150, 150, 3, 3, derive_seed(5, 9))
+    wide = random_biregular(100, 100, 3, 3, derive_seed(5, 9))
     thin = random_biregular(160, 320, 4, 2, derive_seed(5, 10))
-    assert (_chunk(wide), _chunk(thin)) == (109, 107)
+    assert (_chunk(wide), _chunk(thin)) == (81, 107)
     graphs = small_corpus() + medium_corpus() + _sparse_graphs() + [wide, thin]
     for i, g in enumerate(graphs):
         spectrum = singular_values(g)
@@ -392,10 +404,10 @@ def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
 def test_mixing_audit_chunk_words_are_bounded(monkeypatch):
     # A chunk reads at most as many stream words as the larger of
     # _MIXING_WORDS and the count matrix, and at least one pair: K(2, 600)
-    # gets 54 pairs per chunk, K(3, 20000) 2 and K(300, 300) 128.
+    # gets 27 pairs per chunk, K(3, 20000) 2 and K(300, 300) 128.
     calls = record_calls(monkeypatch, spectral, "stream_u64")
     for g, c in (
-        (complete_bipartite(2, 600), 54),
+        (complete_bipartite(2, 600), 27),
         (complete_bipartite(3, 20000), 2),
         (complete_bipartite(300, 300), 128),
     ):
@@ -422,4 +434,31 @@ def test_mixing_audit_reports_first_violation():
             late += ref[1] >= c
             got = _audit_outcome(g, 3 * c + 1, 11, spectrum)
             assert got == ref[:1] + ref[2:], i
+            # Cut after the offending pair, and after its chunk: the
+            # violation then sits in the audit's last chunk.
+            for pairs in (ref[1] + 1, (ref[1] // c + 1) * c):
+                assert _audit_outcome(g, pairs, 11, spectrum) == got, i
     assert late >= 5
+
+
+def test_mixing_audit_reports_a_violation_past_a_buffer():
+    # 0.8 * lambda2 on this graph first fails at pair 18 807, in the
+    # second buffer of 16 384 pairs: the first one checks clean.
+    g = medium_corpus()[7]
+    true = singular_values(g)
+    spectrum = replace(true, lambda2=0.8 * true.lambda2)
+    span = _buffer(g)
+    ref = mixing_audit_scalar(g, 2 * span, 11, spectrum)
+    assert ref[0] == "violation" and span < ref[1] < 2 * span
+    assert _audit_outcome(g, 2 * span, 11, spectrum) == ref[:1] + ref[2:]
+
+
+def test_mixing_audit_checks_a_buffer_at_once(monkeypatch):
+    # 1 000 pairs span 8 to 15 chunks here, and one check covers them all.
+    calls = record_calls(monkeypatch, spectral, "_mixing_sides")
+    for i, profile in enumerate(CERTIFY_SPARSE_PROFILES):
+        g = random_biregular(*profile, derive_seed(5, i))
+        assert _buffer(g) >= 1000 > 7 * _chunk(g)
+        mixing_audit(g, 1000, derive_seed(7, i))
+        assert [args[3].size for args, _ in calls] == [1000]
+        calls.clear()

@@ -124,10 +124,24 @@ def test_non_integer_field():
 
 def test_integers_are_ascii_digits():
     # int() would read this as a 10 x 3 graph with the edge (0, 2).
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as info:
         parse_bbg("bbg 1\nparts 1_0 \u0663\nedges 1\ne +0 0_2\n")
+    assert str(info.value) == "line 2: expected integer, got '1_0'"
+    # Each bad token is named, as y or as x, and x first when both are bad.
     for field in ("+1", "0_1", "\u0661", "1.0", "-", "--1"):
-        with pytest.raises(ParseError):
-            parse_bbg(f"bbg 1\nparts 2 2\nedges 1\ne 0 {field}\n")
+        for edge in (f"0 {field}", f"{field} 0", f"{field} x"):
+            with pytest.raises(ParseError) as info:
+                parse_bbg(f"bbg 1\nparts 2 2\nedges 2\ne 1 1\n\ne {edge}\n")
+            assert str(info.value) == f"line 6: expected integer, got {field!r}"
     with pytest.raises(IndexOutOfRange):
         parse_bbg("bbg 1\nparts 2 2\nedges 1\ne -1 0\n")
+
+
+def test_edge_lines_split_on_any_whitespace():
+    g = parse_bbg("bbg 1\nparts 2 3\nedges 3\ne 0 2\ne 1 0\ne 1 1\n")
+    for edges in (
+        "e\t0\t2\ne 1\t 0\ne  1   1\n",
+        "e 0 2\r\ne 1 0\r\ne 1 1\r\n",
+        "\t e 0 2 \r\n  e\t1 0\ne 1  1\t\r\n",
+    ):
+        assert parse_bbg(f"bbg 1\nparts 2 3\nedges 3\n{edges}") == g

@@ -7,6 +7,7 @@ import pytest
 
 from biregular import (
     BipartiteGraph,
+    biadjacency,
     complete_bipartite,
     even_cycle,
     heawood,
@@ -27,6 +28,23 @@ from testutil import (
 )
 
 DENSE_MATCH_TOL = 1e-12
+
+
+def test_biadjacency_matches_edge_loop():
+    # Any edge set has a biadjacency matrix, biregular or not.
+    lopsided = BipartiteGraph(3, 2, ((0, 0), (0, 1), (2, 1)))
+    for g in small_corpus() + medium_corpus() + [heawood(), lopsided]:
+        want = np.zeros((g.x_count, g.y_count))
+        for xi, yj in g.edges:
+            want[xi, yj] = 1.0
+        got = biadjacency(g)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_biadjacency_of_edgeless_graph_is_zero():
+    # An empty index tuple would select, and fill, every entry.
+    got = biadjacency(BipartiteGraph(2, 3, ()))
+    assert got.shape == (2, 3) and not got.any()
 
 
 def test_k33_spectrum():
