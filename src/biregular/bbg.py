@@ -70,7 +70,8 @@ def parse_bbg(text: str) -> BipartiteGraph:
     if edge_count < 0:
         raise ParseError(lineno, "edge count must be nonnegative")
 
-    body = list(islice(it, edge_count))
+    # islice takes no stop above sys.maxsize, and no more lines exist.
+    body = list(islice(it, min(edge_count, len(content))))
     edges = []
     for lineno, line in body:
         fields = line.split()
@@ -78,8 +79,7 @@ def parse_bbg(text: str) -> BipartiteGraph:
             raise ParseError(lineno, f"expected 'e <xi> <yj>', got {line!r}")
         _, xs, ys = fields
         if not (is_int_token(xs) and is_int_token(ys)):
-            bad = ys if is_int_token(xs) else xs
-            raise ParseError(lineno, f"expected integer, got {bad!r}")
+            raise _not_int(lineno, fields[1:])
         edges.append((int(xs), int(ys)))
     if len(body) < edge_count:
         expect(f"{edge_count} edge lines")  # raises: the lines ran out
@@ -97,12 +97,14 @@ def parse_bbg(text: str) -> BipartiteGraph:
 
 
 def _ints(lineno, fields):
-    out = []
-    for f in fields:
-        if not is_int_token(f):
-            raise ParseError(lineno, f"expected integer, got {f!r}")
-        out.append(int(f))
-    return tuple(out)
+    if not all(map(is_int_token, fields)):
+        raise _not_int(lineno, fields)
+    return tuple(map(int, fields))
+
+
+def _not_int(lineno, fields):
+    bad = next(f for f in fields if not is_int_token(f))
+    return ParseError(lineno, f"expected integer, got {bad!r}")
 
 
 def is_int_token(text: str) -> bool:

@@ -66,9 +66,15 @@ class MixingReport:
 def biadjacency(g: BipartiteGraph) -> np.ndarray:
     """The x_count-by-y_count 0/1 matrix B with B[i, j] = 1 iff (i, j) is an edge."""
     mat = np.zeros((g.x_count, g.y_count))
-    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m)
-    mat[ends[0::2], ends[1::2]] = 1.0
+    mat[_edge_ends(g)] = 1.0
     return mat
+
+
+def _edge_ends(g):
+    """Row and column index arrays of the edges; empty for an edgeless
+    graph, so they select nothing (``mat[()]`` would select everything)."""
+    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m)
+    return ends[0::2], ends[1::2]
 
 
 def singular_values(g: BipartiteGraph) -> Spectrum:
@@ -173,8 +179,9 @@ def mixing_audit(
     profile, spectrum = _mixing_guard(g, spectrum)
     x, y, n = g.x_count, g.y_count, g.n
     dtype = np.float32 if g.m < _FLOAT32_EXACT else np.float64
-    counts = np.ones((x, y + 1), dtype)
-    counts[:, :y] = biadjacency(g)
+    counts = np.zeros((x, y + 1), dtype)
+    counts[_edge_ends(g)] = 1
+    counts[:, y] = 1
     chunk = max(1, min(_MIXING_CHUNK, max(_MIXING_WORDS, counts.size) // n))
     span = chunk * max(1, _MIXING_WORDS // chunk)
     e_ab, na, nb = np.empty((3, min(span, pairs)))

@@ -75,6 +75,15 @@ def test_truncated_input_names_the_line_past_the_end(text, line):
         ("bbg 1\nparts 2 2\nedges -1\n", "line 3: edge count must be nonnegative"),
         ("bbg 1\nparts 2 2\nedges 1\nf 0 0\n", "line 4: expected 'e <xi> <yj>', got 'f 0 0'"),
         ("bbg 1\nparts 2 2\nedges 1\n\ne 0\n", "line 5: expected 'e <xi> <yj>', got 'e 0'"),
+        # Counts past sys.maxsize still read as too few lines.
+        (
+            f"bbg 1\nparts 1 1\nedges {2**63}\n",
+            f"line 4: unexpected end of input, expected {2**63} edge lines",
+        ),
+        (
+            f"bbg 1\nparts 1 1\nedges {2**64}\ne 0 0\n",
+            f"line 5: unexpected end of input, expected {2**64} edge lines",
+        ),
     ],
 )
 def test_malformed_lines_name_the_line_and_the_rule(text, message):
