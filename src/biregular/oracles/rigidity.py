@@ -18,8 +18,27 @@ exactly theirs, and no out-edge, so it contains T. Hence T is the smallest
 tight set holding u and v, and the circuit of f is f plus the accepted
 edges inside T. A basis edge is critical exactly when no circuit covers it.
 
+Two shortcuts skip most searches, Henneberg accepts and rigid
+components. Each is exact and neither changes the accepted indices: the
+game accepts exactly the greedy basis of the rigidity matroid in feed
+order, which is unique, and a shortcut only accepts an edge that is
+independent of the edges before it or rejects one that is dependent on
+them. Write i(T) for the accepted edges inside a
+vertex set T; they are (2,3)-sparse, i(T) <= 2|T| - 3 for |T| >= 2, and T
+is tight when equality holds.
+
+- Henneberg accept (Jacobs and Hendrickson 1997). An edge f = (w, x) at a
+  vertex w with at most one accepted edge, and not a repeat of it, is
+  independent. Every T holding w and x with |T| >= 3 has
+  i(T) <= i(T - w) + 1 <= 2|T| - 4, so with f it still spans at most
+  2|T| - 3; for T = {w, x}, f is the only edge. It is oriented out of w,
+  which has a free pebble since out(w) <= deg(w) <= 1. The searches below
+  need only that free + out = 2 at every vertex, so this is a valid game
+  state, and no search runs for f. A repeated edge is searched and
+  rejected as before.
+
 The game keeps rigid components (Lee and Streinu 2008) so that most
-rejections need no search. Three facts make this safe:
+rejections need no search. These facts make this safe:
 
 - The reach set T of a searched rejection is tight, as above.
 - Two tight sets A and B sharing at least two vertices have a tight union
@@ -28,17 +47,29 @@ rejections need no search. Three facts make this safe:
   i(A) + i(B) - i(A & B) >= 2|A | B| - 3 edges plus the crossing ones,
   and sparsity caps that total at 2|A | B| - 3 too. One shared vertex
   spans no edge and the bound fails: two sets sharing one vertex can turn
-  about it (a hinge), so they are never merged.
+  about it (a hinge), so they are never merged, and components pairwise
+  share at most one vertex.
+- Absorption. A vertex w outside a tight set C with two accepted edges
+  into C (it cannot have three, by sparsity) gives a tight union:
+  i(C + w) = 2|C| - 3 + 2 = 2|C + w| - 3. The plain (rank-only) game folds
+  such a w into C, then merges as above.
 - A tight set stays tight, since accepted edges are never removed.
 
-So every component is tight, an edge with both ends in one is dependent,
-and skipping its search leaves the accepted indices as they were: the
-greedy basis of a matroid in a fixed feed order is unique. Nor does
-redundancy lose a circuit. Each accepted edge inside a component lies in
-one of the reach sets that formed it, no edge is accepted inside a tight
-set later, and the circuit of every reach set was covered when it was
-found; the circuit of a skipped edge lies inside its component and so
-covers nothing new.
+So every component is tight and an edge with both ends in one is
+dependent; its search is skipped.
+
+The redundancy game does not absorb, since w's two edges into C form no
+circuit yet, and it reads coverage off its components alone: the accepted
+edges that circuits cover are exactly the accepted edges inside the
+components. Each reach set's edges lie in its circuit; a merge adds no
+accepted edge, as none crosses from A - B to B - A; and later edges inside
+a tight set are all rejected. Conversely, a rejected edge's circuit lies
+in its smallest tight set, the reach set if it was searched and otherwise
+inside the component that rejected it. Components are tight and share at
+most one vertex, so no accepted edge lies in two, and circuits cover
+sum(2|C| - 3) accepted edges. All 2n - 3 basis edges are covered once that
+sum reaches 2n - 3, and the game stops there; otherwise the first critical
+edge is the first accepted edge inside no component.
 
 The orientation lives in flat per-vertex lists: ``succ[v]`` holds v's
 out-edges, never more than 2, since each of v's 2 pebbles is free or spent
@@ -48,10 +79,9 @@ vertex's discoverer in ``prev``, and takes a free pebble as soon as it
 discovers the vertex holding it. Which pebble a search finds changes only
 the orientation, never what the game reports: the accepted indices are the
 greedy basis in feed order, which is unique, and a reach set is the
-smallest tight set holding u and v, fixed by the accepted edges alone. The
-edges read off a reach set are the same under every orientation too, since
-no out-edge leaves it and every accepted edge inside it leaves one of its
-vertices.
+smallest tight set holding u and v, fixed by the accepted edges alone. So
+are the components, built from reach sets and from ``nbr[v]``, v's
+accepted neighbours as a bitmask, which also serves the Henneberg test.
 
 An independent randomized cross-check takes the rank of the rigidity matrix
 R at random points over a large prime field; by Schwartz-Zippel it equals
@@ -160,30 +190,32 @@ def _pull_pebble(root, banned, peb, succ, mark, prev, stamp):
     return False
 
 
-def _pebble_accepted(n, edges, rejected=None):
-    """Indices of flat-id edges accepted by the (2,3) pebble game, in feed order.
+def _pebble_accepted(n, edges, circuits=False):
+    """The (2,3) pebble game on flat-id edges: the indices it accepts, in
+    feed order, and the rigid components (vertex bitmasks) it ends with.
 
-    The orientation ``succ`` and the search marks are flat per-vertex
-    lists (see the module docstring).
-
-    Known rigid components are kept as vertex bitmasks: an edge inside one
-    is rejected without a search. At a searched rejection the reach set
-    becomes a component, merged with every component it shares two or
-    more vertices with. ``rejected(reach, succ)``, when given, is called
-    there with the reach set and the orientation the failed search left; a
-    true return ends the game. Edges rejected inside a component are not
-    passed to it: their circuits were covered when the component formed.
-    Without ``rejected`` the game ends at the 2n - 3 ceiling, since no
-    later edge can be accepted.
+    An edge at a vertex with at most one accepted edge, not a repeat, is
+    accepted with no search, and an edge inside a component is rejected
+    with none (see the module docstring). At a searched rejection the reach
+    set becomes a component, merged with every component it shares two or
+    more vertices with. Only the plain game, ``circuits`` false, absorbs:
+    a vertex with two accepted edges into a component joins it, checked at
+    the ends of each accepted edge and at every vertex when a component
+    forms. It ends at the 2n - 3 ceiling, since no later edge can be
+    accepted. The ``circuits`` game keeps the
+    accepted edges inside its components exactly those a circuit covers,
+    and ends once they number 2n - 3.
     """
     peb = [2] * n
     succ = [[] for _ in range(n)]
+    nbr = [0] * n
     mark = [0] * n
     prev = [0] * n
     stamp = 0
     components = []
     accepted = []
-    full = 2 * n - 3 if rejected is None else None
+    full = 2 * n - 3
+    absorb = None if circuits else nbr
     for idx, (u, v) in enumerate(edges):
         ends = (1 << u) | (1 << v)
         for c in components:  # a plain loop: any() over a generator costs more
@@ -193,48 +225,73 @@ def _pebble_accepted(n, edges, rejected=None):
             c = 0
         if c:
             continue
-        while peb[u] + peb[v] < 4:
-            stamp += 1
-            if peb[u] < 2 and _pull_pebble(u, v, peb, succ, mark, prev, stamp):
-                continue
-            stamp += 1
-            if peb[v] < 2 and _pull_pebble(v, u, peb, succ, mark, prev, stamp):
-                continue
-            break
-        if peb[u] + peb[v] >= 4:
-            peb[u] -= 1
-            succ[u].append(v)
-            accepted.append(idx)
-            if len(accepted) == full:
+        nu, nv = nbr[u], nbr[v]
+        # Henneberg: an end with at most one accepted edge, not to the other.
+        if not nu & (nu - 1) and not nu >> v & 1:
+            w, x = u, v
+        elif not nv & (nv - 1) and not nv >> u & 1:
+            w, x = v, u
+        else:
+            while peb[u] + peb[v] < 4:
+                stamp += 1
+                if peb[u] < 2 and _pull_pebble(u, v, peb, succ, mark, prev, stamp):
+                    continue
+                stamp += 1
+                if peb[v] < 2 and _pull_pebble(v, u, peb, succ, mark, prev, stamp):
+                    continue
                 break
+            if peb[u] + peb[v] < 4:
+                reach, mask = [u, v], ends
+                for w in reach:  # grows as it is read: a breadth-first search
+                    for x in succ[w]:
+                        if not mask >> x & 1:
+                            mask |= 1 << x
+                            reach.append(x)
+                components = _merge_component(components, mask, absorb)
+                if circuits and sum(2 * c.bit_count() - 3 for c in components) == full:
+                    break
+                continue
+            w, x = u, v
+        peb[w] -= 1
+        succ[w].append(x)
+        nbr[u] = nu | 1 << v
+        nbr[v] = nv | 1 << u
+        accepted.append(idx)
+        if circuits:
             continue
-        reach, mask = [u, v], ends
-        for w in reach:  # grows as it is read: a breadth-first search
-            for x in succ[w]:
-                if not mask >> x & 1:
-                    mask |= 1 << x
-                    reach.append(x)
-        components = _merge_component(components, mask)
-        if rejected is not None and rejected(reach, succ):
+        if len(accepted) == full:
             break
-    return accepted
+        for w in (u, v):  # absorption
+            for c in components:
+                t = nbr[w] & c
+                if t & (t - 1) and not c >> w & 1:
+                    components = _merge_component(components, c | 1 << w)
+                    break
+    return accepted, components
 
 
-def _merge_component(components, mask):
+def _merge_component(components, mask, nbr=None):
     # Tight sets sharing two or more vertices have a tight union; sharing
-    # one is not enough (a hinge), so those stay apart.
-    merged = True
-    while merged:
-        merged = False
+    # one is not enough (a hinge), so those stay apart. Given ``nbr``, a
+    # vertex with two accepted edges into the set joins it too.
+    grown = True
+    while grown:
+        grown = False
         rest = []
         for c in components:
             common = c & mask
             if common & (common - 1):
                 mask |= c
-                merged = True
+                grown = True
             else:
                 rest.append(c)
         components = rest
+        if nbr is not None:
+            for w, into in enumerate(nbr):
+                into &= mask
+                if into & (into - 1) and not mask >> w & 1:
+                    mask |= 1 << w
+                    grown = True
     components.append(mask)
     return components
 
@@ -242,7 +299,7 @@ def _merge_component(components, mask):
 def pebble_rank_edges(g: BipartiteGraph, edges) -> tuple[int, tuple[EdgePair, ...]]:
     """Rank and accepted subset of an arbitrary edge list of g, in list order."""
     edges = list(edges)
-    accepted = _pebble_accepted(g.n, flat_edges(g, edges))
+    accepted = _pebble_accepted(g.n, flat_edges(g, edges))[0]
     return len(accepted), tuple(edges[i] for i in accepted)
 
 
@@ -428,28 +485,22 @@ def is_redundantly_rigid(g: BipartiteGraph) -> OracleResult:
     Deleting a basis edge e keeps g rigid exactly when some rejected edge f
     can replace it, i.e. when e lies in the fundamental circuit of f;
     deleting any other edge leaves the basis whole. One pebble game in
-    sorted feed order marks the accepted edges inside the reach set of each
-    searched rejection, that edge's circuit; an edge rejected inside a known
-    rigid component has no new circuit to mark (see the module docstring).
-    The game stops once all 2n - 3 basis edges are covered.
-    The witness of a rigid, non-redundant graph is the first uncovered
-    basis edge, which is the first critical edge of g.edges.
+    sorted feed order, with no absorption, keeps the accepted edges inside
+    its rigid components exactly those that circuits cover (see the module
+    docstring), and stops once they number 2n - 3. The witness of a rigid,
+    non-redundant graph is the first basis edge inside no component, which
+    is the first critical edge of g.edges.
     """
     target = 2 * g.n - 3
-    covered = set()
-
-    def cover_circuit(reach, succ):
-        covered.update((min(w, x), max(w, x)) for w in reach for x in succ[w])
-        return len(covered) == target
-
     edges = flat_edges(g)
-    accepted = _pebble_accepted(g.n, edges, cover_circuit)
+    accepted, components = _pebble_accepted(g.n, edges, circuits=True)
     if len(accepted) != target:
         return OracleResult(0, None)
-    critical = next(
-        (g.edges[i] for i in accepted if edges[i] not in covered), None
-    )
-    return OracleResult(int(critical is None), critical)
+    for i in accepted:
+        ends = (1 << edges[i][0]) | (1 << edges[i][1])
+        if not any(c & ends == ends for c in components):
+            return OracleResult(0, g.edges[i])
+    return OracleResult(1, None)
 
 
 def is_globally_rigid(g: BipartiteGraph) -> OracleResult:

@@ -146,8 +146,40 @@ def _near_laman_subgraphs(count, seed):
         yield BipartiteGraph(m, n, tuple(edges[:keep]))
 
 
+def _hinged_bodies(third):
+    """K4,4 on x0..x3 x y0..y3, K4,4 on x3..x6 x y4..y7, and a third body
+    on x7.. and y0, y7, y8.. (K4,4, or K3,3 when ``third`` is 3): each pair
+    of bodies shares one vertex, x3, y0 or y7, a different one each."""
+    ys = (0, 7, 8, 9)[:third]
+    edges = sorted(
+        [(i, j) for i in range(4) for j in range(4)]
+        + [(i, j) for i in range(3, 7) for j in range(4, 8)]
+        + [(i, j) for i in range(7, 7 + third) for j in ys]
+    )
+    return BipartiteGraph(7 + third, 6 + third, tuple(edges))
+
+
+def test_hinged_bodies_stop_on_component_sum():
+    # Three bodies hinged in a triangle are rigid: their bases number
+    # 3 (2 * 8 - 3) = 2 * 21 - 3. They never merge, so the redundancy game
+    # ends with three components and stops on the sum of 2|C| - 3. A K3,3
+    # body is minimally rigid, so its first edge is the critical witness.
+    # The per-edge reference checks both graphs too.
+    g = _hinged_bodies(4)
+    edges = flat_edges(g)
+    accepted, components = rigidity._pebble_accepted(g.n, edges, circuits=True)
+    assert len(accepted) == 2 * g.n - 3
+    assert sorted(c.bit_count() for c in components) == [8, 8, 8]
+    assert is_redundantly_rigid(g).value == 1
+    g = _hinged_bodies(3)
+    res = is_redundantly_rigid(g)
+    assert (res.value, res.witness) == (0, (7, 0)) == (0, _first_critical_edge(g))
+
+
 def test_redundant_rigidity_matches_per_edge_reference():
     graphs = [
+        _hinged_bodies(4),
+        _hinged_bodies(3),
         *seeded_circulants(31, RIGID_CIRCULANTS),
         complete_bipartite(12, 12),
         complete_bipartite(12, 18),
@@ -168,9 +200,25 @@ def test_redundant_rigidity_matches_per_edge_reference():
     assert redundant >= 40
 
 
+def _feeds(g, seed):
+    """Orders of g's edges: sorted, spread, a seeded shuffle, every other
+    edge then the rest, and the spread order less its first basis (the
+    feed of greedy's second round) when the first round is full."""
+    spread = rigidity._spread_order(g, g.edges)
+    shuffled = list(g.edges)
+    SplitMix64(seed).shuffle(shuffled)
+    feeds = [g.edges, spread, shuffled, g.edges[::2] + g.edges[1::2]]
+    first = pebble_accepted_reference(g.n, flat_edges(g, spread))
+    if len(first) == 2 * g.n - 3:
+        used = set(first)
+        feeds.append([e for i, e in enumerate(spread) if i not in used])
+    return feeds
+
+
 def test_component_shortcut_matches_full_search():
-    # Rejecting inside a known rigid component must accept exactly the
-    # edges the game with a search at every edge accepts, in either feed.
+    # Henneberg accepts, rejections inside a known rigid component and
+    # absorption must accept exactly the edges the game with a search at
+    # every edge accepts, in every feed.
     graphs = [
         *seeded_circulants(31, RIGID_CIRCULANTS),
         *seeded_circulants(57, RIGID_CIRCULANTS),
@@ -182,14 +230,20 @@ def test_component_shortcut_matches_full_search():
         K44_PENDANT,
         *_near_laman_subgraphs(300, 4048),
     ]
-    rejected = 0
-    for g in graphs:
-        for order in (g.edges, rigidity._spread_order(g, g.edges)):
+    rejected = later = 0
+    for seed, g in enumerate(graphs):
+        feeds = _feeds(g, seed)
+        later += len(feeds) == 5
+        for order in feeds:
             edges = flat_edges(g, order)
-            accepted = rigidity._pebble_accepted(g.n, edges)
+            accepted = rigidity._pebble_accepted(g.n, edges)[0]
             assert accepted == pebble_accepted_reference(g.n, edges)
-            rejected += g.m - len(accepted)
-    assert rejected >= 5000
+            rejected += len(order) - len(accepted)
+    assert rejected >= 12000
+    assert later >= 100
+    # A repeated edge is rejected, though its ends have one accepted edge.
+    g = complete_bipartite(3, 3)
+    assert rigidity.pebble_rank_edges(g, [(0, 1), (0, 1)]) == (1, ((0, 1),))
 
 
 # Two K3,4 copies, x0..x2 x y0..y3 and x2..x4 x y4..y7, hinged at x2: each
@@ -231,7 +285,7 @@ def test_pebble_game_accepts_the_greedy_basis():
                 taken = [order[j] for j in basis] + [edge]
                 if modular_rank_bruteforce(g, taken) == len(taken):
                     basis.append(i)
-            assert rigidity._pebble_accepted(g.n, flat_edges(g, order)) == basis
+            assert rigidity._pebble_accepted(g.n, flat_edges(g, order))[0] == basis
             rejected += g.m - len(basis)
     assert rejected >= 100
 
@@ -239,18 +293,31 @@ def test_pebble_game_accepts_the_greedy_basis():
 def test_component_shortcut_search_count(monkeypatch):
     # K18,18 accepts 69 of 324 edges. With a search at every rejection the
     # game pulls 661 times in sorted feed, 1169 in spread feed and 631 in
-    # is_redundantly_rigid; with components, and the plain game stopped at
-    # full rank, it pulls 208, 163, 211. The
-    # lower bound fails if the game stops calling the search counted here.
+    # is_redundantly_rigid. With components, and the plain game stopped at
+    # full rank, it pulls 208, 163, 211; with Henneberg accepts and
+    # absorption too, 7, 127, 81. The total over the circulants and
+    # complete graphs below moves if either shortcut is dropped.
     calls = record_calls(monkeypatch, rigidity, "_pull_pebble")
     g = complete_bipartite(18, 18)
+    counts = []
     for order in (g.edges, rigidity._spread_order(g, g.edges)):
         calls.clear()
         assert rigidity.pebble_rank_edges(g, order)[0] == 2 * g.n - 3
-        assert 150 <= len(calls) <= 220
+        counts.append(len(calls))
     calls.clear()
     assert is_redundantly_rigid(g).value == 1
-    assert 150 <= len(calls) <= 220
+    assert counts + [len(calls)] == [7, 127, 81]
+    calls.clear()
+    for g in (
+        *seeded_circulants(31, RIGID_CIRCULANTS),
+        complete_bipartite(12, 12),
+        complete_bipartite(12, 18),
+        complete_bipartite(18, 18),
+    ):
+        rigidity.pebble_rank_edges(g, g.edges)
+        rigidity.pebble_rank_edges(g, rigidity._spread_order(g, g.edges))
+        is_redundantly_rigid(g)
+    assert len(calls) == 1426
 
 
 def test_plain_game_stops_at_full_rank(monkeypatch):

@@ -5,10 +5,11 @@ from numpy's dense eigensolver on the full adjacency matrix, connectivity
 from exhaustive enumeration, and witnesses are re-validated from first
 principles. A few reuse production code on purpose, to isolate one change
 against the rest: ``vertex_connectivity_reference`` runs
-``flow._split_network`` and its ``_Network.flow``,
-``rigidity_matrix_rank_modular_reference``
-eliminates with ``_rank_mod_p``, and ``redundantly_rigid_reference`` and
-``greedy_rigid_packing_reference`` play the production pebble game.
+``flow._split_network`` and its ``_Network.flow``, and
+``rigidity_matrix_rank_modular_reference`` eliminates with
+``_rank_mod_p``. ``redundantly_rigid_reference`` and
+``greedy_rigid_packing_reference`` rank with ``pebble_accepted_reference``,
+the game with a full search at every edge, not the production game.
 """
 
 from collections import deque
@@ -26,13 +27,8 @@ from biregular.oracles import (
     LamanPacking,
     OracleResult,
     flow,
-    rigidity_rank,
 )
-from biregular.oracles.rigidity import (
-    RANK_FIELD_PRIME,
-    _rank_mod_p,
-    pebble_rank_edges,
-)
+from biregular.oracles.rigidity import RANK_FIELD_PRIME, _rank_mod_p
 from biregular.prng import SplitMix64, derive_seed
 from biregular.spectral import mixing_check
 
@@ -539,6 +535,14 @@ def rank_mod_p_reference(mat, p: int) -> int:
     return r
 
 
+def pebble_rank_reference(g: BipartiteGraph, edges):
+    """Rank and accepted subset of an edge list of g, in list order, by
+    ``pebble_accepted_reference``."""
+    edges = list(edges)
+    accepted = pebble_accepted_reference(g.n, flat_edges(g, edges))
+    return len(accepted), tuple(edges[i] for i in accepted)
+
+
 def redundantly_rigid_reference(g: BipartiteGraph):
     """``is_redundantly_rigid`` by one pebble game per basis edge (slow).
 
@@ -547,11 +551,11 @@ def redundantly_rigid_reference(g: BipartiteGraph):
     the critical-edge witness.
     """
     target = 2 * g.n - 3
-    res = rigidity_rank(g)
-    if res.value != target:
+    rank, basis = pebble_rank_reference(g, g.edges)
+    if rank != target:
         return OracleResult(0, None)
-    for edge in res.witness.edges:
-        rank, _ = pebble_rank_edges(g, [e for e in g.edges if e != edge])
+    for edge in basis:
+        rank, _ = pebble_rank_reference(g, [e for e in g.edges if e != edge])
         if rank != target:
             return OracleResult(0, edge)
     return OracleResult(1, None)
@@ -562,11 +566,11 @@ def greedy_rigid_packing_reference(g: BipartiteGraph, k: int) -> OracleResult:
     diagonal order every round: the loop before the order was sorted once."""
     target = 2 * g.n - 3
     if k == 1:
-        res = rigidity_rank(g)
-        rigid = res.value == target
+        rank, basis = pebble_rank_reference(g, g.edges)
+        rigid = rank == target
         return OracleResult(
             1 if rigid else 0,
-            LamanPacking((res.witness.edges,)) if rigid else None,
+            LamanPacking((basis,)) if rigid else None,
         )
     period = max(g.x_count, g.y_count)
     remaining = list(g.edges)
@@ -575,7 +579,7 @@ def greedy_rigid_packing_reference(g: BipartiteGraph, k: int) -> OracleResult:
         order = sorted(
             remaining, key=lambda e: ((e[0] + e[1]) % period, e[0], e[1])
         )
-        rank, independent = pebble_rank_edges(g, order)
+        rank, independent = pebble_rank_reference(g, order)
         if rank != target:
             break
         extracted.append(tuple(sorted(independent)))
