@@ -163,19 +163,14 @@ class AuditConfig:
         if trials < 1:
             raise InvalidParam("trials must be at least 1")
         seed = check_int(self.seed, "seed")
-        if not self.size_grid:
-            raise InvalidParam("size grid must be nonempty")
-        grid = tuple(check_profile(e, what="grid entry") for e in self.size_grid)
-        if not self.k_grid:
-            raise InvalidParam("k grid must be nonempty")
-        k_grid = tuple(check_k(k) for k in self.k_grid)
-        if len(set(k_grid)) != len(k_grid):
-            raise InvalidParam("k grid repeats a value")
-        if not self.properties:
-            raise InvalidParam("property set must be nonempty")
-        props = tuple(map(_read_property, self.properties))
-        if len(set(props)) != len(props):
-            raise InvalidParam("property set repeats a property")
+        grid = _read_each(
+            self.size_grid, "size grid", lambda e: check_profile(e, "grid entry")
+        )
+        # A repeated k or property would emit the same records twice.
+        k_grid = _read_each(self.k_grid, "k grid", check_k, "a value")
+        props = _read_each(
+            self.properties, "property set", _read_property, "a property"
+        )
         for prop in props:
             if PROPERTIES[prop].oracle is None:
                 raise InvalidParam(f"no exact oracle to audit {prop.value!r}")
@@ -184,6 +179,20 @@ class AuditConfig:
         object.__setattr__(self, "size_grid", grid)
         object.__setattr__(self, "k_grid", k_grid)
         object.__setattr__(self, "properties", props)
+
+
+def _read_each(values, what: str, read, repeat: str | None = None) -> tuple:
+    """Each entry of a sequence field, read by ``read``; InvalidParam naming
+    the field when it is a string, not iterable or empty, or, given
+    ``repeat``, when two entries read the same."""
+    if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+        raise InvalidParam(f"{what} must be a sequence, got {values!r}")
+    values = tuple(map(read, values))
+    if not values:
+        raise InvalidParam(f"{what} must be nonempty")
+    if repeat and len(set(values)) != len(values):
+        raise InvalidParam(f"{what} repeats {repeat}")
+    return values
 
 
 def _read_property(name) -> GraphProperty:

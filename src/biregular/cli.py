@@ -2,7 +2,8 @@
 
 Subcommands: gen, spectrum, certify, verify, audit, mixing-audit.
 Exit codes: 0 success, 1 usage error or any other InvalidParam (an
-impossible profile included), 2 unsound audit, 3 oracle or solver failure.
+impossible profile included) or a file that cannot be read or written, 2
+unsound audit, 3 oracle or solver failure.
 """
 
 from __future__ import annotations
@@ -27,7 +28,9 @@ from .graphs import DEFAULT_MAX_RETRIES, complete_bipartite, even_cycle
 from .graphs import heawood, random_biregular, validate_biregular
 from .spectral import mixing_audit, singular_values
 
-_USAGE_ERRORS = (InvalidParam, FileNotFoundError)
+# Only reading --input as UTF-8 and writing --out or stdout raise OSError or
+# UnicodeDecodeError: a missing file, a directory, bytes that are not UTF-8.
+_USAGE_ERRORS = (InvalidParam, OSError, UnicodeDecodeError)
 
 
 class _Parser(argparse.ArgumentParser):

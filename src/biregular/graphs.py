@@ -1,4 +1,5 @@
-"""Bipartite graph values, validation, generators, flat ids and e(A, B).
+"""Bipartite graph values, validation, generators, flat ids, edge index
+arrays and e(A, B).
 
 A vertex is addressed as a ``(part, index)`` pair where ``part`` is the
 string ``"x"`` or ``"y"`` and the index counts within that part, so the same
@@ -10,6 +11,7 @@ across concurrent readers.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import index
 from typing import Iterable
 
@@ -39,12 +41,13 @@ EdgePair = tuple[int, int]
 class BipartiteGraph:
     """Simple bipartite graph with parts X and Y.
 
-    ``edges`` is normalized to a lexicographically sorted tuple; duplicate
-    pairs and out-of-range or non-integer endpoints are rejected at
-    construction, with the first offending edge's input position as the
-    error's ``position``. Part sizes and endpoints are read with
-    ``operator.index``, so numpy integers pass and floats or strings do
-    not. Sorted adjacency lists are derived once and cached on the value.
+    ``edges`` is normalized to a lexicographically sorted tuple; entries
+    that are not pairs, duplicate pairs and out-of-range or non-integer
+    endpoints are rejected at construction, with the first offending edge's
+    input position as the error's ``position``. Part sizes and endpoints
+    are read with ``operator.index``, so numpy integers pass and floats or
+    strings do not. Sorted adjacency lists are derived once and cached on
+    the value.
     """
 
     x_count: int
@@ -67,7 +70,13 @@ class BipartiteGraph:
         seen = set()
         for pos, e in enumerate(self.edges):
             try:
-                xi, yj = index(e[0]), index(e[1])
+                xi, yj = e
+            except (TypeError, ValueError):
+                raise IndexOutOfRange(
+                    f"edge {e!r} is not an (x, y) pair", pos
+                ) from None
+            try:
+                xi, yj = index(xi), index(yj)
             except TypeError:
                 raise IndexOutOfRange(
                     f"edge {e!r} has a non-integer endpoint", pos
@@ -270,10 +279,17 @@ def flat_vertex(g: BipartiteGraph, fid: int) -> Vertex:
     return (Y_PART, fid - g.x_count)
 
 
-def flat_edges(g: BipartiteGraph, edges=None) -> list[tuple[int, int]]:
-    """Edges of g, or the given edges of g in their order, as flat-id pairs."""
-    pool = g.edges if edges is None else edges
-    return [(xi, g.x_count + yj) for xi, yj in pool]
+def flat_edges(g: BipartiteGraph) -> list[tuple[int, int]]:
+    """Edges of g as flat-id pairs, in ``g.edges`` order."""
+    return [(xi, g.x_count + yj) for xi, yj in g.edges]
+
+
+def edge_ends(g: BipartiteGraph) -> tuple[np.ndarray, np.ndarray]:
+    """X-index and Y-index arrays of g's edges, in ``g.edges`` order; empty
+    for an edgeless graph, so they select nothing as a numpy index
+    (``mat[()]`` would select everything)."""
+    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m)
+    return ends[0::2], ends[1::2]
 
 
 def flat_adjacency(g: BipartiteGraph) -> list[list[int]]:

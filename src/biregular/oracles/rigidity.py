@@ -141,21 +141,21 @@ for the rank, so extraction feeds edges in a deterministic "diagonal" order
 that spreads the basis across vertices; lexicographic order would hand the
 first basis every edge at the lowest-numbered vertices and strand them
 isolated for the next round. The order is sorted once; each round feeds
-the edges left by the earlier ones, still in that order. A failed first
-round means g is not rigid, which settles every k, and m // (2n-3) rounds
-use up all the room the edge count leaves; any other later failure never
-refutes. A bipartite graph on n <= 14 vertices has m <= n^2/4 < 2(2n-3)
-edges, so there greedy is always exact.
+the edge ids left by the earlier ones, still in that order. A single round
+(k = 1) feeds the sorted edges instead, so its subgraph is the basis
+``rigidity_rank`` returns. A failed first round means g is not rigid,
+which settles every k, and m // (2n-3) rounds use up all the room the edge
+count leaves; any other later failure never refutes. A bipartite graph on
+n <= 14 vertices has m <= n^2/4 < 2(2n-3) edges, so there greedy is always
+exact.
 """
 
 from __future__ import annotations
 
-from itertools import chain
-
 import numpy as np
 
 from ..errors import TooSmall, check_k
-from ..graphs import BipartiteGraph, EdgePair, flat_adjacency, flat_edges
+from ..graphs import BipartiteGraph, edge_ends, flat_adjacency, flat_edges
 from ..prng import below_rows
 from .flow import _connectivity_upto3
 from .result import LamanPacking, LamanSubgraph, OracleResult
@@ -296,13 +296,6 @@ def _merge_component(components, mask, nbr=None):
     return components
 
 
-def pebble_rank_edges(g: BipartiteGraph, edges) -> tuple[int, tuple[EdgePair, ...]]:
-    """Rank and accepted subset of an arbitrary edge list of g, in list order."""
-    edges = list(edges)
-    accepted = _pebble_accepted(g.n, flat_edges(g, edges))[0]
-    return len(accepted), tuple(edges[i] for i in accepted)
-
-
 def rigidity_rank(g: BipartiteGraph) -> OracleResult:
     """Rank of the planar rigidity matroid; rigid iff rank = 2n - 3.
 
@@ -310,8 +303,9 @@ def rigidity_rank(g: BipartiteGraph) -> OracleResult:
     independent edge set, a spanning Laman subgraph when rigid) is
     deterministic.
     """
-    rank, independent = pebble_rank_edges(g, g.edges)
-    return OracleResult(rank, LamanSubgraph(independent))
+    accepted = _pebble_accepted(g.n, flat_edges(g))[0]
+    independent = tuple(g.edges[i] for i in accepted)
+    return OracleResult(len(independent), LamanSubgraph(independent))
 
 
 def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
@@ -351,13 +345,12 @@ def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:
     x, m = g.x_count, g.m
     if not m:
         return 0
-    ends = np.fromiter(chain.from_iterable(g.edges), dtype=np.intp, count=2 * m)
-    u, v = ends[0::2], ends[1::2] + x
+    u, v = edge_ends(g)
     if x >= g.y_count:
-        hub, leaf, leaves, first_leaf = u, v, g.y_count, x
+        hub, leaf, leaves, first_leaf = u, v + x, g.y_count, x
     else:
         order = np.argsort(v, kind="stable")  # grouped by hub, leaves ascending
-        hub, leaf, leaves, first_leaf = v[order], u[order], x, 0
+        hub, leaf, leaves, first_leaf = v[order] + x, u[order], x, 0
     d = (pos[hub] - pos[leaf]) % p  # a row is d at its hub and -d at its leaf
     leaf = leaf - first_leaf
     starts = np.r_[True, hub[1:] != hub[:-1]]
@@ -516,9 +509,12 @@ def is_globally_rigid(g: BipartiteGraph) -> OracleResult:
     return is_redundantly_rigid(g)
 
 
-def _spread_order(g: BipartiteGraph, edges):
+def _spread_order(g: BipartiteGraph) -> list[int]:
+    # Edge ids by (x + y) mod the larger part size; the sort is stable, so
+    # ties stay in id order, which is (x, y) order.
     period = max(g.x_count, g.y_count)
-    return sorted(edges, key=lambda e: ((e[0] + e[1]) % period, e[0], e[1]))
+    diagonal = [(xi + yj) % period for xi, yj in g.edges]
+    return sorted(range(g.m), key=diagonal.__getitem__)
 
 
 def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
@@ -534,20 +530,16 @@ def greedy_rigid_packing(g: BipartiteGraph, k: int) -> OracleResult:
     """
     k = check_k(k)
     target = 2 * g.n - 3
-    if k == 1:
-        rank, independent = pebble_rank_edges(g, g.edges)
-        if rank != target:
-            return OracleResult(0, None)
-        return OracleResult(1, LamanPacking((independent,)))
-    remaining = _spread_order(g, g.edges)
+    flat = flat_edges(g)
+    order = range(g.m) if k == 1 else _spread_order(g)
     extracted = []
     for _ in range(k):
-        rank, independent = pebble_rank_edges(g, remaining)
-        if rank != target:
+        accepted = _pebble_accepted(g.n, [flat[i] for i in order])[0]
+        if len(accepted) != target:
             break
-        extracted.append(tuple(sorted(independent)))
-        used = set(independent)
-        remaining = [e for e in remaining if e not in used]
+        used = {order[j] for j in accepted}
+        extracted.append(tuple(g.edges[i] for i in sorted(used)))
+        order = [i for i in order if i not in used]
     if not extracted:
         return OracleResult(0, None)
     return OracleResult(

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidParam, MixingViolation, check_int
-from .graphs import BipartiteGraph, Vertex, cross_edges, validate_biregular
+from .graphs import BipartiteGraph, Vertex, cross_edges, edge_ends
+from .graphs import validate_biregular
 from .prng import stream_u64
 
 MIXING_TOL = 1e-9
@@ -66,15 +66,8 @@ class MixingReport:
 def biadjacency(g: BipartiteGraph) -> np.ndarray:
     """The x_count-by-y_count 0/1 matrix B with B[i, j] = 1 iff (i, j) is an edge."""
     mat = np.zeros((g.x_count, g.y_count))
-    mat[_edge_ends(g)] = 1.0
+    mat[edge_ends(g)] = 1.0
     return mat
-
-
-def _edge_ends(g):
-    """Row and column index arrays of the edges; empty for an edgeless
-    graph, so they select nothing (``mat[()]`` would select everything)."""
-    ends = np.fromiter(chain.from_iterable(g.edges), np.intp, 2 * g.m)
-    return ends[0::2], ends[1::2]
 
 
 def singular_values(g: BipartiteGraph) -> Spectrum:
@@ -180,7 +173,7 @@ def mixing_audit(
     x, y, n = g.x_count, g.y_count, g.n
     dtype = np.float32 if g.m < _FLOAT32_EXACT else np.float64
     counts = np.zeros((x, y + 1), dtype)
-    counts[_edge_ends(g)] = 1
+    counts[edge_ends(g)] = 1
     counts[:, y] = 1
     chunk = max(1, min(_MIXING_CHUNK, max(_MIXING_WORDS, counts.size) // n))
     span = chunk * max(1, _MIXING_WORDS // chunk)

@@ -102,6 +102,17 @@ def test_config_validation():
             match=rf"^grid entry {re.escape(repr(entry))} does not hold four",
         ):
             AuditConfig(1, (entry,), (2,), (edge,), 1)
+    # A sequence field given as one value, a string included, is refused
+    # by name rather than read entry by entry or letter by letter.
+    for field, value, name in (
+        ("k_grid", 2, "k grid"),
+        ("size_grid", 5, "size grid"),
+        ("properties", 7, "property set"),
+        ("properties", "edge-conn", "property set"),
+    ):
+        message = f"{name} must be a sequence, got {value!r}"
+        with pytest.raises(InvalidParam, match=f"^{re.escape(message)}$"):
+            AuditConfig(**{field: value})
 
 
 def test_config_defaults_are_the_default_audit():

@@ -371,7 +371,24 @@ def test_mixing_audit_cli(c6_file):
 
 def test_usage_errors_exit_1(tmp_path, capsys, c6_file):
     assert run_cli("certify", "--property", "nope", "--input", c6_file).returncode == 1
-    assert run_cli("spectrum", "--input", str(tmp_path / "missing.bbg")).returncode == 1
+    # A file that cannot be read or written is a usage error on one line,
+    # with no traceback: a missing file, a directory given as --input or
+    # --out, and --input bytes that are not UTF-8.
+    res = run_cli("spectrum", "--input", str(tmp_path / "missing.bbg"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("usage error: ") and "Traceback" not in res.stderr
+    binary = tmp_path / "binary.bbg"
+    binary.write_bytes(b"\xff\xfe 2 2\n")
+    for args, message in (
+        (["spectrum", "--input", str(tmp_path)], "Is a directory"),
+        (["spectrum", "--input", c6_file, "--out", str(tmp_path)], "Is a directory"),
+        (["gen", "cycle", "--out", str(tmp_path)], "Is a directory"),
+        (["spectrum", "--input", str(binary)], "can't decode byte 0xff"),
+    ):
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and message in err
+        assert err.count("\n") == 1
     bad = tmp_path / "bad.bbg"
     bad.write_text("bogus\n")
     assert run_cli("spectrum", "--input", str(bad)).returncode == 1

@@ -1,5 +1,7 @@
 """Graph values, validation, generators, and counting primitives."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -94,11 +96,20 @@ def test_bad_edge_errors_carry_input_position():
         (((1, 1), (0, 2), (0, 5)), IndexOutOfRange, 2),
         (((2, 2), (0, 0), (2, 2)), DuplicateEdge, 2),
         (((1, 0), (0.5, 0)), IndexOutOfRange, 1),
+        (((1, 0), (0,)), IndexOutOfRange, 1),
+        (((0, 0, 0),), IndexOutOfRange, 0),
+        (((1, 0), (2, 1), 2), IndexOutOfRange, 2),
     ]
     for edges, cls, position in cases:
         with pytest.raises(cls) as info:
             BipartiteGraph(3, 3, edges)
         assert info.value.position == position
+    # An entry that is not a pair is refused, not cut to its first two
+    # values or left to raise a bare IndexError.
+    for edge in ((0,), (0, 0, 0), 2, None):
+        message = f"edge {edge!r} is not an (x, y) pair"
+        with pytest.raises(IndexOutOfRange, match=f"^{re.escape(message)}$"):
+            BipartiteGraph(2, 2, (edge,))
     with pytest.raises(DuplicateEdge, match=r"^edge \(2, 2\) repeated$"):
         BipartiteGraph(3, 3, ((2, 2), (2, 2)))
 

@@ -90,6 +90,14 @@ def test_io_stays_in_the_cli():
     assert _uses(paths, {"open", "print", "stdout", "stderr", "stdin"}) == []
 
 
+def test_edge_arrays_stay_in_graphs():
+    # Under src/, only graphs.py builds numpy arrays from g.edges (in
+    # edge_ends); the other modules read its arrays.
+    allowed = ROOT / "src/biregular/graphs.py"
+    paths = [p for p in _files("src") if p != allowed]
+    assert _uses(paths, {"fromiter"}) == []
+
+
 def test_oracles_name_no_property_or_verdict():
     # The property table in audit.py pairs each property with its oracle;
     # an oracle returns a value, a witness and exactness only.

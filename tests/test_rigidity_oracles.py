@@ -200,15 +200,22 @@ def test_redundant_rigidity_matches_per_edge_reference():
     assert redundant >= 40
 
 
+def _sorted_and_spread(g):
+    """g's flat edge pairs in sorted order and in greedy's spread order."""
+    flat = flat_edges(g)
+    return flat, [flat[i] for i in rigidity._spread_order(g)]
+
+
 def _feeds(g, seed):
-    """Orders of g's edges: sorted, spread, a seeded shuffle, every other
-    edge then the rest, and the spread order less its first basis (the
-    feed of greedy's second round) when the first round is full."""
-    spread = rigidity._spread_order(g, g.edges)
-    shuffled = list(g.edges)
+    """Orders of g's flat edge pairs: sorted, spread, a seeded shuffle,
+    every other edge then the rest, and the spread order less its first
+    basis (the feed of greedy's second round) when the first round is
+    full."""
+    flat, spread = _sorted_and_spread(g)
+    shuffled = list(flat)
     SplitMix64(seed).shuffle(shuffled)
-    feeds = [g.edges, spread, shuffled, g.edges[::2] + g.edges[1::2]]
-    first = pebble_accepted_reference(g.n, flat_edges(g, spread))
+    feeds = [flat, spread, shuffled, flat[::2] + flat[1::2]]
+    first = pebble_accepted_reference(g.n, spread)
     if len(first) == 2 * g.n - 3:
         used = set(first)
         feeds.append([e for i, e in enumerate(spread) if i not in used])
@@ -235,15 +242,14 @@ def test_component_shortcut_matches_full_search():
         feeds = _feeds(g, seed)
         later += len(feeds) == 5
         for order in feeds:
-            edges = flat_edges(g, order)
-            accepted = rigidity._pebble_accepted(g.n, edges)[0]
-            assert accepted == pebble_accepted_reference(g.n, edges)
+            accepted = rigidity._pebble_accepted(g.n, order)[0]
+            assert accepted == pebble_accepted_reference(g.n, order)
             rejected += len(order) - len(accepted)
     assert rejected >= 12000
     assert later >= 100
-    # A repeated edge is rejected, though its ends have one accepted edge.
-    g = complete_bipartite(3, 3)
-    assert rigidity.pebble_rank_edges(g, [(0, 1), (0, 1)]) == (1, ((0, 1),))
+    # A repeated edge is rejected, though its ends have one accepted edge:
+    # (0, 4) is K3,3's edge (x0, y1).
+    assert rigidity._pebble_accepted(6, [(0, 4), (0, 4)])[0] == [0]
 
 
 # Two K3,4 copies, x0..x2 x y0..y3 and x2..x4 x y4..y7, hinged at x2: each
@@ -258,10 +264,11 @@ HINGE_EDGES = (
 
 def test_components_sharing_one_vertex_stay_apart():
     g = BipartiteGraph(5, 8, HINGE_EDGES)
-    rank, independent = rigidity.pebble_rank_edges(g, HINGE_EDGES)
-    assert rank == 23 == 2 * g.n - 3
-    assert independent[-1] == (0, 4)
-    assert rank == modular_rank_bruteforce(g, HINGE_EDGES)
+    flat = [(xi, 5 + yj) for xi, yj in HINGE_EDGES]
+    accepted = rigidity._pebble_accepted(g.n, flat)[0]
+    assert len(accepted) == 23 == 2 * g.n - 3
+    assert HINGE_EDGES[accepted[-1]] == (0, 4)
+    assert len(accepted) == modular_rank_bruteforce(g, HINGE_EDGES)
 
 
 def test_pebble_game_accepts_the_greedy_basis():
@@ -279,13 +286,16 @@ def test_pebble_game_accepts_the_greedy_basis():
     ]
     rejected = 0
     for g in graphs:
-        for order in (g.edges, rigidity._spread_order(g, g.edges)):
+        flat = flat_edges(g)
+        for ids in (range(g.m), rigidity._spread_order(g)):
+            order = [g.edges[i] for i in ids]
             basis = []
             for i, edge in enumerate(order):
                 taken = [order[j] for j in basis] + [edge]
                 if modular_rank_bruteforce(g, taken) == len(taken):
                     basis.append(i)
-            assert rigidity._pebble_accepted(g.n, flat_edges(g, order))[0] == basis
+            feed = [flat[i] for i in ids]
+            assert rigidity._pebble_accepted(g.n, feed)[0] == basis
             rejected += g.m - len(basis)
     assert rejected >= 100
 
@@ -300,9 +310,9 @@ def test_component_shortcut_search_count(monkeypatch):
     calls = record_calls(monkeypatch, rigidity, "_pull_pebble")
     g = complete_bipartite(18, 18)
     counts = []
-    for order in (g.edges, rigidity._spread_order(g, g.edges)):
+    for order in _sorted_and_spread(g):
         calls.clear()
-        assert rigidity.pebble_rank_edges(g, order)[0] == 2 * g.n - 3
+        assert len(rigidity._pebble_accepted(g.n, order)[0]) == 2 * g.n - 3
         counts.append(len(calls))
     calls.clear()
     assert is_redundantly_rigid(g).value == 1
@@ -314,8 +324,8 @@ def test_component_shortcut_search_count(monkeypatch):
         complete_bipartite(12, 18),
         complete_bipartite(18, 18),
     ):
-        rigidity.pebble_rank_edges(g, g.edges)
-        rigidity.pebble_rank_edges(g, rigidity._spread_order(g, g.edges))
+        for order in _sorted_and_spread(g):
+            rigidity._pebble_accepted(g.n, order)
         is_redundantly_rigid(g)
     assert len(calls) == 1426
 
@@ -333,9 +343,9 @@ def test_plain_game_stops_at_full_rank(monkeypatch):
 
     monkeypatch.setattr(rigidity, "_pull_pebble", counted)
     g = complete_bipartite(18, 18)
-    for order in (g.edges, rigidity._spread_order(g, g.edges)):
+    for order in _sorted_and_spread(g):
         free.clear()
-        assert rigidity.pebble_rank_edges(g, order)[0] == 2 * g.n - 3
+        assert len(rigidity._pebble_accepted(g.n, order)[0]) == 2 * g.n - 3
         assert free and min(free) >= 4
     free.clear()
     assert is_redundantly_rigid(g).value == 1
@@ -661,6 +671,27 @@ def test_greedy_packing_matches_per_round_sort():
             packed += res.value >= 2
     # Several graphs reach a second round, so the filtered order is used.
     assert packed >= 20
+
+
+def test_greedy_packing_k1_is_the_rank_basis():
+    # One round feeds the sorted edges, as rigidity_rank does, so its
+    # subgraph is rigidity_rank's basis, on the graphs of the test above.
+    graphs = [
+        complete_bipartite(12, 12),
+        complete_bipartite(12, 18),
+        complete_bipartite(18, 18),
+        *seeded_circulants(31),
+        *medium_corpus(),
+    ]
+    rigid = 0
+    for g in graphs:
+        res, rank = greedy_rigid_packing(g, 1), rigidity_rank(g)
+        if res.value:
+            assert res.witness.subgraphs == (rank.witness.edges,)
+            rigid += 1
+        else:
+            assert rank.value < 2 * g.n - 3
+    assert rigid >= 10
 
 
 def test_greedy_packing_bad_k():

@@ -539,7 +539,8 @@ def pebble_rank_reference(g: BipartiteGraph, edges):
     """Rank and accepted subset of an edge list of g, in list order, by
     ``pebble_accepted_reference``."""
     edges = list(edges)
-    accepted = pebble_accepted_reference(g.n, flat_edges(g, edges))
+    flat = [(xi, g.x_count + yj) for xi, yj in edges]
+    accepted = pebble_accepted_reference(g.n, flat)
     return len(accepted), tuple(edges[i] for i in accepted)
 
 
