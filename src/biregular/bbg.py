@@ -16,8 +16,6 @@ lexicographically, so write/parse round trips are exact.
 
 from __future__ import annotations
 
-from itertools import islice
-
 from .errors import DuplicateEdge, IndexOutOfRange, ParseError
 from .graphs import BipartiteGraph
 
@@ -37,41 +35,36 @@ def parse_bbg(text: str) -> BipartiteGraph:
     content = []
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        content.append((lineno, line))
+        if line and not line.startswith("#"):
+            content.append((lineno, line))
     end = len(lines) + (lines[-1] != "")  # the line past the last one
 
-    it = iter(content)
+    def at(i, what):
+        """Content line i as (lineno, line); past the end, the end-of-input
+        error that names ``what``."""
+        if i < len(content):
+            return content[i]
+        raise ParseError(end, f"unexpected end of input, expected {what}")
 
-    def expect(what):
-        try:
-            return next(it)
-        except StopIteration:
-            raise ParseError(end, f"unexpected end of input, expected {what}")
+    def header(i, shape):
+        """The integers of content line i, which must read as ``shape``."""
+        lineno, line = at(i, f"'{shape}'")
+        fields, words = line.split(), shape.split()
+        if len(fields) != len(words) or fields[0] != words[0]:
+            raise ParseError(lineno, f"expected '{shape}', got {line!r}")
+        return lineno, _ints(lineno, fields[1:])
 
-    lineno, line = expect("header 'bbg 1'")
-    if line != "bbg 1":
+    lineno, line = at(0, "header 'bbg 1'")
+    if line.split() != ["bbg", "1"]:
         raise ParseError(lineno, f"expected 'bbg 1', got {line!r}")
-
-    lineno, line = expect("'parts <x> <y>'")
-    fields = line.split()
-    if len(fields) != 3 or fields[0] != "parts":
-        raise ParseError(lineno, f"expected 'parts <x> <y>', got {line!r}")
-    x_count, y_count = _ints(lineno, fields[1:])
+    lineno, (x_count, y_count) = header(1, "parts <x> <y>")
     if x_count < 1 or y_count < 1:
         raise ParseError(lineno, "part sizes must be positive")
-
-    lineno, line = expect("'edges <count>'")
-    fields = line.split()
-    if len(fields) != 2 or fields[0] != "edges":
-        raise ParseError(lineno, f"expected 'edges <count>', got {line!r}")
-    (edge_count,) = _ints(lineno, fields[1:])
+    lineno, (edge_count,) = header(2, "edges <count>")
     if edge_count < 0:
         raise ParseError(lineno, "edge count must be nonnegative")
 
-    # islice takes no stop above sys.maxsize, and no more lines exist.
-    body = list(islice(it, min(edge_count, len(content))))
+    body = content[3 : 3 + edge_count]
     edges = []
     for lineno, line in body:
         fields = line.split()
@@ -82,11 +75,10 @@ def parse_bbg(text: str) -> BipartiteGraph:
             raise _not_int(lineno, fields[1:])
         edges.append((int(xs), int(ys)))
     if len(body) < edge_count:
-        expect(f"{edge_count} edge lines")  # raises: the lines ran out
-
-    leftover = next(it, None)
-    if leftover is not None:
-        raise ParseError(leftover[0], f"unexpected line {leftover[1]!r}")
+        at(len(content), f"{edge_count} edge lines")  # raises: the lines ran out
+    if len(content) > 3 + edge_count:
+        lineno, line = content[3 + edge_count]
+        raise ParseError(lineno, f"unexpected line {line!r}")
     # The graph checks ranges and repeats; the parser adds the line number.
     try:
         return BipartiteGraph(x_count, y_count, tuple(edges))

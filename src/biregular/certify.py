@@ -1,13 +1,14 @@
 """Spectral sufficient conditions and the certificates they produce.
 
-Each theorem is one degree hypothesis plus one threshold formula in a, b,
-|X|, |Y|, k, and each ``certify_*`` function hands its pair to ``_certify``,
-the one pipeline: validate, read lambda_2, gate on the hypothesis, decide
-against the largest threshold. All conditions are one-directional: a fired
-certificate guarantees the property, an unfired one says nothing. lambda_2
-comes out of a floating-point solver, so certificates fire only with an
-epsilon margin of 1e-9 and report MARGINAL inside the band; rounding can
-never turn a sufficient condition into an unsound claim.
+Each theorem is one degree hypothesis, min(a, b) >= a floor in k, plus one
+threshold formula in a, b, |X|, |Y|, k, and each ``certify_*`` function
+hands its pair to ``_certify``, the one pipeline: validate, read lambda_2,
+gate on the hypothesis, decide against the largest threshold. All
+conditions are one-directional: a fired certificate guarantees the
+property, an unfired one says nothing. lambda_2 comes out of a
+floating-point solver, so certificates fire only with an epsilon margin of
+1e-9 and report MARGINAL inside the band; rounding can never turn a
+sufficient condition into an unsound claim.
 
 Threshold shapes (degree arguments stay exact integers until the final
 root or divide):
@@ -119,18 +120,19 @@ def _decide(lam2: float, threshold: float | None) -> Verdict:
 
 
 def _certify(
-    g, spectrum, prop, k, hypothesis, thresholds, strict=False, implied=()
+    g, spectrum, prop, k, floor, thresholds, strict=False, implied=()
 ):
     """The one evaluation path behind every certifier.
 
-    ``thresholds(a, b, x, y)`` runs only when ``hypothesis(a, b)`` holds,
-    since the formulas may be undefined outside it; the verdict is decided
-    against the largest threshold, and ``implied`` survives only a fired one.
+    The degree hypothesis is min(a, b) >= ``floor``, and
+    ``thresholds(a, b, x, y)`` runs only when it holds, since the formulas
+    may be undefined outside it; the verdict is decided against the largest
+    threshold, and ``implied`` survives only a fired one.
     """
     profile = validate_biregular(g)
     lam2 = (spectrum or singular_values(g)).lambda2
     a, b, x, y = profile.a, profile.b, g.x_count, g.y_count
-    hypothesis_ok = hypothesis(a, b)
+    hypothesis_ok = min(a, b) >= floor
     found = tuple(thresholds(a, b, x, y)) if hypothesis_ok else ()
     threshold = max(found) if found else None
     verdict = _decide(lam2, threshold)
@@ -199,8 +201,7 @@ def certify_edge_connectivity(
     """Certificate for k-edge-connectivity; k = 1 doubles as connectivity."""
     k = check_k(k)
     return _certify(
-        g, spectrum, GraphProperty.EDGE_CONNECTIVITY, k,
-        lambda a, b: a >= k and b >= k,
+        g, spectrum, GraphProperty.EDGE_CONNECTIVITY, k, k,
         lambda a, b, x, y: edge_connectivity_thresholds(a, b, x, y, k),
         strict=True,
     )
@@ -213,7 +214,7 @@ def certify_vertex_connectivity(
     k = check_k(k)
     return _certify(
         g, spectrum, GraphProperty.VERTEX_CONNECTIVITY, k,
-        lambda a, b: k >= 2 and min(a, b) >= k,
+        k if k >= 2 else math.inf,
         lambda a, b, x, y: (vertex_connectivity_threshold(a, b, k),),
     )
 
@@ -224,8 +225,7 @@ def certify_tree_packing(
     """Certificate for k edge-disjoint spanning trees."""
     k = check_k(k)
     return _certify(
-        g, spectrum, GraphProperty.TREE_PACKING, k,
-        lambda a, b: min(a, b) >= 2 * k,
+        g, spectrum, GraphProperty.TREE_PACKING, k, 2 * k,
         lambda a, b, x, y: (tree_packing_threshold(a, b, k),),
     )
 
@@ -244,8 +244,7 @@ def certify_rigid_packing(
     if k == 1:
         implied.append("rigid")
     return _certify(
-        g, spectrum, GraphProperty.RIGID_PACKING, k,
-        lambda a, b: min(a, b) >= 6 * k,
+        g, spectrum, GraphProperty.RIGID_PACKING, k, 6 * k,
         lambda a, b, x, y: (rigid_packing_threshold(a, b, k),),
         implied=implied,
     )
@@ -256,8 +255,7 @@ def certify_global_rigidity(
 ) -> Certificate:
     """Certificate for global rigidity in the plane."""
     return _certify(
-        g, spectrum, GraphProperty.GLOBAL_RIGIDITY, 1,
-        lambda a, b: min(a, b) >= 6,
+        g, spectrum, GraphProperty.GLOBAL_RIGIDITY, 1, 6,
         lambda a, b, x, y: (global_rigidity_threshold(a, b),),
     )
 
@@ -271,7 +269,6 @@ def is_ramanujan(
     the same epsilon-band machinery so near-ties surface as MARGINAL.
     """
     return _certify(
-        g, spectrum, GraphProperty.RAMANUJAN, 1,
-        lambda a, b: True,
+        g, spectrum, GraphProperty.RAMANUJAN, 1, 0,
         lambda a, b, x, y: (math.sqrt(a - 1) + math.sqrt(b - 1),),
     )

@@ -2,8 +2,10 @@
 
 Subcommands: gen, spectrum, certify, verify, audit, mixing-audit.
 Exit codes: 0 success, 1 usage error or any other InvalidParam (an
-impossible profile included) or a file that cannot be read or written, 2
-unsound audit, 3 oracle or solver failure.
+impossible profile and a graph too small or too large for an oracle
+included) or a file that cannot be read or written, 2 unsound audit, 3 a
+failure: the solver did not converge, sampling ran out of retries or a
+mixing check failed.
 """
 
 from __future__ import annotations

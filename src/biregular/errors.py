@@ -90,11 +90,11 @@ class ConvergenceFailure(Error):
     """The LAPACK singular value decomposition did not converge."""
 
 
-class TooLarge(Error):
+class TooLarge(InvalidParam):
     """Input exceeds a hard enumeration guard."""
 
 
-class TooSmall(Error):
+class TooSmall(InvalidParam):
     """Input is below the minimum size the operation is defined for."""
 
 

@@ -187,19 +187,13 @@ def edge_connectivity(g: BipartiteGraph) -> OracleResult:
     return OracleResult(best, EdgeCut(cut))
 
 
-def _check_size(n):
-    if n < 3:
-        raise TooSmall("vertex connectivity needs at least 3 vertices")
-    if n > VERTEX_CONN_GUARD:
-        raise TooLarge(f"vertex connectivity guarded at {VERTEX_CONN_GUARD}")
-
-
 def _split_network(g: BipartiteGraph):
     """Split network: v_in = 2v and v_out = 2v + 1 joined by a unit arc,
     each edge as uncapacitated arcs u_out -> w_in and w_out -> u_in. The
-    size guards run before anything is built."""
+    size guard runs before anything is built."""
     n = g.n
-    _check_size(n)
+    if n > VERTEX_CONN_GUARD:
+        raise TooLarge(f"vertex connectivity guarded at {VERTEX_CONN_GUARD}")
     inf = n + 1
     net = _Network(2 * n)
     for v in range(n):
@@ -409,7 +403,8 @@ def _connectivity_upto3(adj):
     separation pair; None when the value is 3, or 2 with delta <= 2.
     """
     n = len(adj)
-    _check_size(n)
+    if n < 3:
+        raise TooSmall("vertex connectivity needs at least 3 vertices")
     palm = _palm_tree(adj)
     order, parent, low1, _, nd, _, _ = palm
     if len(order) < n:

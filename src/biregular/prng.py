@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import check_int
+from .errors import InvalidParam, check_int
 
 MASK64 = (1 << 64) - 1
 
@@ -46,9 +46,10 @@ class SplitMix64:
     def below(self, bound: int) -> int:
         """Uniform integer in [0, bound) without modulo bias, for
         1 <= bound <= 2^64."""
+        bound = check_int(bound, "bound")
         if not 1 <= bound <= 1 << 64:
             # Above 2^64, accept_max would be negative and reject every word.
-            raise ValueError("bound must be in [1, 2^64]")
+            raise InvalidParam("bound must be in [1, 2^64]")
         top = accept_max(bound)
         while True:
             v = self.next_u64()

@@ -6,6 +6,8 @@ import pytest
 
 from biregular import complete_bipartite, heawood, parse_bbg, random_biregular, write_bbg
 from biregular.errors import DuplicateEdge, IndexOutOfRange, ParseError
+from biregular.prng import SplitMix64
+from testutil import small_corpus
 
 
 def test_round_trip_k23():
@@ -31,10 +33,12 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_header_errors():
-    with pytest.raises(ParseError):
-        parse_bbg("bbg 2\nparts 1 1\nedges 0\n")
-    with pytest.raises(ParseError):
-        parse_bbg("parts 1 1\nedges 0\n")
+    # The header is compared by fields: a third field, a padded version or
+    # a missing one is refused.
+    for header in ("bbg 2", "parts 1 1", "bbg 1 x", "bbg 01", "bbg"):
+        with pytest.raises(ParseError) as info:
+            parse_bbg(f"{header}\nparts 1 1\nedges 0\n")
+        assert str(info.value) == f"line 1: expected 'bbg 1', got {header!r}"
 
 
 def test_edge_count_mismatch():
@@ -154,3 +158,68 @@ def test_edge_lines_split_on_any_whitespace():
         "\t e 0 2 \r\n  e\t1 0\ne 1  1\t\r\n",
     ):
         assert parse_bbg(f"bbg 1\nparts 2 3\nedges 3\n{edges}") == g
+
+
+def _pick(rng, options):
+    return options[rng.below(len(options))]
+
+
+def test_every_line_reads_with_any_spacing():
+    # Each written line, the header too, is rewritten with tabs or runs of
+    # spaces between its fields, leading and trailing blanks and CRLF, and
+    # comments and blank lines go in between; the graph reads back as it was.
+    rng = SplitMix64(35)
+    for g in small_corpus():
+        out = []
+        for line in write_bbg(g).splitlines():
+            out += [_pick(rng, ("", " \t", "# bbg 2", "\t# e 0 0"))] * rng.below(2)
+            text = "".join(f + _pick(rng, ("\t", "  ", " \t ")) for f in line.split())
+            out.append(_pick(rng, ("", " ", "\t")) + text + _pick(rng, ("", "\r")))
+        assert parse_bbg("\n".join(out)) == g
+
+
+_MUTATION_TOKENS = ("bbg", "parts", "edges", "e", "#", "-", "+1", "x", "01", "\t", "")
+
+
+def _mutate(rng, lines):
+    """One to three seeded edits of ``lines``: the text truncated, a line
+    deleted, repeated or appended, or a field replaced or inserted, with a
+    token or a number in [-1, 10^4]."""
+    lines = list(lines)
+    for _ in range(1 + rng.below(3)):
+        i = rng.below(len(lines) + 1) if lines else 0
+        op = rng.below(6)
+        if op == 0:
+            lines = lines[:i]
+        elif i == len(lines):
+            lines.append(_pick(rng, _MUTATION_TOKENS))
+        elif op == 1:
+            del lines[i]
+        elif op == 2:
+            lines.insert(i, lines[i])
+        else:
+            fields = lines[i].split(" ")
+            value = _pick(rng, (*_MUTATION_TOKENS, str(rng.below(10**4 + 2) - 1)))
+            j = rng.below(len(fields))
+            if op == 3:
+                fields.insert(j, value)
+            else:
+                fields[j] = value
+            lines[i] = " ".join(fields)
+    return "\n".join(lines)
+
+
+def test_mutated_texts_parse_or_raise_an_input_error():
+    # Whatever the edit, the reader gives a graph or one of its three input
+    # errors, and nothing else escapes. Numbers stay at most 10^4: the graph
+    # holds one list per vertex, so a huge part size costs its memory.
+    rng = SplitMix64(2026)
+    bases = [write_bbg(g).splitlines() for g in small_corpus()]
+    outcomes = set()
+    for _ in range(3000):
+        try:
+            parse_bbg(_mutate(rng, _pick(rng, bases)))
+            outcomes.add("graph")
+        except (ParseError, IndexOutOfRange, DuplicateEdge) as exc:
+            outcomes.add(type(exc).__name__)
+    assert outcomes == {"graph", "ParseError", "IndexOutOfRange", "DuplicateEdge"}

@@ -403,6 +403,14 @@ def test_usage_errors_exit_1(tmp_path, capsys, c6_file):
             assert main([*cmd.split(), "--input", str(bad)]) == 1
             err = capsys.readouterr().err
             assert err.startswith("usage error: ") and message in err
+    # A graph below an oracle's least size is bad input too.
+    for g, prop, message in (
+        (complete_bipartite(1, 1), "vertex-conn", "vertex connectivity needs at least 3 vertices"),
+        (complete_bipartite(1, 2), "global-rigidity", "global rigidity oracle needs at least 4 vertices"),
+    ):
+        bad.write_text(write_bbg(g))
+        assert main(["verify", "--property", prop, "--input", str(bad)]) == 1
+        assert capsys.readouterr().err == f"usage error: {message}\n"
 
 
 def _verify_json_transcript(tmp_path, capsys):

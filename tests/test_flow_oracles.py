@@ -495,20 +495,23 @@ def test_flows_only_for_a_witness(monkeypatch):
 
 
 def test_size_guards(monkeypatch):
-    # even_cycle(514) takes the depth-first path (delta = 2), the 4-regular
-    # circulant on 2 * 257 vertices the flow path, which must refuse it
-    # before it builds a network.
+    # Only the flow pass is guarded. even_cycle(514) takes the depth-first
+    # path (delta = 2) and the 4-regular circulant on 2 * 257 vertices the
+    # flow path, which must refuse it before it builds a network;
+    # is_globally_rigid runs no flow on either.
     def unbuilt(self, n):
         raise AssertionError("network built past the size guard")
 
     monkeypatch.setattr(flow._Network, "__init__", unbuilt)
     circulant = tuple((i, (i + s) % 257) for i in range(257) for s in range(4))
-    big = (even_cycle(514), BipartiteGraph(257, 257, circulant))
-    for g in big:
-        with pytest.raises(TooLarge):
-            vertex_connectivity(g)
-        with pytest.raises(TooLarge):
-            is_globally_rigid(g)
+    cycle, dense = even_cycle(514), BipartiteGraph(257, 257, circulant)
+    assert vertex_connectivity(cycle) == OracleResult(
+        2, Separator((("y", 0), ("y", 256)))
+    )
+    assert is_globally_rigid(cycle).value == 0
+    assert is_globally_rigid(dense).value == 1
+    with pytest.raises(TooLarge):
+        vertex_connectivity(dense)
     for g in (complete_bipartite(1, 1), BipartiteGraph(1, 1, ())):
         with pytest.raises(TooSmall):
             vertex_connectivity(g)

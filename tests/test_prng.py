@@ -68,8 +68,10 @@ def test_below_bounds_and_coverage():
     g = SplitMix64(7)
     draws = [g.below(10) for _ in range(2000)]
     assert set(draws) == set(range(10))
-    with pytest.raises(ValueError):
-        g.below(0)
+    # A bound that is no integer, or below 1, is refused: 2.5 drew floats.
+    for bound in (0, 2.5, "3", None):
+        with pytest.raises(InvalidParam):
+            g.below(bound)
 
 
 def test_below_takes_bounds_up_to_2_64():
@@ -77,7 +79,7 @@ def test_below_takes_bounds_up_to_2_64():
     # unbiased draw from one word, so it raises instead of rejecting forever.
     word = SplitMix64(1).next_u64()
     assert SplitMix64(1).below(1 << 64) == word
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidParam):
         SplitMix64(1).below((1 << 64) + 1)
 
 
