@@ -36,6 +36,10 @@ Y_PART = "y"
 Vertex = tuple[str, int]
 EdgePair = tuple[int, int]
 
+# The most vertices a part may hold. The graph and the profile check refuse
+# a larger part before anything is allocated for it.
+PART_BOUND = 2**20
+
 
 @dataclass(frozen=True)
 class BipartiteGraph:
@@ -46,8 +50,8 @@ class BipartiteGraph:
     endpoints are rejected at construction, with the first offending edge's
     input position as the error's ``position``. Part sizes and endpoints
     are read with ``operator.index``, so numpy integers pass and floats or
-    strings do not. Sorted adjacency lists are derived once and cached on
-    the value.
+    strings do not; each part holds 1 to ``PART_BOUND`` vertices. Sorted
+    adjacency lists are derived once and cached on the value.
     """
 
     x_count: int
@@ -65,6 +69,10 @@ class BipartiteGraph:
         y_count = check_int(self.y_count, "part size")
         if x_count < 1 or y_count < 1:
             raise InvalidParam("both parts must be nonempty")
+        if max(x_count, y_count) > PART_BOUND:
+            raise InvalidParam(
+                f"part size {max(x_count, y_count)} is above the bound {PART_BOUND}"
+            )
         object.__setattr__(self, "x_count", x_count)
         object.__setattr__(self, "y_count", y_count)
         seen = set()
@@ -201,8 +209,9 @@ def heawood() -> BipartiteGraph:
 
 def check_profile(profile, what: str = "profile") -> tuple[int, ...]:
     """The four values (x, y, a, b) read with ``operator.index``; InvalidParam
-    unless each is at least 1, a*x = b*y (DegreeEquationViolated: both count
-    the edges), and a <= y and b <= x, so a simple graph can exist."""
+    unless each is at least 1, x and y are at most PART_BOUND, a*x = b*y
+    (DegreeEquationViolated: both count the edges), and a <= y and b <= x,
+    so a simple graph can exist."""
     try:
         x, y, a, b = profile
     except (TypeError, ValueError):
@@ -214,6 +223,8 @@ def check_profile(profile, what: str = "profile") -> tuple[int, ...]:
         raise InvalidParam(f"{entry} holds a non-integer") from None
     if min(x, y, a, b) < 1:
         raise InvalidParam(f"{entry} has a size or degree below 1")
+    if max(x, y) > PART_BOUND:
+        raise InvalidParam(f"{entry} has a part size above the bound {PART_BOUND}")
     if a * x != b * y:
         raise DegreeEquationViolated(f"{entry} violates a*x = b*y")
     if a > y or b > x:

@@ -76,6 +76,19 @@ exact:
   vertex) for a child w of c, and merging only lowers a; so lowpt1(w) = v.
   Then lowpt2(w) >= c, as no ancestor lies between, and the type-1 check
   back from w to c (v is not the root) has already returned {v, c}.
+- high(v) as the search meets it. The type-2 pop loop at v reads high(v),
+  the source of the first frond into v in search order, after the search
+  returns from a child w. If that frond has not been met yet, it leaves
+  from the subtree of a later child of v, which is numbered below every
+  vertex of w's subtree and of the earlier children's. Every triple the
+  loop can reach lies above the current path's end marker, so it was
+  pushed at v (b = v) or inside those earlier subtrees (h at least one of
+  their vertices). The loop therefore stops at its first triple whether it
+  reads that source or -1, and the search records high(v) when it first
+  meets a frond into v, with no pass before it.
+- The root's child is vertex 1. The search runs only on 2-connected
+  graphs: ``_connectivity_upto3`` returns at a cut vertex first. So the
+  root has one child, and that child's block starts at new number 1.
 
 The searches return the separator they find: the empty one when G is
 disconnected, a cut vertex, or the first separation pair.
@@ -207,16 +220,16 @@ def _split_network(g: BipartiteGraph):
 def _palm_tree(adj):
     """One lowpoint depth-first search from vertex 0 (Tarjan 1972).
 
-    Returns ``(order, parent, low1, low2, nd, arcs, span)``. ``order``
-    lists the vertices reached, in preorder; the rest are indexed by
-    preorder number and hold preorder numbers. ``parent`` is the tree
+    Returns ``(order, parent, low1, low2, nd, arcs)``. ``order`` lists the
+    vertices reached, in preorder; the rest are indexed by preorder number
+    and hold preorder numbers. ``parent`` is the tree
     parent (-1 at the root); ``low1`` and ``low2`` are lowpt1 and lowpt2,
     the least and second least of the vertex itself and the ends of the
     fronds that leave its subtree; ``nd`` is the subtree's size. ``arcs``
     keys each vertex's arcs by phi (Hopcroft and Tarjan 1973) as
     ``phi * n + head``, unsorted: 3 lowpt1(c), plus 2 when lowpt2(c) is at
     least the tail, for a tree arc to a child c, and 3 x + 1 for a frond to
-    an ancestor x. ``span`` counts the arcs out of each subtree's vertices.
+    an ancestor x.
     """
     n = len(adj)
     num = [-1] * n                      # vertex -> preorder number
@@ -227,11 +240,10 @@ def _palm_tree(adj):
     low2 = [0] * n
     nd = [1] * n
     arcs = [[] for _ in range(n)]
-    span = [0] * n
     stack = [(0, iter(adj[0]))]
     while stack:
         k, nbrs = stack[-1]
-        out, up, l1, l2 = arcs[k], parent[k], low1[k], low2[k]
+        out, p, l1, l2 = arcs[k], parent[k], low1[k], low2[k]
         for w in nbrs:
             x = num[w]
             if x < 0:
@@ -242,7 +254,7 @@ def _palm_tree(adj):
                 stack.append((x, iter(adj[w])))
                 break
             # x > k is a frond from a descendant, seen from its far end.
-            if x < k and x != up:
+            if x < k and x != p:
                 out.append((3 * x + 1) * n + x)
                 if x < l1:
                     l1, l2 = x, l1
@@ -252,19 +264,17 @@ def _palm_tree(adj):
             stack.pop()
             if not stack:
                 break
-            nd[up] += nd[k]
-            span[k] += len(out)
-            span[up] += span[k]
-            arcs[up].append((3 * l1 + 2 * (l2 >= up)) * n + k)
-            if l1 < low1[up]:
-                low2[up] = min(low1[up], l2)
-                low1[up] = l1
-            elif l1 == low1[up]:
-                low2[up] = min(low2[up], l2)
+            nd[p] += nd[k]
+            arcs[p].append((3 * l1 + 2 * (l2 >= p)) * n + k)
+            if l1 < low1[p]:
+                low2[p] = min(low1[p], l2)
+                low1[p] = l1
+            elif l1 == low1[p]:
+                low2[p] = min(low2[p], l2)
             else:
-                low2[up] = min(low2[up], l1)
+                low2[p] = min(low2[p], l1)
         low1[k], low2[k] = l1, l2
-    return order, parent, low1, low2, nd, arcs, span
+    return order, parent, low1, low2, nd, arcs
 
 
 def _separation_pair(palm):
@@ -275,56 +285,41 @@ def _separation_pair(palm):
     (1973), as corrected by Gutwenger and Mutzel (2001), stopped at the
     first pair it would split off (see the module docstring).
     """
-    order, parent, low1, low2, nd, keys, span = palm
+    order, _, low1, low2, nd, keys = palm
     n = len(order)
     # The search visits each vertex's arcs in phi order. Renumber the
     # vertices so that they are numbered n - 1 down to 0 in the order that
     # search leaves them: a vertex's first child then holds the top block of
-    # its subtree. Stamp the fronds with times that grow in the order the
-    # search meets them, a subtree's arcs taking ``span`` times, and let
-    # high(x) be the source of the first frond into x (-1 if none).
+    # its subtree, and the root's one child is vertex 1.
     new = [0] * n                       # preorder number -> new number
-    time = [0] * n                      # preorder number -> its first time
-    first = [n * n] * n                 # preorder number -> first frond in
     arcs = [None] * n                   # the rest are indexed by new number
     lo1 = [0] * n
     lo2 = [0] * n
     size = [0] * n
-    up = [-1] * n
-    high = [-1] * n
     for k in range(n):
         v = new[k]
         top = v + nd[k]
-        t = time[k]
         out = []
         for key in sorted(keys[k]):
             x = key % n
             if x > k:
                 top -= nd[x]
                 new[x] = top
-                time[x] = t
-                t += span[x]
                 out.append(top)
             else:
                 out.append(new[x])
-                if t < first[x]:
-                    first[x] = t
-                    high[new[x]] = v
-                t += 1
         arcs[v] = out
         lo1[v] = new[low1[k]]
         lo2[v] = new[low2[k]]
         size[v] = nd[k]
-        if k:
-            up[v] = new[parent[k]]
-    pair = _path_search(arcs, lo1, lo2, size, up, high)
+    pair = _path_search(arcs, lo1, lo2, size)
     if pair is None:
         return None
     at = dict(zip(new, order))
     return at[pair[0]], at[pair[1]]
 
 
-def _path_search(arcs, low1, low2, nd, parent, high):
+def _path_search(arcs, low1, low2, nd):
     """The first type-1 or type-2 separation pair found, in new numbers.
 
     A triple (h, a, b) on ``tstack`` is a type-2 candidate {a, b}, a an
@@ -332,11 +327,14 @@ def _path_search(arcs, low1, low2, nd, parent, high):
     passed numbered from a to h. ``eos`` ends the triples of each path that
     a tree arc starts; its h = n stops every pop at it. An arc starts a
     path unless it is the first out of a vertex other than the root.
+    ``high`` holds each vertex's high point, the source of the first frond
+    into it, from when the search meets that frond (-1 until then).
     """
     n = len(arcs)
     eos = (n, -1, -1)
     tstack = [eos]
     down = [0] * n                      # vertex -> index of its current tree arc
+    high = [-1] * n
     stack = [(0, enumerate(arcs[0]))]
     while stack:
         v, it = stack[-1]
@@ -356,6 +354,8 @@ def _path_search(arcs, low1, low2, nd, parent, high):
                 down[v] = i
                 stack.append((w, enumerate(arcs[w])))
                 break
+            if high[w] < 0:
+                high[w] = v
             if i:                       # frond that starts a path
                 if tstack[-1][1] > w:
                     h = -1
@@ -377,9 +377,7 @@ def _path_search(arcs, low1, low2, nd, parent, high):
             # Only low1[w] and v join w's subtree to the rest, which is
             # more than those two unless v is the root's child with no arc
             # left.
-            if low2[w] >= v > low1[w] and (
-                parent[v] != 0 or i + 1 < len(arcs[v])
-            ):
+            if low2[w] >= v > low1[w] and (v != 1 or i + 1 < len(arcs[v])):
                 return low1[w], v               # type-1 pair
             if i or v == 0:
                 while tstack.pop()[1] >= 0:
@@ -406,7 +404,7 @@ def _connectivity_upto3(adj):
     if n < 3:
         raise TooSmall("vertex connectivity needs at least 3 vertices")
     palm = _palm_tree(adj)
-    order, parent, low1, _, nd, _, _ = palm
+    order, parent, low1, _, nd, _ = palm
     if len(order) < n:
         return 0, ()
     # The root is a cut vertex when its first subtree misses a vertex, any

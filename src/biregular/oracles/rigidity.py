@@ -83,6 +83,15 @@ smallest tight set holding u and v, fixed by the accepted edges alone. So
 are the components, built from reach sets and from ``nbr[v]``, v's
 accepted neighbours as a bitmask, which also serves the Henneberg test.
 
+- The reach set is what the failed searches marked. A failing search
+  marks every vertex it reaches with its stamp, and it passes through the
+  banned end. In the last round before a rejection, the search from u ran
+  with stamp - 1 and the search from v with stamp. A search is skipped
+  only when its root holds both pebbles, and then the root has no
+  out-edge and reaches only itself. Earlier rounds used smaller stamps. So
+  the reach set is u, v and every vertex whose mark is at least stamp - 1,
+  and no second walk is needed.
+
 An independent randomized cross-check takes the rank of the rigidity matrix
 R at random points over a large prime field; by Schwartz-Zippel it equals
 the generic rank except with vanishing probability, so any disagreement
@@ -197,8 +206,8 @@ def _pebble_accepted(n, edges, circuits=False):
     An edge at a vertex with at most one accepted edge, not a repeat, is
     accepted with no search, and an edge inside a component is rejected
     with none (see the module docstring). At a searched rejection the reach
-    set becomes a component, merged with every component it shares two or
-    more vertices with. Only the plain game, ``circuits`` false, absorbs:
+    set, read from the failed searches' marks, becomes a component, merged
+    with every component it shares two or more vertices with. Only the plain game, ``circuits`` false, absorbs:
     a vertex with two accepted edges into a component joins it, checked at
     the ends of each accepted edge and at every vertex when a component
     forms. It ends at the 2n - 3 ceiling, since no later edge can be
@@ -241,12 +250,8 @@ def _pebble_accepted(n, edges, circuits=False):
                     continue
                 break
             if peb[u] + peb[v] < 4:
-                reach, mask = [u, v], ends
-                for w in reach:  # grows as it is read: a breadth-first search
-                    for x in succ[w]:
-                        if not mask >> x & 1:
-                            mask |= 1 << x
-                            reach.append(x)
+                # The reach set, as the round's two failed searches marked it.
+                mask = ends | sum(1 << w for w in range(n) if mark[w] >= stamp - 1)
                 components = _merge_component(components, mask, absorb)
                 if circuits and sum(2 * c.bit_count() - 3 for c in components) == full:
                     break

@@ -5,7 +5,7 @@ import re
 import pytest
 
 from biregular import complete_bipartite, heawood, parse_bbg, random_biregular, write_bbg
-from biregular.errors import DuplicateEdge, IndexOutOfRange, ParseError
+from biregular.errors import DuplicateEdge, IndexOutOfRange, InvalidParam, ParseError
 from biregular.prng import SplitMix64
 from testutil import small_corpus
 
@@ -111,6 +111,14 @@ def test_index_out_of_range():
         IndexOutOfRange, match=re.escape("line 5: y index 3 outside [0, 3)")
     ):
         parse_bbg("bbg 1\nparts 3 3\nedges 1\n\ne 0 3\n")
+
+
+def test_part_above_the_bound():
+    # Refused before the graph builds a list per vertex.
+    with pytest.raises(
+        InvalidParam, match=re.escape("part size 1048577 is above the bound 1048576")
+    ):
+        parse_bbg("bbg 1\nparts 1 1048577\nedges 0\n")
 
 
 def test_duplicate_edge():

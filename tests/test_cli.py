@@ -379,11 +379,18 @@ def test_usage_errors_exit_1(tmp_path, capsys, c6_file):
     assert res.stderr.startswith("usage error: ") and "Traceback" not in res.stderr
     binary = tmp_path / "binary.bbg"
     binary.write_bytes(b"\xff\xfe 2 2\n")
+    # So is a part above 2**20 vertices, in a file or a sampler profile,
+    # refused before anything is built for it.
+    huge = tmp_path / "huge.bbg"
+    huge.write_text("bbg 1\nparts 1048577 1\nedges 0\n")
+    profile = "--x 1048577 --y 1 --a 1 --b 1048577 --seed 1".split()
     for args, message in (
         (["spectrum", "--input", str(tmp_path)], "Is a directory"),
         (["spectrum", "--input", c6_file, "--out", str(tmp_path)], "Is a directory"),
         (["gen", "cycle", "--out", str(tmp_path)], "Is a directory"),
         (["spectrum", "--input", str(binary)], "can't decode byte 0xff"),
+        (["spectrum", "--input", str(huge)], "part size 1048577 is above the bound 1048576"),
+        (["gen", "random", *profile], "has a part size above the bound 1048576"),
     ):
         assert main(args) == 1
         err = capsys.readouterr().err

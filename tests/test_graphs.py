@@ -26,8 +26,8 @@ from biregular.errors import (
     RetriesExhausted,
 )
 from biregular import prng
-from biregular.audit import default_config
-from biregular.graphs import flat_adjacency
+from biregular.audit import AuditConfig, default_config
+from biregular.graphs import PART_BOUND, check_profile, flat_adjacency
 from biregular.prng import MASK64, derive_seed
 
 from testutil import girth, random_biregular_scalar, vertices
@@ -155,6 +155,28 @@ def test_builtin_rejects_bad_params():
     with pytest.raises(InvalidParam, match="cycle length must be an integer"):
         even_cycle(6.0)
     assert complete_bipartite(np.int64(2), 3) == complete_bipartite(2, 3)
+
+
+def test_part_sizes_are_bounded():
+    # A part above 2**20 vertices is refused by the graph and by the profile
+    # check that the sampler and AuditConfig read, before any per-vertex
+    # list or stub array is built; a profile at the bound passes.
+    big = PART_BOUND + 1
+    for x, y in ((big, 1), (1, big), (10**20, 1)):
+        with pytest.raises(
+            InvalidParam, match=f"part size {max(x, y)} is above the bound 1048576"
+        ):
+            BipartiteGraph(x, y, ())
+    for profile in ((big, 1, 1, big), (1, 10**8, 10**8, 1)):
+        with pytest.raises(InvalidParam, match="has a part size above the bound 1048576"):
+            check_profile(profile)
+    with pytest.raises(
+        InvalidParam,
+        match=re.escape("grid entry (x=1, y=100000000, a=100000000, b=1) has a part size"),
+    ):
+        AuditConfig(size_grid=((1, 10**8, 10**8, 1),))
+    assert PART_BOUND == 2**20
+    assert check_profile((PART_BOUND, 1, 1, PART_BOUND)) == (2**20, 1, 1, 2**20)
 
 
 def test_heawood_shape():

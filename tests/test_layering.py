@@ -104,6 +104,29 @@ def test_oracles_name_no_property_or_verdict():
     assert _uses(_files("src/biregular/oracles"), {"GraphProperty", "Verdict"}) == []
 
 
+def test_oracles_import_nothing_they_check():
+    # The oracles are the exact references that certificates and the audit
+    # are checked against, so no module under oracles/ imports spectral,
+    # certify, audit, bbg or cli: they read errors, graphs, prng and each
+    # other. Relative and absolute imports both name the module.
+    banned = {"spectral", "certify", "audit", "bbg", "cli"}
+    found = []
+    for path in _files("src/biregular/oracles"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module or ''}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(ROOT)}:{node.lineno}: {module}"
+                for module in modules
+                if banned & set(module.split("."))
+            ]
+    assert found == []
+
+
 def test_every_exported_name_is_read_outside_the_tests():
     # A name in biregular.__all__ or biregular.oracles.__all__ needs a NAME
     # token in src/, bench/ or demos/ other than its own def or class line;
