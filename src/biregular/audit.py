@@ -34,8 +34,8 @@ from .certify import (
     certify_vertex_connectivity,
     is_ramanujan,
 )
-from .errors import AuditUnsound, InvalidParam, RetriesExhausted, check_int, check_k
-from .graphs import BipartiteGraph, check_profile, random_biregular
+from .errors import AuditUnsound, InvalidParam, check_int, check_k
+from .graphs import BipartiteGraph, check_profile, random_biregular_trials
 from .oracles import (
     OracleResult,
     edge_connectivity,
@@ -241,16 +241,18 @@ def default_config(trials=DEFAULT_TRIALS, seed=DEFAULT_SEED) -> AuditConfig:
 
 
 def generate_corpus(cfg: AuditConfig):
-    """Yield (graph_id, trial_seed, graph, spectrum) for every sampled trial.
+    """Yield (graph_id, trial_seed, graph, spectrum) for every sampled trial,
+    in grid and trial order.
 
-    Trials whose rejection sampling budget runs out are logged and skipped.
+    The trials of one grid entry are sampled by one
+    ``random_biregular_trials`` call; each gets the graph
+    ``random_biregular`` gives its seed. Trials whose rejection sampling
+    budget runs out are logged, in trial order, and skipped.
     """
     for combo_idx, (x, y, a, b) in enumerate(cfg.size_grid):
-        for trial in range(cfg.trials):
-            trial_seed = derive_seed(cfg.seed, combo_idx, trial)
-            try:
-                g = random_biregular(x, y, a, b, trial_seed)
-            except RetriesExhausted:
+        seeds = [derive_seed(cfg.seed, combo_idx, t) for t in range(cfg.trials)]
+        for trial_seed, g in zip(seeds, random_biregular_trials(x, y, a, b, seeds)):
+            if g is None:
                 log.warning(
                     "skipping trial: no simple graph for "
                     "(x=%d, y=%d, a=%d, b=%d, seed=%d)", x, y, a, b, trial_seed,

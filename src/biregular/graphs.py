@@ -26,6 +26,7 @@ from .errors import (
     NotBiregular,
     PartMismatch,
     RetriesExhausted,
+    TooLarge,
     check_int,
 )
 from .prng import shuffled_rows
@@ -39,6 +40,20 @@ EdgePair = tuple[int, int]
 # The most vertices a part may hold. The graph and the profile check refuse
 # a larger part before anything is allocated for it.
 PART_BOUND = 2**20
+
+# The most cells x * y of a graph whose dense x-by-y arrays are built: the
+# biadjacency matrix (``spectral.biadjacency``), the mixing audit's count
+# matrix, and the edges of ``complete_bipartite``. Each refuses a larger
+# graph before it allocates. Every graph they accept has m <= 2^24 edges.
+CELL_BOUND = 2**24
+
+
+def check_cells(x: int, y: int, what: str) -> None:
+    """TooLarge naming ``what`` unless x * y <= CELL_BOUND."""
+    if x * y > CELL_BOUND:
+        raise TooLarge(
+            f"{what}: {x} x {y} = {x * y} cells is above the bound {CELL_BOUND}"
+        )
 
 
 @dataclass(frozen=True)
@@ -174,8 +189,10 @@ def validate_biregular(g: BipartiteGraph) -> BiregularProfile:
 
 
 def complete_bipartite(m: int, n: int) -> BipartiteGraph:
-    """K_{m,n} with X-side size m: profile (a, b) = (n, m)."""
+    """K_{m,n} with X-side size m: profile (a, b) = (n, m); TooLarge above
+    CELL_BOUND edges, before any is built."""
     m, n = check_int(m, "part size"), check_int(n, "part size")
+    check_cells(m, n, "complete bipartite graph")
     return BipartiteGraph(
         m, n, tuple((i, j) for i in range(m) for j in range(n))
     )
@@ -232,11 +249,14 @@ def check_profile(profile, what: str = "profile") -> tuple[int, ...]:
     return x, y, a, b
 
 
-# Attempts per block of the batched sampler: the first block is small
-# because most profiles succeed within a few attempts, later ones grow 4x
-# up to a cap that keeps the block's arrays (and peak memory) small.
+# Attempts per block of the sampler: the first block is small because most
+# profiles succeed within a few attempts, later ones grow 4x up to a cap
+# that keeps the block's arrays (and peak memory) small. One call of the
+# shuffle serves as many trials' blocks as fit in _CALL_ROWS rows: 64
+# trials' first blocks, or 4 trials' 256-row blocks.
 _FIRST_BLOCK = 16
 _MAX_BLOCK = 256
+_CALL_ROWS = 4 * _MAX_BLOCK
 DEFAULT_MAX_RETRIES = 10000
 
 
@@ -254,34 +274,67 @@ def random_biregular(
     profiles make rejection sampling hopeless: roughly exp((a-1)(b-1)/2)
     attempts are needed on average, and RetriesExhausted signals that.
 
-    Attempts are shuffled in blocks of 16, 64, then 256 (``shuffled_rows``);
-    the first with no two stubs of one X-vertex on one Y-vertex is returned.
+    This is ``random_biregular_trials`` on the one seed.
+    """
+    (g,) = random_biregular_trials(x, y, a, b, (seed,), max_retries)
+    if g is None:
+        raise RetriesExhausted(
+            f"no simple matching in {max_retries} attempts for "
+            f"(x={x}, y={y}, a={a}, b={b}, seed={seed})"
+        )
+    return g
+
+
+def random_biregular_trials(
+    x: int, y: int, a: int, b: int, seeds,
+    max_retries: int = DEFAULT_MAX_RETRIES,
+) -> list[BipartiteGraph | None]:
+    """``random_biregular`` for each seed: its graph, or None where it would
+    raise RetriesExhausted.
+
+    Each seed's attempts are shuffled from its own stream in blocks of 16,
+    64, then 256 (``shuffled_rows``), and the first attempt with no two
+    stubs of one X-vertex on one Y-vertex is its graph. The seeds still
+    without a graph move through the blocks together, as many to a shuffle
+    call as fit in ``_CALL_ROWS`` rows, so one seed's graph is the same
+    whichever seeds share its calls.
     """
     x, y, a, b = check_profile((x, y, a, b))
     if check_int(max_retries, "max_retries") < 1:
         raise InvalidParam("max_retries must be positive")
+    seeds = [check_int(seed, "seed") for seed in seeds]
     x_stubs = [i for i in range(x) for _ in range(a)]
     y_base = np.repeat(np.arange(y, dtype=np.min_scalar_type(y)), b)
-    attempt, position, block = 0, 0, _FIRST_BLOCK
-    while attempt < max_retries:
+    graphs = [None] * len(seeds)
+    position = [0] * len(seeds)
+    live = list(range(len(seeds)))
+    attempt, block = 0, _FIRST_BLOCK
+    while live and attempt < max_retries:
         rows = min(block, max_retries - attempt)
-        perms, position = shuffled_rows(seed, position, y_base, rows)
-        # Row r, X-vertex i: the Y-ends of i's a stubs; a repeat is a clash.
-        groups = perms.reshape(rows, x, a)
-        clash = np.zeros((rows, x), dtype=bool)
-        for d in range(1, a):
-            clash |= (groups[:, :, d:] == groups[:, :, :-d]).any(axis=2)
-        simple = np.flatnonzero(~clash.any(axis=1))
-        if simple.size:
-            return BipartiteGraph(
-                x, y, tuple(zip(x_stubs, groups[simple[0]].ravel().tolist()))
+        per_call = _CALL_ROWS // rows
+        calls = [live[i : i + per_call] for i in range(0, len(live), per_call)]
+        live = []
+        for trials in calls:
+            perms, ends = shuffled_rows(
+                [seeds[t] for t in trials], [position[t] for t in trials],
+                y_base, rows,
             )
+            # Row r, X-vertex i: the Y-ends of i's a stubs; a repeat is a clash.
+            groups = perms.reshape(len(trials), rows, x, a)
+            clash = np.zeros((len(trials), rows, x), dtype=bool)
+            for d in range(1, a):
+                clash |= (groups[..., d:] == groups[..., :-d]).any(axis=3)
+            simple = ~clash.any(axis=2)
+            for t, end, found, attempts in zip(trials, ends, simple, groups):
+                if found.any():
+                    ends_y = attempts[found.argmax()].ravel().tolist()
+                    graphs[t] = BipartiteGraph(x, y, tuple(zip(x_stubs, ends_y)))
+                else:
+                    position[t] = end
+                    live.append(t)
         attempt += rows
         block = min(4 * block, _MAX_BLOCK)
-    raise RetriesExhausted(
-        f"no simple matching in {max_retries} attempts for "
-        f"(x={x}, y={y}, a={a}, b={b}, seed={seed})"
-    )
+    return graphs
 
 
 def flat_vertex(g: BipartiteGraph, fid: int) -> Vertex:

@@ -11,8 +11,10 @@ stream.
 State i of the stream is ``(seed & MASK64) + i * GAMMA`` mod 2^64 and output
 i is that state mixed, so any stretch of outputs can be computed without
 the ones before it. ``stream_u64`` returns such a stretch as one numpy
-block, which the block readers ``below_rows`` and ``shuffled_rows`` draw
-from; ``SplitMix64`` stays the one-word-at-a-time reference they match.
+block, which the one-seed reader ``below_rows`` draws from;
+``below_rows_each`` reads one stretch for each of several (seed, position)
+pairs as one 2-D block, and ``shuffled_rows`` shuffles from it.
+``SplitMix64`` stays the one-word-at-a-time reference they match.
 """
 
 from __future__ import annotations
@@ -77,13 +79,20 @@ def accept_max(bound):
 def stream_u64(seed: int, start: int, count: int) -> np.ndarray:
     """Outputs start+1 .. start+count of ``SplitMix64(seed)`` as a uint64 array.
 
-    Output 1 is the first ``next_u64()``. The mix runs in place on the one
-    array: numpy's uint64 array arithmetic wraps mod 2^64 exactly as the
-    masked scalar steps do, and raises no overflow warning.
+    Output 1 is the first ``next_u64()``.
     """
     z = np.arange(start + 1, start + 1 + count, dtype=np.uint64)
     z *= GAMMA
     z += check_int(seed, "seed") & MASK64
+    return _mixed(z)
+
+
+def _mixed(z):
+    """The outputs of the uint64 array of states ``z``, mixed in place.
+
+    numpy's uint64 array arithmetic wraps mod 2^64 exactly as the masked
+    scalar steps do, and raises no overflow warning.
+    """
     z ^= z >> 30
     z *= _MIX1
     z ^= z >> 27
@@ -98,6 +107,9 @@ def below_rows(seed: int, start: int, bounds, rows: int):
     uint64 array, and the stream position after the last draw. A word that
     ``below`` would reject cuts the block of words read at once; the next
     block starts one word later, at the same bound.
+
+    This is the exact one-seed reader: ``below_rows_each`` hands it only the
+    seeds whose block holds a rejected word.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     width = bounds.size
@@ -121,21 +133,55 @@ def below_rows(seed: int, start: int, bounds, rows: int):
     return out.reshape(rows, width) % bounds, start
 
 
-def shuffled_rows(seed: int, start: int, items, rows: int):
-    """``rows`` copies of the 1-d array ``items``, each shuffled as
-    ``SplitMix64.shuffle`` shuffles it, drawn after word ``start`` of the
-    stream: a (rows, len(items)) array, and the stream position after it.
-    The work array is position-major, so the swaps of all rows at one
-    position are vectorised steps on one contiguous slice.
+def below_rows_each(seeds, starts, bounds, rows: int):
+    """``below_rows(seed, start, bounds, rows)`` for each (seed, start) pair,
+    stacked: a (len(seeds) * rows, len(bounds)) uint64 array whose rows
+    r * rows .. (r + 1) * rows - 1 are pair r's, and the list of stream
+    positions after each pair's draws.
+
+    One 2-D block holds the next rows * len(bounds) words of every pair and
+    is reduced whole; a pair whose block holds a word that ``below`` would
+    reject (fewer than one word in 2^64 / bound) has its rows re-read by
+    ``below_rows``, which cuts it exactly.
+    """
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    count = rows * bounds.size
+    seeds = [check_int(seed, "seed") for seed in seeds]
+    # State start + t of a seed is its state at ``start`` plus t * GAMMA.
+    at = [(seed + start * GAMMA) & MASK64 for seed, start in zip(seeds, starts)]
+    steps = np.arange(1, count + 1, dtype=np.uint64)
+    steps *= GAMMA
+    words = _mixed(steps + np.array(at, np.uint64)[:, None])
+    words = words.reshape(len(seeds) * rows, bounds.size)
+    cut = (words > accept_max(bounds)).reshape(len(seeds), count).any(axis=1)
+    words = words % bounds
+    ends = [start + count for start in starts]
+    for r in np.flatnonzero(cut):
+        here = slice(r * rows, (r + 1) * rows)
+        words[here], ends[r] = below_rows(seeds[r], starts[r], bounds, rows)
+    return words, ends
+
+
+def shuffled_rows(seeds, starts, items, rows: int):
+    """``rows`` copies of the 1-d array ``items`` for each (seed, start)
+    pair, each shuffled as ``SplitMix64.shuffle`` shuffles it, drawn after
+    word ``start`` of the seed's stream: a (len(seeds) * rows, len(items))
+    array stacked as ``below_rows_each`` stacks its draws, and the list of
+    stream positions after each pair's shuffles. The work array is
+    position-major over all the stacked rows, so the swaps of every row at
+    one position are vectorised steps on one contiguous slice.
     """
     size = len(items)
-    swaps, end = below_rows(seed, start, np.arange(size, 1, -1), rows)
-    perm = np.repeat(items, rows)
-    partners = swaps.T.astype(np.intp) * rows + np.arange(rows)
+    swaps, ends = below_rows_each(seeds, starts, np.arange(size, 1, -1), rows)
+    total = swaps.shape[0]
+    perm = np.repeat(items, total)
+    partners = swaps.T.astype(np.intp)
+    partners *= total
+    partners += np.arange(total)
     for i, j in zip(range(size - 1, 0, -1), partners):
-        here = slice(i * rows, (i + 1) * rows)
-        perm[here], perm[j] = perm[j], perm[here].copy()
-    return perm.reshape(size, rows).T, end
+        lo = i * total
+        perm[lo : lo + total], perm[j] = perm[j], perm[lo : lo + total].copy()
+    return perm.reshape(size, total).T, ends
 
 
 def derive_seed(master: int, *indices: int) -> int:

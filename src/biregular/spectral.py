@@ -24,7 +24,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConvergenceFailure, InvalidParam, MixingViolation, check_int
-from .graphs import BipartiteGraph, Vertex, cross_edges, edge_ends
+from .graphs import BipartiteGraph, Vertex, check_cells, cross_edges, edge_ends
 from .graphs import validate_biregular
 from .prng import stream_u64
 
@@ -64,7 +64,9 @@ class MixingReport:
 
 
 def biadjacency(g: BipartiteGraph) -> np.ndarray:
-    """The x_count-by-y_count 0/1 matrix B with B[i, j] = 1 iff (i, j) is an edge."""
+    """The x_count-by-y_count 0/1 matrix B with B[i, j] = 1 iff (i, j) is an
+    edge; TooLarge above ``graphs.CELL_BOUND`` cells."""
+    check_cells(g.x_count, g.y_count, "biadjacency matrix")
     mat = np.zeros((g.x_count, g.y_count))
     mat[edge_ends(g)] = 1.0
     return mat
@@ -130,10 +132,6 @@ class MixingAuditReport:
 _MIXING_CHUNK = 128
 _MIXING_WORDS = 1 << 14
 
-# float32 holds every integer up to 2^24 exactly, so the audit counts in
-# float32 while no count (each at most m) can reach it.
-_FLOAT32_EXACT = 1 << 24
-
 
 def mixing_audit(
     g: BipartiteGraph,
@@ -155,8 +153,8 @@ def mixing_audit(
     |Y|. So A's bits @ C gives A's edges into each Y-vertex and |A| at
     once; e(A, B) is the row-wise dot of its first |Y| columns with B's
     bits, and |B| the row sum of B's bits. Every count and partial sum is
-    an integer of at most m, so they are exact in float32, in any
-    summation order, while m < 2^24 (float64 above that).
+    an integer of at most m <= 2^24 (``_mixing_guard`` refuses larger
+    graphs), so they are exact in float32, in any summation order.
 
     The counts of c * max(1, _MIXING_WORDS // c) pairs gather in float64
     buffers, so memory does not grow with ``pairs``, and the inequality is
@@ -171,8 +169,7 @@ def mixing_audit(
     check_int(seed, "seed")
     profile, spectrum = _mixing_guard(g, spectrum)
     x, y, n = g.x_count, g.y_count, g.n
-    dtype = np.float32 if g.m < _FLOAT32_EXACT else np.float64
-    counts = np.zeros((x, y + 1), dtype)
+    counts = np.zeros((x, y + 1), np.float32)
     counts[edge_ends(g)] = 1
     counts[:, y] = 1
     chunk = max(1, min(_MIXING_CHUNK, max(_MIXING_WORDS, counts.size) // n))
@@ -185,7 +182,7 @@ def mixing_audit(
             count = min(chunk, stop - first)
             bits = stream_u64(seed, first * n, count * n)
             bits &= 1
-            bits = bits.astype(np.uint8).astype(dtype).reshape(count, n)
+            bits = bits.astype(np.uint8).astype(np.float32).reshape(count, n)
             a_in, b_in = bits[:, :x], bits[:, x:]
             sums = a_in @ counts
             at = slice(first - start, first - start + count)
@@ -214,10 +211,13 @@ def mixing_audit(
 
 def _mixing_guard(g, spectrum):
     """Profile and spectrum, after the checks both mixing functions make
-    first; the spectrum is computed last, and only when none is given."""
+    first (TooLarge above ``graphs.CELL_BOUND`` cells, before the count
+    matrix or the spectrum is built); the spectrum is computed last, and
+    only when none is given."""
     if g.n < 3:
         raise InvalidParam("mixing bound requires at least 3 vertices")
     profile = validate_biregular(g)
+    check_cells(g.x_count, g.y_count, "mixing inequality")
     return profile, singular_values(g) if spectrum is None else spectrum
 
 

@@ -170,12 +170,15 @@ def test_config_rejects_impossible_profiles_before_sampling(monkeypatch):
     # before any profile is sampled.
     import biregular.audit as audit_mod
 
-    calls = record_calls(monkeypatch, audit_mod, "random_biregular")
+    calls = record_calls(monkeypatch, audit_mod, "random_biregular_trials")
     props = (GraphProperty.EDGE_CONNECTIVITY,)
     for bad in ((0, 0, 1, 1), (-2, -2, 1, 1), (4, 4, 0, 0), (4, 2, 3, 6)):
         with pytest.raises(InvalidParam, match="grid entry"):
             audit_random(AuditConfig(2, ((4, 4, 2, 2), bad), (2,), props, 1))
     assert calls == []
+    # The spy sees the sampling of a grid that passes.
+    audit_random(AuditConfig(2, ((4, 4, 2, 2),), (2,), props, 1))
+    assert len(calls) == 1
 
 
 def test_unsound_oracle_aborts(monkeypatch):
@@ -208,7 +211,9 @@ def test_rigidity_oracles_run_only_behind_fired_certificates(monkeypatch):
     import biregular.audit as audit_mod
 
     monkeypatch.setattr(
-        audit_mod, "random_biregular", lambda *args: complete_bipartite(6, 6)
+        audit_mod,
+        "random_biregular_trials",
+        lambda x, y, a, b, seeds: [complete_bipartite(6, 6) for _ in seeds],
     )
     cfg = AuditConfig(
         trials=1,
@@ -400,8 +405,8 @@ def test_mixing_audit_matches_scalar_reference():
 @pytest.mark.parametrize(
     "name, value",
     # One pair per chunk; chunks bounded by the count matrix alone (4 to
-    # 54 pairs here); counts in float64.
-    [("_MIXING_CHUNK", 1), ("_MIXING_WORDS", 1), ("_FLOAT32_EXACT", 0)],
+    # 54 pairs here).
+    [("_MIXING_CHUNK", 1), ("_MIXING_WORDS", 1)],
 )
 def test_mixing_audit_settings_match_scalar(monkeypatch, name, value):
     monkeypatch.setattr(spectral, name, value)

@@ -343,13 +343,16 @@ def test_audit_unknown_property_is_usage_error(names, bad):
 def test_audit_impossible_grid_entry_exits_before_sampling(capsys, monkeypatch):
     import biregular.audit as audit_mod
 
-    calls = record_calls(monkeypatch, audit_mod, "random_biregular")
+    calls = record_calls(monkeypatch, audit_mod, "random_biregular_trials")
     assert main(["audit", "--grid", "4,4,2,2;0,0,1,1"]) == 1
     assert calls == []
     assert capsys.readouterr().err == (
         "usage error: grid entry (x=0, y=0, a=1, b=1) has a size or degree "
         "below 1\n"
     )
+    # The spy sees the sampling of a grid that passes.
+    assert main(["audit", "--grid", "4,4,2,2", "--trials", "1"]) == 0
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("entry", ["6,4,2,+3", "6,4,2,\u0663", "6,4,2,0_3"])
@@ -384,7 +387,16 @@ def test_usage_errors_exit_1(tmp_path, capsys, c6_file):
     huge = tmp_path / "huge.bbg"
     huge.write_text("bbg 1\nparts 1048577 1\nedges 0\n")
     profile = "--x 1048577 --y 1 --a 1 --b 1048577 --seed 1".split()
+    # And so is a graph above 2**24 cells where a command would build a
+    # dense x-by-y array: the SVD's matrix, the mixing audit's count matrix
+    # or the edges of a complete bipartite graph.
+    matching = tmp_path / "matching.bbg"
+    matching.write_text(write_bbg(BipartiteGraph(4097, 4097, [(i, i) for i in range(4097)])))
+    cells = "4097 x 4097 = 16785409 cells is above the bound 16777216"
     for args, message in (
+        (["spectrum", "--input", str(matching)], cells),
+        (["mixing-audit", "--input", str(matching), "--pairs", "10"], cells),
+        (["gen", "complete", "--m", "4097", "--n", "4096"], "16781312 cells is above"),
         (["spectrum", "--input", str(tmp_path)], "Is a directory"),
         (["spectrum", "--input", c6_file, "--out", str(tmp_path)], "Is a directory"),
         (["gen", "cycle", "--out", str(tmp_path)], "Is a directory"),

@@ -1,6 +1,8 @@
 """Graph values, validation, generators, and counting primitives."""
 
+import logging
 import re
+import time
 
 import numpy as np
 import pytest
@@ -24,13 +26,20 @@ from biregular.errors import (
     NotBiregular,
     PartMismatch,
     RetriesExhausted,
+    TooLarge,
 )
-from biregular import prng
-from biregular.audit import AuditConfig, default_config
-from biregular.graphs import PART_BOUND, check_profile, flat_adjacency
+from biregular import graphs, prng
+from biregular.audit import AuditConfig, default_config, generate_corpus
+from biregular.graphs import (
+    CELL_BOUND,
+    PART_BOUND,
+    check_profile,
+    flat_adjacency,
+    random_biregular_trials,
+)
 from biregular.prng import MASK64, derive_seed
 
-from testutil import girth, random_biregular_scalar, vertices
+from testutil import girth, random_biregular_scalar, record_calls, vertices
 
 
 def test_validate_complete_bipartite_2_3():
@@ -179,6 +188,19 @@ def test_part_sizes_are_bounded():
     assert check_profile((PART_BOUND, 1, 1, PART_BOUND)) == (2**20, 1, 1, 2**20)
 
 
+def test_complete_bipartite_is_bounded_before_building():
+    # K(4097, 4096) would hold 16 781 312 edges, above 2**24: it is refused
+    # before the first edge is built.
+    assert CELL_BOUND == 2**24
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="4097 x 4096 = 16781312 cells is above"):
+        complete_bipartite(4097, 4096)
+    assert time.perf_counter() - start < 0.1
+    assert complete_bipartite(4096, 1).m == 4096
+    # 4096 x 4096 is at the bound, so passes.
+    assert graphs.check_cells(4096, 4096, "a graph") is None
+
+
 def test_heawood_shape():
     g = heawood()
     assert (g.x_count, g.y_count, g.m) == (7, 7, 21)
@@ -247,32 +269,101 @@ def test_random_biregular_matches_scalar_reference(seed):
 
 def test_random_biregular_block_boundaries():
     # Attempt budgets that end inside, at and just past the 16-, 64- and
-    # 256-attempt blocks, on a profile that rarely samples a simple graph.
-    for t in range(3):
-        seed = derive_seed(8, t)
+    # 256-attempt blocks, on a profile that rarely samples a simple graph
+    # and on two whose trials mostly succeed within them: the one-seed
+    # sampler and the batch of all seeds, whose trials leave it at
+    # different blocks, both match the reference.
+    mixed = 0
+    for profile in ((10, 10, 5, 5), (8, 8, 4, 4), (6, 6, 3, 3)):
+        seeds = [derive_seed(8, t) for t in range(5)]
         for retries in (1, 2, 15, 16, 17, 80, 81, 336, 337, 600):
-            args = (10, 10, 5, 5, seed)
-            got = _sample(random_biregular, *args, max_retries=retries)
-            ref = _sample(random_biregular_scalar, *args, max_retries=retries)
-            assert got == ref, (t, retries)
+            refs = [
+                _sample(random_biregular_scalar, *profile, seed, max_retries=retries)
+                for seed in seeds
+            ]
+            for seed, ref in zip(seeds, refs):
+                got = _sample(random_biregular, *profile, seed, max_retries=retries)
+                assert got == ref, (profile, seed, retries)
+            batch = random_biregular_trials(*profile, seeds, retries)
+            assert batch == [None if isinstance(r, str) else r for r in refs]
+            mixed += None in batch and batch.count(None) < len(seeds)
+    # Some budgets sample some seeds' graphs and skip others.
+    assert mixed >= 3
 
 
 def test_random_biregular_rejection_fallback(monkeypatch):
     # Lower the acceptance limit of bounded draws, for the batched sampler
     # and the scalar reference alike, so that one word in 2^s is rejected:
     # each rejected word cuts a block of draws, and the next block must
-    # start one word later at the same bound, as below() redraws it.
+    # start one word later at the same bound, as below() redraws it. In a
+    # batch, only the seeds whose blocks hold a rejected word are cut. At
+    # s = 1 every block is cut, so a batch re-reads each seed alone, as the
+    # one-seed sampler does; the batch is checked on the two cheap profiles.
     profiles = ((4, 4, 2, 2), (6, 4, 2, 3), (8, 8, 4, 4), (10, 10, 5, 5))
-    for s in (8, 1):
+    for s, batched in ((8, profiles), (1, profiles[:2])):
         monkeypatch.setattr(
             prng, "accept_max", lambda bound, s=s: MASK64 - (MASK64 >> s)
         )
         for x, y, a, b in profiles:
-            for t in range(6):
-                args = (x, y, a, b, derive_seed(13, s, t))
+            seeds = [derive_seed(13, s, t) for t in range(6)]
+            refs = []
+            for seed in seeds:
+                args = (x, y, a, b, seed)
                 got = _sample(random_biregular, *args, max_retries=200)
-                ref = _sample(random_biregular_scalar, *args, max_retries=200)
-                assert got == ref, (s, args)
+                refs.append(_sample(random_biregular_scalar, *args, max_retries=200))
+                assert got == refs[-1], (s, args)
+            if (x, y, a, b) in batched:
+                batch = random_biregular_trials(x, y, a, b, seeds, 200)
+                assert batch == [None if isinstance(r, str) else r for r in refs]
+
+
+def _one_seed(x, y, a, b, seeds, max_retries=10000):
+    """The one-seed sampler on each seed, None where it raises."""
+    out = []
+    for seed in seeds:
+        try:
+            out.append(random_biregular(x, y, a, b, seed, max_retries))
+        except RetriesExhausted:
+            out.append(None)
+    return out
+
+
+def test_random_biregular_trials_split_calls_at_1024_rows(monkeypatch):
+    # 70 first blocks of 16 rows take two calls (64 trials, then 6); the
+    # nine dense trials, all live through both 256-row blocks, go 4, 4 and
+    # 1 to a call in each.
+    calls = record_calls(monkeypatch, graphs, "shuffled_rows")
+    sizes = {}
+    for profile, trials, retries in (((4, 4, 2, 2), 70, 16), ((10, 10, 5, 5), 9, 600)):
+        seeds = [derive_seed(43, t) for t in range(trials)]
+        calls.clear()
+        got = random_biregular_trials(*profile, seeds, retries)
+        for (seeds_in_call, _, _, rows), _ in calls:
+            assert len(seeds_in_call) * rows <= 1024
+            sizes.setdefault((trials, rows), []).append(len(seeds_in_call))
+        assert got == _one_seed(*profile, seeds, retries)
+    assert sizes[70, 16] == [64, 6]
+    assert sizes[9, 256] == [4, 4, 1, 4, 4, 1]
+
+
+def test_generate_corpus_logs_skips_in_trial_order(caplog):
+    # Each trial is a graph or a skip line, in trial order, as the one-seed
+    # sampler decides it.
+    cfg = AuditConfig(12, ((10, 10, 5, 5), (4, 4, 2, 2)), (2,), seed=7)
+    want = []
+    for ci, profile in enumerate(cfg.size_grid):
+        seeds = [derive_seed(cfg.seed, ci, t) for t in range(cfg.trials)]
+        for seed, g in zip(seeds, _one_seed(*profile, seeds)):
+            want.append(("graph" if g else "skip", seed))
+    got = []
+    with caplog.at_level(logging.WARNING, logger="biregular.audit"):
+        for _, seed, _, _ in generate_corpus(cfg):
+            got += [("skip", int(r.args[-1])) for r in caplog.records]
+            caplog.clear()
+            got.append(("graph", seed))
+        got += [("skip", int(r.args[-1])) for r in caplog.records]
+    assert got == want
+    assert 0 < [e for e, _ in got].count("skip") < 12
 
 
 def test_random_biregular_rejects_nonpositive_retries():

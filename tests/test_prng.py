@@ -12,10 +12,13 @@ from biregular.prng import (
     SplitMix64,
     accept_max,
     below_rows,
+    below_rows_each,
     derive_seed,
     shuffled_rows,
     stream_u64,
 )
+
+from testutil import record_calls
 
 
 def test_splitmix64_reference_vectors():
@@ -121,6 +124,7 @@ def test_seeds_must_be_integers():
         lambda: SplitMix64(1.5),
         lambda: stream_u64(1.5, 0, 4),
         lambda: below_rows(1.5, 0, (3,), 2),
+        lambda: below_rows_each([5, 1.5], [0, 0], (3,), 2),
         lambda: derive_seed(1.5, 1),
         lambda: derive_seed(1, 2.5),
     )
@@ -147,28 +151,49 @@ def test_block_readers_match_scalar_draws(monkeypatch, shift):
     bounds_cases = ((), (7,), (10, 3, 2**31 - 1), tuple(range(12, 1, -1)),
                     (MASK64, 1, 3))
     items_cases = ([], [4], list(range(10)), [0, 0, 1, 1, 2, 2, 3, 3])
-    for seed in (0, 5, MASK64):
-        for start in (0, 3):
-            for rows in (0, 1, 9):
-                # Each reader's draws, and the word after them, are the
-                # scalar generator's.
-                for bounds in bounds_cases:
-                    rng = _scalar_at(seed, start)
-                    want = [[rng.below(b) for b in bounds] for _ in range(rows)]
-                    got, end = below_rows(seed, start, bounds, rows)
-                    assert got.shape == (rows, len(bounds))
-                    assert got.tolist() == want, (seed, start, bounds, rows)
-                    assert stream_u64(seed, end, 1)[0] == rng.next_u64()
-                for items in items_cases:
-                    rng = _scalar_at(seed, start)
-                    want = []
-                    for _ in range(rows):
-                        row = items.copy()
-                        rng.shuffle(row)
-                        want.append(row)
-                    got, end = shuffled_rows(
-                        seed, start, np.array(items, dtype=np.int64), rows
-                    )
-                    assert got.shape == (rows, len(items))
-                    assert got.tolist() == want, (seed, start, items, rows)
-                    assert stream_u64(seed, end, 1)[0] == rng.next_u64()
+    # The multi-seed readers serve every (seed, start) pair in one call.
+    pairs = [(seed, start) for seed in (0, 5, MASK64) for start in (0, 3)]
+    seeds, starts = zip(*pairs)
+    for rows in (0, 1, 9):
+        # Each reader's draws, and the word after them, are the scalar
+        # generator's; the multi-seed readers stack pair r's rows at r.
+        for bounds in bounds_cases:
+            each, ends = below_rows_each(seeds, starts, bounds, rows)
+            assert each.shape == (len(pairs) * rows, len(bounds))
+            for r, (seed, start) in enumerate(pairs):
+                rng = _scalar_at(seed, start)
+                want = [[rng.below(b) for b in bounds] for _ in range(rows)]
+                got, end = below_rows(seed, start, bounds, rows)
+                assert got.shape == (rows, len(bounds))
+                assert got.tolist() == want, (seed, start, bounds, rows)
+                assert each[r * rows : (r + 1) * rows].tolist() == want
+                assert end == ends[r]
+                assert stream_u64(seed, end, 1)[0] == rng.next_u64()
+        for items in items_cases:
+            got, ends = shuffled_rows(
+                seeds, starts, np.array(items, dtype=np.int64), rows
+            )
+            assert got.shape == (len(pairs) * rows, len(items))
+            for r, (seed, start) in enumerate(pairs):
+                rng = _scalar_at(seed, start)
+                want = []
+                for _ in range(rows):
+                    row = items.copy()
+                    rng.shuffle(row)
+                    want.append(row)
+                here = got[r * rows : (r + 1) * rows]
+                assert here.tolist() == want, (seed, start, items, rows)
+                assert stream_u64(seed, ends[r], 1)[0] == rng.next_u64()
+
+
+def test_below_rows_each_rereads_only_cut_seeds(monkeypatch):
+    # With one word in 2^8 rejected, a few of 64 seeds' 8-word blocks hold
+    # a rejected word: only those seeds reach the one-seed reader.
+    top = MASK64 - (MASK64 >> 8)
+    monkeypatch.setattr(prng, "accept_max", lambda bound: top)
+    calls = record_calls(monkeypatch, prng, "below_rows")
+    seeds = list(range(64))
+    below_rows_each(seeds, [1] * 64, (5, 6), 4)
+    cut = [s for s in seeds if (stream_u64(s, 1, 8) > top).any()]
+    assert [args[0] for args, _ in calls] == cut
+    assert 0 < len(cut) < 64

@@ -11,12 +11,13 @@ from biregular import (
     complete_bipartite,
     even_cycle,
     heawood,
+    mixing_audit,
     mixing_check,
     random_biregular,
     singular_values,
     validate_biregular,
 )
-from biregular.errors import ConvergenceFailure, InvalidParam, NotBiregular
+from biregular.errors import ConvergenceFailure, InvalidParam, NotBiregular, TooLarge
 from biregular.graphs import flat_adjacency
 from biregular.prng import derive_seed
 
@@ -166,6 +167,23 @@ def test_mixing_empty_side():
 def test_mixing_needs_three_vertices():
     with pytest.raises(InvalidParam):
         mixing_check(complete_bipartite(1, 1), [], [])
+
+
+def test_dense_arrays_are_bounded():
+    # A 4097 + 4097 perfect matching has 4097**2 > 2**24 cells: the SVD and
+    # the mixing functions refuse it before building an x-by-y array, also
+    # when a spectrum is given.
+    g = BipartiteGraph(4097, 4097, [(i, i) for i in range(4097)])
+    given = singular_values(even_cycle(6))
+    for call in (
+        lambda: biadjacency(g),
+        lambda: singular_values(g),
+        lambda: mixing_audit(g, 10, 1),
+        lambda: mixing_audit(g, 10, 1, given),
+        lambda: mixing_check(g, [], [], given),
+    ):
+        with pytest.raises(TooLarge, match="16785409 cells is above the bound 16777216"):
+            call()
 
 
 def test_mixing_holds_on_random_pairs():
