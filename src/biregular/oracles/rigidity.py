@@ -331,7 +331,7 @@ def rigidity_matrix_rank_modular(g: BipartiteGraph, seed: int) -> int:
 
 def _rank_points(n: int, seed: int) -> np.ndarray:
     # One (x, y) round of ``below(RANK_FIELD_PRIME)`` draws per vertex.
-    return below_rows(seed, 0, (RANK_FIELD_PRIME,) * 2, n)[0].astype(np.int64)
+    return below_rows((seed,), (0,), (RANK_FIELD_PRIME,) * 2, n)[0].astype(np.int64)
 
 
 def _rank_at(g: BipartiteGraph, pos: np.ndarray, p: int) -> int:

@@ -11,10 +11,11 @@ stream.
 State i of the stream is ``(seed & MASK64) + i * GAMMA`` mod 2^64 and output
 i is that state mixed, so any stretch of outputs can be computed without
 the ones before it. ``stream_u64`` returns such a stretch as one numpy
-block, which the one-seed reader ``below_rows`` draws from;
-``below_rows_each`` reads one stretch for each of several (seed, position)
-pairs as one 2-D block, and ``shuffled_rows`` shuffles from it.
-``SplitMix64`` stays the one-word-at-a-time reference they match.
+block. ``below_rows``, the one bounded reader, reads one stretch for each of
+several (seed, position) pairs as one 2-D block; a pair whose stretch holds a
+word that ``below`` would reject reads on past that word, and
+``shuffled_rows`` shuffles from its draws. ``SplitMix64`` stays the
+one-word-at-a-time reference they match.
 """
 
 from __future__ import annotations
@@ -101,78 +102,61 @@ def _mixed(z):
     return z
 
 
-def below_rows(seed: int, start: int, bounds, rows: int):
+def below_rows(seeds, starts, bounds, rows: int):
     """``rows`` rounds of ``[below(b) for b in bounds]``, b in [1, 2^64),
-    drawn after word ``start`` of ``SplitMix64(seed)``: a (rows, len(bounds))
-    uint64 array, and the stream position after the last draw. A word that
-    ``below`` would reject cuts the block of words read at once; the next
-    block starts one word later, at the same bound.
+    for each (seed, start) pair, drawn after word ``start`` of
+    ``SplitMix64(seed)``: a (len(seeds) * rows, len(bounds)) uint64 array
+    whose rows r * rows .. (r + 1) * rows - 1 are pair r's, and the list of
+    stream positions after each pair's draws.
 
-    This is the exact one-seed reader: ``below_rows_each`` hands it only the
-    seeds whose block holds a rejected word.
+    One 2-D block holds the next rows * len(bounds) words of every pair and
+    is reduced whole. A word that ``below`` would reject (fewer than one in
+    2^64 / bound) cuts its pair's block, and that pair reads on from one word
+    past the cut, at the same bound.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     width = bounds.size
+    count = rows * width
     tops = accept_max(bounds)
-    out = np.empty(rows * width, dtype=np.uint64)
-    done, rounds = 0, rows
-    while done < out.size:
-        # Whole rounds from the one holding the next draw (its first ``skip``
-        # words are drawn); after a cut, about twice what it drew, so that
-        # frequent rejections cost linear work.
-        skip = done % width
-        rounds = min(rounds, rows - done // width)
-        words = stream_u64(seed, start - skip, rounds * width)
-        rejected = np.flatnonzero(words.reshape(rounds, width) > tops)
-        rejected = rejected[rejected >= skip]
-        cut = int(rejected[0]) if rejected.size else words.size
-        out[done : done + cut - skip] = words[skip:cut]
-        done += cut - skip
-        start += cut - skip + (cut < words.size)
-        rounds = 2 * (cut // width + 1)
-    return out.reshape(rows, width) % bounds, start
-
-
-def below_rows_each(seeds, starts, bounds, rows: int):
-    """``below_rows(seed, start, bounds, rows)`` for each (seed, start) pair,
-    stacked: a (len(seeds) * rows, len(bounds)) uint64 array whose rows
-    r * rows .. (r + 1) * rows - 1 are pair r's, and the list of stream
-    positions after each pair's draws.
-
-    One 2-D block holds the next rows * len(bounds) words of every pair and
-    is reduced whole; a pair whose block holds a word that ``below`` would
-    reject (fewer than one word in 2^64 / bound) has its rows re-read by
-    ``below_rows``, which cuts it exactly.
-    """
-    bounds = np.asarray(bounds, dtype=np.uint64)
-    count = rows * bounds.size
     seeds = [check_int(seed, "seed") for seed in seeds]
     # State start + t of a seed is its state at ``start`` plus t * GAMMA.
     at = [(seed + start * GAMMA) & MASK64 for seed, start in zip(seeds, starts)]
     steps = np.arange(1, count + 1, dtype=np.uint64)
     steps *= GAMMA
     words = _mixed(steps + np.array(at, np.uint64)[:, None])
-    words = words.reshape(len(seeds) * rows, bounds.size)
-    cut = (words > accept_max(bounds)).reshape(len(seeds), count).any(axis=1)
-    words = words % bounds
+    rejected = words.reshape(len(seeds), rows, width) > tops
     ends = [start + count for start in starts]
-    for r in np.flatnonzero(cut):
-        here = slice(r * rows, (r + 1) * rows)
-        words[here], ends[r] = below_rows(seeds[r], starts[r], bounds, rows)
-    return words, ends
+    for r in np.flatnonzero(rejected.any(axis=(1, 2))):
+        cut = int(rejected[r].argmax())
+        done, ends[r], rounds = cut, starts[r] + cut + 1, 2 * (cut // width + 1)
+        while done < count:
+            # Whole rounds from the one holding the next draw (its first
+            # ``skip`` words are drawn); after a cut, about twice what it
+            # drew, so that frequent rejections cost linear work.
+            skip = done % width
+            rounds = min(rounds, rows - done // width)
+            block = stream_u64(seeds[r], ends[r] - skip, rounds * width)
+            over = np.flatnonzero(block.reshape(rounds, width) > tops)
+            over = over[over >= skip]
+            cut = int(over[0]) if over.size else block.size
+            words[r, done : done + cut - skip] = block[skip:cut]
+            done += cut - skip
+            ends[r] += cut - skip + (cut < block.size)
+            rounds = 2 * (cut // width + 1)
+    return words.reshape(len(seeds) * rows, width) % bounds, ends
 
 
 def shuffled_rows(seeds, starts, items, rows: int):
     """``rows`` copies of the 1-d array ``items`` for each (seed, start)
     pair, each shuffled as ``SplitMix64.shuffle`` shuffles it, drawn after
     word ``start`` of the seed's stream: a (len(seeds) * rows, len(items))
-    array stacked as ``below_rows_each`` stacks its draws, and the list of
+    array stacked as ``below_rows`` stacks its draws, and the list of
     stream positions after each pair's shuffles. The work array is
     position-major over all the stacked rows, so the swaps of every row at
     one position are vectorised steps on one contiguous slice.
     """
     size = len(items)
-    swaps, ends = below_rows_each(seeds, starts, np.arange(size, 1, -1), rows)
+    swaps, ends = below_rows(seeds, starts, np.arange(size, 1, -1), rows)
     total = swaps.shape[0]
     perm = np.repeat(items, total)
     partners = swaps.T.astype(np.intp)

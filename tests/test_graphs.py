@@ -297,8 +297,9 @@ def test_random_biregular_rejection_fallback(monkeypatch):
     # each rejected word cuts a block of draws, and the next block must
     # start one word later at the same bound, as below() redraws it. In a
     # batch, only the seeds whose blocks hold a rejected word are cut. At
-    # s = 1 every block is cut, so a batch re-reads each seed alone, as the
-    # one-seed sampler does; the batch is checked on the two cheap profiles.
+    # s = 1 every block is cut, so each seed of a batch reads on from its
+    # own cuts, as the one-seed sampler does; the batch is checked on the
+    # two cheap profiles.
     profiles = ((4, 4, 2, 2), (6, 4, 2, 3), (8, 8, 4, 4), (10, 10, 5, 5))
     for s, batched in ((8, profiles), (1, profiles[:2])):
         monkeypatch.setattr(

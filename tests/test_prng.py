@@ -12,7 +12,6 @@ from biregular.prng import (
     SplitMix64,
     accept_max,
     below_rows,
-    below_rows_each,
     derive_seed,
     shuffled_rows,
     stream_u64,
@@ -123,8 +122,7 @@ def test_seeds_must_be_integers():
     calls = (
         lambda: SplitMix64(1.5),
         lambda: stream_u64(1.5, 0, 4),
-        lambda: below_rows(1.5, 0, (3,), 2),
-        lambda: below_rows_each([5, 1.5], [0, 0], (3,), 2),
+        lambda: below_rows([5, 1.5], [0, 0], (3,), 2),
         lambda: derive_seed(1.5, 1),
         lambda: derive_seed(1, 2.5),
     )
@@ -151,19 +149,19 @@ def test_block_readers_match_scalar_draws(monkeypatch, shift):
     bounds_cases = ((), (7,), (10, 3, 2**31 - 1), tuple(range(12, 1, -1)),
                     (MASK64, 1, 3))
     items_cases = ([], [4], list(range(10)), [0, 0, 1, 1, 2, 2, 3, 3])
-    # The multi-seed readers serve every (seed, start) pair in one call.
+    # The readers serve every (seed, start) pair in one call, or one alone.
     pairs = [(seed, start) for seed in (0, 5, MASK64) for start in (0, 3)]
     seeds, starts = zip(*pairs)
     for rows in (0, 1, 9):
         # Each reader's draws, and the word after them, are the scalar
-        # generator's; the multi-seed readers stack pair r's rows at r.
+        # generator's; pair r's rows are stacked at r.
         for bounds in bounds_cases:
-            each, ends = below_rows_each(seeds, starts, bounds, rows)
+            each, ends = below_rows(seeds, starts, bounds, rows)
             assert each.shape == (len(pairs) * rows, len(bounds))
             for r, (seed, start) in enumerate(pairs):
                 rng = _scalar_at(seed, start)
                 want = [[rng.below(b) for b in bounds] for _ in range(rows)]
-                got, end = below_rows(seed, start, bounds, rows)
+                got, (end,) = below_rows((seed,), (start,), bounds, rows)
                 assert got.shape == (rows, len(bounds))
                 assert got.tolist() == want, (seed, start, bounds, rows)
                 assert each[r * rows : (r + 1) * rows].tolist() == want
@@ -186,14 +184,17 @@ def test_block_readers_match_scalar_draws(monkeypatch, shift):
                 assert stream_u64(seed, ends[r], 1)[0] == rng.next_u64()
 
 
-def test_below_rows_each_rereads_only_cut_seeds(monkeypatch):
+def test_below_rows_reads_on_only_from_cuts(monkeypatch):
     # With one word in 2^8 rejected, a few of 64 seeds' 8-word blocks hold
-    # a rejected word: only those seeds reach the one-seed reader.
+    # a rejected word: only those seeds read on past the block, and each
+    # reads on after its cut, never from its start, so no word before the
+    # cut is drawn twice.
     top = MASK64 - (MASK64 >> 8)
     monkeypatch.setattr(prng, "accept_max", lambda bound: top)
-    calls = record_calls(monkeypatch, prng, "below_rows")
+    calls = record_calls(monkeypatch, prng, "stream_u64")
     seeds = list(range(64))
-    below_rows_each(seeds, [1] * 64, (5, 6), 4)
+    below_rows(seeds, [1] * 64, (5, 6), 4)
     cut = [s for s in seeds if (stream_u64(s, 1, 8) > top).any()]
-    assert [args[0] for args, _ in calls] == cut
+    assert sorted({args[0] for args, _ in calls}) == cut
+    assert all(args[1] > 1 for args, _ in calls)
     assert 0 < len(cut) < 64
