@@ -121,31 +121,25 @@ def _cmd_verify(args):
 
 
 def _parse_grid(text):
+    # Text work only: AuditConfig judges each entry and the grid's length.
+    # A leading, trailing or doubled ';' adds no entry.
     grid = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 4:
-            raise UsageError(f"grid entry {chunk!r} is not x,y,a,b")
-        if not all(is_int_token(p) for p in parts):
-            raise UsageError(f"grid entry {chunk!r} holds a non-integer")
-        grid.append(tuple(int(p) for p in parts))
-    if not grid:
-        raise UsageError("empty grid")
+    for chunk in filter(str.strip, text.split(";")):
+        tokens = map(str.strip, chunk.split(","))
+        grid.append(tuple(int(t) if is_int_token(t) else t for t in tokens))
     return tuple(grid)
 
 
 def _cmd_audit(args):
-    # AuditConfig holds the defaults, so only the settings given are passed;
+    # AuditConfig holds the defaults and judges every setting, so only the
+    # settings given are passed, an empty --grid or --properties included;
     # repeated k values and properties are dropped and the rest sorted.
     given = {"trials": args.trials, "seed": args.seed}
-    if args.grid:
+    if args.grid is not None:
         given["size_grid"] = _parse_grid(args.grid)
-    if args.k:
+    if args.k is not None:
         given["k_grid"] = tuple(sorted(set(args.k)))
-    if args.properties:
+    if args.properties is not None:
         names = {p.strip() for p in args.properties.split(",")}
         given["properties"] = tuple(sorted(names))
     cfg = AuditConfig(**{f: v for f, v in given.items() if v is not None})

@@ -1,5 +1,6 @@
 """Audit harness: determinism, soundness wiring, report formats."""
 
+import hashlib
 import json
 import re
 import sys
@@ -118,6 +119,22 @@ def test_config_validation():
 def test_config_defaults_are_the_default_audit():
     assert AuditConfig() == default_config()
     assert AuditConfig(trials=2, seed=5) == default_config(2, 5)
+
+
+def test_default_audit_report_bytes():
+    # The default audit's CSV and JSON reports, held byte for byte across
+    # changes. One lambda2 sits about 25 ulps from a 12-digit rounding
+    # boundary (ROADMAP item 15), so a mismatch on another BLAS is that
+    # bug, not a reason to re-pin.
+    records = audit_random(default_config())
+    digests = {
+        fmt: hashlib.sha256(report_emit(records, fmt).encode()).hexdigest()
+        for fmt in ("csv", "json")
+    }
+    assert digests == {
+        "csv": "265ad455a1631f4a6645ed77c087ab8ba228881158fdb52486a5c8b7597b9ad4",
+        "json": "9f14137f4083d807c1e5f2b7611d2eace5607ab2e07b56208a0d5af7a257bf7a",
+    }
 
 
 def test_config_reads_property_names_as_members():

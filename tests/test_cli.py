@@ -17,7 +17,9 @@ from biregular import (
     parse_bbg,
     write_bbg,
 )
-from biregular.cli import main
+from biregular.audit import AuditConfig
+from biregular.cli import _parse_grid, main
+from biregular.errors import InvalidParam
 
 from testutil import (
     CHILD_ENV,
@@ -291,10 +293,14 @@ def test_audit_bad_grid_exit_1():
 @pytest.mark.parametrize(
     "grid, message",
     [
-        ("6,6,3", "grid entry '6,6,3' is not x,y,a,b"),
-        ("6,6,3,3,1;4,4,2,2", "grid entry '6,6,3,3,1' is not x,y,a,b"),
-        (";", "empty grid"),
-        (" ; ;", "empty grid"),
+        ("6,6,3", "grid entry (6, 6, 3) does not hold four values"),
+        (
+            "6,6,3,3,1;4,4,2,2",
+            "grid entry (6, 6, 3, 3, 1) does not hold four values",
+        ),
+        (";", "size grid must be nonempty"),
+        (" ; ;", "size grid must be nonempty"),
+        ("", "size grid must be nonempty"),
     ],
 )
 def test_audit_malformed_grid_is_usage_error(capsys, grid, message):
@@ -302,6 +308,37 @@ def test_audit_malformed_grid_is_usage_error(capsys, grid, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"usage error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        "6,6,3",
+        "6,6,3,3,1;4,4,2,2",
+        ";",
+        " ; ;",
+        "",
+        "6,4,2,+3",
+        "6,4,2,\u0663",
+        "6,4,2,0_3",
+        "6,,3,3",
+        "4,4,2,2;0,0,1,1",
+        "4,5,2,2",
+    ],
+)
+def test_audit_grid_messages_are_audit_configs(capsys, grid):
+    # The CLI only turns the text into values; AuditConfig judges them, so
+    # the usage error is its message word for word.
+    with pytest.raises(InvalidParam) as exc:
+        AuditConfig(size_grid=_parse_grid(grid))
+    assert main(["audit", "--grid", grid, "--trials", "1"]) == 1
+    assert capsys.readouterr().err == f"usage error: {exc.value}\n"
+
+
+def test_audit_given_settings_are_judged_in_audit_configs_order(capsys):
+    # A bad grid is reported after a bad trial count, as AuditConfig reads.
+    assert main(["audit", "--trials", "0", "--grid", "6,6,3"]) == 1
+    assert capsys.readouterr().err == "usage error: trials must be at least 1\n"
 
 
 def test_audit_grid_skips_empty_entries(capsys):
@@ -330,7 +367,7 @@ def test_audit_unsound_exits_2(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "names, bad", [("nope", "nope"), ("edge-conn,,stp", "")]
+    "names, bad", [("nope", "nope"), ("edge-conn,,stp", ""), ("", "")]
 )
 def test_audit_unknown_property_is_usage_error(names, bad):
     res = run_cli("audit", "--properties", names, "--trials", "1")
@@ -360,8 +397,9 @@ def test_audit_grid_integers_are_ascii_digits(capsys, entry):
     assert main(["audit", "--grid", entry, "--trials", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
+    b = entry.rsplit(",", 1)[1]
     assert captured.err == (
-        f"usage error: grid entry {entry!r} holds a non-integer\n"
+        f"usage error: grid entry (x=6, y=4, a=2, b={b}) holds a non-integer\n"
     )
 
 
