@@ -99,7 +99,16 @@ def _not_int(lineno, fields):
     return ParseError(lineno, f"expected integer, got {bad!r}")
 
 
+# The longest number token: int() reads 640 digits from a string under
+# every limit Python lets a user set (its string-conversion threshold), and
+# a number of more digits is past every bound the program checks.
+MAX_INT_TOKEN = 640
+
+
 def is_int_token(text: str) -> bool:
-    """True for ASCII digits with an optional leading ``-``; int() alone
-    would also take '+', '_' separators and non-ASCII digits."""
-    return text.isascii() and text.removeprefix("-").isdigit()
+    """True for ASCII digits with an optional leading ``-``, at most
+    MAX_INT_TOKEN characters in all; int() alone would also take '+', '_'
+    separators and non-ASCII digits, and raise ValueError past its digit
+    limit."""
+    digits = text.removeprefix("-")
+    return len(text) <= MAX_INT_TOKEN and text.isascii() and digits.isdigit()

@@ -11,11 +11,13 @@ stream.
 State i of the stream is ``(seed & MASK64) + i * GAMMA`` mod 2^64 and output
 i is that state mixed, so any stretch of outputs can be computed without
 the ones before it. ``stream_u64`` returns such a stretch as one numpy
-block. ``below_rows``, the one bounded reader, reads one stretch for each of
-several (seed, position) pairs as one 2-D block; a pair whose stretch holds a
-word that ``below`` would reject reads on past that word, and
-``shuffled_rows`` shuffles from its draws. ``SplitMix64`` stays the
-one-word-at-a-time reference they match.
+block. ``accepted_rows``, the one bounded reader, reads one stretch for each
+of several (seed, position) pairs as one 2-D block; a pair whose stretch
+holds a word that ``below`` would reject reads on past that word. It returns
+the accepted words unreduced, so that a caller may reduce only the draws it
+uses (the sampler reduces the rest of an attempt's draws only once the
+attempt has passed its checkpoint); ``below_rows`` is its draws reduced.
+``SplitMix64`` stays the one-word-at-a-time reference they match.
 """
 
 from __future__ import annotations
@@ -102,17 +104,15 @@ def _mixed(z):
     return z
 
 
-def below_rows(seeds, starts, bounds, rows: int):
-    """``rows`` rounds of ``[below(b) for b in bounds]``, b in [1, 2^64),
-    for each (seed, start) pair, drawn after word ``start`` of
-    ``SplitMix64(seed)``: a (len(seeds) * rows, len(bounds)) uint64 array
-    whose rows r * rows .. (r + 1) * rows - 1 are pair r's, and the list of
-    stream positions after each pair's draws.
+def accepted_rows(seeds, starts, bounds, rows: int):
+    """The words behind ``below_rows(seeds, starts, bounds, rows)``, before
+    each is reduced mod its bound: the same (len(seeds) * rows, len(bounds))
+    uint64 layout, and the list of stream positions after each pair's draws.
 
-    One 2-D block holds the next rows * len(bounds) words of every pair and
-    is reduced whole. A word that ``below`` would reject (fewer than one in
-    2^64 / bound) cuts its pair's block, and that pair reads on from one word
-    past the cut, at the same bound.
+    One 2-D block holds the next rows * len(bounds) words of every pair. A
+    word that ``below`` would reject (fewer than one in 2^64 / bound) cuts
+    its pair's block, and that pair reads on from one word past the cut, at
+    the same bound.
     """
     bounds = np.asarray(bounds, dtype=np.uint64)
     width = bounds.size
@@ -143,29 +143,19 @@ def below_rows(seeds, starts, bounds, rows: int):
             done += cut - skip
             ends[r] += cut - skip + (cut < block.size)
             rounds = 2 * (cut // width + 1)
-    return words.reshape(len(seeds) * rows, width) % bounds, ends
+    return words.reshape(len(seeds) * rows, width), ends
 
 
-def shuffled_rows(seeds, starts, items, rows: int):
-    """``rows`` copies of the 1-d array ``items`` for each (seed, start)
-    pair, each shuffled as ``SplitMix64.shuffle`` shuffles it, drawn after
-    word ``start`` of the seed's stream: a (len(seeds) * rows, len(items))
-    array stacked as ``below_rows`` stacks its draws, and the list of
-    stream positions after each pair's shuffles. The work array is
-    position-major over all the stacked rows, so the swaps of every row at
-    one position are vectorised steps on one contiguous slice.
+def below_rows(seeds, starts, bounds, rows: int):
+    """``rows`` rounds of ``[below(b) for b in bounds]``, b in [1, 2^64),
+    for each (seed, start) pair, drawn after word ``start`` of
+    ``SplitMix64(seed)``: a (len(seeds) * rows, len(bounds)) uint64 array
+    whose rows r * rows .. (r + 1) * rows - 1 are pair r's, and the list of
+    stream positions after each pair's draws. These are the words of
+    ``accepted_rows``, reduced whole.
     """
-    size = len(items)
-    swaps, ends = below_rows(seeds, starts, np.arange(size, 1, -1), rows)
-    total = swaps.shape[0]
-    perm = np.repeat(items, total)
-    partners = swaps.T.astype(np.intp)
-    partners *= total
-    partners += np.arange(total)
-    for i, j in zip(range(size - 1, 0, -1), partners):
-        lo = i * total
-        perm[lo : lo + total], perm[j] = perm[j], perm[lo : lo + total].copy()
-    return perm.reshape(size, total).T, ends
+    words, ends = accepted_rows(seeds, starts, bounds, rows)
+    return words % np.asarray(bounds, dtype=np.uint64), ends
 
 
 def derive_seed(master: int, *indices: int) -> int:

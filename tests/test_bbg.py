@@ -5,6 +5,7 @@ import re
 import pytest
 
 from biregular import complete_bipartite, heawood, parse_bbg, random_biregular, write_bbg
+from biregular.bbg import is_int_token
 from biregular.errors import DuplicateEdge, IndexOutOfRange, InvalidParam, ParseError
 from biregular.prng import SplitMix64
 from testutil import small_corpus
@@ -141,6 +142,13 @@ def test_non_integer_field():
     with pytest.raises(ParseError, match="line 4: expected integer, got '0x'"):
         parse_bbg("bbg 1\nparts 2 2\nedges 1\ne 0x 0\n")
 
+
+def test_integer_tokens_hold_at_most_640_characters():
+    # int() reads 640 digits under every limit Python lets a user set.
+    assert is_int_token("9" * 640) and is_int_token("-" + "9" * 639)
+    assert not is_int_token("9" * 641) and not is_int_token("-" + "9" * 640)
+    with pytest.raises(ParseError, match="^line 4: expected integer, got '9{641}'$"):
+        parse_bbg("bbg 1\nparts 2 2\nedges 1\ne " + "9" * 641 + " 0\n")
 
 
 def test_integers_are_ascii_digits():

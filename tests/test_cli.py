@@ -403,6 +403,35 @@ def test_audit_grid_integers_are_ascii_digits(capsys, entry):
     )
 
 
+# 5 000 digits are past int()'s default string limit of 4 300.
+_LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "where, text",
+    [
+        ("grid", f"{_LONG},1,1,1"),
+        ("parts", f"bbg 1\nparts {_LONG} 1\nedges 0\n"),
+        ("edges", f"bbg 1\nparts 1 1\nedges {_LONG}\n"),
+        ("e", f"bbg 1\nparts 1 1\nedges 1\ne {_LONG} 0\n"),
+    ],
+)
+def test_overlong_integer_is_usage_error(tmp_path, capsys, where, text):
+    # A number token longer than bbg.MAX_INT_TOKEN is refused on one
+    # usage-error line, not with int()'s ValueError.
+    if where == "grid":
+        args = ["audit", "--grid", text, "--trials", "1"]
+    else:
+        path = tmp_path / "long.bbg"
+        path.write_text(text)
+        args = ["spectrum", "--input", str(path)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_mixing_audit_cli(c6_file):
     res = run_cli("mixing-audit", "--input", c6_file, "--pairs", "200", "--seed", "3")
     assert res.returncode == 0

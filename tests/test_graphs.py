@@ -318,6 +318,49 @@ def test_random_biregular_rejection_fallback(monkeypatch):
                 assert batch == [None if isinstance(r, str) else r for r in refs]
 
 
+# Profiles at the edges of the sampler's checkpoint: x <= 3, where phase
+# one fixes and tests every stub (x = 1 included); a = 1, where no attempt
+# can clash (x <= 3 and x > 3); and x > 3, where attempts clash in both
+# phases, most of them before the checkpoint on the dense profiles.
+PHASE_PROFILES = (
+    (1, 1, 1, 1), (1, 4, 4, 1), (2, 2, 2, 2), (2, 6, 3, 1), (3, 2, 2, 3),
+    (3, 3, 3, 3), (3, 9, 3, 1), (5, 1, 1, 5), (7, 7, 1, 1), (4, 4, 2, 2),
+    (6, 4, 2, 3), (8, 8, 4, 4), (10, 10, 5, 5),
+)
+
+
+# None keeps the real acceptance limit; s rejects one word in 2^s.
+@pytest.mark.parametrize("shift", [None, 8, 1])
+def test_random_biregular_trials_phases_match_scalar_reference(monkeypatch, shift):
+    # Every batched trial is the scalar reference's graph, or None where the
+    # reference runs out of attempts, also when words are rejected and cut
+    # the blocks whose rows phase one drops.
+    if shift is not None:
+        monkeypatch.setattr(
+            prng, "accept_max", lambda bound: MASK64 - (MASK64 >> shift)
+        )
+    steps = record_calls(monkeypatch, graphs, "_shuffle_steps")
+    seeds = [derive_seed(17, t) for t in range(6)]
+    emptied = set()
+    for profile in PHASE_PROFILES:
+        for retries in (1, 40):
+            refs = [
+                _sample(random_biregular_scalar, *profile, seed, max_retries=retries)
+                for seed in seeds
+            ]
+            steps.clear()
+            got = random_biregular_trials(*profile, seeds, retries)
+            assert got == [None if isinstance(r, str) else r for r in refs], (
+                profile, retries,
+            )
+            # Each call runs phase one, then phase two on the survivors.
+            if any(args[0].shape[1] == 0 for args, _ in steps[1::2]):
+                emptied.add(profile)
+    # Some calls of the densest profile lose every attempt at the
+    # checkpoint, and phase two runs on no row.
+    assert (10, 10, 5, 5) in emptied
+
+
 def _one_seed(x, y, a, b, seeds, max_retries=10000):
     """The one-seed sampler on each seed, None where it raises."""
     out = []
@@ -333,7 +376,7 @@ def test_random_biregular_trials_split_calls_at_1024_rows(monkeypatch):
     # 70 first blocks of 16 rows take two calls (64 trials, then 6); the
     # nine dense trials, all live through both 256-row blocks, go 4, 4 and
     # 1 to a call in each.
-    calls = record_calls(monkeypatch, graphs, "shuffled_rows")
+    calls = record_calls(monkeypatch, graphs, "accepted_rows")
     sizes = {}
     for profile, trials, retries in (((4, 4, 2, 2), 70, 16), ((10, 10, 5, 5), 9, 600)):
         seeds = [derive_seed(43, t) for t in range(trials)]

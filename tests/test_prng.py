@@ -7,13 +7,14 @@ import pytest
 
 from biregular import prng
 from biregular.errors import InvalidParam
+from biregular.graphs import _shuffle_steps
 from biregular.prng import (
     MASK64,
     SplitMix64,
     accept_max,
+    accepted_rows,
     below_rows,
     derive_seed,
-    shuffled_rows,
     stream_u64,
 )
 
@@ -167,21 +168,32 @@ def test_block_readers_match_scalar_draws(monkeypatch, shift):
                 assert each[r * rows : (r + 1) * rows].tolist() == want
                 assert end == ends[r]
                 assert stream_u64(seed, end, 1)[0] == rng.next_u64()
+            # The unreduced words behind them, from the same positions.
+            words, word_ends = accepted_rows(seeds, starts, bounds, rows)
+            assert (words % np.array(bounds, np.uint64)).tolist() == each.tolist()
+            assert word_ends == ends
         for items in items_cases:
-            got, ends = shuffled_rows(
-                seeds, starts, np.array(items, dtype=np.int64), rows
-            )
-            assert got.shape == (len(pairs) * rows, len(items))
-            for r, (seed, start) in enumerate(pairs):
+            # The sampler's shuffle: the reader's words, reduced and run as
+            # Fisher-Yates steps on a position-major array with one column
+            # per row, in two phases split after ``head`` steps.
+            size = len(items)
+            bounds = np.arange(size, 1, -1, dtype=np.uint64)
+            words, ends = accepted_rows(seeds, starts, bounds, rows)
+            want = []
+            for (seed, start), end in zip(pairs, ends):
                 rng = _scalar_at(seed, start)
-                want = []
                 for _ in range(rows):
                     row = items.copy()
                     rng.shuffle(row)
                     want.append(row)
-                here = got[r * rows : (r + 1) * rows]
-                assert here.tolist() == want, (seed, start, items, rows)
-                assert stream_u64(seed, ends[r], 1)[0] == rng.next_u64()
+                assert stream_u64(seed, end, 1)[0] == rng.next_u64()
+            for head in {0, size // 2, max(size - 1, 0)}:
+                perm = np.repeat(np.array(items, np.int64), len(words))
+                perm = perm.reshape(size, len(words))
+                _shuffle_steps(perm, words[:, :head] % bounds[:head], size - 1)
+                rest = words[:, head:] % bounds[head:]
+                _shuffle_steps(perm, rest, size - 1 - head)
+                assert perm.T.tolist() == want, (items, rows, head)
 
 
 def test_below_rows_reads_on_only_from_cuts(monkeypatch):
